@@ -107,7 +107,9 @@ def _config_hash(flags: dict, input_paths: Sequence[str | Path]) -> str:
     digest.update(json.dumps(flags, sort_keys=True, default=str).encode("utf-8"))
     for path in input_paths:
         digest.update(b"\x00" + str(path).encode("utf-8") + b"\x00")
-        digest.update(Path(path).read_bytes())
+        with open(path, "rb") as handle:
+            while chunk := handle.read(1 << 20):  # never hold a whole pool file
+                digest.update(chunk)
     return digest.hexdigest()
 
 

@@ -15,7 +15,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -259,22 +259,25 @@ def _pair_from_obj(obj: dict, pool_tag: str, line_no: int, source: str) -> Instr
                     or not isinstance(turn.get("value"), str):
                 raise DataError(f"{where}: malformed {who} turn at position {k}")
         turns.append((human["value"], assistant["value"]))
-    return InstructionPair(
-        id=pair_id,
-        image_ref=image,
-        system=system,
-        question=turns[0][0],
-        answer=turns[0][1],
-        pool=pool_tag,
-        extra_turns=tuple(turns[1:]),
-    )
+    try:
+        return InstructionPair(
+            id=pair_id,
+            image_ref=image,
+            system=system,
+            question=turns[0][0],
+            answer=turns[0][1],
+            pool=pool_tag,
+            extra_turns=tuple(turns[1:]),
+        )
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}")
 
 
-def load_pool(path: str | Path, pool_tag: str) -> list[InstructionPair]:
-    """Load a line-delimited instruction-pair file and tag every record."""
+def read_pairs(path: str | Path, pool_tag: str) -> Iterator[tuple[int, InstructionPair]]:
+    """Parse and validate a line-delimited instruction-pair file, yielding
+    (1-based line number, pair) for every non-blank line."""
     if pool_tag not in POOL_TAGS:
         raise DataError(f"unknown pool tag {pool_tag!r}")
-    pairs: list[InstructionPair] = []
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -284,10 +287,27 @@ def load_pool(path: str | Path, pool_tag: str) -> list[InstructionPair]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {line_no}: invalid JSON ({exc})")
-            pairs.append(_pair_from_obj(obj, pool_tag, line_no, str(path)))
-    if not pairs:
+            yield line_no, _pair_from_obj(obj, pool_tag, line_no, str(path))
+
+
+def manifest_row(pool_tag: str, source_line: int, pair_id: str) -> str:
+    """One manifest line, byte-identical to json.dumps of
+    {"pool", "source_line", "id"} with ensure_ascii=False, plus a newline."""
+    pair_id = json.encoder.encode_basestring(pair_id)
+    return f'{{"pool": "{pool_tag}", "source_line": {source_line}, "id": {pair_id}}}\n'
+
+
+def load_pool(path: str | Path, pool_tag: str) -> list[str]:
+    """Validate every record of a pool file, then keep only its manifest row.
+
+    Sampling needs nothing else of a pair, so the rows are rendered once
+    here and a manifest is a shuffled selection of them.
+    """
+    rows = [manifest_row(pool_tag, line_no, pair.id)
+            for line_no, pair in read_pairs(path, pool_tag)]
+    if not rows:
         log.warning("%s: empty pool file for %s", path, pool_tag)
-    return pairs
+    return rows
 
 
 # Mixture sampling ------------------------------------------------------------
@@ -295,22 +315,15 @@ def load_pool(path: str | Path, pool_tag: str) -> list[InstructionPair]:
 
 @dataclass
 class PoolSet:
-    d1: list[InstructionPair] = field(default_factory=list)
-    d2: list[InstructionPair] = field(default_factory=list)
-    d3: list[InstructionPair] = field(default_factory=list)
+    d1: list[str] = field(default_factory=list)  # manifest rows, see load_pool
+    d2: list[str] = field(default_factory=list)
+    d3: list[str] = field(default_factory=list)
 
     def sizes(self) -> dict[str, int]:
         return {"d1": len(self.d1), "d2": len(self.d2), "d3": len(self.d3)}
 
-    def by_tag(self, tag: str) -> list[InstructionPair]:
+    def by_tag(self, tag: str) -> list[str]:
         return {"D1": self.d1, "D2": self.d2, "D3": self.d3}[tag]
-
-
-@dataclass(frozen=True)
-class ManifestEntry:
-    pool: str
-    source_line: int  # 1-based position in the source pool
-    id: str
 
 
 @dataclass
@@ -318,7 +331,7 @@ class Manifest:
     seed: int
     counts: dict[str, int]
     ratio: dict[str, float]
-    entries: list[ManifestEntry]
+    entries: list[str]  # manifest rows, as rendered by manifest_row
 
 
 def _ratio_of(counts: Mapping[str, int]) -> dict[str, float]:
@@ -339,10 +352,11 @@ def sample_mixture(
 
     Sampling is without replacement; a count above the pool size is only
     legal with the replacement flag, in which case that pool alone switches
-    to replacement (logged). Everything is driven by one seeded generator.
+    to replacement (logged). Everything is driven by one seeded generator,
+    whose draws depend only on the pool sizes and counts.
     """
     rng = random.Random(seed)
-    entries: list[ManifestEntry] = []
+    entries: list[str] = []
     normalized = {k: int(counts.get(k, 0)) for k in ("d1", "d2", "d3")}
     for tag in POOL_TAGS:
         want = normalized[tag.lower()]
@@ -354,34 +368,24 @@ def sample_mixture(
         if not pool:
             raise DataError(f"{tag}: cannot sample {want} pairs from an empty pool")
         if want <= len(pool):
-            chosen = rng.sample(range(len(pool)), want)
+            entries.extend(rng.sample(pool, want))
         elif with_replacement:
             log.info("%s: oversampling %d from %d with replacement", tag, want, len(pool))
-            chosen = rng.choices(range(len(pool)), k=want)
+            entries.extend(rng.choices(pool, k=want))
         else:
             raise DataError(
                 f"{tag}: count {want} exceeds pool size {len(pool)} "
                 f"(pass with_replacement to oversample)"
             )
-        entries.extend(
-            ManifestEntry(tag, idx + 1, pool[idx].id) for idx in chosen
-        )
     rng.shuffle(entries)
     return Manifest(seed=seed, counts=normalized, ratio=_ratio_of(normalized), entries=entries)
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
+    header = {"seed": manifest.seed, "counts": manifest.counts, "ratio": manifest.ratio}
     with open(path, "w", encoding="utf-8") as handle:
-        header = {"seed": manifest.seed, "counts": manifest.counts, "ratio": manifest.ratio}
         handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-        for e in manifest.entries:
-            handle.write(
-                json.dumps(
-                    {"pool": e.pool, "source_line": e.source_line, "id": e.id},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+        handle.write("".join(manifest.entries))
 
 
 def read_manifest_header(path: str | Path) -> dict:
@@ -397,29 +401,25 @@ def read_manifest_header(path: str | Path) -> dict:
 
 
 def read_manifest(path: str | Path) -> Manifest:
+    """Read a manifest back: its header and the rows write_manifest wrote."""
+    header = read_manifest_header(path)
+    rows = []
     with open(path, encoding="utf-8") as handle:
-        try:
-            header = json.loads(next(handle))
-        except (StopIteration, json.JSONDecodeError):
-            raise DataError(f"{path}: missing or invalid manifest header")
-        if not isinstance(header, dict) or "counts" not in header:
-            raise DataError(f"{path}: manifest header lacks counts")
-        entries = []
-        for line_no, raw in enumerate(handle, start=2):
-            line = raw.strip()
-            if not line:
+        next(handle)
+        for line_no, row in enumerate(handle, start=2):
+            if not row.strip():
                 continue
             try:
-                obj = json.loads(line)
-                entries.append(
-                    ManifestEntry(obj["pool"], int(obj["source_line"]), str(obj["id"]))
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                obj = json.loads(row)
+            except json.JSONDecodeError:
+                obj = None
+            if not isinstance(obj, dict) or not {"pool", "source_line", "id"} <= obj.keys():
                 raise DataError(f"{path}: line {line_no}: malformed manifest entry")
+            rows.append(row)
     counts = {k: int(v) for k, v in header["counts"].items()}
     return Manifest(
         seed=int(header.get("seed", 0)),
         counts=counts,
         ratio={k: float(v) for k, v in header.get("ratio", _ratio_of(counts)).items()},
-        entries=entries,
+        entries=rows,
     )

@@ -236,6 +236,7 @@ class ExternalOracle:
 
     def evaluate(self, request: OracleRequest) -> OracleResponse:
         out_path = Path(f"{request.manifest_path}.result.json")
+        out_path.unlink(missing_ok=True)  # a result left by an earlier run is never read
         tokens = [
             token.format(
                 manifest=str(request.manifest_path),

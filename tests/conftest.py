@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from iqmix.datasets import SCORING_SYSTEM_PREFIX, InstructionPair, PoolSet
+from iqmix.datasets import SCORING_SYSTEM_PREFIX, InstructionPair, PoolSet, manifest_row
 from iqmix.oracle import ResponseSurface, SyntheticOracleConfig
 
 
@@ -24,8 +24,14 @@ def make_pairs(tag: str, n: int) -> list[InstructionPair]:
     ]
 
 
+def make_rows(tag: str, n: int) -> list[str]:
+    """The manifest rows load_pool keeps for a file of make_pairs(tag, n)."""
+    return [manifest_row(tag, line, pair.id)
+            for line, pair in enumerate(make_pairs(tag, n), start=1)]
+
+
 def make_pools(n1: int, n2: int, n3: int) -> PoolSet:
-    return PoolSet(make_pairs("D1", n1), make_pairs("D2", n2), make_pairs("D3", n3))
+    return PoolSet(make_rows("D1", n1), make_rows("D2", n2), make_rows("D3", n3))
 
 
 def planted_config(noise_sigma: float = 0.0, **overrides) -> SyntheticOracleConfig:

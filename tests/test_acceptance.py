@@ -21,6 +21,7 @@ from iqmix.datasets import (
     emit_d1_pairs,
     load_pool,
     pool_stats,
+    read_pairs,
     subsample_balanced,
     write_pairs,
 )
@@ -241,8 +242,9 @@ def test_criterion_09_d1_emission_and_round_trip(tmp_path):
 
     first = tmp_path / "first.jsonl"
     write_pairs(pairs, first)
-    reloaded = load_pool(first, "D1")
+    reloaded = [pair for _, pair in read_pairs(first, "D1")]
     assert reloaded == pairs
+    assert len(load_pool(first, "D1")) == len(pairs)
     second = tmp_path / "second.jsonl"
     write_pairs(reloaded, second)
     assert first.read_bytes() == second.read_bytes()

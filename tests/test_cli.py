@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 import yaml
 
-from iqmix.cli import main
+from iqmix.cli import _config_hash, main
 from iqmix.datasets import load_pool, write_pairs
 from iqmix.levels import LevelScale
 from iqmix.datasets import MosRecord, emit_d1_pairs
@@ -300,6 +301,17 @@ class TestMixSearch:
         assert run_cli("mix-search", "--config", config,
                        "--out-dir", tmp_path / "run") == 3
 
+    def test_stale_oracle_result_exit_code(self, tmp_path):
+        oracle = {"kind": "external", "command": f"{sys.executable} -c pass {{out}}"}
+        config = write_pools_and_config(tmp_path, oracle=oracle)
+        stale = tmp_path / "run" / "manifests" / "d2_vs_d3" / "point00_rep0.jsonl.result.json"
+        stale.parent.mkdir(parents=True)
+        stale.write_text(json.dumps({"perf_scoring": 0.5, "perf_interpreting": 0.5,
+                                     "loss_scoring": 1.0, "loss_interpreting": 1.0}))
+        assert run_cli("mix-search", "--config", config,
+                       "--out-dir", tmp_path / "run") == 3
+        assert not stale.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text("pools: {d1: missing.jsonl}\n")
@@ -350,6 +362,14 @@ class TestRunRecords:
         assert record["command"] == "convert"
         assert record["tool_version"]
         assert record["outputs"] == [str(out1)]
+
+    def test_hash_of_file_larger_than_one_chunk(self, tmp_path):
+        big = tmp_path / "big.bin"
+        big.write_bytes(bytes(range(256)) * (3 * 4096 + 1))  # over 3 MiB
+        flags = {"out": "x"}
+        reference = hashlib.sha256(json.dumps(flags, sort_keys=True).encode("utf-8"))
+        reference.update(b"\x00" + str(big).encode("utf-8") + b"\x00" + big.read_bytes())
+        assert _config_hash(flags, [big]) == reference.hexdigest()
 
     def test_hash_deterministic_for_same_inputs(self, tmp_path, mos_file):
         out = tmp_path / "a.jsonl"

@@ -1,13 +1,17 @@
 import json
 import logging
+import random
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from iqmix.datasets import (
     D1_QUESTION,
+    POOL_TAGS,
     SCORING_SYSTEM_PREFIX,
     InstructionPair,
     Manifest,
@@ -16,10 +20,12 @@ from iqmix.datasets import (
     emit_d1_pairs,
     ingest_mos,
     load_pool,
+    manifest_row,
     pair_to_json,
     pool_stats,
     read_manifest,
     read_manifest_header,
+    read_pairs,
     sample_mixture,
     subsample_balanced,
     write_manifest,
@@ -189,7 +195,7 @@ class TestPoolRoundTrip:
         pairs = emit_d1_pairs(records, scale)
         path_a = tmp_path / "a.jsonl"
         write_pairs(pairs, path_a)
-        loaded = load_pool(path_a, "D1")
+        loaded = [pair for _, pair in read_pairs(path_a, "D1")]
         assert loaded == pairs
         path_b = tmp_path / "b.jsonl"
         write_pairs(loaded, path_b)
@@ -202,8 +208,7 @@ class TestPoolRoundTrip:
         )
         path = tmp_path / "pool.jsonl"
         write_pairs([pair], path)
-        loaded = load_pool(path, "D2")
-        assert loaded == [pair]
+        assert list(read_pairs(path, "D2")) == [(1, pair)]
         obj = json.loads(path.read_text().splitlines()[0])
         assert len(obj["conversations"]) == 4
 
@@ -238,15 +243,51 @@ class TestPoolRoundTrip:
         record = {"id": 7, "image": "x.jpg",
                   "conversations": [{"from": "human", "value": "q"},
                                     {"from": "gpt", "value": "a"}]}
-        path.write_text(json.dumps(record) + "\n")
-        assert load_pool(path, "D3")[0].id == "7"
+        path.write_text("\n" + json.dumps(record) + "\n")
+        assert load_pool(path, "D3") == ['{"pool": "D3", "source_line": 2, "id": "7"}\n']
+
+    def test_d1_without_prefix_names_line(self, tmp_path):
+        path = tmp_path / "d1.jsonl"
+        good = emit_d1_pairs([MosRecord("ok", 50.0)], LevelScale(0, 100))[0]
+        unprefixed = InstructionPair("a", "a.jpg", None, "q", "a", "D2")
+        write_pairs([good, unprefixed], path)
+        with pytest.raises(DataError, match="scoring system prefix") as exc:
+            load_pool(path, "D1")
+        assert "line 2" in str(exc.value)
+
+    def test_malformed_turn_names_line(self, tmp_path):
+        path = tmp_path / "pool.jsonl"
+        good = {"id": "a", "image": "a.jpg",
+                "conversations": [{"from": "human", "value": "q"},
+                                  {"from": "gpt", "value": "a"}]}
+        bad = dict(good, conversations=[{"from": "human", "value": "q"},
+                                        {"from": "human", "value": "a"}])
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DataError, match="malformed gpt turn") as exc:
+            load_pool(path, "D3")
+        assert "line 2" in str(exc.value)
+
+
+class TestManifestRow:
+    @given(tag=st.sampled_from(POOL_TAGS), line=st.integers(1, 10**9), pair_id=st.text())
+    @example(tag="D1", line=1, pair_id='quote " backslash \\ end')
+    @example(tag="D2", line=7, pair_id="tab\tnul\x00bell\x07 del\x7f nbsp\xa0")
+    @example(tag="D3", line=42, pair_id="bildgüte 画質 \U0001f600 \u2028\u2029")
+    def test_equals_json_dumps(self, tag, line, pair_id):
+        expected = json.dumps({"pool": tag, "source_line": line, "id": pair_id},
+                              ensure_ascii=False) + "\n"
+        assert manifest_row(tag, line, pair_id) == expected
+
+
+def entry_fields(manifest):
+    return [json.loads(row) for row in manifest.entries]
 
 
 class TestSampleMixture:
     def test_exact_counts(self):
         pools = make_pools(100, 300, 300)
         manifest = sample_mixture(pools, {"d1": 50, "d2": 125, "d3": 52}, seed=1)
-        tags = Counter(e.pool for e in manifest.entries)
+        tags = Counter(e["pool"] for e in entry_fields(manifest))
         assert tags == {"D1": 50, "D2": 125, "D3": 52}
         assert manifest.counts == {"d1": 50, "d2": 125, "d3": 52}
         assert manifest.ratio == {"d1": 1.0, "d2": 2.5, "d3": 1.04}
@@ -265,12 +306,12 @@ class TestSampleMixture:
         m1 = sample_mixture(pools, counts, seed=1)
         m2 = sample_mixture(pools, counts, seed=2)
         assert m1.counts == m2.counts
-        assert [e.id for e in m1.entries] != [e.id for e in m2.entries]
+        assert m1.entries != m2.entries
 
     def test_zero_count_pool_absent(self):
         pools = make_pools(50, 50, 50)
         manifest = sample_mixture(pools, {"d1": 10, "d2": 0, "d3": 5}, seed=0)
-        assert not any(e.pool == "D2" for e in manifest.entries)
+        assert not any(e["pool"] == "D2" for e in entry_fields(manifest))
 
     def test_infeasible_without_replacement(self):
         pools = make_pools(10, 10, 10)
@@ -281,15 +322,30 @@ class TestSampleMixture:
         pools = make_pools(10, 10, 10)
         manifest = sample_mixture(pools, {"d1": 25, "d2": 0, "d3": 0}, seed=0,
                                   with_replacement=True)
-        assert sum(1 for e in manifest.entries if e.pool == "D1") == 25
+        assert sum(1 for e in entry_fields(manifest) if e["pool"] == "D1") == 25
 
     def test_provenance_indices_valid(self):
         pools = make_pools(30, 60, 60)
         manifest = sample_mixture(pools, {"d1": 30, "d2": 20, "d3": 20}, seed=5)
-        for entry in manifest.entries:
-            pool = pools.by_tag(entry.pool)
-            assert 1 <= entry.source_line <= len(pool)
-            assert pool[entry.source_line - 1].id == entry.id
+        for row, entry in zip(manifest.entries, entry_fields(manifest)):
+            pool = pools.by_tag(entry["pool"])
+            assert 1 <= entry["source_line"] <= len(pool)
+            assert pool[entry["source_line"] - 1] == row
+
+    @pytest.mark.parametrize("d1_count", [12, 30])
+    def test_draws_match_index_sampling(self, d1_count):
+        # reference: draw pool indices, as the sampler did before it held rows
+        pools = make_pools(20, 40, 40)
+        counts = {"d1": d1_count, "d2": 25, "d3": 7}
+        rng = random.Random(13)
+        expected = []
+        for tag in POOL_TAGS:
+            n, want = len(pools.by_tag(tag)), counts[tag.lower()]
+            picks = rng.sample(range(n), want) if want <= n else rng.choices(range(n), k=want)
+            expected.extend(pools.by_tag(tag)[i] for i in picks)
+        rng.shuffle(expected)
+        manifest = sample_mixture(pools, counts, seed=13, with_replacement=True)
+        assert manifest.entries == expected
 
     def test_round_trip_file(self, tmp_path):
         pools = make_pools(20, 20, 20)
@@ -302,6 +358,14 @@ class TestSampleMixture:
         header = read_manifest_header(path)
         assert header["counts"] == {"d1": 10, "d2": 10, "d3": 10}
         assert header["seed"] == 3
+
+    @pytest.mark.parametrize("bad_row", ['{"pool": "D1", "id": "x"}', "[1, 2]", "{nope"])
+    def test_malformed_manifest_entry_names_line(self, tmp_path, bad_row):
+        path = tmp_path / "m.jsonl"
+        write_manifest(sample_mixture(make_pools(5, 5, 5), {"d1": 2}, seed=0), path)
+        path.write_text(path.read_text() + "\n" + bad_row + "\n")
+        with pytest.raises(DataError, match="line 5: malformed manifest entry"):
+            read_manifest(path)
 
 
 class TestPoolSet:

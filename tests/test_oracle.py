@@ -220,6 +220,16 @@ class TestExternalOracle:
             external_evaluate(OracleRequest(path, 0), config)
         assert "missing" in str(exc.value)
 
+    def test_stale_result_is_never_read(self, tmp_path):
+        path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
+        stale = tmp_path / "m.jsonl.result.json"
+        stale.write_text(json.dumps({"perf_scoring": 0.5, "perf_interpreting": 0.5,
+                                     "loss_scoring": 1.0, "loss_interpreting": 1.0}))
+        config = ExternalOracleConfig(command=f"{sys.executable} -c pass {{out}}")
+        with pytest.raises(OracleResultError, match="missing"):
+            ExternalOracle(config).evaluate(OracleRequest(path, 0))
+        assert not stale.exists()
+
     @pytest.mark.parametrize(
         "payload,needle",
         [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqmix.errors import ConfigError, NormalizationError, ScoreOutOfRangeError
 from iqmix.levels import (
@@ -155,3 +157,24 @@ class TestMosFromFrequencies:
         for _ in range(100):
             f = rng.dirichlet(np.ones(5))
             assert 1.0 <= mos_from_frequencies(FrequencyVector(tuple(f))) <= 5.0
+
+
+SCALES = [LevelScale(1.0, 5.0), LevelScale(0.0, 100.0), LevelScale(0.0, 1.0),
+          LevelScale(-3.7, 12.9, 7), LevelScale(0.1, 0.7, 2), LevelScale(1.0, 10.0, 3)]
+
+
+class TestQuantizeMatchesScoreToLevel:
+    @pytest.mark.parametrize("scale", SCALES, ids=str)
+    def test_every_bin_edge(self, scale):
+        # bin_edges()[-1] is m + (n/n)(M-m), which can round past M
+        edges = [scale.min_score, *scale.interior_edges(), scale.max_score]
+        expected = [score_to_level(e, scale).index for e in edges]
+        assert quantize_scores(edges, scale).tolist() == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(scale=st.sampled_from(SCALES), fractions=st.lists(st.floats(0.0, 1.0), max_size=50))
+    def test_random_in_range_scores(self, scale, fractions):
+        span = scale.max_score - scale.min_score
+        scores = [min(scale.min_score + f * span, scale.max_score) for f in fractions]
+        expected = [score_to_level(s, scale).index for s in scores]
+        assert quantize_scores(scores, scale).tolist() == expected

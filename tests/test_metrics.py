@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from iqmix.errors import DataError, DegenerateSampleError, MissingDimensionError
 from iqmix.levels import LevelScale
@@ -44,6 +46,33 @@ def pearson_direct(x, y) -> float:
     vx = sum((a - mx) ** 2 for a in x)
     vy = sum((b - my) ** 2 for b in y)
     return cov / math.sqrt(vx * vy)
+
+
+def tie_heavy_pairs(max_size: int = 40):
+    """Two equal-length value lists rounded to one decimal, so ties are common."""
+    value = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 1))
+    return st.integers(3, max_size).flatmap(
+        lambda n: st.tuples(st.lists(value, min_size=n, max_size=n),
+                            st.lists(value, min_size=n, max_size=n))
+    )
+
+
+class TestAgainstScipy:
+    @settings(deadline=None, max_examples=300)
+    @given(tie_heavy_pairs())
+    def test_srcc_matches_spearmanr(self, pair):
+        x, y = pair
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        expected = scipy.stats.spearmanr(x, y).statistic
+        assert srcc(sample(x, y)) == pytest.approx(expected, abs=1e-9)
+
+    @settings(deadline=None, max_examples=300)
+    @given(tie_heavy_pairs())
+    def test_plcc_matches_pearsonr(self, pair):
+        x, y = pair
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        expected = scipy.stats.pearsonr(x, y).statistic
+        assert plcc(sample(x, y)) == pytest.approx(expected, abs=1e-9)
 
 
 class TestPairedSample:

@@ -26,7 +26,6 @@ import yaml
 from . import __version__
 from .controller import run_loop
 from .datasets import (
-    MosRecord,
     PoolSet,
     ingest_mos,
     emit_d1_pairs,
@@ -61,6 +60,7 @@ from .oracle import (
     SyntheticOracleConfig,
 )
 from .scoring import BatchDiagnostic, rescale_score, score_batch
+from .util import read_jsonl, record_id
 
 log = logging.getLogger(__name__)
 
@@ -142,42 +142,22 @@ def _now() -> str:
 
 def _read_scores(path: str | Path) -> dict[str, float]:
     scores: dict[str, float] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                scores[str(obj["id"])] = float(obj["score"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                raise DataError(f"{path}: line {line_no}: malformed score record")
+    first_line: dict[str, int] = {}
+    for line_no, obj in read_jsonl(path):
+        where = f"{path}: line {line_no}"
+        item_id = record_id(obj, where)
+        if item_id in first_line:
+            raise DataError(
+                f"{where}: duplicate id {item_id!r} (first on line {first_line[item_id]})"
+            )
+        try:
+            scores[item_id] = float(obj["score"])
+        except (KeyError, TypeError, ValueError):
+            raise DataError(f"{where}: malformed score record")
+        first_line[item_id] = line_no
     if not scores:
         raise DataError(f"{path}: no score records")
     return scores
-
-
-def _read_mos_column(path: str | Path, delimiter: str = ",") -> dict[str, float]:
-    import csv
-
-    values: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = next(reader)
-            id_col, mos_col = header.index("image_id"), header.index("mos")
-        except (StopIteration, ValueError):
-            raise DataError(f"{path}: header must contain image_id and mos columns")
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                values[row[id_col]] = float(row[mos_col])
-            except (IndexError, ValueError):
-                raise DataError(f"{path}: row {row_no}: malformed record")
-    if not values:
-        raise DataError(f"{path}: no MOS records")
-    return values
 
 
 def _load_yaml(path: str | Path) -> dict:
@@ -292,7 +272,8 @@ def _emit_report(doc: dict, text: str, fmt: str) -> None:
 
 def cmd_eval_iqa(args: argparse.Namespace) -> int:
     scores = _read_scores(args.scores_file)
-    mos = _read_mos_column(args.mos_file, delimiter=args.delimiter)
+    records, _ = ingest_mos(args.mos_file, delimiter=args.delimiter)
+    mos = {rec.image_id: rec.mos for rec in records}
     shared = [key for key in scores if key in mos]
     missing = (len(scores) - len(shared)) + sum(1 for k in mos if k not in scores)
     if missing:
@@ -316,25 +297,20 @@ def cmd_eval_iqa(args: argparse.Namespace) -> int:
 
 def cmd_eval_mcq(args: argparse.Namespace) -> int:
     records = []
-    with open(args.answers_file, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                records.append(
-                    McqRecord(
-                        question_id=str(obj["id"]),
-                        question_type=obj["type"],
-                        quadrant=obj["quadrant"],
-                        choices=tuple(obj["choices"]),
-                        gold=obj["gold"],
-                        predicted=str(obj.get("predicted", "")),
-                    )
+    for line_no, obj in read_jsonl(args.answers_file):
+        try:
+            records.append(
+                McqRecord(
+                    question_id=str(obj["id"]),
+                    question_type=obj["type"],
+                    quadrant=obj["quadrant"],
+                    choices=tuple(obj["choices"]),
+                    gold=obj["gold"],
+                    predicted=str(obj.get("predicted", "")),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{args.answers_file}: line {line_no}: {exc}")
+            )
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{args.answers_file}: line {line_no}: {exc}")
     report = mcq_report(records)
     _emit_report(report.to_dict(), report.as_text(), args.format)
     return 0
@@ -342,16 +318,11 @@ def cmd_eval_mcq(args: argparse.Namespace) -> int:
 
 def cmd_eval_desc(args: argparse.Namespace) -> int:
     ratings = []
-    with open(args.ratings_file, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                ratings.append(DescriptionRating(obj["dimension"], int(obj["rating"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{args.ratings_file}: line {line_no}: {exc}")
+    for line_no, obj in read_jsonl(args.ratings_file):
+        try:
+            ratings.append(DescriptionRating(obj["dimension"], int(obj["rating"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{args.ratings_file}: line {line_no}: {exc}")
     report = description_report(ratings)
     _emit_report(report.to_dict(), report.as_text(), args.format)
     return 0
@@ -360,8 +331,7 @@ def cmd_eval_desc(args: argparse.Namespace) -> int:
 def cmd_subsample(args: argparse.Namespace) -> int:
     started = _now()
     seed = _resolve(args.seed, _env_default("SEED", int), default=0)
-    values = _read_mos_column(args.mos_file, delimiter=args.delimiter)
-    records = [MosRecord(k, v) for k, v in values.items()]
+    records, _ = ingest_mos(args.mos_file, delimiter=args.delimiter)
     subset = subsample_balanced(records, args.target, bins=args.bins, seed=seed)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as handle:

@@ -19,7 +19,7 @@ from .datasets import PoolSet, sample_mixture, write_manifest
 from .errors import ConfigError, DataError
 from .mixopt import CoarseResult
 from .oracle import Oracle, OracleRequest
-from .util import derive_seed, round_half_up
+from .util import derive_seed, read_jsonl, round_half_up
 
 log = logging.getLogger(__name__)
 
@@ -132,23 +132,20 @@ class Trajectory:
 
 
 def read_trajectory(path: str | Path) -> Trajectory:
-    with open(path, encoding="utf-8") as handle:
+    """Read a trajectory file back; a malformed or half-written line raises
+    a DataError naming its line."""
+    trajectory: Trajectory | None = None
+    for line_no, obj in read_jsonl(path):
         try:
-            header = json.loads(next(handle))
-        except (StopIteration, json.JSONDecodeError):
-            raise DataError(f"{path}: missing or invalid trajectory header")
-        trajectory = Trajectory(
-            lambda_loss=float(header["lambda_loss"]),
-            tolerance=float(header["tolerance"]),
-            factor=float(header["factor"]),
-            seed=int(header["seed"]),
-            coarse_ref=header.get("coarse_result"),
-        )
-        for raw in handle:
-            line = raw.strip()
-            if not line:
+            if trajectory is None:
+                trajectory = Trajectory(
+                    lambda_loss=float(obj["lambda_loss"]),
+                    tolerance=float(obj["tolerance"]),
+                    factor=float(obj["factor"]),
+                    seed=int(obj["seed"]),
+                    coarse_ref=obj.get("coarse_result"),
+                )
                 continue
-            obj = json.loads(line)
             trajectory.epochs.append(
                 EpochRecord(
                     epoch=int(obj["epoch"]),
@@ -158,6 +155,10 @@ def read_trajectory(path: str | Path) -> Trajectory:
                     action=obj["action"],
                 )
             )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DataError(f"{path}: line {line_no}: malformed trajectory record ({exc!r})")
+    if trajectory is None:
+        raise DataError(f"{path}: missing trajectory header")
     return trajectory
 
 

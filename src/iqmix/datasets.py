@@ -14,6 +14,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import DataError, ScoreOutOfRangeError
 from .levels import LevelScale, score_to_level
+from .util import read_jsonl, record_id
 
 log = logging.getLogger(__name__)
 
@@ -73,17 +75,19 @@ class InstructionPair:
 
 def ingest_mos(
     path: str | Path,
-    scale: LevelScale,
+    scale: LevelScale | None = None,
     *,
     delimiter: str = ",",
     strict: bool = True,
 ) -> tuple[list[MosRecord], PoolStats]:
     """Read a delimited MOS file (header with image_id and mos columns).
 
-    Out-of-scale or unparsable rows raise in strict mode; in lenient mode
-    they are skipped with a logged row-numbered warning.
+    Unparsable rows, a repeated image_id and, when a scale is given, a MOS
+    outside it raise in strict mode; in lenient mode such a row is skipped
+    with a logged row-numbered warning, so a repeated id keeps its first row.
     """
     records: list[MosRecord] = []
+    first_row: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:
@@ -103,8 +107,14 @@ def ingest_mos(
             try:
                 if len(row) <= max(id_col, mos_col):
                     raise DataError(f"{path}: row {row_no}: missing columns")
+                image_id = row[id_col]
+                if image_id in first_row:
+                    raise DataError(
+                        f"{path}: row {row_no}: duplicate image_id {image_id!r} "
+                        f"(first on row {first_row[image_id]})"
+                    )
                 mos = float(row[mos_col])
-                if not (scale.min_score <= mos <= scale.max_score):
+                if scale is not None and not (scale.min_score <= mos <= scale.max_score):
                     raise ScoreOutOfRangeError(
                         f"{path}: row {row_no}: mos {mos!r} outside "
                         f"[{scale.min_score}, {scale.max_score}]"
@@ -117,7 +127,8 @@ def ingest_mos(
                     raise err
                 log.warning("skipping row: %s", err)
                 continue
-            records.append(MosRecord(row[id_col], mos))
+            first_row[image_id] = row_no
+            records.append(MosRecord(image_id, mos))
     if not records:
         raise DataError(f"{path}: no valid MOS records")
     return records, pool_stats(records)
@@ -233,13 +244,7 @@ def write_pairs(
 
 def _pair_from_obj(obj: dict, pool_tag: str, line_no: int, source: str) -> InstructionPair:
     where = f"{source}: line {line_no}"
-    if not isinstance(obj, dict):
-        raise DataError(f"{where}: record is not an object")
-    pair_id = obj.get("id")
-    if isinstance(pair_id, int):
-        pair_id = str(pair_id)
-    if not isinstance(pair_id, str):
-        raise DataError(f"{where}: missing or non-string 'id'")
+    pair_id = record_id(obj, where)
     image = obj.get("image")
     if not isinstance(image, str):
         raise DataError(f"{where}: missing or non-string 'image'")
@@ -278,16 +283,8 @@ def read_pairs(path: str | Path, pool_tag: str) -> Iterator[tuple[int, Instructi
     (1-based line number, pair) for every non-blank line."""
     if pool_tag not in POOL_TAGS:
         raise DataError(f"unknown pool tag {pool_tag!r}")
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {line_no}: invalid JSON ({exc})")
-            yield line_no, _pair_from_obj(obj, pool_tag, line_no, str(path))
+    for line_no, obj in read_jsonl(path):
+        yield line_no, _pair_from_obj(obj, pool_tag, line_no, str(path))
 
 
 def manifest_row(pool_tag: str, source_line: int, pair_id: str) -> str:
@@ -401,21 +398,15 @@ def read_manifest_header(path: str | Path) -> dict:
 
 
 def read_manifest(path: str | Path) -> Manifest:
-    """Read a manifest back: its header and the rows write_manifest wrote."""
+    """Read a manifest back: its header and its rows, rendered as
+    write_manifest writes them."""
     header = read_manifest_header(path)
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        next(handle)
-        for line_no, row in enumerate(handle, start=2):
-            if not row.strip():
-                continue
-            try:
-                obj = json.loads(row)
-            except json.JSONDecodeError:
-                obj = None
-            if not isinstance(obj, dict) or not {"pool", "source_line", "id"} <= obj.keys():
-                raise DataError(f"{path}: line {line_no}: malformed manifest entry")
-            rows.append(row)
+    for line_no, obj in islice(read_jsonl(path), 1, None):  # the header is line 1
+        try:
+            rows.append(manifest_row(obj["pool"], obj["source_line"], obj["id"]))
+        except (KeyError, TypeError):
+            raise DataError(f"{path}: line {line_no}: malformed manifest entry")
     counts = {k: int(v) for k, v in header["counts"].items()}
     return Manifest(
         seed=int(header.get("seed", 0)),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,14 +22,16 @@ QUADRANTS = ("distortion", "other", "in-context distortion", "in-context other")
 DESCRIPTION_DIMENSIONS = ("completeness", "precision", "relevance")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields break the generated __eq__
 class PairedSample:
-    """Aligned prediction / ground-truth sequences."""
+    """Aligned prediction / ground-truth values as float64 arrays."""
 
-    predictions: tuple[float, ...]
-    ground_truth: tuple[float, ...]
+    predictions: np.ndarray
+    ground_truth: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("predictions", "ground_truth"):  # a private copy of each
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
         if len(self.predictions) != len(self.ground_truth):
             raise DegenerateSampleError(
                 f"length mismatch: {len(self.predictions)} predictions vs "
@@ -37,28 +39,26 @@ class PairedSample:
             )
         if len(self.predictions) < 2:
             raise DegenerateSampleError("need at least 2 paired values")
-        if any(not np.isfinite(v) for v in self.predictions + self.ground_truth):
+        if not (np.isfinite(self.predictions).all() and np.isfinite(self.ground_truth).all()):
             raise DegenerateSampleError("paired sample contains non-finite values")
 
     @classmethod
-    def from_arrays(cls, predictions: Iterable[float], ground_truth: Iterable[float]) -> "PairedSample":
-        return cls(tuple(float(v) for v in predictions),
-                   tuple(float(v) for v in ground_truth))
+    def from_arrays(cls, predictions: Sequence[float] | np.ndarray,
+                    ground_truth: Sequence[float] | np.ndarray) -> "PairedSample":
+        """A sample from two equal-length sequences of numbers."""
+        return cls(predictions, ground_truth)
 
 
-def rank_average_ties(values: Sequence[float]) -> np.ndarray:
-    """1-based fractional ranks; tied values share their average rank."""
-    a = np.asarray(values, dtype=np.float64)
-    n = a.size
-    order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing their average rank: the ranks of
+    scipy.stats.rankdata(method="average"), without the second that
+    importing scipy.stats adds to every command that computes an SRCC."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 
@@ -73,9 +73,8 @@ def _pearson(x: np.ndarray, y: np.ndarray, what: str) -> float:
 
 def srcc(sample: PairedSample) -> float:
     """Spearman rank correlation with average-tie ranks."""
-    rx = rank_average_ties(sample.predictions)
-    ry = rank_average_ties(sample.ground_truth)
-    return _pearson(rx, ry, "ranks")
+    return _pearson(_average_ranks(sample.predictions),
+                    _average_ranks(sample.ground_truth), "ranks")
 
 
 def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -100,8 +99,7 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def plcc(sample: PairedSample, *, logistic: bool = False) -> float:
     """Pearson linear correlation; logistic pre-mapping is off by default."""
-    x = np.asarray(sample.predictions, dtype=np.float64)
-    y = np.asarray(sample.ground_truth, dtype=np.float64)
+    x, y = sample.predictions, sample.ground_truth
     if logistic:
         if float(np.var(x)) == 0.0 or float(np.var(y)) == 0.0:
             raise DegenerateSampleError("zero variance; correlation undefined")

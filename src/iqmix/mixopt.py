@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -137,11 +138,6 @@ class FittedCurve:
         )
 
 
-def build_sweep_grid(stage: Stage) -> tuple[float, ...]:
-    """Sweep grid for a stage, as sorted ascending log10 ratio values."""
-    return tuple(math.log10(r) for r in grid_ratios(stage))
-
-
 def grid_ratios(stage: Stage) -> tuple[float, ...]:
     """Default component-ratio grid for a stage, sorted ascending.
 
@@ -215,6 +211,34 @@ def _point_performance(stage: Stage, response: OracleResponse, scoring_weight: f
     )
 
 
+def _evaluate_in_order(
+    oracle: Oracle, requests: Sequence[OracleRequest], jobs: int
+) -> tuple[list[OracleResponse | None], Exception | None]:
+    """Evaluate requests in order with at most `jobs` calls in flight.
+
+    A call starts only while no failure has been seen; calls already running
+    when one fails still finish. Returns each request's response (None when
+    it failed or never started) and the failure of the lowest request index.
+    """
+    responses: list[OracleResponse | None] = [None] * len(requests)
+    failures: dict[int, Exception] = {}
+    queue = iter(enumerate(requests))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        running = {pool.submit(oracle.evaluate, req): i for i, req in islice(queue, jobs)}
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i = running.pop(future)
+                try:
+                    responses[i] = future.result()
+                except Exception as exc:  # noqa: BLE001 - reported once the sweep stops
+                    failures[i] = exc
+            if not failures:
+                running.update((pool.submit(oracle.evaluate, req), i)
+                               for i, req in islice(queue, len(done)))
+    return responses, failures[min(failures)] if failures else None
+
+
 def sweep(
     oracle: Oracle,
     stage: Stage,
@@ -231,12 +255,15 @@ def sweep(
     """Evaluate every grid ratio `repeats` times and average.
 
     Each (point, repeat) gets its own derived seed, its own sampled manifest
-    on disk, and one oracle call; results are aggregated in grid order no
-    matter how many worker threads ran them. Raises SweepFailure on the
-    first oracle error, carrying the fully completed points.
+    on disk, and one oracle call; at most `jobs` calls run at once, and
+    results are aggregated in grid order. After the first oracle error no
+    further call starts, and SweepFailure carries the leading run of fully
+    completed points.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     grid = tuple(sorted(ratios)) if ratios else grid_ratios(stage)
     sizes = pools.sizes()
     manifest_dir = Path(workdir) / "manifests" / stage
@@ -258,36 +285,16 @@ def sweep(
             write_manifest(manifest, path)
             requests.append(OracleRequest(path, rep_seed))
 
-    responses: list[OracleResponse | Exception] = [None] * len(requests)  # type: ignore
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(oracle.evaluate, req) for req in requests]
-            for i, fut in enumerate(futures):
-                try:
-                    responses[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - first failure aborts the sweep
-                    for pending in futures[i + 1:]:
-                        pending.cancel()
-                    responses[i] = exc
-                    break
-    else:
-        for i, req in enumerate(requests):
-            try:
-                responses[i] = oracle.evaluate(req)
-            except Exception as exc:  # noqa: BLE001
-                responses[i] = exc
-                break
-
+    responses, failure = _evaluate_in_order(oracle, requests, jobs)
     points: list[PerformancePoint] = []
-    for point_idx in range(len(grid)):
+    for point_idx, counts in enumerate(point_counts):
         chunk = responses[point_idx * repeats : (point_idx + 1) * repeats]
-        failure = next((r for r in chunk if isinstance(r, Exception)), None)
-        if failure is not None or any(r is None for r in chunk):
-            raise SweepFailure(failure or RuntimeError("sweep aborted"), points)
+        if any(r is None for r in chunk):
+            raise SweepFailure(failure, points)
         perfs = [_point_performance(stage, r, scoring_weight) for r in chunk]
         points.append(
             PerformancePoint(
-                ratio_axis_value=_point_axis(stage, point_counts[point_idx]),
+                ratio_axis_value=_point_axis(stage, counts),
                 performance=float(np.mean(perfs)),
                 repeats=repeats,
                 loss_scoring=float(np.mean([r.loss_scoring for r in chunk])),

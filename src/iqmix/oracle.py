@@ -14,7 +14,6 @@ import math
 import os
 import shlex
 import subprocess
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Protocol
@@ -37,7 +36,6 @@ RESPONSE_FIELDS = ("perf_scoring", "perf_interpreting", "loss_scoring", "loss_in
 class OracleRequest:
     manifest_path: Path
     seed: int
-    validation_tags: tuple[str, ...] = ("scoring", "interpreting")
 
 
 @dataclass(frozen=True)
@@ -185,10 +183,6 @@ class SyntheticOracle:
         )
 
 
-def synthetic_evaluate(request: OracleRequest, config: SyntheticOracleConfig) -> OracleResponse:
-    return SyntheticOracle(config).evaluate(request)
-
-
 # External-command oracle ------------------------------------------------------
 
 
@@ -203,14 +197,11 @@ class ExternalOracleConfig:
 
     command: str
     timeout: float | None = None
-    max_parallel: int = 1
     env: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if "{out}" not in self.command:
             raise ConfigError("external oracle command must reference {out}")
-        if self.max_parallel < 1:
-            raise ConfigError(f"max_parallel must be >= 1, got {self.max_parallel}")
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "ExternalOracleConfig":
@@ -218,21 +209,22 @@ class ExternalOracleConfig:
             command = obj["command"]
         except KeyError:
             raise ConfigError("external oracle config requires a command template")
+        if "max_parallel" in obj:
+            raise ConfigError("oracle.max_parallel is no longer supported: the top-level "
+                              "jobs setting is the only limit on concurrent oracle calls")
         timeout = obj.get("timeout")
         return cls(
             command=str(command),
             timeout=float(timeout) if timeout is not None else None,
-            max_parallel=int(obj.get("max_parallel", 1)),
             env=dict(obj.get("env", {})),
         )
 
 
 class ExternalOracle:
-    """Run a training command per request, gated by a parallelism semaphore."""
+    """Run a training command per request."""
 
     def __init__(self, config: ExternalOracleConfig):
         self.config = config
-        self._gate = threading.Semaphore(config.max_parallel)
 
     def evaluate(self, request: OracleRequest) -> OracleResponse:
         out_path = Path(f"{request.manifest_path}.result.json")
@@ -249,21 +241,20 @@ class ExternalOracle:
         if self.config.env:
             env = dict(os.environ)
             env.update(self.config.env)
-        with self._gate:
-            try:
-                proc = subprocess.run(
-                    tokens,
-                    capture_output=True,
-                    text=True,
-                    timeout=self.config.timeout,
-                    env=env,
-                )
-            except subprocess.TimeoutExpired:
-                raise OracleTimeoutError(
-                    f"oracle command timed out after {self.config.timeout}s: {tokens}"
-                )
-            except OSError as exc:
-                raise OracleExecutionError(f"cannot run oracle command {tokens}: {exc}")
+        try:
+            proc = subprocess.run(
+                tokens,
+                capture_output=True,
+                text=True,
+                timeout=self.config.timeout,
+                env=env,
+            )
+        except subprocess.TimeoutExpired:
+            raise OracleTimeoutError(
+                f"oracle command timed out after {self.config.timeout}s: {tokens}"
+            )
+        except OSError as exc:
+            raise OracleExecutionError(f"cannot run oracle command {tokens}: {exc}")
         if proc.returncode != 0:
             raise OracleExecutionError(
                 f"oracle command exited {proc.returncode}: {tokens}\n"
@@ -290,7 +281,3 @@ class ExternalOracle:
             raise OracleResultError(f"{out_path}: non-numeric result field ({exc})")
         except DataError as exc:
             raise OracleResultError(f"{out_path}: {exc}")
-
-
-def external_evaluate(request: OracleRequest, config: ExternalOracleConfig) -> OracleResponse:
-    return ExternalOracle(config).evaluate(request)

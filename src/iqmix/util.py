@@ -1,9 +1,15 @@
-"""Shared plumbing: deterministic seed derivation and rounding."""
+"""Shared plumbing: deterministic seed derivation, rounding, and reading
+JSON-lines records."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+from pathlib import Path
+from typing import Iterator
+
+from .errors import DataError
 
 
 def derive_seed(base: int, *parts: object) -> int:
@@ -21,3 +27,34 @@ def derive_seed(base: int, *parts: object) -> int:
 def round_half_up(x: float) -> int:
     """Round to nearest integer with .5 going up (not banker's rounding)."""
     return math.floor(x + 0.5)
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, object) for every non-blank line of a
+    JSON-lines file; a line that is not a JSON object raises a DataError
+    naming the file and line."""
+    with open(path, encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: line {line_no}: invalid JSON ({exc})")
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}: line {line_no}: record is not an object")
+            yield line_no, obj
+
+
+def record_id(obj: dict, where: str) -> str:
+    """A record's 'id': a string, or an integer read as its decimal string.
+
+    A boolean is not an id even though bool is an int subclass.
+    """
+    value = obj.get("id")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    if not isinstance(value, str):
+        raise DataError(f"{where}: missing or non-string 'id'")
+    return value

@@ -69,6 +69,23 @@ class TestConvert:
         assert run_cli("convert", tmp_path / "nope.csv", "--scale-min", 0,
                        "--scale-max", 100, "--out", tmp_path / "o.jsonl") == 1
 
+    def test_duplicate_id_strict_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "mos.csv"
+        src.write_text("image_id,mos\na,10\nb,20\na,30\n")
+        assert run_cli("convert", src, "--scale-min", 0, "--scale-max", 100,
+                       "--out", tmp_path / "o.jsonl") == 1
+        err = capsys.readouterr().err
+        assert "duplicate image_id 'a'" in err and "row 4" in err and "row 2" in err
+
+    def test_duplicate_id_lenient_skips_later_row(self, tmp_path, capsys):
+        src = tmp_path / "mos.csv"
+        src.write_text("image_id,mos\na,10\nb,20\na,30\n")
+        out = tmp_path / "o.jsonl"
+        assert run_cli("convert", src, "--scale-min", 0, "--scale-max", 100,
+                       "--lenient", "--out", out) == 0
+        assert "converted 2 records" in capsys.readouterr().out
+        assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["a", "b"]
+
 
 class TestScore:
     def test_five_level(self, tmp_path, logits_file):
@@ -156,6 +173,31 @@ class TestEvalIqa:
         out = capsys.readouterr().out
         assert "srcc" in out and "plcc" in out and "avg" in out
 
+    def test_duplicate_mos_id_is_data_error(self, tmp_path, capsys):
+        values = {f"i{k}": float(k) for k in range(5)}
+        scores_path, mos_path = self.write_pair(tmp_path, values, values)
+        mos_path.write_text(mos_path.read_text() + "i1,9.5\n")
+        assert run_cli("eval-iqa", scores_path, mos_path) == 1
+        err = capsys.readouterr().err
+        assert "duplicate image_id 'i1'" in err and "row 7" in err and "row 3" in err
+
+    def test_duplicate_score_id_is_data_error(self, tmp_path, capsys):
+        values = {f"i{k}": float(k) for k in range(5)}
+        scores_path, mos_path = self.write_pair(tmp_path, values, values)
+        scores_path.write_text(scores_path.read_text()
+                               + json.dumps({"id": "i2", "score": 0.5}) + "\n")
+        assert run_cli("eval-iqa", scores_path, mos_path) == 1
+        err = capsys.readouterr().err
+        assert "duplicate id 'i2'" in err and "line 6" in err and "line 3" in err
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_score_id_is_data_error(self, tmp_path, capsys, flag):
+        values = {"True": 1.0, "False": 2.0, "x": 3.0}
+        scores_path, mos_path = self.write_pair(tmp_path, values, values)
+        scores_path.write_text(json.dumps({"id": flag, "score": 1.0}) + "\n")
+        assert run_cli("eval-iqa", scores_path, mos_path) == 1
+        assert "line 1: missing or non-string 'id'" in capsys.readouterr().err
+
 
 class TestEvalMcqDesc:
     def test_mcq(self, tmp_path, capsys):
@@ -212,6 +254,12 @@ class TestSubsample:
     def test_infeasible_target(self, tmp_path, mos_file):
         assert run_cli("subsample", mos_file, "--target", 10000,
                        "--out", tmp_path / "o.csv") == 1
+
+    def test_duplicate_id_is_data_error(self, tmp_path, mos_file, capsys):
+        mos_file.write_text(mos_file.read_text() + "img005,1\n")
+        assert run_cli("subsample", mos_file, "--target", 20,
+                       "--out", tmp_path / "o.csv") == 1
+        assert "duplicate image_id 'img005'" in capsys.readouterr().err
 
 
 def write_pools_and_config(tmp_path, n1=120, n2=400, n3=400, oracle=None,
@@ -311,6 +359,14 @@ class TestMixSearch:
         assert run_cli("mix-search", "--config", config,
                        "--out-dir", tmp_path / "run") == 3
         assert not stale.exists()
+
+    def test_max_parallel_config_exit_code(self, tmp_path, capsys):
+        oracle = {"kind": "external", "max_parallel": 2,
+                  "command": f"{sys.executable} -c pass {{out}}"}
+        config = write_pools_and_config(tmp_path, oracle=oracle)
+        assert run_cli("mix-search", "--config", config,
+                       "--out-dir", tmp_path / "run") == 2
+        assert "jobs" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):
         config = tmp_path / "config.yaml"

@@ -205,6 +205,16 @@ class TestRunLoop:
         assert len(loaded.epochs) == 2
         assert loaded.epochs[0].action == "hold"
 
+    @pytest.mark.parametrize("tail", ['{"epoch": 3, "counts": {"d1"', '{"epoch": 3}'])
+    def test_half_written_line_names_its_line(self, tmp_path, tail):
+        pools = make_pools(100, 300, 130)
+        out = tmp_path / "trajectory.jsonl"
+        run_loop(ScriptedOracle([(5.0, 1.0)] * 2), coarse_stub(), pools, max_epochs=2,
+                 seed=5, workdir=tmp_path, out_path=out)
+        out.write_text(out.read_text() + tail)  # a run killed mid-write
+        with pytest.raises(DataError, match="line 4"):
+            read_trajectory(out)
+
     def test_rerun_byte_identical(self, tmp_path):
         pools = make_pools(150, 450, 190)
         oracle_config = convergent_oracle_config()

@@ -91,6 +91,27 @@ class TestIngestMos:
         records, _ = ingest_mos(path, LevelScale(0, 100), delimiter="\t")
         assert records[0].mos == 33.0
 
+    def test_without_scale_no_range_check(self, tmp_path):
+        path = tmp_path / "mos.csv"
+        write_mos_csv(path, ["a,-4.5", "b,250"])
+        records, _ = ingest_mos(path)
+        assert [(r.image_id, r.mos) for r in records] == [("a", -4.5), ("b", 250.0)]
+
+    def test_duplicate_id_strict_names_both_rows(self, tmp_path):
+        path = tmp_path / "mos.csv"
+        write_mos_csv(path, ["a,10", "b,20", "a,30"])
+        with pytest.raises(DataError, match="duplicate image_id 'a'") as exc:
+            ingest_mos(path)
+        assert "row 4" in str(exc.value) and "first on row 2" in str(exc.value)
+
+    def test_duplicate_id_lenient_keeps_first(self, tmp_path, caplog):
+        path = tmp_path / "mos.csv"
+        write_mos_csv(path, ["a,10", "b,20", "a,30"])
+        with caplog.at_level(logging.WARNING):
+            records, _ = ingest_mos(path, LevelScale(0, 100), strict=False)
+        assert [(r.image_id, r.mos) for r in records] == [("a", 10.0), ("b", 20.0)]
+        assert any("duplicate image_id 'a'" in m for m in caplog.messages)
+
 
 def skewed_records(seed: int, n: int = 20000) -> list[MosRecord]:
     """High-MOS body with a thin low tail, like in-the-wild photo datasets."""
@@ -245,6 +266,10 @@ class TestPoolRoundTrip:
                                     {"from": "gpt", "value": "a"}]}
         path.write_text("\n" + json.dumps(record) + "\n")
         assert load_pool(path, "D3") == ['{"pool": "D3", "source_line": 2, "id": "7"}\n']
+        for flag in (True, False):  # bool is an int subclass, but not an id
+            path.write_text("\n" + json.dumps(dict(record, id=flag)) + "\n")
+            with pytest.raises(DataError, match="line 2: missing or non-string 'id'"):
+                load_pool(path, "D3")
 
     def test_d1_without_prefix_names_line(self, tmp_path):
         path = tmp_path / "d1.jsonl"
@@ -364,7 +389,9 @@ class TestSampleMixture:
         path = tmp_path / "m.jsonl"
         write_manifest(sample_mixture(make_pools(5, 5, 5), {"d1": 2}, seed=0), path)
         path.write_text(path.read_text() + "\n" + bad_row + "\n")
-        with pytest.raises(DataError, match="line 5: malformed manifest entry"):
+        reason = {"[1, 2]": "record is not an object",
+                  "{nope": "invalid JSON"}.get(bad_row, "malformed manifest entry")
+        with pytest.raises(DataError, match=f"line 5: {reason}"):
             read_manifest(path)
 
 

@@ -19,8 +19,8 @@ from iqmix.metrics import (
     description_report,
     match_choice,
     mcq_report,
+    _average_ranks,
     plcc,
-    rank_average_ties,
     srcc,
 )
 
@@ -88,16 +88,26 @@ class TestPairedSample:
         with pytest.raises(DegenerateSampleError):
             sample([1, float("nan")], [1, 2])
 
+    def test_holds_private_float64_arrays(self):
+        x = np.array([3, 1, 2])
+        s = sample(x, (1.5, 2.5, 0.5))
+        x[0] = 99
+        assert s.predictions.dtype == s.ground_truth.dtype == np.float64
+        assert s.predictions.tolist() == [3.0, 1.0, 2.0]
+        assert srcc(PairedSample((1, 2, 3), (3, 1, 2))) == pytest.approx(-0.5)
+
 
 class TestRanks:
     def test_average_ties(self):
-        ranks = rank_average_ties([10.0, 20.0, 20.0, 30.0])
+        ranks = _average_ranks(np.array([10.0, 20.0, 20.0, 30.0]))
         assert list(ranks) == [1.0, 2.5, 2.5, 4.0]
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(2)
-        values = rng.integers(0, 5, 50).astype(float)
-        assert np.allclose(rank_average_ties(values), scipy.stats.rankdata(values))
+        for values in (rng.integers(0, 5, 50).astype(float), rng.normal(0, 1, 50),
+                       np.full(7, 3.0), np.array([2.0])):
+            expected = scipy.stats.rankdata(values, method="average")
+            assert np.array_equal(_average_ranks(values), expected)  # bit for bit
 
 
 class TestSrcc:

@@ -1,6 +1,9 @@
 import json
 import logging
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +19,6 @@ from iqmix.mixopt import (
     SweepFailure,
     argmax_ratio,
     axis_to_ratio,
-    build_sweep_grid,
     coarse_result_from_dict,
     coarse_result_to_dict,
     coarse_search,
@@ -62,15 +64,55 @@ class FailingOracle:
         return self.inner.evaluate(request)
 
 
+class CountingOracle:
+    """Thread-safe oracle that counts calls and calls in flight.
+
+    Call number `fail_on` (1-based) raises, but only once `jobs - 1` later
+    calls have started, so the sweep has as many calls in flight as it may
+    when the failure arrives. Those later calls return 0.2 s after the
+    failure, by which time the sweep has seen it.
+    """
+
+    def __init__(self, fail_on: int | None = None, jobs: int = 1, delay: float = 0.0):
+        self.response = ConstantOracle().response
+        self.fail_on, self.jobs, self.delay = fail_on, jobs, delay
+        self.lock = threading.Condition()
+        self.failed = threading.Event()
+        self.calls = self.in_flight = self.max_in_flight = self.started_after_failure = 0
+
+    def evaluate(self, request):
+        with self.lock:
+            self.calls += 1
+            call = self.calls
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            self.started_after_failure += self.failed.is_set()
+            self.lock.notify_all()
+        try:
+            time.sleep(self.delay)
+            if self.fail_on is not None and call == self.fail_on:
+                with self.lock:
+                    assert self.lock.wait_for(
+                        lambda: self.calls >= self.fail_on + self.jobs - 1, timeout=10)
+                self.failed.set()
+                raise OracleExecutionError("injected trainer failure")
+            if self.fail_on is not None and call > self.fail_on:
+                assert self.failed.wait(timeout=10)
+                time.sleep(0.2)
+            return self.response
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
 class TestSweepGrid:
     def test_stage2_has_19_points(self):
-        grid = build_sweep_grid("mixed_vs_d1")
+        grid = grid_ratios("mixed_vs_d1")
         assert len(grid) == 19
-        expected = sorted([k / 10.0 for k in range(1, 10)] + list(range(1, 11)))
-        assert grid == tuple(math.log10(r) for r in expected)
+        assert grid == tuple(sorted([k / 10.0 for k in range(1, 10)] + list(range(1, 11))))
 
     def test_stage1_has_19_points_symmetric(self):
-        grid = build_sweep_grid("d2_vs_d3")
+        grid = log10_grid("d2_vs_d3")
         assert len(grid) == 19
         assert all(a < b for a, b in zip(grid, grid[1:]))
         for t in grid:
@@ -113,6 +155,10 @@ class TestComposeCounts:
             compose_counts("d2_vs_d3", 0.0, {"d1": 1, "d2": 1, "d3": 1})
 
 
+def log10_grid(stage):
+    return tuple(math.log10(r) for r in grid_ratios(stage))
+
+
 def points_from(func, axis_values):
     return [PerformancePoint(t, func(t), 1, 1.0, 1.0) for t in axis_values]
 
@@ -120,7 +166,7 @@ def points_from(func, axis_values):
 class TestFitCurve:
     def test_quartic_interpolated_exactly(self):
         truth = lambda t: t**4 - t**2
-        points = points_from(truth, build_sweep_grid("d2_vs_d3"))
+        points = points_from(truth, log10_grid("d2_vs_d3"))
         curve = fit_curve(points)
         assert curve.coefficients == pytest.approx((0, 0, -1, 0, 1), abs=1e-9)
         assert curve.residual_rms <= 1e-12
@@ -128,7 +174,7 @@ class TestFitCurve:
 
     def test_quadratic_truth_argmax(self):
         truth = lambda t: 1.0 - (t - 0.38) ** 2
-        points = points_from(truth, build_sweep_grid("d2_vs_d3"))
+        points = points_from(truth, log10_grid("d2_vs_d3"))
         t_star = argmax_ratio(fit_curve(points))
         assert t_star == pytest.approx(0.38, abs=1e-6)
         assert 10 ** t_star == pytest.approx(2.3988, abs=1e-3)
@@ -228,6 +274,45 @@ class TestSweep:
         points = sweep(oracle, "d2_vs_d3", pools_small, repeats=1, seed=0,
                        workdir=tmp_path, ratios=(0.5, 1.0, 2.0, 4.0, 8.0))
         assert len(points) == 5
+
+    def test_one_job_issues_exactly_the_calls_up_to_the_failure(self, tmp_path, pools_small):
+        oracle = CountingOracle(fail_on=5, jobs=1)
+        with pytest.raises(SweepFailure) as exc:
+            sweep(oracle, "d2_vs_d3", pools_small, repeats=1, seed=0,
+                  workdir=tmp_path, jobs=1)
+        assert oracle.calls == 5
+        assert oracle.max_in_flight == 1
+        assert len(exc.value.completed) == 4
+
+    def test_jobs_bound_calls_in_flight_and_none_start_after_failure(self, tmp_path,
+                                                                     pools_small):
+        oracle = CountingOracle(fail_on=4, jobs=3)
+        with pytest.raises(SweepFailure) as exc:
+            sweep(oracle, "d2_vs_d3", pools_small, repeats=1, seed=0,
+                  workdir=tmp_path, jobs=3)
+        assert oracle.max_in_flight == 3
+        assert oracle.started_after_failure == 0
+        assert oracle.calls == 6  # the failing call plus the two started beside it
+        assert len(exc.value.completed) == 3  # calls 5 and 6 follow the gap at 4
+        assert isinstance(exc.value.cause, OracleExecutionError)
+
+    def test_many_jobs_under_fast_thread_switching(self, tmp_path, pools_small):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            oracle = CountingOracle(delay=0.001)
+            points = sweep(oracle, "d2_vs_d3", pools_small, repeats=2, seed=0,
+                           workdir=tmp_path, jobs=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert oracle.calls == 38 and len(points) == 19
+        assert 1 < oracle.max_in_flight <= 6
+        assert oracle.in_flight == 0
+
+    def test_jobs_must_be_positive(self, tmp_path, pools_small):
+        with pytest.raises(ConfigError, match="jobs"):
+            sweep(ConstantOracle(), "d2_vs_d3", pools_small, repeats=1,
+                  workdir=tmp_path, jobs=0)
 
     def test_failure_carries_completed_points(self, tmp_path, pools_small):
         oracle = FailingOracle(SyntheticOracle(planted_config()), fail_after=7)

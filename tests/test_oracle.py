@@ -22,9 +22,7 @@ from iqmix.oracle import (
     ResponseSurface,
     SyntheticOracle,
     SyntheticOracleConfig,
-    external_evaluate,
     realized_axes,
-    synthetic_evaluate,
 )
 
 from conftest import make_pools, planted_config
@@ -99,14 +97,14 @@ class TestResponseSurface:
 class TestSyntheticOracle:
     def test_peak_evaluation(self, tmp_path):
         path = write_test_manifest(tmp_path, {"d1": 0, "d2": 242, "d3": 100})
-        response = synthetic_evaluate(OracleRequest(path, 0), planted_config())
+        response = SyntheticOracle(planted_config()).evaluate(OracleRequest(path, 0))
         assert response.perf_interpreting == 0.75
 
     def test_deterministic(self, tmp_path):
         path = write_test_manifest(tmp_path, {"d1": 50, "d2": 100, "d3": 50})
         config = planted_config(noise_sigma=0.02)
-        first = synthetic_evaluate(OracleRequest(path, 1234), config)
-        second = synthetic_evaluate(OracleRequest(path, 1234), config)
+        first = SyntheticOracle(config).evaluate(OracleRequest(path, 1234))
+        second = SyntheticOracle(config).evaluate(OracleRequest(path, 1234))
         assert first == second
 
     def test_noise_mean_within_standard_error(self, tmp_path):
@@ -114,7 +112,7 @@ class TestSyntheticOracle:
         config = planted_config(noise_sigma=sigma)
         path = write_test_manifest(tmp_path, {"d1": 0, "d2": 242, "d3": 100})
         values = [
-            synthetic_evaluate(OracleRequest(path, seed), config).perf_interpreting
+            SyntheticOracle(config).evaluate(OracleRequest(path, seed)).perf_interpreting
             for seed in (101, 202, 303)
         ]
         assert abs(float(np.mean(values)) - 0.75) <= 3 * sigma / math.sqrt(3)
@@ -123,13 +121,13 @@ class TestSyntheticOracle:
         config = planted_config(loss_scale_scoring=30.0, loss_scale_interpreting=12.0,
                                 loss_alpha=0.5)
         path = write_test_manifest(tmp_path, {"d1": 400, "d2": 100, "d3": 44})
-        response = synthetic_evaluate(OracleRequest(path, 0), config)
+        response = SyntheticOracle(config).evaluate(OracleRequest(path, 0))
         assert response.loss_scoring == 30.0 * 400 ** -0.5
         assert response.loss_interpreting == 12.0 * 144 ** -0.5
 
     def test_no_d1_floors_loss(self, tmp_path):
         path = write_test_manifest(tmp_path, {"d1": 0, "d2": 100, "d3": 100})
-        response = synthetic_evaluate(OracleRequest(path, 0), planted_config())
+        response = SyntheticOracle(planted_config()).evaluate(OracleRequest(path, 0))
         assert response.loss_scoring == 30.0
 
     def test_performance_clamped_to_range(self, tmp_path):
@@ -137,7 +135,7 @@ class TestSyntheticOracle:
             interpreting_surface=ResponseSurface(100.0, 0.5, 5.0)  # peak far away
         )
         path = write_test_manifest(tmp_path, {"d1": 0, "d2": 10, "d3": 100})
-        response = synthetic_evaluate(OracleRequest(path, 0), config)
+        response = SyntheticOracle(config).evaluate(OracleRequest(path, 0))
         assert response.perf_interpreting == 0.0
 
     def test_config_from_dict(self):
@@ -177,7 +175,7 @@ class TestExternalOracle:
     def test_round_trip(self, tmp_path, stub_command):
         path = write_test_manifest(tmp_path, {"d1": 5, "d2": 5, "d3": 5})
         config = ExternalOracleConfig(command=stub_command)
-        response = external_evaluate(OracleRequest(path, 7), config)
+        response = ExternalOracle(config).evaluate(OracleRequest(path, 7))
         assert response.perf_scoring == 0.5
         assert response.loss_scoring == 8.0  # seed placeholder reached the command
         assert response.loss_interpreting == 4.66
@@ -185,7 +183,7 @@ class TestExternalOracle:
     def test_env_passthrough(self, tmp_path, stub_command):
         path = write_test_manifest(tmp_path, {"d1": 5, "d2": 5, "d3": 5})
         config = ExternalOracleConfig(command=stub_command, env={"STUB_PERF": "0.25"})
-        assert external_evaluate(OracleRequest(path, 0), config).perf_scoring == 0.25
+        assert ExternalOracle(config).evaluate(OracleRequest(path, 0)).perf_scoring == 0.25
 
     def test_nonzero_exit_captures_output(self, tmp_path):
         script = tmp_path / "fail.py"
@@ -195,7 +193,7 @@ class TestExternalOracle:
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleExecutionError) as exc:
-            external_evaluate(OracleRequest(path, 0), config)
+            ExternalOracle(config).evaluate(OracleRequest(path, 0))
         assert "exited 3" in str(exc.value) and "boom" in str(exc.value)
 
     def test_timeout(self, tmp_path):
@@ -207,7 +205,7 @@ class TestExternalOracle:
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleTimeoutError):
-            external_evaluate(OracleRequest(path, 0), config)
+            ExternalOracle(config).evaluate(OracleRequest(path, 0))
 
     def test_missing_result_file(self, tmp_path):
         script = tmp_path / "noop.py"
@@ -217,7 +215,7 @@ class TestExternalOracle:
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleResultError) as exc:
-            external_evaluate(OracleRequest(path, 0), config)
+            ExternalOracle(config).evaluate(OracleRequest(path, 0))
         assert "missing" in str(exc.value)
 
     def test_stale_result_is_never_read(self, tmp_path):
@@ -250,7 +248,7 @@ class TestExternalOracle:
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleResultError) as exc:
-            external_evaluate(OracleRequest(path, 0), config)
+            ExternalOracle(config).evaluate(OracleRequest(path, 0))
         assert needle in str(exc.value)
 
     def test_unparsable_result_file(self, tmp_path):
@@ -261,7 +259,7 @@ class TestExternalOracle:
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleResultError):
-            external_evaluate(OracleRequest(path, 0), config)
+            ExternalOracle(config).evaluate(OracleRequest(path, 0))
 
     def test_command_must_reference_out(self):
         with pytest.raises(ConfigError):
@@ -269,12 +267,17 @@ class TestExternalOracle:
 
     def test_config_from_dict(self):
         config = ExternalOracleConfig.from_dict(
-            {"command": "run {manifest} {seed} {out}", "timeout": 60, "max_parallel": 2}
+            {"command": "run {manifest} {seed} {out}", "timeout": 60}
         )
         assert config.timeout == 60.0
-        assert config.max_parallel == 2
         with pytest.raises(ConfigError):
             ExternalOracleConfig.from_dict({})
+
+    def test_max_parallel_is_rejected_and_names_jobs(self):
+        with pytest.raises(ConfigError, match="jobs"):
+            ExternalOracleConfig.from_dict(
+                {"command": "run {manifest} {seed} {out}", "max_parallel": 2}
+            )
 
     def test_oracle_object_reusable(self, tmp_path, stub_command):
         oracle = ExternalOracle(ExternalOracleConfig(command=stub_command))

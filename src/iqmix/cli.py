@@ -270,7 +270,9 @@ def _emit_report(doc: dict, text: str, fmt: str) -> None:
         print(text)
 
 
-def cmd_eval_iqa(args: argparse.Namespace) -> int:
+def _join_scores_to_mos(args: argparse.Namespace) -> PairedSample:
+    """Scores paired with MOS by id, in score-file order; the id tables are
+    freed on return, before the metrics (and the fit's scipy import) run."""
     scores = _read_scores(args.scores_file)
     records, _ = ingest_mos(args.mos_file, delimiter=args.delimiter)
     mos = {rec.image_id: rec.mos for rec in records}
@@ -282,12 +284,17 @@ def cmd_eval_iqa(args: argparse.Namespace) -> int:
         raise DataError(
             f"join produced {len(shared)} shared id(s); need at least 2"
         )
-    sample = PairedSample.from_arrays(
+    return PairedSample.from_arrays(
         [scores[k] for k in shared], [mos[k] for k in shared]
     )
+
+
+def cmd_eval_iqa(args: argparse.Namespace) -> int:
+    sample = _join_scores_to_mos(args)
+    count = len(sample.predictions)
     s, p = srcc(sample), plcc(sample, logistic=args.logistic)
-    doc = {"count": len(shared), "srcc": s, "plcc": p, "avg": 0.5 * (s + p)}
-    text = (f"n      {len(shared)}\n"
+    doc = {"count": count, "srcc": s, "plcc": p, "avg": 0.5 * (s + p)}
+    text = (f"n      {count}\n"
             f"srcc   {s:.6f}\n"
             f"plcc   {p:.6f}\n"
             f"avg    {0.5 * (s + p):.6f}")

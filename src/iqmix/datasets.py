@@ -33,7 +33,7 @@ D1_QUESTION = "<img> How would you rate the quality of the image."
 D1_ANSWER_TEMPLATE = "The quality of the image is {label}."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # one per MOS row; slots keep 100k rows small
 class MosRecord:
     image_id: str
     mos: float

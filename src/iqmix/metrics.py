@@ -50,15 +50,16 @@ class PairedSample:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, tied values sharing their average rank: the ranks of
-    scipy.stats.rankdata(method="average"), without the second that
-    importing scipy.stats adds to every command that computes an SRCC."""
+    """1-based ranks, ties sharing their average rank, bit-identical to
+    scipy.stats.rankdata(method="average"), whose import would add about a
+    second to every SRCC command. A tie group at sorted positions [lo, hi)
+    has average rank (lo + hi - 1) / 2 + 1."""
     order = np.argsort(values, kind="mergesort")
     ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], values.size]
+    lo = np.searchsorted(ordered, ordered, side="left")
+    hi = np.searchsorted(ordered, ordered, side="right")
     ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
+    ranks[order] = 0.5 * (lo + hi - 1) + 1.0
     return ranks
 
 

@@ -48,10 +48,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 def record_id(obj: dict, where: str) -> str:
-    """A record's 'id': a string, or an integer read as its decimal string.
-
-    A boolean is not an id even though bool is an int subclass.
-    """
+    """A record's 'id': a string, or an integer read as its decimal string
+    (not a boolean, though bool is an int subclass)."""
     value = obj.get("id")
     if isinstance(value, int) and not isinstance(value, bool):
         return str(value)

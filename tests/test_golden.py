@@ -3,14 +3,22 @@ pools must reproduce every manifest, coarse_result.json and trajectory.jsonl
 byte for byte. The hashes were recorded when the manifest writer still ran
 json.dumps once per entry; a faster data path must not move a single byte.
 
+The evaluation path is pinned the same way: `convert` and `score` on seeded
+inputs, their output files and what they print. Those hashes were recorded
+when `convert` ran json.dumps once per pair and `score` ran one numpy softmax
+per record.
+
 The pools are written here with plain json.dumps so the fixture does not
 depend on the package's own writers. Ids include quotes, backslashes,
 control characters, non-ASCII text and integer ids, so the manifest rows pin
 the escaping rules too.
 """
 
+import csv
 import hashlib
 import json
+import math
+import random
 
 import yaml
 
@@ -171,3 +179,123 @@ def test_mix_outputs_are_byte_identical(tmp_path, monkeypatch):
     # epoch 1 asks for more D2 pairs than the pool holds: sampled with replacement
     assert json.loads(epochs[0])["counts"]["d2"] > SIZES["d2"]
     assert digests == GOLDEN
+
+
+# Evaluation path ---------------------------------------------------------------
+
+EVAL_ROWS = 10_500  # more than two 4096-row scoring chunks
+LEVELS = ("bad", "poor", "fair", "good", "excellent")
+
+
+def _eval_id(i: int) -> str:
+    kind = i % 4
+    if kind == 1:
+        return f'img-"{i}"\\x'
+    if kind == 2:
+        return f"bildgüte-画質-{i}\t\u0001"
+    return f"img{i:05d}"
+
+
+def _mos_values(rng: random.Random) -> list[float]:
+    """Every bin edge of the [0, 100] five-level scale and its float
+    neighbours first, then draws on the scale."""
+    edges = [0.0, 20.0, 40.0, 60.0, 80.0, 100.0]
+    near = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+    values = edges + [v for v in near if 0.0 <= v <= 100.0]
+    while len(values) < EVAL_ROWS:
+        values.append(rng.choice([round(rng.uniform(0, 100), 2), rng.uniform(0, 100)]))
+    return values
+
+
+def _logit_line(i: int, rng: random.Random) -> str:
+    """One logit record; about one line in fifty is malformed, in each way
+    the scorer diagnoses."""
+    values = [rng.gauss(0.0, 4.0) for _ in LEVELS]
+    if i % 97 == 5:
+        values = [rng.choice((800.0, -800.0, 799.5)) for _ in LEVELS]
+    elif i % 89 == 3:
+        values = [rng.randint(-3, 3) for _ in LEVELS]
+    record = {"id": _eval_id(i), "logits": dict(zip(LEVELS, values))}
+    kind = i % 50
+    if kind == 7:
+        return json.dumps(record)[:37]
+    if kind == 17:
+        del record["logits"]["excellent"]
+    elif kind == 27:
+        record["logits"]["fair"] = "high"
+    elif kind == 37:
+        record["id"] = i
+    elif kind == 47:
+        return "[1, 2, 3]" if i % 100 < 50 else json.dumps({"id": record["id"]})
+    elif kind == 12:
+        record["logits"]["good"] = math.nan if i % 100 < 50 else -math.inf
+    elif kind == 22:
+        record["logits"]["poor"] = True
+    elif kind == 32:
+        return ""
+    return json.dumps(record, ensure_ascii=i % 3 == 0)
+
+
+def _write_eval_inputs(root):
+    rng = random.Random(23)
+    with open(root / "mos.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["image_id", "mos"])
+        writer.writerows([_eval_id(i), repr(m)] for i, m in enumerate(_mos_values(rng)))
+    with open(root / "logits.jsonl", "w", encoding="utf-8") as handle:
+        handle.writelines(_logit_line(i, rng) + "\n" for i in range(EVAL_ROWS))
+
+
+GOLDEN_EVAL = {
+    "convert.stdout":
+        "3fa6149134273e76451bae37493e7b01f99f5c5876fd57a12d8b6ab42ecc8c33",
+    "convert.stderr":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "d1.jsonl":
+        "d45f0ba61dc17e51c857ac7bb8777ec914437a8b9af35abd7546948fcba35eac",
+    "convert-inline.stdout":
+        "3fa6149134273e76451bae37493e7b01f99f5c5876fd57a12d8b6ab42ecc8c33",
+    "convert-inline.stderr":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "d1-inline.jsonl":
+        "fbc6917b2050825b125d365ae06eb20c1c7bb9f1bef939c6ed5f152bcb7908d6",
+    "score.stdout":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "score.stderr":
+        "8c35390f5bf23b531fa70f0c39d98ed307ba37ca7d307c6e2f0a70dd9bacae4d",
+    "scores.jsonl":
+        "511e0dd08e987451ba299f95ab6a8a3afcad60c62b04d4c441771eb02f36de7f",
+    "score-rescale.stdout":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "score-rescale.stderr":
+        "8c35390f5bf23b531fa70f0c39d98ed307ba37ca7d307c6e2f0a70dd9bacae4d",
+    "scores-rescale.jsonl":
+        "ee53bc78102426695495e9c792988df10a52825e4c16aac3d138c0d73d609631",
+}
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode("utf-8")).hexdigest()
+
+
+def test_eval_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_eval_inputs(tmp_path)
+    runs = {
+        "convert": ["convert", "mos.csv", "--scale-min", "0", "--scale-max", "100",
+                    "--out", "d1.jsonl"],
+        "convert-inline": ["convert", "mos.csv", "--scale-min", "0", "--scale-max", "100",
+                           "--inline-system", "--out", "d1-inline.jsonl"],
+        "score": ["score", "logits.jsonl", "--out", "scores.jsonl"],
+        "score-rescale": ["score", "logits.jsonl", "--rescale", "0", "100",
+                          "--out", "scores-rescale.jsonl"],
+    }
+    digests = {}
+    for name, argv in runs.items():
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = capsys.readouterr()
+        digests[f"{name}.stdout"] = _sha(printed.out)
+        digests[f"{name}.stderr"] = _sha(printed.err)
+        digests[argv[-1]] = _sha((tmp_path / argv[-1]).read_bytes())
+    assert digests == GOLDEN_EVAL

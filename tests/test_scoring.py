@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqmix.errors import MalformedLogitsError
 from iqmix.levels import LevelScale
@@ -197,3 +199,58 @@ class TestScoreBatch:
     def test_score_serialization_round_trips(self):
         score = score_from_logits(LevelLogits("x", LN_WEIGHTS)).score
         assert json.loads(json.dumps({"score": score}))["score"] == score
+
+
+def _reference_score(values) -> float:
+    """Max-shifted numpy softmax of one row, then p0*1 + p1*2 + ... added
+    left to right: the per-record arithmetic score_batch must reproduce."""
+    arr = np.asarray(values, dtype=np.float64)
+    shifted = np.exp(arr - arr.max())
+    total = 0.0
+    for i, p in enumerate(shifted / shifted.sum()):
+        total += float(p) * (i + 1)
+    return total
+
+
+class TestScoreBatchMatchesPerRecord:
+    """score_batch scores its valid rows in chunks; every score must equal the
+    one-record path bit for bit, and diagnostics keep their place."""
+
+    @settings(deadline=None, max_examples=15)
+    @given(size=st.one_of(st.integers(1, 3), st.integers(4093, 4099),
+                          st.integers(8189, 8195)),
+           seed=st.integers(0, 2**32 - 1),
+           bad_every=st.sampled_from([0, 3, 1000]))
+    def test_bit_identical(self, size, seed, bad_every):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(0.0, rng.uniform(0.1, 20.0), (size, 5))
+        values[rng.random(size) < 0.05] *= 800.0 / 20.0
+        lines, expected, bad_lines = [], [], []
+        for i, row in enumerate(values.tolist()):
+            if bad_every and i % bad_every == 1:
+                lines.append("{broken")
+                bad_lines.append(i + 1)
+                continue
+            lines.append(json.dumps(_record(f"r{i}", row)))
+            score = score_from_logits(LevelLogits(f"r{i}", tuple(row))).score
+            assert score == _reference_score(row)
+            expected.append((f"r{i}", score))
+        out = list(score_batch(lines))
+        got = [(r.item_id, r.score) for r in out if not isinstance(r, BatchDiagnostic)]
+        assert got == expected
+        assert all(type(score) is float for _, score in got)
+        assert [r.line_no for r in out if isinstance(r, BatchDiagnostic)] == bad_lines
+        assert [isinstance(r, BatchDiagnostic) for r in out] == \
+            [line == "{broken" for line in lines]
+
+    @pytest.mark.parametrize("bad_at", [0, 1, 4095, 4096, 4097, 9000])
+    def test_strict_yields_scores_before_first_bad_line(self, bad_at):
+        rows = [(float(i % 7), 0.0, -1.0, 2.0, float(-i % 5)) for i in range(10_000)]
+        lines = [json.dumps(_record(f"r{i}", row)) for i, row in enumerate(rows)]
+        lines[bad_at] = json.dumps({"id": f"r{bad_at}", "logits": {}})
+        got = []
+        with pytest.raises(MalformedLogitsError, match=f"r{bad_at}: missing logit"):
+            for item in score_batch(lines, strict=True):
+                got.append(item)
+        assert [(r.item_id, r.score) for r in got] == [
+            (f"r{i}", _reference_score(row)) for i, row in enumerate(rows[:bad_at])]

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from collections import Counter
@@ -150,10 +151,13 @@ def _read_scores(path: str | Path) -> dict[str, float]:
             raise DataError(
                 f"{where}: duplicate id {item_id!r} (first on line {first_line[item_id]})"
             )
-        try:
-            scores[item_id] = float(obj["score"])
-        except (KeyError, TypeError, ValueError):
-            raise DataError(f"{where}: malformed score record")
+        score = obj.get("score")
+        # bool is an int subclass. The range test also rejects nan and inf,
+        # and unlike math.isfinite it cannot overflow on a huge int.
+        if isinstance(score, bool) or not isinstance(score, (int, float)) \
+                or not -sys.float_info.max <= score <= sys.float_info.max:
+            raise DataError(f"{where}: 'score' must be a finite number, got {score!r}")
+        scores[item_id] = float(score)
         first_line[item_id] = line_no
     if not scores:
         raise DataError(f"{path}: no score records")
@@ -241,6 +245,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         rescale = LevelScale(args.rescale[0], args.rescale[1])
     out = Path(args.out)
     diagnostics = 0
+    encode_id = json.encoder.encode_basestring_ascii
     with open(args.logits_file, encoding="utf-8") as src, \
             open(out, "w", encoding="utf-8") as dst:
         for item in score_batch(src, binary=binary, strict=args.strict):
@@ -249,7 +254,10 @@ def cmd_score(args: argparse.Namespace) -> int:
                 print(f"line {item.line_no}: {item.message}", file=sys.stderr)
                 continue
             score = item.score if rescale is None else rescale_score(item.score, rescale)
-            dst.write(json.dumps({"id": item.item_id, "score": score}) + "\n")
+            # The bytes json.dumps writes. It spells a non-finite float (from an
+            # overflowing --rescale range) NaN or Infinity where repr does not.
+            text = repr(score) if math.isfinite(score) else json.dumps(score)
+            dst.write(f'{{"id": {encode_id(item.item_id)}, "score": {text}}}\n')
     if diagnostics:
         print(f"{diagnostics} malformed record(s) skipped", file=sys.stderr)
 

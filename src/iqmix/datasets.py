@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import islice
@@ -82,9 +83,10 @@ def ingest_mos(
 ) -> tuple[list[MosRecord], PoolStats]:
     """Read a delimited MOS file (header with image_id and mos columns).
 
-    Unparsable rows, a repeated image_id and, when a scale is given, a MOS
-    outside it raise in strict mode; in lenient mode such a row is skipped
-    with a logged row-numbered warning, so a repeated id keeps its first row.
+    Unparsable rows, a non-finite MOS (nan, inf), a repeated image_id and,
+    when a scale is given, a MOS outside it raise in strict mode; in lenient
+    mode such a row is skipped with a logged row-numbered warning, so a
+    repeated id keeps its first row.
     """
     records: list[MosRecord] = []
     first_row: dict[str, int] = {}
@@ -102,7 +104,7 @@ def ingest_mos(
                 f"{path}: header must contain image_id and mos columns, got {header}"
             )
         for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():  # no cells, or only blank ones
                 continue
             try:
                 if len(row) <= max(id_col, mos_col):
@@ -114,6 +116,8 @@ def ingest_mos(
                         f"(first on row {first_row[image_id]})"
                     )
                 mos = float(row[mos_col])
+                if not math.isfinite(mos):
+                    raise DataError(f"{path}: row {row_no}: non-finite mos {mos!r}")
                 if scale is not None and not (scale.min_score <= mos <= scale.max_score):
                     raise ScoreOutOfRangeError(
                         f"{path}: row {row_no}: mos {mos!r} outside "
@@ -192,40 +196,38 @@ def subsample_balanced(
 
 def emit_d1_pairs(records: Sequence[MosRecord], scale: LevelScale) -> list[InstructionPair]:
     """One scoring question-answer pair per MOS record, in record order."""
-    pairs = []
-    for rec in records:
-        label = score_to_level(rec.mos, scale).label
-        pairs.append(
-            InstructionPair(
-                id=rec.image_id,
-                image_ref=rec.image_id,
-                system=SCORING_SYSTEM_PREFIX,
-                question=D1_QUESTION,
-                answer=D1_ANSWER_TEMPLATE.format(label=label),
-                pool="D1",
-            )
+    answers = {label: D1_ANSWER_TEMPLATE.format(label=label) for label in scale.labels}
+    return [
+        InstructionPair(
+            id=rec.image_id,
+            image_ref=rec.image_id,
+            system=SCORING_SYSTEM_PREFIX,
+            question=D1_QUESTION,
+            answer=answers[score_to_level(rec.mos, scale).label],
+            pool="D1",
         )
-    return pairs
+        for rec in records
+    ]
 
 
 def pair_to_json(pair: InstructionPair, *, inline_system: bool = False) -> str:
-    """Serialize one pair with a fixed key order (round-trip stable)."""
+    """Serialize one pair with a fixed key order (round-trip stable),
+    byte-identical to json.dumps with ensure_ascii=False."""
+    enc = json.encoder.encode_basestring
     question = pair.question
-    obj: dict = {"id": pair.id, "image": pair.image_ref}
+    system = ""
     if pair.system is not None:
         if inline_system:
             question = f"{pair.system}\n{question}"
         else:
-            obj["system"] = pair.system
-    conversations = [
-        {"from": "human", "value": question},
-        {"from": "gpt", "value": pair.answer},
-    ]
-    for human, assistant in pair.extra_turns:
-        conversations.append({"from": "human", "value": human})
-        conversations.append({"from": "gpt", "value": assistant})
-    obj["conversations"] = conversations
-    return json.dumps(obj, ensure_ascii=False)
+            system = f'"system": {enc(pair.system)}, '
+    turns = ", ".join(
+        f'{{"from": "human", "value": {enc(human)}}}, '
+        f'{{"from": "gpt", "value": {enc(assistant)}}}'
+        for human, assistant in ((question, pair.answer), *pair.extra_turns)
+    )
+    return (f'{{"id": {enc(pair.id)}, "image": {enc(pair.image_ref)}, '
+            f'{system}"conversations": [{turns}]}}')
 
 
 def write_pairs(

@@ -11,6 +11,9 @@ average of those integers.
 
 from __future__ import annotations
 
+import functools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -71,12 +74,18 @@ class LevelScale:
         return RatingLevel(index, self.labels[index - 1])
 
     def bin_edges(self) -> tuple[float, ...]:
-        """All n+1 edges m + (k/n)(M-m), k = 0..n, strictly increasing."""
+        """All n+1 edges m + (k/n)(M-m), k = 0..n, strictly increasing; the
+        ends are m and M exactly, since (n/n)(M-m) can round M up."""
         m, big_m, n = self.min_score, self.max_score, self.level_count
-        return tuple(m + (k / n) * (big_m - m) for k in range(n + 1))
+        return (m, *(m + (k / n) * (big_m - m) for k in range(1, n)), big_m)
 
     def interior_edges(self) -> tuple[float, ...]:
         return self.bin_edges()[1:-1]
+
+
+@functools.lru_cache(maxsize=64)
+def _edges_and_levels(scale: LevelScale) -> tuple[tuple[float, ...], tuple[RatingLevel, ...]]:
+    return scale.interior_edges(), scale.levels
 
 
 def score_to_level(score: float, scale: LevelScale) -> RatingLevel:
@@ -85,16 +94,14 @@ def score_to_level(score: float, scale: LevelScale) -> RatingLevel:
     Interval i is (edge_{i-1}, edge_i], so scores on an interior edge belong
     to the lower interval; score == min maps to the first level.
     """
-    if not (scale.min_score <= score <= scale.max_score) or not np.isfinite(score):
+    if not (scale.min_score <= score <= scale.max_score) or not math.isfinite(score):
         raise ScoreOutOfRangeError(
             f"score {score!r} outside scale [{scale.min_score}, {scale.max_score}]"
         )
-    index = 1
-    for edge in scale.interior_edges():
-        if score <= edge:
-            break
-        index += 1
-    return scale.level(index)
+    edges, levels = _edges_and_levels(scale)
+    # bisect_left counts the edges strictly below the score, so a score on an
+    # edge stays in the lower interval.
+    return levels[bisect_left(edges, score)]
 
 
 def quantize_scores(scores: Iterable[float], scale: LevelScale) -> np.ndarray:

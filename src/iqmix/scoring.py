@@ -18,6 +18,9 @@ import numpy as np
 from .errors import DataError, MalformedLogitsError
 from .levels import FIVE_LEVEL_LABELS, LevelScale
 
+# Records score_batch buffers; their five-level rows are softmaxed as one array.
+CHUNK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class LevelLogits:
@@ -55,12 +58,28 @@ def _check_finite(values: Sequence[float], labels: Sequence[str], item: str) -> 
             raise MalformedLogitsError(f"{item}: non-finite logit for level {label!r}")
 
 
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax of each row of a (k, n) array of finite logits;
+    equal to the plain softmax in exact arithmetic."""
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
+
+
+def _weighted_rows(probabilities: np.ndarray) -> np.ndarray:
+    """p0*1 + p1*2 + ... for each row of a (k, n) array, added left to right."""
+    total = probabilities[:, 0].copy()
+    for i in range(1, probabilities.shape[1]):
+        total += probabilities[:, i] * (i + 1)
+    return total
+
+
+def _one_row(values: Sequence[float]) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).reshape(1, -1)
+
+
 def softmax_vector(values: Sequence[float]) -> tuple[float, ...]:
-    """Max-shifted softmax; equal to the plain softmax in exact arithmetic."""
-    arr = np.asarray(values, dtype=np.float64)
-    shifted = np.exp(arr - arr.max())
-    probs = shifted / shifted.sum()
-    return tuple(float(p) for p in probs)
+    """Max-shifted softmax of one logit vector."""
+    return tuple(_softmax_rows(_one_row(values))[0].tolist())
 
 
 def softmax_levels(logits: LevelLogits) -> LevelProbabilities:
@@ -71,7 +90,7 @@ def softmax_levels(logits: LevelLogits) -> LevelProbabilities:
 
 def weighted_score(probabilities: Sequence[float]) -> float:
     """Probability-weighted average of the integer level scores 1..n."""
-    return float(sum(p * (i + 1) for i, p in enumerate(probabilities)))
+    return float(_weighted_rows(_one_row(probabilities))[0])
 
 
 def score_from_logit_vector(values: Sequence[float]) -> float:
@@ -79,13 +98,14 @@ def score_from_logit_vector(values: Sequence[float]) -> float:
     if len(values) < 2:
         raise MalformedLogitsError("need at least two level logits")
     _check_finite(values, [f"level{i+1}" for i in range(len(values))], "<vector>")
-    return weighted_score(softmax_vector(values))
+    return float(_weighted_rows(_softmax_rows(_one_row(values)))[0])
 
 
 def score_from_logits(logits: LevelLogits) -> PredictedScore:
-    """Predicted score in [1, level count] for one item."""
-    probs = softmax_levels(logits)
-    return PredictedScore(logits.item_id, weighted_score(probs.values))
+    """Predicted score in [1, level count] for one item: the one-row case of
+    score_batch's chunk arithmetic, so both give the same bits."""
+    _check_finite(logits.values, logits.labels, logits.item_id)
+    return PredictedScore(logits.item_id, score_from_logit_vector(logits.values))
 
 
 def binary_score(x_good: float, x_poor: float) -> float:
@@ -116,7 +136,7 @@ class BatchDiagnostic:
     message: str
 
 
-def _parse_five_level(obj: dict, line_no: int) -> LevelLogits:
+def _parse_five_level(obj: dict, line_no: int) -> tuple[str, list[float]]:
     item_id = obj.get("id")
     if not isinstance(item_id, str):
         raise MalformedLogitsError(f"line {line_no}: missing or non-string 'id'")
@@ -131,7 +151,11 @@ def _parse_five_level(obj: dict, line_no: int) -> LevelLogits:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise MalformedLogitsError(f"{item_id}: non-numeric logit for {label!r}")
         values.append(float(v))
-    return LevelLogits(item_id, tuple(values))
+    # A NaN or infinity makes the sum non-finite; a finite sum proves every
+    # value finite, which spares the per-level check on the common path.
+    if not math.isfinite(sum(values)):
+        _check_finite(values, FIVE_LEVEL_LABELS, item_id)
+    return item_id, values
 
 
 def _parse_binary(obj: dict, line_no: int) -> tuple[str, float, float]:
@@ -147,6 +171,17 @@ def _parse_binary(obj: dict, line_no: int) -> tuple[str, float, float]:
     return item_id, pair[0], pair[1]
 
 
+def _score_chunk(
+    pending: list[str | PredictedScore | BatchDiagnostic], rows: list[list[float]]
+) -> Iterator[PredictedScore | BatchDiagnostic]:
+    """Score the buffered five-level rows with one softmax and yield the
+    buffered items in line order, each row id as its PredictedScore."""
+    scores = iter(_weighted_rows(_softmax_rows(np.array(rows, dtype=np.float64))).tolist()
+                  if rows else ())
+    for item in pending:
+        yield PredictedScore(item, next(scores)) if isinstance(item, str) else item
+
+
 def score_batch(
     lines: Iterable[str],
     *,
@@ -156,8 +191,13 @@ def score_batch(
     """Score a stream of line-delimited logit records, preserving order.
 
     Malformed records become BatchDiagnostic entries (with line numbers) in
-    lenient mode; in strict mode the first malformed record raises.
+    lenient mode; in strict mode the first malformed record raises, after
+    the scores of the lines before it have been yielded. Results are
+    buffered CHUNK_ROWS at a time, and the five-level rows of a chunk are
+    scored as one array.
     """
+    pending: list[str | PredictedScore | BatchDiagnostic] = []
+    rows: list[list[float]] = []  # the logits of the ids in pending
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -171,10 +211,17 @@ def score_batch(
                 raise MalformedLogitsError(f"line {line_no}: record is not an object")
             if binary:
                 item_id, x_good, x_poor = _parse_binary(obj, line_no)
-                yield PredictedScore(item_id, binary_score(x_good, x_poor))
+                pending.append(PredictedScore(item_id, binary_score(x_good, x_poor)))
             else:
-                yield score_from_logits(_parse_five_level(obj, line_no))
+                item_id, values = _parse_five_level(obj, line_no)
+                pending.append(item_id)
+                rows.append(values)
         except DataError as exc:
             if strict:
+                yield from _score_chunk(pending, rows)
                 raise
-            yield BatchDiagnostic(line_no, str(exc))
+            pending.append(BatchDiagnostic(line_no, str(exc)))
+        if len(pending) == CHUNK_ROWS:
+            yield from _score_chunk(pending, rows)
+            pending, rows = [], []
+    yield from _score_chunk(pending, rows)

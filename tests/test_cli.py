@@ -86,6 +86,17 @@ class TestConvert:
         assert "converted 2 records" in capsys.readouterr().out
         assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["a", "b"]
 
+    def test_non_finite_mos_lenient_skips_row(self, tmp_path, capsys, caplog):
+        src = tmp_path / "mos.csv"
+        src.write_text("image_id,mos\na,10\nb,nan\nc,90\nd,-inf\n")
+        out = tmp_path / "o.jsonl"
+        assert run_cli("convert", src, "--scale-min", 0, "--scale-max", 100,
+                       "--lenient", "--out", out) == 0
+        assert "converted 2 records" in capsys.readouterr().out
+        assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["a", "c"]
+        warned = [m for m in caplog.messages if "non-finite mos" in m]
+        assert len(warned) == 2 and "row 3" in warned[0] and "row 5" in warned[1]
+
 
 class TestScore:
     def test_five_level(self, tmp_path, logits_file):
@@ -116,6 +127,14 @@ class TestScore:
         src.write_text("{broken\n" + logits_file.read_text())
         out = tmp_path / "scores.jsonl"
         assert run_cli("score", src, "--strict", "--out", out) == 1
+
+    def test_strict_writes_scores_before_first_bad_line(self, tmp_path, logits_file, capsys):
+        src = tmp_path / "mixed.jsonl"
+        src.write_text(logits_file.read_text() + "{broken\n" + logits_file.read_text())
+        out = tmp_path / "scores.jsonl"
+        assert run_cli("score", src, "--strict", "--out", out) == 1
+        assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["uniform", "top"]
+        assert "line 3: invalid JSON" in capsys.readouterr().err
 
     def test_rescale(self, tmp_path, logits_file):
         out = tmp_path / "scores.jsonl"
@@ -190,6 +209,24 @@ class TestEvalIqa:
         err = capsys.readouterr().err
         assert "duplicate id 'i2'" in err and "line 6" in err and "line 3" in err
 
+    def test_non_finite_mos_is_data_error(self, tmp_path, capsys):
+        values = {f"i{k}": float(k) for k in range(5)}
+        scores_path, mos_path = self.write_pair(tmp_path, values, values)
+        mos_path.write_text(mos_path.read_text().replace("i3,3.0", "i3,nan"))
+        assert run_cli("eval-iqa", scores_path, mos_path) == 1
+        assert f"{mos_path}: row 5: non-finite mos nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("score", ["true", '"0.5"', "null", "NaN", "-Infinity"])
+    def test_non_numeric_score_is_data_error(self, tmp_path, capsys, score):
+        values = {f"i{k}": float(k) for k in range(5)}
+        scores_path, mos_path = self.write_pair(tmp_path, values, values)
+        lines = scores_path.read_text().splitlines()
+        lines[2] = f'{{"id": "i2", "score": {score}}}'
+        scores_path.write_text("\n".join(lines) + "\n")
+        assert run_cli("eval-iqa", scores_path, mos_path) == 1
+        assert (f"{scores_path}: line 3: 'score' must be a finite number"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_score_id_is_data_error(self, tmp_path, capsys, flag):
         values = {"True": 1.0, "False": 2.0, "x": 3.0}
@@ -254,6 +291,14 @@ class TestSubsample:
     def test_infeasible_target(self, tmp_path, mos_file):
         assert run_cli("subsample", mos_file, "--target", 10000,
                        "--out", tmp_path / "o.csv") == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_mos_is_data_error(self, tmp_path, mos_file, capsys, bad):
+        mos_file.write_text(mos_file.read_text() + f"extra,{bad}\n")
+        out = tmp_path / "o.csv"
+        assert run_cli("subsample", mos_file, "--target", 20, "--out", out) == 1
+        assert f"row 62: non-finite mos {bad}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_id_is_data_error(self, tmp_path, mos_file, capsys):
         mos_file.write_text(mos_file.read_text() + "img005,1\n")

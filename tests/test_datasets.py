@@ -97,6 +97,26 @@ class TestIngestMos:
         records, _ = ingest_mos(path)
         assert [(r.image_id, r.mos) for r in records] == [("a", -4.5), ("b", 250.0)]
 
+    @pytest.mark.parametrize("scale", [None, LevelScale(0, 100)], ids=["no-scale", "scale"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_mos_strict_names_row(self, tmp_path, scale, bad):
+        path = tmp_path / "mos.csv"
+        write_mos_csv(path, ["a,10", f"b,{bad}", "c,30"])
+        with pytest.raises(DataError, match="row 3: non-finite mos"):
+            ingest_mos(path, scale)
+
+    def test_non_finite_mos_lenient_skips_and_warns(self, tmp_path, caplog):
+        path = tmp_path / "mos.csv"
+        write_mos_csv(path, ["a,10", "b,nan", "c,30", "d,inf"])
+        with caplog.at_level(logging.WARNING):
+            records, stats = ingest_mos(path, strict=False)
+        assert [r.image_id for r in records] == ["a", "c"]
+        assert stats.mean_mos == 20.0
+        assert [m for m in caplog.messages if "non-finite mos" in m] == [
+            f"skipping row: {path}: row 3: non-finite mos nan",
+            f"skipping row: {path}: row 5: non-finite mos inf",
+        ]
+
     def test_duplicate_id_strict_names_both_rows(self, tmp_path):
         path = tmp_path / "mos.csv"
         write_mos_csv(path, ["a,10", "b,20", "a,30"])

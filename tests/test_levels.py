@@ -94,6 +94,12 @@ class TestLevelScale:
             assert all(a < b for a, b in zip(edges, edges[1:]))
             assert edges[0] == lo and edges[-1] == hi
 
+    def test_top_edge_is_max_score_exactly(self):
+        # m + (n/n)(M-m) rounds to 12.900000000000002 here
+        scale = LevelScale(-3.7, 12.9, 7)
+        assert scale.bin_edges()[-1] == 12.9
+        assert score_to_level(scale.bin_edges()[-1], scale).index == 7
+
     def test_five_labels(self):
         assert LevelScale(1, 5).labels == FIVE_LEVEL_LABELS
         assert [lv.index for lv in LevelScale(1, 5).levels] == [1, 2, 3, 4, 5]
@@ -166,8 +172,8 @@ SCALES = [LevelScale(1.0, 5.0), LevelScale(0.0, 100.0), LevelScale(0.0, 1.0),
 class TestQuantizeMatchesScoreToLevel:
     @pytest.mark.parametrize("scale", SCALES, ids=str)
     def test_every_bin_edge(self, scale):
-        # bin_edges()[-1] is m + (n/n)(M-m), which can round past M
-        edges = [scale.min_score, *scale.interior_edges(), scale.max_score]
+        edges = scale.bin_edges()
+        assert (edges[0], edges[-1]) == (scale.min_score, scale.max_score)
         expected = [score_to_level(e, scale).index for e in edges]
         assert quantize_scores(edges, scale).tolist() == expected
 

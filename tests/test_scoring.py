@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from iqmix.errors import MalformedLogitsError
 from iqmix.levels import LevelScale
 from iqmix.scoring import (
+    CHUNK_ROWS,
     BatchDiagnostic,
     LevelLogits,
     binary_score,
@@ -187,6 +188,14 @@ class TestScoreBatch:
         out = list(score_batch(lines))
         assert len(out) == 1 and out[0].item_id == "a"
 
+    def test_finite_logits_whose_sum_overflows_are_scored(self):
+        lines = _lines(_record("a", (1e308, 1e308, 0.0, 0.0, 0.0)),
+                       _record("b", (1e308, 0.0, 0.0, 0.0, float("nan"))))
+        out = list(score_batch(lines))
+        assert out[0] == score_from_logits(LevelLogits("a", (1e308, 1e308, 0.0, 0.0, 0.0)))
+        assert out[0].score == 1.5
+        assert out[1] == BatchDiagnostic(2, "b: non-finite logit for level 'excellent'")
+
     def test_binary_mode(self):
         lines = [json.dumps({"id": "q", "good": math.log(3), "poor": 0.0})]
         out = list(score_batch(lines, binary=True))
@@ -217,8 +226,8 @@ class TestScoreBatchMatchesPerRecord:
     one-record path bit for bit, and diagnostics keep their place."""
 
     @settings(deadline=None, max_examples=15)
-    @given(size=st.one_of(st.integers(1, 3), st.integers(4093, 4099),
-                          st.integers(8189, 8195)),
+    @given(size=st.one_of(st.integers(1, 3), st.integers(CHUNK_ROWS - 3, CHUNK_ROWS + 3),
+                          st.integers(2 * CHUNK_ROWS - 3, 2 * CHUNK_ROWS + 3)),
            seed=st.integers(0, 2**32 - 1),
            bad_every=st.sampled_from([0, 3, 1000]))
     def test_bit_identical(self, size, seed, bad_every):
@@ -243,9 +252,11 @@ class TestScoreBatchMatchesPerRecord:
         assert [isinstance(r, BatchDiagnostic) for r in out] == \
             [line == "{broken" for line in lines]
 
-    @pytest.mark.parametrize("bad_at", [0, 1, 4095, 4096, 4097, 9000])
+    @pytest.mark.parametrize("bad_at", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                        2 * CHUNK_ROWS + 5])
     def test_strict_yields_scores_before_first_bad_line(self, bad_at):
-        rows = [(float(i % 7), 0.0, -1.0, 2.0, float(-i % 5)) for i in range(10_000)]
+        rows = [(float(i % 7), 0.0, -1.0, 2.0, float(-i % 5))
+                for i in range(2 * CHUNK_ROWS + 100)]
         lines = [json.dumps(_record(f"r{i}", row)) for i, row in enumerate(rows)]
         lines[bad_at] = json.dumps({"id": f"r{bad_at}", "logits": {}})
         got = []

@@ -60,7 +60,8 @@ def _check_finite(values: Sequence[float], labels: Sequence[str], item: str) -> 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Max-shifted softmax of each row of a (k, n) array of finite logits;
-    equal to the plain softmax in exact arithmetic."""
+    equal to the plain softmax in exact arithmetic. Each row is reduced on
+    its own, so a row gets the same bits alone as inside a chunk."""
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
 

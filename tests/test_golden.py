@@ -208,8 +208,8 @@ def _mos_values(rng: random.Random) -> list[float]:
 
 
 def _logit_line(i: int, rng: random.Random) -> str:
-    """One logit record; about one line in fifty is malformed, in each way
-    the scorer diagnoses."""
+    """One logit record. Seven lines in fifty are malformed, in every way the
+    scorer diagnoses, and one is blank."""
     values = [rng.gauss(0.0, 4.0) for _ in LEVELS]
     if i % 97 == 5:
         values = [rng.choice((800.0, -800.0, 799.5)) for _ in LEVELS]

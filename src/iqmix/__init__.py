@@ -13,14 +13,7 @@ from .levels import (
     mos_from_frequencies,
     score_to_level,
 )
-from .scoring import (
-    LevelLogits,
-    LevelProbabilities,
-    PredictedScore,
-    binary_score,
-    score_from_logits,
-    softmax_levels,
-)
+from .scoring import binary_score, score_from_logit_vector, softmax_vector, weighted_score
 from .metrics import PairedSample, avg_metric, conversion_precision, plcc, srcc
 
 __all__ = [
@@ -32,12 +25,10 @@ __all__ = [
     "level_to_score",
     "mos_from_frequencies",
     "score_to_level",
-    "LevelLogits",
-    "LevelProbabilities",
-    "PredictedScore",
     "binary_score",
-    "score_from_logits",
-    "softmax_levels",
+    "score_from_logit_vector",
+    "softmax_vector",
+    "weighted_score",
     "PairedSample",
     "avg_metric",
     "conversion_precision",

@@ -27,10 +27,12 @@ import yaml
 from . import __version__
 from .controller import run_loop
 from .datasets import (
+    D1_ANSWER_TEMPLATE,
     PoolSet,
     ingest_mos,
     emit_d1_pairs,
     load_pool,
+    pool_stats,
     sample_mixture,
     subsample_balanced,
     write_manifest,
@@ -210,19 +212,17 @@ def _build_oracle(conf: dict) -> Oracle:
 def cmd_convert(args: argparse.Namespace) -> int:
     started = _now()
     scale = LevelScale(args.scale_min, args.scale_max)
-    records, stats = ingest_mos(
-        args.mos_file, scale, delimiter=args.delimiter, strict=not args.lenient
-    )
-    pairs = emit_d1_pairs(records, scale)
+    mos = ingest_mos(args.mos_file, scale, delimiter=args.delimiter, strict=not args.lenient)
+    pairs = emit_d1_pairs(mos, scale)
     out = Path(args.out)
     write_pairs(pairs, out, inline_system=args.inline_system)
 
+    stats = pool_stats(mos)
     histogram = Counter(p.answer for p in pairs)
     print(f"converted {len(pairs)} records "
           f"(mos mean {stats.mean_mos:.3f}, std {stats.std_mos:.3f})")
     for label in scale.labels:
-        answer = f"The quality of the image is {label}."
-        print(f"  {label:<10} {histogram.get(answer, 0)}")
+        print(f"  {label:<10} {histogram[D1_ANSWER_TEMPLATE.format(label=label)]}")
 
     _write_run_record(
         "convert",
@@ -253,11 +253,13 @@ def cmd_score(args: argparse.Namespace) -> int:
                 diagnostics += 1
                 print(f"line {item.line_no}: {item.message}", file=sys.stderr)
                 continue
-            score = item.score if rescale is None else rescale_score(item.score, rescale)
+            item_id, score = item
+            if rescale is not None:
+                score = rescale_score(score, rescale)
             # The bytes json.dumps writes. It spells a non-finite float (from an
             # overflowing --rescale range) NaN or Infinity where repr does not.
             text = repr(score) if math.isfinite(score) else json.dumps(score)
-            dst.write(f'{{"id": {encode_id(item.item_id)}, "score": {text}}}\n')
+            dst.write(f'{{"id": {encode_id(item_id)}, "score": {text}}}\n')
     if diagnostics:
         print(f"{diagnostics} malformed record(s) skipped", file=sys.stderr)
 
@@ -282,8 +284,7 @@ def _join_scores_to_mos(args: argparse.Namespace) -> PairedSample:
     """Scores paired with MOS by id, in score-file order; the id tables are
     freed on return, before the metrics (and the fit's scipy import) run."""
     scores = _read_scores(args.scores_file)
-    records, _ = ingest_mos(args.mos_file, delimiter=args.delimiter)
-    mos = {rec.image_id: rec.mos for rec in records}
+    mos = ingest_mos(args.mos_file, delimiter=args.delimiter)
     shared = [key for key in scores if key in mos]
     missing = (len(scores) - len(shared)) + sum(1 for k in mos if k not in scores)
     if missing:
@@ -335,8 +336,8 @@ def cmd_eval_desc(args: argparse.Namespace) -> int:
     ratings = []
     for line_no, obj in read_jsonl(args.ratings_file):
         try:
-            ratings.append(DescriptionRating(obj["dimension"], int(obj["rating"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            ratings.append(DescriptionRating(obj["dimension"], obj["rating"]))
+        except (KeyError, DataError) as exc:
             raise DataError(f"{args.ratings_file}: line {line_no}: {exc}")
     report = description_report(ratings)
     _emit_report(report.to_dict(), report.as_text(), args.format)
@@ -346,14 +347,14 @@ def cmd_eval_desc(args: argparse.Namespace) -> int:
 def cmd_subsample(args: argparse.Namespace) -> int:
     started = _now()
     seed = _resolve(args.seed, _env_default("SEED", int), default=0)
-    records, _ = ingest_mos(args.mos_file, delimiter=args.delimiter)
-    subset = subsample_balanced(records, args.target, bins=args.bins, seed=seed)
+    mos = ingest_mos(args.mos_file, delimiter=args.delimiter)
+    subset = subsample_balanced(mos, args.target, bins=args.bins, seed=seed)
     out = Path(args.out)
     with open(out, "w", encoding="utf-8") as handle:
         handle.write("image_id,mos\n")
-        for rec in subset:
-            handle.write(f"{rec.image_id},{rec.mos!r}\n")
-    print(f"subsampled {len(subset)} of {len(records)} records into {out}")
+        for image_id, value in subset.items():
+            handle.write(f"{image_id},{value!r}\n")
+    print(f"subsampled {len(subset)} of {len(mos)} records into {out}")
 
     _write_run_record(
         "subsample",

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -34,12 +34,6 @@ D1_QUESTION = "<img> How would you rate the quality of the image."
 D1_ANSWER_TEMPLATE = "The quality of the image is {label}."
 
 
-@dataclass(frozen=True, slots=True)  # one per MOS row; slots keep 100k rows small
-class MosRecord:
-    image_id: str
-    mos: float
-
-
 @dataclass(frozen=True)
 class PoolStats:
     size: int
@@ -47,9 +41,9 @@ class PoolStats:
     std_mos: float
 
 
-def pool_stats(records: Sequence[MosRecord]) -> PoolStats:
-    values = np.asarray([r.mos for r in records], dtype=np.float64)
-    return PoolStats(len(records), float(values.mean()), float(values.std()))
+def pool_stats(mos: Mapping[str, float]) -> PoolStats:
+    values = np.fromiter(mos.values(), dtype=np.float64, count=len(mos))
+    return PoolStats(len(mos), float(values.mean()), float(values.std()))
 
 
 @dataclass(frozen=True)
@@ -80,15 +74,16 @@ def ingest_mos(
     *,
     delimiter: str = ",",
     strict: bool = True,
-) -> tuple[list[MosRecord], PoolStats]:
-    """Read a delimited MOS file (header with image_id and mos columns).
+) -> dict[str, float]:
+    """Read a delimited MOS file (header with image_id and mos columns) into
+    an image_id -> MOS mapping in file row order.
 
     Unparsable rows, a non-finite MOS (nan, inf), a repeated image_id and,
     when a scale is given, a MOS outside it raise in strict mode; in lenient
     mode such a row is skipped with a logged row-numbered warning, so a
     repeated id keeps its first row.
     """
-    records: list[MosRecord] = []
+    mos_by_id: dict[str, float] = {}
     first_row: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
@@ -132,18 +127,18 @@ def ingest_mos(
                 log.warning("skipping row: %s", err)
                 continue
             first_row[image_id] = row_no
-            records.append(MosRecord(image_id, mos))
-    if not records:
+            mos_by_id[image_id] = mos
+    if not mos_by_id:
         raise DataError(f"{path}: no valid MOS records")
-    return records, pool_stats(records)
+    return mos_by_id
 
 
 def subsample_balanced(
-    records: Sequence[MosRecord],
+    mos: Mapping[str, float],
     target_size: int,
     bins: int = 10,
     seed: int = 0,
-) -> list[MosRecord]:
+) -> dict[str, float]:
     """Subsample toward a flat MOS histogram.
 
     The observed MOS range is split into equal-width bins; each non-empty bin
@@ -152,16 +147,19 @@ def subsample_balanced(
     quota is redistributed round-robin to bins that still have records.
     The result is a subsequence of the input.
     """
-    if target_size > len(records):
+    if target_size < 0:
+        raise DataError(f"target_size must be >= 0, got {target_size}")
+    if target_size > len(mos):
         raise DataError(
-            f"target_size {target_size} exceeds record count {len(records)}"
+            f"target_size {target_size} exceeds record count {len(mos)}"
         )
     if bins < 2:
         raise DataError(f"bins must be >= 2, got {bins}")
-    if target_size == len(records):
-        return list(records)
+    if target_size == len(mos):
+        return dict(mos)
 
-    values = np.asarray([r.mos for r in records], dtype=np.float64)
+    items = list(mos.items())
+    values = np.fromiter(mos.values(), dtype=np.float64, count=len(mos))
     lo, hi = float(values.min()), float(values.max())
     width = (hi - lo) / bins
     edges = np.asarray([lo + width * k for k in range(1, bins)], dtype=np.float64)
@@ -191,22 +189,22 @@ def subsample_balanced(
     for b in occupied:
         selected.extend(rng.sample(members[b], take[b]))
     selected.sort()
-    return [records[i] for i in selected]
+    return dict(items[i] for i in selected)
 
 
-def emit_d1_pairs(records: Sequence[MosRecord], scale: LevelScale) -> list[InstructionPair]:
-    """One scoring question-answer pair per MOS record, in record order."""
+def emit_d1_pairs(mos: Mapping[str, float], scale: LevelScale) -> list[InstructionPair]:
+    """One scoring question-answer pair per image_id -> MOS entry, in order."""
     answers = {label: D1_ANSWER_TEMPLATE.format(label=label) for label in scale.labels}
     return [
         InstructionPair(
-            id=rec.image_id,
-            image_ref=rec.image_id,
+            id=image_id,
+            image_ref=image_id,
             system=SCORING_SYSTEM_PREFIX,
             question=D1_QUESTION,
-            answer=answers[score_to_level(rec.mos, scale).label],
+            answer=answers[score_to_level(value, scale).label],
             pool="D1",
         )
-        for rec in records
+        for image_id, value in mos.items()
     ]
 
 

@@ -55,6 +55,12 @@ class LevelScale:
                 f"scale requires max_score > min_score, got "
                 f"[{self.min_score}, {self.max_score}]"
             )
+        # Also false for an infinite bound: the width is then inf or nan.
+        if not math.isfinite(self.max_score - self.min_score):
+            raise ConfigError(
+                f"scale requires finite bounds and a finite width max_score - "
+                f"min_score, got [{self.min_score}, {self.max_score}]"
+            )
         if self.level_count < 2:
             raise ConfigError(f"level_count must be >= 2, got {self.level_count}")
 

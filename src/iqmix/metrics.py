@@ -238,9 +238,12 @@ class DescriptionRating:
     def __post_init__(self) -> None:
         if self.dimension not in DESCRIPTION_DIMENSIONS:
             raise DataError(f"unknown description dimension {self.dimension!r}")
-        if self.rating not in (0, 1, 2):
+        # bool is an int subclass, and True == 1 == 1.0 would pass the range test.
+        if isinstance(self.rating, bool) or not isinstance(self.rating, int) \
+                or self.rating not in (0, 1, 2):
             raise DataError(
-                f"{self.dimension}: rating must be 0, 1 or 2, got {self.rating!r}"
+                f"{self.dimension}: rating must be the integer 0, 1 or 2, "
+                f"got {self.rating!r}"
             )
 
 

@@ -16,40 +16,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, MalformedLogitsError
-from .levels import FIVE_LEVEL_LABELS, LevelScale
+from .levels import FIVE_LEVEL_LABELS, LevelScale, _labels_for
 
 # Records score_batch buffers; their five-level rows are softmaxed as one array.
 CHUNK_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class LevelLogits:
-    """Raw (unnormalized) logits for one item, ordered bad..excellent."""
-
-    item_id: str
-    values: tuple[float, ...]
-    labels: tuple[str, ...] = FIVE_LEVEL_LABELS
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.labels):
-            raise MalformedLogitsError(
-                f"{self.item_id}: expected {len(self.labels)} logits, "
-                f"got {len(self.values)}"
-            )
-
-
-@dataclass(frozen=True)
-class LevelProbabilities:
-    """Closed-set softmax output; entries sum to 1 within 1e-9."""
-
-    values: tuple[float, ...]
-    labels: tuple[str, ...] = FIVE_LEVEL_LABELS
-
-
-@dataclass(frozen=True)
-class PredictedScore:
-    item_id: str
-    score: float
 
 
 def _check_finite(values: Sequence[float], labels: Sequence[str], item: str) -> None:
@@ -79,14 +49,10 @@ def _one_row(values: Sequence[float]) -> np.ndarray:
 
 
 def softmax_vector(values: Sequence[float]) -> tuple[float, ...]:
-    """Max-shifted softmax of one logit vector."""
+    """Closed-set, max-shifted softmax over one ordered logit vector; a
+    non-finite logit raises, naming its level."""
+    _check_finite(values, _labels_for(len(values)), "<vector>")
     return tuple(_softmax_rows(_one_row(values))[0].tolist())
-
-
-def softmax_levels(logits: LevelLogits) -> LevelProbabilities:
-    """Closed-set softmax over the level-token logits of one item."""
-    _check_finite(logits.values, logits.labels, logits.item_id)
-    return LevelProbabilities(softmax_vector(logits.values), logits.labels)
 
 
 def weighted_score(probabilities: Sequence[float]) -> float:
@@ -95,18 +61,12 @@ def weighted_score(probabilities: Sequence[float]) -> float:
 
 
 def score_from_logit_vector(values: Sequence[float]) -> float:
-    """Predicted score for an ordered logit vector of any level count >= 2."""
+    """Predicted score in [1, n] for an ordered logit vector of any level
+    count n >= 2: the one-row case of score_batch's chunk arithmetic, so
+    both give the same bits."""
     if len(values) < 2:
         raise MalformedLogitsError("need at least two level logits")
-    _check_finite(values, [f"level{i+1}" for i in range(len(values))], "<vector>")
-    return float(_weighted_rows(_softmax_rows(_one_row(values)))[0])
-
-
-def score_from_logits(logits: LevelLogits) -> PredictedScore:
-    """Predicted score in [1, level count] for one item: the one-row case of
-    score_batch's chunk arithmetic, so both give the same bits."""
-    _check_finite(logits.values, logits.labels, logits.item_id)
-    return PredictedScore(logits.item_id, score_from_logit_vector(logits.values))
+    return weighted_score(softmax_vector(values))
 
 
 def binary_score(x_good: float, x_poor: float) -> float:
@@ -173,14 +133,14 @@ def _parse_binary(obj: dict, line_no: int) -> tuple[str, float, float]:
 
 
 def _score_chunk(
-    pending: list[str | PredictedScore | BatchDiagnostic], rows: list[list[float]]
-) -> Iterator[PredictedScore | BatchDiagnostic]:
+    pending: list[str | tuple[str, float] | BatchDiagnostic], rows: list[list[float]]
+) -> Iterator[tuple[str, float] | BatchDiagnostic]:
     """Score the buffered five-level rows with one softmax and yield the
-    buffered items in line order, each row id as its PredictedScore."""
+    buffered items in line order, each row id as its (id, score) pair."""
     scores = iter(_weighted_rows(_softmax_rows(np.array(rows, dtype=np.float64))).tolist()
                   if rows else ())
     for item in pending:
-        yield PredictedScore(item, next(scores)) if isinstance(item, str) else item
+        yield (item, next(scores)) if isinstance(item, str) else item
 
 
 def score_batch(
@@ -188,8 +148,9 @@ def score_batch(
     *,
     binary: bool = False,
     strict: bool = False,
-) -> Iterator[PredictedScore | BatchDiagnostic]:
-    """Score a stream of line-delimited logit records, preserving order.
+) -> Iterator[tuple[str, float] | BatchDiagnostic]:
+    """Score a stream of line-delimited logit records, preserving order:
+    each valid record yields its (id, score) pair.
 
     Malformed records become BatchDiagnostic entries (with line numbers) in
     lenient mode; in strict mode the first malformed record raises, after
@@ -197,7 +158,7 @@ def score_batch(
     buffered CHUNK_ROWS at a time, and the five-level rows of a chunk are
     scored as one array.
     """
-    pending: list[str | PredictedScore | BatchDiagnostic] = []
+    pending: list[str | tuple[str, float] | BatchDiagnostic] = []
     rows: list[list[float]] = []  # the logits of the ids in pending
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -212,7 +173,7 @@ def score_batch(
                 raise MalformedLogitsError(f"line {line_no}: record is not an object")
             if binary:
                 item_id, x_good, x_poor = _parse_binary(obj, line_no)
-                pending.append(PredictedScore(item_id, binary_score(x_good, x_poor)))
+                pending.append((item_id, binary_score(x_good, x_poor)))
             else:
                 item_id, values = _parse_five_level(obj, line_no)
                 pending.append(item_id)

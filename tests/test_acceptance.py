@@ -17,7 +17,6 @@ import yaml
 from iqmix.cli import main as cli_main
 from iqmix.controller import run_loop
 from iqmix.datasets import (
-    MosRecord,
     emit_d1_pairs,
     load_pool,
     pool_stats,
@@ -30,10 +29,8 @@ from iqmix.metrics import PairedSample, conversion_precision, plcc, srcc
 from iqmix.mixopt import CoarseResult, MixRatio, SearchConfig, coarse_search
 from iqmix.oracle import SyntheticOracle
 from iqmix.scoring import (
-    LevelLogits,
     binary_score,
     score_from_logit_vector,
-    score_from_logits,
     softmax_vector,
     weighted_score,
 )
@@ -46,7 +43,7 @@ LOG_354 = math.log10(3.54)
 
 def test_criterion_01_weighted_score_from_logits():
     start = time.monotonic()
-    uniform = score_from_logits(LevelLogits("u", (0.0,) * 5)).score
+    uniform = score_from_logit_vector((0.0,) * 5)
     assert abs(uniform - 3.0) <= 1e-12
 
     # exact-rational oracle: weights 1:2:3:4:10, expected sum(i*w)/20 = 4
@@ -54,8 +51,8 @@ def test_criterion_01_weighted_score_from_logits():
     expected = Fraction(sum(i * w for i, w in enumerate(weights, start=1)),
                         sum(weights))
     assert expected == Fraction(4)
-    logits = LevelLogits("w", tuple(math.log(w) for w in weights))
-    assert abs(score_from_logits(logits).score - float(expected)) <= 1e-12
+    logits = tuple(math.log(w) for w in weights)
+    assert abs(score_from_logit_vector(logits) - float(expected)) <= 1e-12
     assert time.monotonic() - start < 1.0
 
 
@@ -228,9 +225,8 @@ def test_criterion_08_run_record_determinism(tmp_path):
 def test_criterion_09_d1_emission_and_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     scale = LevelScale(0.0, 100.0)
-    records = [MosRecord(f"img{i:04d}", float(v))
-               for i, v in enumerate(rng.uniform(0.0, 100.0, 500))]
-    pairs = emit_d1_pairs(records, scale)
+    mos = {f"img{i:04d}": float(v) for i, v in enumerate(rng.uniform(0.0, 100.0, 500))}
+    pairs = emit_d1_pairs(mos, scale)
 
     answer_re = re.compile(r"^The quality of the image is (\w+)\.$")
     for pair in pairs:
@@ -258,10 +254,10 @@ def test_criterion_10_subsampler_balances_skew():
         tail = rng.uniform(10.0, 60.0, n_tail)
         values = np.concatenate([body, tail])
         rng.shuffle(values)
-        records = [MosRecord(f"img{i:05d}", float(v)) for i, v in enumerate(values)]
+        mos = {f"img{i:05d}": float(v) for i, v in enumerate(values)}
 
-        source = pool_stats(records)
+        source = pool_stats(mos)
         assert abs(source.mean_mos - 72.0) < 1.0  # premise: heavily skewed source
-        sampled = pool_stats(subsample_balanced(records, 300, bins=10, seed=seed))
+        sampled = pool_stats(subsample_balanced(mos, 300, bins=10, seed=seed))
         assert sampled.std_mos > source.std_mos
         assert abs(sampled.mean_mos - 50.0) < abs(source.mean_mos - 50.0)

@@ -9,8 +9,6 @@ import yaml
 
 from iqmix.cli import _config_hash, main
 from iqmix.datasets import load_pool, write_pairs
-from iqmix.levels import LevelScale
-from iqmix.datasets import MosRecord, emit_d1_pairs
 
 from conftest import make_pairs
 
@@ -64,6 +62,13 @@ class TestConvert:
         out = tmp_path / "out.jsonl"
         assert run_cli("convert", mos_file, "--scale-min", 100, "--scale-max", 0,
                        "--out", out) == 2
+
+    def test_infinite_scale_bound_is_config_error(self, tmp_path, mos_file, capsys):
+        out = tmp_path / "out.jsonl"
+        assert run_cli("convert", mos_file, "--scale-min", 0, "--scale-max", "inf",
+                       "--out", out) == 2
+        assert "finite bounds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert run_cli("convert", tmp_path / "nope.csv", "--scale-min", 0,
@@ -141,6 +146,15 @@ class TestScore:
         assert run_cli("score", logits_file, "--rescale", 0, 100, "--out", out) == 0
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert rows[0]["score"] == 50.0
+
+    def test_overflowing_rescale_width_is_config_error(self, tmp_path, logits_file, capsys):
+        out = tmp_path / "scores.jsonl"
+        # argparse reads "-1e308" as an option name; the integer spelling is
+        # the same float.
+        assert run_cli("score", logits_file, "--rescale", -10**308, "1e308",
+                       "--out", out) == 2
+        assert "finite width" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_input_empty_output_zero_exit(self, tmp_path):
         src = tmp_path / "empty.jsonl"
@@ -264,6 +278,17 @@ class TestEvalMcqDesc:
         assert doc["dimensions"]["precision"]["score"] == pytest.approx(1.0)
         assert doc["sum"] == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("rating", ["1.7", "true", '"2"', "3"])
+    def test_desc_rating_must_be_integer(self, tmp_path, capsys, rating):
+        path = tmp_path / "ratings.jsonl"
+        rows = [f'{{"id": "r", "dimension": "{dim}", "rating": 1}}'
+                for dim in ("completeness", "precision", "relevance")]
+        rows.append(f'{{"id": "r", "dimension": "precision", "rating": {rating}}}')
+        path.write_text("\n".join(rows) + "\n")
+        assert run_cli("eval-desc", path) == 1
+        assert (f"line 4: precision: rating must be the integer 0, 1 or 2, "
+                f"got {json.loads(rating)!r}") in capsys.readouterr().err
+
     def test_desc_missing_dimension(self, tmp_path):
         path = tmp_path / "ratings.jsonl"
         path.write_text(json.dumps({"id": "r", "dimension": "precision", "rating": 1}) + "\n")
@@ -291,6 +316,12 @@ class TestSubsample:
     def test_infeasible_target(self, tmp_path, mos_file):
         assert run_cli("subsample", mos_file, "--target", 10000,
                        "--out", tmp_path / "o.csv") == 1
+
+    def test_negative_target_is_data_error(self, tmp_path, mos_file, capsys):
+        out = tmp_path / "o.csv"
+        assert run_cli("subsample", mos_file, "--target", -1, "--out", out) == 1
+        assert "target_size must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_mos_is_data_error(self, tmp_path, mos_file, capsys, bad):

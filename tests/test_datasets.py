@@ -15,7 +15,6 @@ from iqmix.datasets import (
     SCORING_SYSTEM_PREFIX,
     InstructionPair,
     Manifest,
-    MosRecord,
     PoolSet,
     emit_d1_pairs,
     ingest_mos,
@@ -45,8 +44,9 @@ class TestIngestMos:
     def test_basic(self, tmp_path):
         path = tmp_path / "mos.csv"
         write_mos_csv(path, ["a,10", "b,50", "c,90"])
-        records, stats = ingest_mos(path, LevelScale(0, 100))
-        assert [r.image_id for r in records] == ["a", "b", "c"]
+        mos = ingest_mos(path, LevelScale(0, 100))
+        assert list(mos) == ["a", "b", "c"]
+        stats = pool_stats(mos)
         assert stats.size == 3
         assert stats.mean_mos == pytest.approx(50.0)
         assert stats.std_mos == pytest.approx(np.std([10, 50, 90]))
@@ -54,8 +54,7 @@ class TestIngestMos:
     def test_single_row_zero_std(self, tmp_path):
         path = tmp_path / "mos.csv"
         write_mos_csv(path, ["a,42"])
-        _, stats = ingest_mos(path, LevelScale(0, 100))
-        assert stats.std_mos == 0.0
+        assert pool_stats(ingest_mos(path, LevelScale(0, 100))).std_mos == 0.0
 
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "mos.csv"
@@ -74,9 +73,9 @@ class TestIngestMos:
         path = tmp_path / "mos.csv"
         write_mos_csv(path, ["a,10", "b,120", "c,junk", "d,90"])
         with caplog.at_level(logging.WARNING):
-            records, stats = ingest_mos(path, LevelScale(0, 100), strict=False)
-        assert [r.image_id for r in records] == ["a", "d"]
-        assert stats.size == 2
+            mos = ingest_mos(path, LevelScale(0, 100), strict=False)
+        assert list(mos) == ["a", "d"]
+        assert pool_stats(mos).size == 2
         assert sum("skipping row" in m for m in caplog.messages) == 2
 
     def test_empty_is_error(self, tmp_path):
@@ -88,14 +87,12 @@ class TestIngestMos:
     def test_custom_delimiter(self, tmp_path):
         path = tmp_path / "mos.tsv"
         path.write_text("image_id\tmos\na\t33\n", encoding="utf-8")
-        records, _ = ingest_mos(path, LevelScale(0, 100), delimiter="\t")
-        assert records[0].mos == 33.0
+        assert ingest_mos(path, LevelScale(0, 100), delimiter="\t") == {"a": 33.0}
 
     def test_without_scale_no_range_check(self, tmp_path):
         path = tmp_path / "mos.csv"
         write_mos_csv(path, ["a,-4.5", "b,250"])
-        records, _ = ingest_mos(path)
-        assert [(r.image_id, r.mos) for r in records] == [("a", -4.5), ("b", 250.0)]
+        assert list(ingest_mos(path).items()) == [("a", -4.5), ("b", 250.0)]
 
     @pytest.mark.parametrize("scale", [None, LevelScale(0, 100)], ids=["no-scale", "scale"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
@@ -109,9 +106,9 @@ class TestIngestMos:
         path = tmp_path / "mos.csv"
         write_mos_csv(path, ["a,10", "b,nan", "c,30", "d,inf"])
         with caplog.at_level(logging.WARNING):
-            records, stats = ingest_mos(path, strict=False)
-        assert [r.image_id for r in records] == ["a", "c"]
-        assert stats.mean_mos == 20.0
+            mos = ingest_mos(path, strict=False)
+        assert list(mos) == ["a", "c"]
+        assert pool_stats(mos).mean_mos == 20.0
         assert [m for m in caplog.messages if "non-finite mos" in m] == [
             f"skipping row: {path}: row 3: non-finite mos nan",
             f"skipping row: {path}: row 5: non-finite mos inf",
@@ -128,12 +125,12 @@ class TestIngestMos:
         path = tmp_path / "mos.csv"
         write_mos_csv(path, ["a,10", "b,20", "a,30"])
         with caplog.at_level(logging.WARNING):
-            records, _ = ingest_mos(path, LevelScale(0, 100), strict=False)
-        assert [(r.image_id, r.mos) for r in records] == [("a", 10.0), ("b", 20.0)]
+            mos = ingest_mos(path, LevelScale(0, 100), strict=False)
+        assert list(mos.items()) == [("a", 10.0), ("b", 20.0)]
         assert any("duplicate image_id 'a'" in m for m in caplog.messages)
 
 
-def skewed_records(seed: int, n: int = 20000) -> list[MosRecord]:
+def skewed_records(seed: int, n: int = 20000) -> dict[str, float]:
     """High-MOS body with a thin low tail, like in-the-wild photo datasets."""
     rng = np.random.default_rng(seed)
     n_tail = n // 100
@@ -141,18 +138,18 @@ def skewed_records(seed: int, n: int = 20000) -> list[MosRecord]:
     tail = rng.uniform(10.0, 60.0, n_tail)
     values = np.concatenate([body, tail])
     rng.shuffle(values)
-    return [MosRecord(f"img{i:05d}", float(v)) for i, v in enumerate(values)]
+    return {f"img{i:05d}": float(v) for i, v in enumerate(values)}
 
 
 class TestSubsampleBalanced:
     def test_uniform_quota_exact(self):
         rng = np.random.default_rng(1)
-        records = [MosRecord(str(i), float(v)) for i, v in enumerate(rng.uniform(0, 100, 1000))]
+        records = {str(i): float(v) for i, v in enumerate(rng.uniform(0, 100, 1000))}
         subset = subsample_balanced(records, 100, bins=10, seed=0)
         assert len(subset) == 100
-        width = (max(r.mos for r in records) - min(r.mos for r in records)) / 10
-        lo = min(r.mos for r in records)
-        bins = Counter(min(int((r.mos - lo) / width), 9) for r in subset)
+        width = (max(records.values()) - min(records.values())) / 10
+        lo = min(records.values())
+        bins = Counter(min(int((mos - lo) / width), 9) for mos in subset.values())
         assert all(9 <= bins[b] <= 11 for b in range(10))
 
     def test_exact_target_size(self):
@@ -169,7 +166,8 @@ class TestSubsampleBalanced:
 
     def test_identity_when_target_is_all(self):
         records = skewed_records(1, 50)
-        assert subsample_balanced(records, 50, seed=0) == records
+        subset = subsample_balanced(records, 50, seed=0)
+        assert list(subset.items()) == list(records.items())
 
     def test_infeasible_target(self):
         with pytest.raises(DataError):
@@ -178,10 +176,11 @@ class TestSubsampleBalanced:
     def test_submultiset_and_order(self):
         records = skewed_records(3, 500)
         subset = subsample_balanced(records, 120, seed=5)
-        ids = [r.image_id for r in records]
-        positions = [ids.index(r.image_id) for r in subset]
+        ids = list(records)
+        positions = [ids.index(image_id) for image_id in subset]
         assert positions == sorted(positions)  # a subsequence of the input
         assert len(set(positions)) == len(positions)  # no fabricated records
+        assert all(subset[i] == records[i] for i in subset)
 
     def test_deterministic(self):
         records = skewed_records(4, 2000)
@@ -195,21 +194,19 @@ class TestSubsampleBalanced:
 class TestEmitD1Pairs:
     def test_answer_levels(self):
         scale = LevelScale(0.0, 100.0)
-        records = [MosRecord("hi", 85.0), MosRecord("lo", 0.0), MosRecord("mid", 50.0)]
-        pairs = emit_d1_pairs(records, scale)
+        pairs = emit_d1_pairs({"hi": 85.0, "lo": 0.0, "mid": 50.0}, scale)
         assert pairs[0].answer == "The quality of the image is excellent."
         assert pairs[1].answer == "The quality of the image is bad."
         assert pairs[2].answer == "The quality of the image is fair."
 
     def test_system_prefix_verbatim(self):
-        pairs = emit_d1_pairs([MosRecord(str(i), float(i)) for i in range(60)],
-                              LevelScale(0.0, 100.0))
+        pairs = emit_d1_pairs({str(i): float(i) for i in range(60)}, LevelScale(0.0, 100.0))
         assert all(p.system == "Assume you are an image quality evaluator" for p in pairs)
         assert all(p.question == D1_QUESTION for p in pairs)
 
     def test_exactly_one_level_label_per_answer(self):
         rng = np.random.default_rng(31)
-        records = [MosRecord(str(i), float(v)) for i, v in enumerate(rng.uniform(0, 100, 300))]
+        records = {str(i): float(v) for i, v in enumerate(rng.uniform(0, 100, 300))}
         pairs = emit_d1_pairs(records, LevelScale(0.0, 100.0))
         pattern = re.compile(r"^The quality of the image is (\w+)\.$")
         for pair in pairs:
@@ -220,9 +217,9 @@ class TestEmitD1Pairs:
             assert sum(pair.answer.count(lbl) for lbl in FIVE_LEVEL_LABELS) == 1
 
     def test_count_and_order_preserved(self):
-        records = [MosRecord(f"r{i}", float(i)) for i in range(100)]
+        records = {f"r{i}": float(i) for i in range(100)}
         pairs = emit_d1_pairs(records, LevelScale(0.0, 100.0))
-        assert [p.id for p in pairs] == [r.image_id for r in records]
+        assert [p.id for p in pairs] == list(records)
 
     def test_d1_requires_prefix(self):
         with pytest.raises(DataError):
@@ -232,8 +229,7 @@ class TestEmitD1Pairs:
 class TestPoolRoundTrip:
     def test_write_load_identity(self, tmp_path):
         scale = LevelScale(0.0, 100.0)
-        records = [MosRecord(f"img{i}", float(i * 7 % 101)) for i in range(40)]
-        pairs = emit_d1_pairs(records, scale)
+        pairs = emit_d1_pairs({f"img{i}": float(i * 7 % 101) for i in range(40)}, scale)
         path_a = tmp_path / "a.jsonl"
         write_pairs(pairs, path_a)
         loaded = [pair for _, pair in read_pairs(path_a, "D1")]
@@ -254,7 +250,7 @@ class TestPoolRoundTrip:
         assert len(obj["conversations"]) == 4
 
     def test_inline_system_flag(self):
-        pair = emit_d1_pairs([MosRecord("x", 50.0)], LevelScale(0, 100))[0]
+        pair = emit_d1_pairs({"x": 50.0}, LevelScale(0, 100))[0]
         obj = json.loads(pair_to_json(pair, inline_system=True))
         assert "system" not in obj
         assert obj["conversations"][0]["value"].startswith(SCORING_SYSTEM_PREFIX + "\n")
@@ -293,7 +289,7 @@ class TestPoolRoundTrip:
 
     def test_d1_without_prefix_names_line(self, tmp_path):
         path = tmp_path / "d1.jsonl"
-        good = emit_d1_pairs([MosRecord("ok", 50.0)], LevelScale(0, 100))[0]
+        good = emit_d1_pairs({"ok": 50.0}, LevelScale(0, 100))[0]
         unprefixed = InstructionPair("a", "a.jpg", None, "q", "a", "D2")
         write_pairs([good, unprefixed], path)
         with pytest.raises(DataError, match="scoring system prefix") as exc:

@@ -82,6 +82,9 @@ class TestLevelScale:
             LevelScale(5.0, 5.0)
         with pytest.raises(ConfigError):
             LevelScale(5.0, 1.0)
+        for lo, hi in ((0.0, float("inf")), (float("-inf"), 0.0), (-1e308, 1e308)):
+            with pytest.raises(ConfigError, match="finite bounds"):
+                LevelScale(lo, hi)
 
     def test_invalid_count(self):
         with pytest.raises(ConfigError):

@@ -12,13 +12,10 @@ from iqmix.levels import LevelScale
 from iqmix.scoring import (
     CHUNK_ROWS,
     BatchDiagnostic,
-    LevelLogits,
     binary_score,
     rescale_score,
     score_batch,
     score_from_logit_vector,
-    score_from_logits,
-    softmax_levels,
     softmax_vector,
     weighted_score,
 )
@@ -28,32 +25,28 @@ LN_WEIGHTS = tuple(math.log(k) for k in (1, 2, 3, 4, 10))
 
 class TestSoftmaxLevels:
     def test_uniform(self):
-        probs = softmax_levels(LevelLogits("x", (0.0,) * 5))
-        assert probs.values == pytest.approx((0.2,) * 5, abs=1e-15)
+        probs = softmax_vector((0.0,) * 5)
+        assert probs == pytest.approx((0.2,) * 5, abs=1e-15)
 
     def test_exact_rational_weights(self):
         # weights 1:2:3:4:10 over total 20, computed independently in exact
         # rational arithmetic
         expected = [float(Fraction(k, 20)) for k in (1, 2, 3, 4, 10)]
-        probs = softmax_levels(LevelLogits("x", LN_WEIGHTS))
-        assert probs.values == pytest.approx(expected, abs=1e-12)
+        probs = softmax_vector(LN_WEIGHTS)
+        assert probs == pytest.approx(expected, abs=1e-12)
 
     def test_dominant_logit(self):
-        probs = softmax_levels(LevelLogits("x", (-100.0, -100.0, -100.0, -100.0, 100.0)))
-        assert probs.values == pytest.approx((0, 0, 0, 0, 1), abs=1e-12)
+        probs = softmax_vector((-100.0, -100.0, -100.0, -100.0, 100.0))
+        assert probs == pytest.approx((0, 0, 0, 0, 1), abs=1e-12)
 
     def test_nan_names_level(self):
         with pytest.raises(MalformedLogitsError) as exc:
-            softmax_levels(LevelLogits("x", (0.0, 0.0, float("nan"), 0.0, 0.0)))
+            softmax_vector((0.0, 0.0, float("nan"), 0.0, 0.0))
         assert "fair" in str(exc.value)
 
     def test_inf_rejected(self):
         with pytest.raises(MalformedLogitsError):
-            softmax_levels(LevelLogits("x", (0.0, 0.0, 0.0, 0.0, float("inf"))))
-
-    def test_wrong_arity(self):
-        with pytest.raises(MalformedLogitsError):
-            LevelLogits("x", (0.0, 0.0, 0.0))
+            softmax_vector((0.0, 0.0, 0.0, 0.0, float("inf")))
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
@@ -69,16 +62,16 @@ class TestSoftmaxLevels:
 
 class TestScoreFromLogits:
     def test_uniform(self):
-        assert score_from_logits(LevelLogits("x", (0.0,) * 5)).score == pytest.approx(3.0, abs=1e-12)
+        assert score_from_logit_vector((0.0,) * 5) == pytest.approx(3.0, abs=1e-12)
 
     def test_exact_rational(self):
         # (1*1 + 2*2 + 3*3 + 4*4 + 5*10)/20 = 80/20 = 4, exactly
         expected = Fraction(sum(i * w for i, w in enumerate((1, 2, 3, 4, 10), start=1)), 20)
         assert expected == 4
-        assert score_from_logits(LevelLogits("x", LN_WEIGHTS)).score == pytest.approx(4.0, abs=1e-12)
+        assert score_from_logit_vector(LN_WEIGHTS) == pytest.approx(4.0, abs=1e-12)
 
     def test_point_mass(self):
-        score = score_from_logits(LevelLogits("x", (-100.0,) * 4 + (100.0,))).score
+        score = score_from_logit_vector((-100.0,) * 4 + (100.0,))
         assert score == pytest.approx(5.0, abs=1e-12)
 
     def test_shift_invariance(self):
@@ -103,6 +96,16 @@ class TestScoreFromLogits:
         for _ in range(200):
             score = score_from_logit_vector(tuple(rng.normal(0, 20, 5)))
             assert 1.0 <= score <= 5.0
+
+    @pytest.mark.parametrize("values, level", [
+        ((0.0, 0.0, float("nan"), 0.0, 0.0), "fair"),
+        ((float("-inf"), 0.0), "poor"),
+        ((0.0, 0.0, 0.0, float("inf")), "level4"),
+    ])
+    def test_non_finite_names_level(self, values, level):
+        with pytest.raises(MalformedLogitsError,
+                           match=f"<vector>: non-finite logit for level '{level}'"):
+            score_from_logit_vector(values)
 
 
 class TestBinaryScore:
@@ -155,8 +158,8 @@ class TestScoreBatch:
             _record("c", (-100, -100, -100, -100, 100)),
         )
         out = list(score_batch(lines))
-        assert [r.item_id for r in out] == ["a", "b", "c"]
-        assert out[0].score == pytest.approx(3.0)
+        assert [item_id for item_id, _ in out] == ["a", "b", "c"]
+        assert out[0][1] == pytest.approx(3.0)
 
     def test_lenient_reports_line_numbers(self):
         lines = _lines(_record("a", (0, 0, 0, 0, 0))) + ["{broken"] + _lines(
@@ -186,27 +189,27 @@ class TestScoreBatch:
     def test_blank_lines_skipped(self):
         lines = ["", "   "] + _lines(_record("a", (0, 0, 0, 0, 0)))
         out = list(score_batch(lines))
-        assert len(out) == 1 and out[0].item_id == "a"
+        assert len(out) == 1 and out[0][0] == "a"
 
     def test_finite_logits_whose_sum_overflows_are_scored(self):
         lines = _lines(_record("a", (1e308, 1e308, 0.0, 0.0, 0.0)),
                        _record("b", (1e308, 0.0, 0.0, 0.0, float("nan"))))
         out = list(score_batch(lines))
-        assert out[0] == score_from_logits(LevelLogits("a", (1e308, 1e308, 0.0, 0.0, 0.0)))
-        assert out[0].score == 1.5
+        assert out[0] == ("a", score_from_logit_vector((1e308, 1e308, 0.0, 0.0, 0.0)))
+        assert out[0][1] == 1.5
         assert out[1] == BatchDiagnostic(2, "b: non-finite logit for level 'excellent'")
 
     def test_binary_mode(self):
         lines = [json.dumps({"id": "q", "good": math.log(3), "poor": 0.0})]
         out = list(score_batch(lines, binary=True))
-        assert out[0].score == pytest.approx(0.75, abs=1e-12)
+        assert out[0][1] == pytest.approx(0.75, abs=1e-12)
 
     def test_binary_missing_field(self):
         out = list(score_batch([json.dumps({"id": "q", "good": 1.0})], binary=True))
         assert isinstance(out[0], BatchDiagnostic)
 
     def test_score_serialization_round_trips(self):
-        score = score_from_logits(LevelLogits("x", LN_WEIGHTS)).score
+        score = score_from_logit_vector(LN_WEIGHTS)
         assert json.loads(json.dumps({"score": score}))["score"] == score
 
 
@@ -241,11 +244,11 @@ class TestScoreBatchMatchesPerRecord:
                 bad_lines.append(i + 1)
                 continue
             lines.append(json.dumps(_record(f"r{i}", row)))
-            score = score_from_logits(LevelLogits(f"r{i}", tuple(row))).score
+            score = score_from_logit_vector(row)
             assert score == _reference_score(row)
             expected.append((f"r{i}", score))
         out = list(score_batch(lines))
-        got = [(r.item_id, r.score) for r in out if not isinstance(r, BatchDiagnostic)]
+        got = [r for r in out if not isinstance(r, BatchDiagnostic)]
         assert got == expected
         assert all(type(score) is float for _, score in got)
         assert [r.line_no for r in out if isinstance(r, BatchDiagnostic)] == bad_lines
@@ -263,5 +266,5 @@ class TestScoreBatchMatchesPerRecord:
         with pytest.raises(MalformedLogitsError, match=f"r{bad_at}: missing logit"):
             for item in score_batch(lines, strict=True):
                 got.append(item)
-        assert [(r.item_id, r.score) for r in got] == [
+        assert got == [
             (f"r{i}", _reference_score(row)) for i, row in enumerate(rows[:bad_at])]

@@ -299,3 +299,36 @@ def test_eval_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
         digests[f"{name}.stderr"] = _sha(printed.err)
         digests[argv[-1]] = _sha((tmp_path / argv[-1]).read_bytes())
     assert digests == GOLDEN_EVAL
+
+
+# Growing the interpreting pools ------------------------------------------------
+
+GOLDEN_GROW = {
+    "grow/manifests/epoch01.jsonl":
+        "74e709d4aa56fa36897c319cd01252464cd37b46eb2f2685c218d756a82a0ac9",
+    "grow/manifests/epoch02.jsonl":
+        "d0fa8c57b1d6a116dae811d28b1965ce7a7733232af342ea1f60ce6086d64733",
+    "grow/manifests/epoch03.jsonl":
+        "c2103975fcec0b7349aa9eab477b2625533e4cd67a71fee0b5dc4666652540bc",
+    "grow/trajectory.jsonl":
+        "1410ed9ef5ebb5917f7914f49bb11e56e9051d5a9316a190dfd0311aaaac6046",
+}
+
+
+def test_mix_adjust_growth_is_byte_identical(tmp_path, monkeypatch):
+    """The golden mix-adjust only holds, so it never splits a grown D2+D3
+    total. Raising the reference loss ratio by half makes every epoch grow
+    the interpreting pools, which pins the D2:D3 split."""
+    _run(tmp_path, monkeypatch)
+    coarse = json.loads((tmp_path / "search" / "coarse_result.json").read_text())
+    coarse["lambda_loss"] *= 1.5
+    (tmp_path / "grow_coarse.json").write_text(json.dumps(coarse), encoding="utf-8")
+    assert main(["mix-adjust", "--config", "config.yaml",
+                 "--coarse-result", "grow_coarse.json",
+                 "--out-dir", "grow", "--max-epochs", "3"]) == 0
+    epochs = [json.loads(line) for line in
+              (tmp_path / "grow" / "trajectory.jsonl").read_text().splitlines()[1:]]
+    assert [e["action"] for e in epochs] == ["increase_interpreting"] * 3
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_GROW}
+    assert digests == GOLDEN_GROW

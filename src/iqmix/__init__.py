@@ -9,12 +9,11 @@ from .levels import (
     FrequencyVector,
     LevelScale,
     RatingLevel,
-    level_to_score,
     mos_from_frequencies,
     score_to_level,
 )
 from .scoring import binary_score, score_from_logit_vector, softmax_vector, weighted_score
-from .metrics import PairedSample, avg_metric, conversion_precision, plcc, srcc
+from .metrics import PairedSample, conversion_precision, plcc, srcc
 
 __all__ = [
     "__version__",
@@ -22,7 +21,6 @@ __all__ = [
     "FrequencyVector",
     "LevelScale",
     "RatingLevel",
-    "level_to_score",
     "mos_from_frequencies",
     "score_to_level",
     "binary_score",
@@ -30,7 +28,6 @@ __all__ = [
     "softmax_vector",
     "weighted_score",
     "PairedSample",
-    "avg_metric",
     "conversion_precision",
     "plcc",
     "srcc",

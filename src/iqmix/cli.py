@@ -10,6 +10,7 @@ values, and IQMIX_-prefixed environment variables supply flag defaults.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
@@ -17,7 +18,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -88,23 +88,6 @@ def _resolve(*values, default=None):
 # Run records ------------------------------------------------------------------
 
 
-@dataclass
-class RunRecord:
-    command: str
-    config_hash: str
-    seed: int
-    tool_version: str
-    outputs: list[str]
-    started: str
-    finished: str
-
-    def write(self, path: Path) -> None:
-        path.write_text(
-            json.dumps(self.__dict__, indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
-
-
 def _config_hash(flags: dict, input_paths: Sequence[str | Path]) -> str:
     digest = hashlib.sha256()
     digest.update(json.dumps(flags, sort_keys=True, default=str).encode("utf-8"))
@@ -125,15 +108,17 @@ def _write_run_record(
     started: str,
     record_path: Path,
 ) -> None:
-    RunRecord(
-        command=command,
-        config_hash=_config_hash(flags, inputs),
-        seed=seed,
-        tool_version=__version__,
-        outputs=[str(p) for p in outputs],
-        started=started,
-        finished=_now(),
-    ).write(record_path)
+    record = {
+        "command": command,
+        "config_hash": _config_hash(flags, inputs),
+        "seed": seed,
+        "tool_version": __version__,
+        "outputs": [str(p) for p in outputs],
+        "started": started,
+        "finished": _now(),
+    }
+    record_path.write_text(json.dumps(record, indent=2, ensure_ascii=False) + "\n",
+                           encoding="utf-8")
 
 
 def _now() -> str:
@@ -243,6 +228,11 @@ def cmd_score(args: argparse.Namespace) -> int:
         if binary:
             raise ConfigError("--rescale applies to five-level mode only")
         rescale = LevelScale(args.rescale[0], args.rescale[1])
+        # rescale_score's product (score - 1) * width reaches width * (n - 1).
+        width = rescale.max_score - rescale.min_score
+        if not math.isfinite(width * (rescale.level_count - 1)):
+            raise ConfigError(f"--rescale range {args.rescale} is too wide: "
+                              f"scores would overflow to infinity")
     out = Path(args.out)
     diagnostics = 0
     encode_id = json.encoder.encode_basestring_ascii
@@ -256,10 +246,8 @@ def cmd_score(args: argparse.Namespace) -> int:
             item_id, score = item
             if rescale is not None:
                 score = rescale_score(score, rescale)
-            # The bytes json.dumps writes. It spells a non-finite float (from an
-            # overflowing --rescale range) NaN or Infinity where repr does not.
-            text = repr(score) if math.isfinite(score) else json.dumps(score)
-            dst.write(f'{{"id": {encode_id(item_id)}, "score": {text}}}\n')
+            # repr is the bytes json.dumps writes for a finite float.
+            dst.write(f'{{"id": {encode_id(item_id)}, "score": {score!r}}}\n')
     if diagnostics:
         print(f"{diagnostics} malformed record(s) skipped", file=sys.stderr)
 
@@ -350,10 +338,10 @@ def cmd_subsample(args: argparse.Namespace) -> int:
     mos = ingest_mos(args.mos_file, delimiter=args.delimiter)
     subset = subsample_balanced(mos, args.target, bins=args.bins, seed=seed)
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write("image_id,mos\n")
-        for image_id, value in subset.items():
-            handle.write(f"{image_id},{value!r}\n")
+    with open(out, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("image_id", "mos"))
+        writer.writerows((image_id, repr(value)) for image_id, value in subset.items())
     print(f"subsampled {len(subset)} of {len(mos)} records into {out}")
 
     _write_run_record(
@@ -414,6 +402,8 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
     out_dir = Path(_resolve(args.out_dir, conf.get("out_dir"), default="mix-search-run"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    if conf.get("axis", "log10") != "log10":
+        raise ConfigError(f"axis must be log10 (the only sweep axis), got {conf['axis']!r}")
     pools = _load_pools(conf)
     oracle = _build_oracle(conf)
     grid_conf = conf.get("grid") or {}
@@ -423,7 +413,6 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
         repeats=int(repeats),
         jobs=int(jobs),
         scoring_weight=float(conf.get("scoring_weight", 0.5)),
-        axis=conf.get("axis", "log10"),
         stage1_ratios=tuple(grid_conf["stage1"]) if grid_conf.get("stage1") else None,
         stage2_ratios=tuple(grid_conf["stage2"]) if grid_conf.get("stage2") else None,
     )
@@ -458,10 +447,10 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
-        coarse_doc = json.loads(Path(args.coarse_result).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        coarse = coarse_result_from_dict(
+            json.loads(Path(args.coarse_result).read_text(encoding="utf-8")))
+    except (OSError, json.JSONDecodeError, DataError) as exc:
         raise DataError(f"cannot read coarse result {args.coarse_result}: {exc}")
-    coarse = coarse_result_from_dict(coarse_doc)
 
     pools = _load_pools(conf)
     oracle = _build_oracle(conf)

@@ -2,15 +2,17 @@
 
 Each epoch's scoring/interpreting validation loss ratio is compared against
 the reference ratio captured by the coarse search. A ratio below the
-tolerance band grows the combined interpreting pools (split at the coarse
-D2:D3 ratio); above the band grows D1; inside the band holds. Counts only
-ever grow, matching the one-directional adjustment rule.
+tolerance band grows the combined interpreting pools (split at the D2:D3
+ratio of the coarse mix_ratio weights); above the band grows D1; inside the
+band holds. Counts only ever grow, matching the one-directional adjustment
+rule.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Literal, Mapping
@@ -52,6 +54,20 @@ class AdjustmentDecision:
     new_counts: dict[str, int]
 
 
+def check_controls(lambda_loss: float, tolerance: float, factor: float,
+                   split: float) -> None:
+    """Reject a reference ratio, tolerance, growth factor or D2:D3 split that
+    decide() cannot act on; a NaN fails every test."""
+    if not 0.0 < lambda_loss < math.inf:
+        raise ConfigError(f"lambda_loss must be finite and positive, got {lambda_loss!r}")
+    if not 0.0 <= tolerance < 1.0:
+        raise ConfigError(f"tolerance must be in [0, 1), got {tolerance!r}")
+    if not 1.0 < factor < math.inf:
+        raise ConfigError(f"factor must be finite and > 1, got {factor!r}")
+    if not 0.0 < split < math.inf:
+        raise ConfigError(f"D2:D3 split must be finite and positive, got {split!r}")
+
+
 def decide(
     obs: EpochObservation,
     lambda_loss: float,
@@ -66,15 +82,7 @@ def decide(
     the coarse D2:D3 ratio); ratio > lambda*(1+tol) grows D1 by `factor`;
     otherwise hold. Counts round half-up.
     """
-    if lambda_loss <= 0:
-        raise ConfigError(f"lambda_loss must be positive, got {lambda_loss}")
-    if not 0.0 <= tolerance < 1.0:
-        raise ConfigError(f"tolerance must be in [0, 1), got {tolerance}")
-    if factor <= 1.0:
-        raise ConfigError(f"factor must be > 1, got {factor}")
-    if d2_d3_ratio <= 0:
-        raise ConfigError(f"d2_d3_ratio must be positive, got {d2_d3_ratio}")
-
+    check_controls(lambda_loss, tolerance, factor, d2_d3_ratio)
     counts = {k: int(current_counts.get(k, 0)) for k in ("d1", "d2", "d3")}
     rho = obs.ratio
     if rho < lambda_loss * (1.0 - tolerance):
@@ -162,14 +170,6 @@ def read_trajectory(path: str | Path) -> Trajectory:
     return trajectory
 
 
-def _split_ratio(coarse: CoarseResult) -> float:
-    if coarse.d2_d3_ratio > 0:
-        return coarse.d2_d3_ratio
-    if coarse.ratio.d3 > 0:
-        return coarse.ratio.d2 / coarse.ratio.d3
-    raise ConfigError("coarse result carries no usable D2:D3 split ratio")
-
-
 def _append_line(handle: IO[str] | None, obj: dict) -> None:
     if handle is not None:
         handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
@@ -194,13 +194,17 @@ def run_loop(
     Epoch 1 trains at the coarse ratio scaled to the full D1 pool; every
     later epoch applies decide() to the previous epoch's losses and
     resamples the manifest (with replacement once a grown count exceeds its
-    pool). Ends at max_epochs or after two consecutive holds. The trajectory
-    file is append-only, so a mid-run oracle failure leaves the completed
-    epochs behind.
+    pool). Grown D2+D3 totals are split at the D2:D3 ratio of the coarse
+    weights. Ends at max_epochs or after two consecutive holds. Every
+    control is checked before the first oracle call. The trajectory file is
+    append-only, so a mid-run oracle failure leaves the completed epochs
+    behind.
     """
     if max_epochs < 1:
         raise ConfigError(f"max_epochs must be >= 1, got {max_epochs}")
-    split = _split_ratio(coarse)
+    weights = coarse.ratio
+    split = weights.d2 / weights.d3 if weights.d3 > 0 else math.inf
+    check_controls(coarse.lambda_loss, tolerance, factor, split)
     manifest_dir = Path(workdir) / "manifests"
     manifest_dir.mkdir(parents=True, exist_ok=True)
 

@@ -15,7 +15,6 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -395,22 +394,3 @@ def read_manifest_header(path: str | Path) -> dict:
     if not isinstance(header, dict) or "counts" not in header:
         raise DataError(f"{path}: manifest header lacks counts")
     return header
-
-
-def read_manifest(path: str | Path) -> Manifest:
-    """Read a manifest back: its header and its rows, rendered as
-    write_manifest writes them."""
-    header = read_manifest_header(path)
-    rows = []
-    for line_no, obj in islice(read_jsonl(path), 1, None):  # the header is line 1
-        try:
-            rows.append(manifest_row(obj["pool"], obj["source_line"], obj["id"]))
-        except (KeyError, TypeError):
-            raise DataError(f"{path}: line {line_no}: malformed manifest entry")
-    counts = {k: int(v) for k, v in header["counts"].items()}
-    return Manifest(
-        seed=int(header.get("seed", 0)),
-        counts=counts,
-        ratio={k: float(v) for k, v in header.get("ratio", _ratio_of(counts)).items()},
-        entries=rows,
-    )

@@ -35,7 +35,8 @@ def _labels_for(count: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class RatingLevel:
-    """One ordinal rating level; index is 1-based, low quality to high."""
+    """One ordinal rating level; index is 1-based, low quality to high, and
+    is also the integer score the level maps back to."""
 
     index: int
     label: str
@@ -73,11 +74,6 @@ class LevelScale:
         return tuple(
             RatingLevel(i + 1, label) for i, label in enumerate(self.labels)
         )
-
-    def level(self, index: int) -> RatingLevel:
-        if not 1 <= index <= self.level_count:
-            raise ConfigError(f"level index {index} outside 1..{self.level_count}")
-        return RatingLevel(index, self.labels[index - 1])
 
     def bin_edges(self) -> tuple[float, ...]:
         """All n+1 edges m + (k/n)(M-m), k = 0..n, strictly increasing; the
@@ -123,11 +119,6 @@ def quantize_scores(scores: Iterable[float], scale: LevelScale) -> np.ndarray:
     # side='left' counts edges strictly below s, so s on an edge stays in the
     # lower interval, matching score_to_level.
     return np.searchsorted(edges, arr, side="left").astype(np.int64) + 1
-
-
-def level_to_score(level: RatingLevel) -> int:
-    """Reverse mapping: level i becomes the integer score i."""
-    return level.index
 
 
 @dataclass(frozen=True)

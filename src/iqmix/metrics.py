@@ -108,11 +108,6 @@ def plcc(sample: PairedSample, *, logistic: bool = False) -> float:
     return _pearson(x, y, "a sequence")
 
 
-def avg_metric(sample: PairedSample) -> float:
-    """(SRCC + PLCC) / 2 on the same sample."""
-    return 0.5 * (srcc(sample) + plcc(sample))
-
-
 def conversion_precision(scores: Sequence[float], scale: LevelScale) -> tuple[float, float]:
     """SRCC/PLCC between scores and their quantize-then-invert round trip."""
     arr = np.asarray(scores, dtype=np.float64)

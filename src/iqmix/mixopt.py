@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .datasets import PoolSet, sample_mixture, write_manifest
-from .errors import ConfigError, RankDeficientFitError
+from .errors import ConfigError, DataError, RankDeficientFitError
 from .oracle import Oracle, OracleRequest, OracleResponse, realized_axes
 from .util import derive_seed, round_half_up
 
@@ -34,7 +34,6 @@ log = logging.getLogger(__name__)
 
 Stage = Literal["d2_vs_d3", "mixed_vs_d1"]
 STAGES = ("d2_vs_d3", "mixed_vs_d1")
-AxisKind = Literal["log10", "fraction"]
 
 
 @dataclass(frozen=True)
@@ -57,10 +56,6 @@ class MixRatio:
         """Compose d1=1 weights from the two stage ratios."""
         share = d2_d3 / (1.0 + d2_d3)
         return cls(1.0, mixed_d1 * share, mixed_d1 * (1.0 - share))
-
-    def normalized(self) -> tuple[float, float, float]:
-        total = self.d1 + self.d2 + self.d3
-        return (self.d1 / total, self.d2 / total, self.d3 / total)
 
     def counts_for_d1_base(self, d1_count: int) -> dict[str, int]:
         """Integer per-pool counts with D1 pinned to d1_count."""
@@ -93,20 +88,10 @@ class PerformancePoint:
             "loss_interpreting": self.loss_interpreting,
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PerformancePoint":
-        return cls(
-            ratio_axis_value=float(obj["axis"]),
-            performance=float(obj["performance"]),
-            repeats=int(obj["repeats"]),
-            loss_scoring=float(obj["loss_scoring"]),
-            loss_interpreting=float(obj["loss_interpreting"]),
-        )
-
 
 @dataclass(frozen=True)
 class FittedCurve:
-    """Least-squares degree-4 polynomial over the sweep axis.
+    """Least-squares degree-4 polynomial over the log10 ratio axis.
 
     Coefficients are ascending (c0..c4). Maximizer queries never leave
     fit_domain, so the curve is not used to extrapolate.
@@ -115,7 +100,6 @@ class FittedCurve:
     coefficients: tuple[float, float, float, float, float]
     fit_domain: tuple[float, float]
     residual_rms: float
-    axis: AxisKind = "log10"
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
         return npoly.polyval(x, np.asarray(self.coefficients))
@@ -125,17 +109,8 @@ class FittedCurve:
             "coefficients": list(self.coefficients),
             "fit_domain": list(self.fit_domain),
             "residual_rms": self.residual_rms,
-            "axis": self.axis,
+            "axis": "log10",
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FittedCurve":
-        return cls(
-            coefficients=tuple(float(c) for c in obj["coefficients"]),
-            fit_domain=(float(obj["fit_domain"][0]), float(obj["fit_domain"][1])),
-            residual_rms=float(obj["residual_rms"]),
-            axis=obj.get("axis", "log10"),
-        )
 
 
 def grid_ratios(stage: Stage) -> tuple[float, ...]:
@@ -304,24 +279,9 @@ def sweep(
     return points
 
 
-def _to_axis(log10_value: float, axis: AxisKind) -> float:
-    if axis == "log10":
-        return log10_value
-    ratio = 10.0 ** log10_value
-    return ratio / (1.0 + ratio)
-
-
-def axis_to_ratio(value: float, axis: AxisKind = "log10") -> float:
-    if axis == "log10":
-        return 10.0 ** value
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"fraction axis value must be in (0, 1), got {value}")
-    return value / (1.0 - value)
-
-
-def fit_curve(points: Sequence[PerformancePoint], axis: AxisKind = "log10") -> FittedCurve:
-    """Least-squares degree-4 fit of performance over the sweep axis."""
-    x = np.asarray([_to_axis(p.ratio_axis_value, axis) for p in points], dtype=np.float64)
+def fit_curve(points: Sequence[PerformancePoint]) -> FittedCurve:
+    """Least-squares degree-4 fit of performance over the log10 ratio axis."""
+    x = np.asarray([p.ratio_axis_value for p in points], dtype=np.float64)
     y = np.asarray([p.performance for p in points], dtype=np.float64)
     if len(np.unique(x)) < 5:
         raise RankDeficientFitError(
@@ -333,7 +293,6 @@ def fit_curve(points: Sequence[PerformancePoint], axis: AxisKind = "log10") -> F
         coefficients=tuple(float(c) for c in coef),
         fit_domain=(float(x.min()), float(x.max())),
         residual_rms=float(np.sqrt(np.mean(residuals * residuals))),
-        axis=axis,
     )
 
 
@@ -379,7 +338,6 @@ class SearchConfig:
     repeats: int = 3
     jobs: int = 1
     scoring_weight: float = 0.5
-    axis: AxisKind = "log10"
     stage1_ratios: tuple[float, ...] | None = None
     stage2_ratios: tuple[float, ...] | None = None
 
@@ -436,25 +394,17 @@ def coarse_result_to_dict(result: CoarseResult) -> dict:
 
 
 def coarse_result_from_dict(doc: dict) -> CoarseResult:
-    ratio = MixRatio(**{k: float(v) for k, v in doc["mix_ratio"].items()})
-    result = CoarseResult(
-        ratio=ratio,
-        lambda_loss=float(doc["lambda_loss"]),
-        confirmation=doc.get("confirmation", {}),
-        seed=int(doc.get("seed", 0)),
-        repeats=int(doc.get("repeats", 3)),
-    )
-    for stage_key, curve_attr, points_attr, ratio_attr in (
-        ("stage1", "stage1_curve", "stage1_points", "d2_d3_ratio"),
-        ("stage2", "stage2_curve", "stage2_points", "mixed_d1_ratio"),
-    ):
-        stage = doc.get(stage_key)
-        if stage:
-            setattr(result, curve_attr, FittedCurve.from_dict(stage["curve"]))
-            setattr(result, points_attr,
-                    [PerformancePoint.from_dict(p) for p in stage["points"]])
-            setattr(result, ratio_attr, float(stage["ratio"]))
-    return result
+    """The two fields the per-epoch controller uses: the mix_ratio weights
+    and lambda_loss. A missing or non-numeric one raises a DataError."""
+    try:
+        weights = doc["mix_ratio"]
+        values = (weights["d1"], weights["d2"], weights["d3"], doc["lambda_loss"])
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+            raise TypeError(f"mix_ratio weights and lambda_loss must be numbers, got {values}")
+        d1, d2, d3, lambda_loss = (float(v) for v in values)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise DataError(f"malformed coarse result ({exc!r})")
+    return CoarseResult(ratio=MixRatio(d1, d2, d3), lambda_loss=lambda_loss)
 
 
 def _persist(doc: dict, out_path: Path | None) -> None:
@@ -521,10 +471,10 @@ def coarse_search(
         _persist_partial(out, "d2_vs_d3", failure.cause, failure.completed,
                          None, config.seed, config.repeats)
         raise failure.cause
-    curve1 = fit_curve(pts1, config.axis)
+    curve1 = fit_curve(pts1)
     t1 = argmax_ratio(curve1)
     _warn_if_boundary("d2_vs_d3", t1, curve1)
-    d2_d3 = axis_to_ratio(t1, config.axis)
+    d2_d3 = 10.0 ** t1
 
     stage1_doc = _stage_result(curve1, pts1, t1, d2_d3)
     try:
@@ -538,10 +488,10 @@ def coarse_search(
         _persist_partial(out, "mixed_vs_d1", failure.cause, failure.completed,
                          stage1_doc, config.seed, config.repeats)
         raise failure.cause
-    curve2 = fit_curve(pts2, config.axis)
+    curve2 = fit_curve(pts2)
     t2 = argmax_ratio(curve2)
     _warn_if_boundary("mixed_vs_d1", t2, curve2)
-    mixed_d1 = axis_to_ratio(t2, config.axis)
+    mixed_d1 = 10.0 ** t2
 
     ratio = MixRatio.from_stage_ratios(d2_d3, mixed_d1)
     counts = ratio.counts_for_d1_base(len(pools.d1))

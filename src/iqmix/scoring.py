@@ -49,8 +49,10 @@ def _one_row(values: Sequence[float]) -> np.ndarray:
 
 
 def softmax_vector(values: Sequence[float]) -> tuple[float, ...]:
-    """Closed-set, max-shifted softmax over one ordered logit vector; a
-    non-finite logit raises, naming its level."""
+    """Closed-set, max-shifted softmax over one ordered logit vector of at
+    least two levels; a non-finite logit raises, naming its level."""
+    if len(values) < 2:
+        raise MalformedLogitsError(f"need at least two level logits, got {len(values)}")
     _check_finite(values, _labels_for(len(values)), "<vector>")
     return tuple(_softmax_rows(_one_row(values))[0].tolist())
 
@@ -64,8 +66,6 @@ def score_from_logit_vector(values: Sequence[float]) -> float:
     """Predicted score in [1, n] for an ordered logit vector of any level
     count n >= 2: the one-row case of score_batch's chunk arithmetic, so
     both give the same bits."""
-    if len(values) < 2:
-        raise MalformedLogitsError("need at least two level logits")
     return weighted_score(softmax_vector(values))
 
 

@@ -8,7 +8,8 @@ import pytest
 import yaml
 
 from iqmix.cli import _config_hash, main
-from iqmix.datasets import load_pool, write_pairs
+from iqmix.datasets import ingest_mos, load_pool, write_pairs
+from iqmix.oracle import SyntheticOracle
 
 from conftest import make_pairs
 
@@ -154,6 +155,13 @@ class TestScore:
         assert run_cli("score", logits_file, "--rescale", -10**308, "1e308",
                        "--out", out) == 2
         assert "finite width" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rescale_whose_scores_overflow_is_config_error(self, tmp_path, logits_file, capsys):
+        # the width 1e308 is finite, but (score - 1) * width reaches 4e308
+        out = tmp_path / "scores.jsonl"
+        assert run_cli("score", logits_file, "--rescale", 0, "1e308", "--out", out) == 2
+        assert "too wide" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_input_empty_output_zero_exit(self, tmp_path):
@@ -331,11 +339,34 @@ class TestSubsample:
         assert f"row 62: non-finite mos {bad}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ids_with_comma_and_quote_round_trip(self, tmp_path, mos_file):
+        mos_file.write_text(mos_file.read_text() + '"a,b",17.5\n"q""x",42.25\n')
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run_cli("subsample", mos_file, "--target", 62, "--out", first) == 0
+        assert ingest_mos(first) == ingest_mos(mos_file)
+        assert first.read_text().splitlines()[-2:] == ['"a,b",17.5', '"q""x",42.25']
+        assert run_cli("subsample", first, "--target", 62, "--out", second) == 0
+        assert second.read_bytes() == first.read_bytes()
+
     def test_duplicate_id_is_data_error(self, tmp_path, mos_file, capsys):
         mos_file.write_text(mos_file.read_text() + "img005,1\n")
         assert run_cli("subsample", mos_file, "--target", 20,
                        "--out", tmp_path / "o.csv") == 1
         assert "duplicate image_id 'img005'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """The manifest of every synthetic oracle call, in call order."""
+    calls = []
+    evaluate = SyntheticOracle.evaluate
+
+    def counting(self, request):
+        calls.append(request.manifest_path)
+        return evaluate(self, request)
+
+    monkeypatch.setattr(SyntheticOracle, "evaluate", counting)
+    return calls
 
 
 def write_pools_and_config(tmp_path, n1=120, n2=400, n3=400, oracle=None,
@@ -444,6 +475,13 @@ class TestMixSearch:
                        "--out-dir", tmp_path / "run") == 2
         assert "jobs" in capsys.readouterr().err
 
+    def test_axis_other_than_log10_is_config_error(self, tmp_path, capsys):
+        config = write_pools_and_config(tmp_path, extra={"axis": "fraction"})
+        out_dir = tmp_path / "run"
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 2
+        assert "axis must be log10" in capsys.readouterr().err
+        assert not (out_dir / "manifests").exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         config = tmp_path / "config.yaml"
         config.write_text("pools: {d1: missing.jsonl}\n")
@@ -472,8 +510,81 @@ class TestMixAdjust:
                        "--coarse-result", tmp_path / "nope.json",
                        "--out-dir", tmp_path / "run") == 1
 
+    def test_partial_coarse_result_is_data_error(self, tmp_path, capsys):
+        # a failed mix-search leaves a partial document without mix_ratio
+        oracle = {"kind": "external",
+                  "command": f"{sys.executable} -c exit(4) {{manifest}} {{seed}} {{out}}"}
+        config = write_pools_and_config(tmp_path, oracle=oracle)
+        assert run_cli("mix-search", "--config", config,
+                       "--out-dir", tmp_path / "search") == 3
+        coarse = tmp_path / "search" / "coarse_result.json"
+        assert "partial_points" in json.loads(coarse.read_text())
+        capsys.readouterr()
+        assert run_cli("mix-adjust", "--config", config, "--coarse-result", coarse,
+                       "--out-dir", tmp_path / "run") == 1
+        assert f"cannot read coarse result {coarse}: malformed coarse result (KeyError(" \
+            in capsys.readouterr().err
 
-class TestRunRecords:
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04}, "lambda_loss": "high"},
+        {"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04}, "lambda_loss": True},
+        {"mix_ratio": {"d1": 1.0, "d2": "2.5", "d3": 1.04}, "lambda_loss": 0.25},
+        {"mix_ratio": [1.0, 2.5, 1.04], "lambda_loss": 0.25},
+    ])
+    def test_malformed_coarse_result_is_data_error(self, tmp_path, capsys, oracle_calls, doc):
+        config = write_pools_and_config(tmp_path)
+        coarse = tmp_path / "coarse.json"
+        coarse.write_text(json.dumps(doc))
+        assert run_cli("mix-adjust", "--config", config, "--coarse-result", coarse,
+                       "--out-dir", tmp_path / "run") == 1
+        assert f"cannot read coarse result {coarse}: malformed coarse result" \
+            in capsys.readouterr().err
+        assert oracle_calls == []
+
+    @pytest.mark.parametrize("coarse_doc,flags,message", [
+        ({"lambda_loss": math.nan}, [], "lambda_loss must be finite and positive"),
+        ({"lambda_loss": math.inf}, [], "lambda_loss must be finite and positive"),
+        ({"lambda_loss": -1}, [], "lambda_loss must be finite and positive"),
+        ({"lambda_loss": 0}, [], "lambda_loss must be finite and positive"),
+        ({}, ["--factor", "1.0"], "factor must be finite and > 1"),
+        ({}, ["--factor", "inf"], "factor must be finite and > 1"),
+        ({}, ["--factor", "nan"], "factor must be finite and > 1"),
+        ({}, ["--tolerance", "1.0"], "tolerance must be in [0, 1)"),
+        ({}, ["--tolerance", "nan"], "tolerance must be in [0, 1)"),
+        # stage1.ratio is ignored: the split comes from the mix_ratio weights
+        ({"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 0.0}, "stage1": {"ratio": 2.42}}, [],
+         "D2:D3 split must be finite and positive"),
+        ({"mix_ratio": {"d1": 1.0, "d2": 0.0, "d3": 1.04}}, [],
+         "D2:D3 split must be finite and positive"),
+    ])
+    def test_bad_control_is_rejected_before_any_oracle_call(
+            self, tmp_path, capsys, oracle_calls, coarse_doc, flags, message):
+        config = write_pools_and_config(tmp_path)
+        coarse = tmp_path / "coarse.json"
+        coarse.write_text(json.dumps({"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04},
+                                      "lambda_loss": 0.25, **coarse_doc}))
+        out_dir = tmp_path / "run"
+        assert run_cli("mix-adjust", "--config", config, "--coarse-result", coarse,
+                       "--out-dir", out_dir, *flags) == 2
+        assert message in capsys.readouterr().err
+        assert oracle_calls == []
+        assert not (out_dir / "manifests").exists()
+        assert not (out_dir / "trajectory.jsonl").exists()
+
+    def test_counted_calls_on_a_good_coarse_result(self, tmp_path, oracle_calls):
+        config = write_pools_and_config(tmp_path)
+        coarse = tmp_path / "coarse.json"
+        coarse.write_text(json.dumps({"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04},
+                                      "lambda_loss": 0.25}))
+        out_dir = tmp_path / "run"
+        assert run_cli("mix-adjust", "--config", config, "--coarse-result", coarse,
+                       "--out-dir", out_dir, "--max-epochs", 3) == 0
+        epochs = (out_dir / "trajectory.jsonl").read_text().splitlines()[1:]
+        assert len(oracle_calls) == len(epochs) >= 2
+
+
+class TestProvenanceRecords:
     def test_config_hash_tracks_input_bytes(self, tmp_path, mos_file):
         out1 = tmp_path / "a.jsonl"
         run_cli("convert", mos_file, "--scale-min", 0, "--scale-max", 100, "--out", out1)

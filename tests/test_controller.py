@@ -118,6 +118,18 @@ class TestDecide:
         with pytest.raises(ConfigError):
             decide(obs, 0.5, 0.1, 1.1, counts, 0.0)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 0.1, 1.1, 1.0), (math.inf, 0.1, 1.1, 1.0),
+        (0.5, math.nan, 1.1, 1.0),
+        (0.5, 0.1, math.nan, 1.0), (0.5, 0.1, math.inf, 1.0),
+        (0.5, 0.1, 1.1, math.nan), (0.5, 0.1, 1.1, math.inf),
+    ])
+    def test_non_finite_parameters(self, args):
+        lambda_loss, tolerance, factor, split = args
+        with pytest.raises(ConfigError):
+            decide(EpochObservation(1, 1.0, 1.0), lambda_loss, tolerance, factor,
+                   {"d1": 1, "d2": 1, "d3": 1}, split)
+
 
 def convergent_oracle_config() -> SyntheticOracleConfig:
     """Loss model whose epoch-1 ratio sits 20% above the reference band."""
@@ -257,6 +269,39 @@ class TestRunLoop:
         grown_d2 = second.counts["d2"]
         total = second.counts["d2"] + second.counts["d3"]
         assert abs(grown_d2 - total * 0.75) <= 1.0  # split held at 3:1
+
+    def test_split_follows_weights_not_stage1_ratio(self, tmp_path):
+        # the stage-1 ratio 1.0 disagrees with the 3:1 weights; the weights win
+        coarse = CoarseResult(ratio=MixRatio(1.0, 3.0, 1.0), lambda_loss=0.5,
+                              d2_d3_ratio=1.0)
+        oracle = ScriptedOracle([(0.001, 1.0)] * 2)  # far below: grow interpreting
+        trajectory = run_loop(oracle, coarse, make_pools(100, 400, 150), max_epochs=2,
+                              seed=6, workdir=tmp_path)
+        first, second = trajectory.epochs
+        assert first.counts == {"d1": 100, "d2": 300, "d3": 100}
+        assert second.counts == {"d1": 100, "d2": 330, "d3": 110}  # 440 split 3:1
+
+    @pytest.mark.parametrize("ratio,lambda_loss,controls", [
+        (MixRatio(1.0, 2.5, 1.04), math.nan, {}),
+        (MixRatio(1.0, 2.5, 1.04), math.inf, {}),
+        (MixRatio(1.0, 2.5, 1.04), -1.0, {}),
+        (MixRatio(1.0, 2.5, 1.04), LAMBDA, {"factor": 1.0}),
+        (MixRatio(1.0, 2.5, 1.04), LAMBDA, {"factor": math.inf}),
+        (MixRatio(1.0, 2.5, 1.04), LAMBDA, {"tolerance": 1.0}),
+        (MixRatio(1.0, 2.5, 0.0), LAMBDA, {}),
+        (MixRatio(1.0, 0.0, 1.04), LAMBDA, {}),
+    ])
+    def test_controls_checked_before_first_call(self, tmp_path, ratio, lambda_loss,
+                                                controls):
+        coarse = CoarseResult(ratio=ratio, lambda_loss=lambda_loss, d2_d3_ratio=2.42)
+        oracle = ScriptedOracle([(1.0, 1.0)])
+        out = tmp_path / "trajectory.jsonl"
+        with pytest.raises(ConfigError):
+            run_loop(oracle, coarse, make_pools(100, 300, 130), workdir=tmp_path,
+                     out_path=out, **controls)
+        assert oracle.calls == 0
+        assert not out.exists()
+        assert not (tmp_path / "manifests").exists()
 
     def test_max_epochs_validation(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -9,7 +9,6 @@ from iqmix.levels import (
     FrequencyVector,
     LevelScale,
     RatingLevel,
-    level_to_score,
     mos_from_frequencies,
     quantize_scores,
     score_to_level,
@@ -110,12 +109,15 @@ class TestLevelScale:
 
 class TestLevelToScore:
     @pytest.mark.parametrize("index,label,score", [(3, "fair", 3), (1, "bad", 1), (5, "excellent", 5)])
-    def test_examples(self, index, label, score):
-        assert level_to_score(RatingLevel(index, label)) == score
+    def test_examples(self, index, label, score, scale15):
+        # on the 1..5 scale the integer score i lands in level i and maps back to i
+        level = score_to_level(float(score), scale15)
+        assert level == RatingLevel(index, label)
+        assert level.index == score
 
     def test_round_trip_is_step_function(self, scale15):
         grid = np.linspace(1.0, 5.0, 2001)
-        steps = [level_to_score(score_to_level(float(s), scale15)) for s in grid]
+        steps = [score_to_level(float(s), scale15).index for s in grid]
         assert steps == sorted(steps)
         assert set(steps) == {1, 2, 3, 4, 5}
         # plateaus have equal width: interval i covers (edge_{i-1}, edge_i]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 
@@ -8,13 +9,13 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from iqmix.cli import main
 from iqmix.errors import DataError, DegenerateSampleError, MissingDimensionError
 from iqmix.levels import LevelScale
 from iqmix.metrics import (
     DescriptionRating,
     McqRecord,
     PairedSample,
-    avg_metric,
     conversion_precision,
     description_report,
     match_choice,
@@ -199,19 +200,34 @@ class TestPlcc:
 
 
 class TestAvgMetric:
-    def test_linear(self):
-        x = [1.0, 2.0, 3.0, 4.0]
-        assert avg_metric(sample(x, [5 * v for v in x])) == pytest.approx(1.0)
+    """avg = (SRCC + PLCC) / 2 on the same sample, as eval-iqa reports it."""
 
-    def test_anti_linear(self):
-        x = [1.0, 2.0, 3.0, 4.0]
-        assert avg_metric(sample(x, [-v for v in x])) == pytest.approx(-1.0)
+    @staticmethod
+    def eval_iqa_avg(tmp_path, capsys, x, y) -> float:
+        ids = [f"i{k}" for k in range(len(x))]
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text("".join(json.dumps({"id": i, "score": float(v)}) + "\n"
+                                  for i, v in zip(ids, x)))
+        mos = tmp_path / "mos.csv"
+        mos.write_text("image_id,mos\n" + "".join(f"{i},{float(v)!r}\n"
+                                                  for i, v in zip(ids, y)))
+        assert main(["eval-iqa", str(scores), str(mos), "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["avg"]
 
-    def test_is_mean_of_parts(self):
+    def test_linear(self, tmp_path, capsys):
+        x = [1.0, 2.0, 3.0, 4.0]
+        assert self.eval_iqa_avg(tmp_path, capsys, x, [5 * v for v in x]) == pytest.approx(1.0)
+
+    def test_anti_linear(self, tmp_path, capsys):
+        x = [1.0, 2.0, 3.0, 4.0]
+        assert self.eval_iqa_avg(tmp_path, capsys, x, [-v for v in x]) == pytest.approx(-1.0)
+
+    def test_is_mean_of_parts(self, tmp_path, capsys):
         rng = np.random.default_rng(15)
         x, y = rng.normal(0, 1, 40), rng.normal(0, 1, 40)
         s = sample(x, y)
-        assert avg_metric(s) == pytest.approx(0.5 * (srcc(s) + plcc(s)), abs=1e-15)
+        assert self.eval_iqa_avg(tmp_path, capsys, x, y) == pytest.approx(
+            0.5 * (srcc(s) + plcc(s)), abs=1e-15)
 
 
 class TestConversionPrecision:

@@ -48,6 +48,13 @@ class TestSoftmaxLevels:
         with pytest.raises(MalformedLogitsError):
             softmax_vector((0.0, 0.0, 0.0, 0.0, float("inf")))
 
+    @pytest.mark.parametrize("values", [(), (1.0,)])
+    @pytest.mark.parametrize("func", [softmax_vector, score_from_logit_vector])
+    def test_fewer_than_two_levels_rejected(self, func, values):
+        with pytest.raises(MalformedLogitsError,
+                           match=f"need at least two level logits, got {len(values)}"):
+            func(values)
+
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

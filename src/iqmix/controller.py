@@ -54,8 +54,8 @@ class AdjustmentDecision:
     new_counts: dict[str, int]
 
 
-def check_controls(lambda_loss: float, tolerance: float, factor: float,
-                   split: float) -> None:
+def _check_controls(lambda_loss: float, tolerance: float, factor: float,
+                    split: float) -> None:
     """Reject a reference ratio, tolerance, growth factor or D2:D3 split that
     decide() cannot act on; a NaN fails every test."""
     if not 0.0 < lambda_loss < math.inf:
@@ -82,7 +82,7 @@ def decide(
     the coarse D2:D3 ratio); ratio > lambda*(1+tol) grows D1 by `factor`;
     otherwise hold. Counts round half-up.
     """
-    check_controls(lambda_loss, tolerance, factor, d2_d3_ratio)
+    _check_controls(lambda_loss, tolerance, factor, d2_d3_ratio)
     counts = {k: int(current_counts.get(k, 0)) for k in ("d1", "d2", "d3")}
     rho = obs.ratio
     if rho < lambda_loss * (1.0 - tolerance):
@@ -204,7 +204,7 @@ def run_loop(
         raise ConfigError(f"max_epochs must be >= 1, got {max_epochs}")
     weights = coarse.ratio
     split = weights.d2 / weights.d3 if weights.d3 > 0 else math.inf
-    check_controls(coarse.lambda_loss, tolerance, factor, split)
+    _check_controls(coarse.lambda_loss, tolerance, factor, split)
     manifest_dir = Path(workdir) / "manifests"
     manifest_dir.mkdir(parents=True, exist_ok=True)
 

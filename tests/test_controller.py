@@ -117,18 +117,14 @@ class TestDecide:
             decide(obs, 0.5, 0.1, 1.0, counts, 1.0)
         with pytest.raises(ConfigError):
             decide(obs, 0.5, 0.1, 1.1, counts, 0.0)
-
-    @pytest.mark.parametrize("args", [
-        (math.nan, 0.1, 1.1, 1.0), (math.inf, 0.1, 1.1, 1.0),
-        (0.5, math.nan, 1.1, 1.0),
-        (0.5, 0.1, math.nan, 1.0), (0.5, 0.1, math.inf, 1.0),
-        (0.5, 0.1, 1.1, math.nan), (0.5, 0.1, 1.1, math.inf),
-    ])
-    def test_non_finite_parameters(self, args):
-        lambda_loss, tolerance, factor, split = args
-        with pytest.raises(ConfigError):
-            decide(EpochObservation(1, 1.0, 1.0), lambda_loss, tolerance, factor,
-                   {"d1": 1, "d2": 1, "d3": 1}, split)
+        # a NaN or an infinity is rejected too
+        for args in ((math.nan, 0.1, 1.1, 1.0), (math.inf, 0.1, 1.1, 1.0),
+                     (0.5, math.nan, 1.1, 1.0),
+                     (0.5, 0.1, math.nan, 1.0), (0.5, 0.1, math.inf, 1.0),
+                     (0.5, 0.1, 1.1, math.nan), (0.5, 0.1, 1.1, math.inf)):
+            lambda_loss, tolerance, factor, split = args
+            with pytest.raises(ConfigError):
+                decide(obs, lambda_loss, tolerance, factor, counts, split)
 
 
 def convergent_oracle_config() -> SyntheticOracleConfig:

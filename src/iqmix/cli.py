@@ -25,7 +25,7 @@ from typing import Sequence
 import yaml
 
 from . import __version__
-from .controller import run_loop
+from .controller import check_controls, run_loop
 from .datasets import (
     D1_ANSWER_TEMPLATE,
     PoolSet,
@@ -83,6 +83,17 @@ def _resolve(*values, default=None):
         if value is not None:
             return value
     return default
+
+
+def _number(key: str, cast, *values, default):
+    """The first value given, converted by cast (int or float); a value that
+    does not convert is a config error naming its key."""
+    value = _resolve(*values, default=default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
 # Run records ------------------------------------------------------------------
@@ -396,9 +407,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_mix_search(args: argparse.Namespace) -> int:
     started = _now()
     conf = _load_yaml(args.config)
-    seed = _resolve(args.seed, _env_default("SEED", int), conf.get("seed"), default=0)
-    jobs = _resolve(args.jobs, _env_default("JOBS", int), conf.get("jobs"), default=1)
-    repeats = _resolve(args.repeats, conf.get("repeats"), default=3)
+    seed = _number("seed", int, args.seed, _env_default("SEED", int), conf.get("seed"),
+                   default=0)
+    jobs = _number("jobs", int, args.jobs, _env_default("JOBS", int), conf.get("jobs"),
+                   default=1)
+    repeats = _number("repeats", int, args.repeats, conf.get("repeats"), default=3)
+    scoring_weight = _number("scoring_weight", float, conf.get("scoring_weight"), default=0.5)
     out_dir = Path(_resolve(args.out_dir, conf.get("out_dir"), default="mix-search-run"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -409,27 +423,27 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
     grid_conf = conf.get("grid") or {}
     config = SearchConfig(
         workdir=out_dir,
-        seed=int(seed),
-        repeats=int(repeats),
-        jobs=int(jobs),
-        scoring_weight=float(conf.get("scoring_weight", 0.5)),
+        seed=seed,
+        repeats=repeats,
+        jobs=jobs,
+        scoring_weight=scoring_weight,
         stage1_ratios=tuple(grid_conf["stage1"]) if grid_conf.get("stage1") else None,
         stage2_ratios=tuple(grid_conf["stage2"]) if grid_conf.get("stage2") else None,
     )
+    doc = coarse_search(oracle, pools, config)
     result_path = out_dir / "coarse_result.json"
-    result = coarse_search(oracle, pools, config, out_path=result_path)
-    print(f"d2:d3 ratio        {result.d2_d3_ratio:.6g}")
-    print(f"(d2+d3):d1 ratio   {result.mixed_d1_ratio:.6g}")
-    print(f"mix ratio d1:d2:d3 {result.ratio.d1:.4g}:{result.ratio.d2:.4g}:{result.ratio.d3:.4g}")
-    print(f"reference loss ratio {result.lambda_loss:.6g}")
+    weights = doc["mix_ratio"]
+    print(f"d2:d3 ratio        {doc['stage1']['ratio']:.6g}")
+    print(f"(d2+d3):d1 ratio   {doc['stage2']['ratio']:.6g}")
+    print(f"mix ratio d1:d2:d3 {weights['d1']:.4g}:{weights['d2']:.4g}:{weights['d3']:.4g}")
+    print(f"reference loss ratio {doc['lambda_loss']:.6g}")
     print(f"result written to {result_path}")
 
     pool_paths = [conf["pools"][k] for k in ("d1", "d2", "d3")]
     _write_run_record(
         "mix-search",
-        {"seed": int(seed), "repeats": int(repeats), "jobs": int(jobs),
-         "out_dir": str(out_dir)},
-        [args.config, *pool_paths], [result_path], seed=int(seed), started=started,
+        {"seed": seed, "repeats": repeats, "jobs": jobs, "out_dir": str(out_dir)},
+        [args.config, *pool_paths], [result_path], seed=seed, started=started,
         record_path=out_dir / "runrecord.json",
     )
     return 0
@@ -439,10 +453,14 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
     started = _now()
     conf = _load_yaml(args.config)
     controller_conf = conf.get("controller") or {}
-    seed = _resolve(args.seed, _env_default("SEED", int), conf.get("seed"), default=0)
-    max_epochs = _resolve(args.max_epochs, controller_conf.get("max_epochs"), default=3)
-    tolerance = _resolve(args.tolerance, controller_conf.get("tolerance"), default=0.1)
-    factor = _resolve(args.factor, controller_conf.get("factor"), default=1.1)
+    seed = _number("seed", int, args.seed, _env_default("SEED", int), conf.get("seed"),
+                   default=0)
+    max_epochs = _number("controller.max_epochs", int, args.max_epochs,
+                         controller_conf.get("max_epochs"), default=3)
+    tolerance = _number("controller.tolerance", float, args.tolerance,
+                        controller_conf.get("tolerance"), default=0.1)
+    factor = _number("controller.factor", float, args.factor, controller_conf.get("factor"),
+                     default=1.1)
     out_dir = Path(_resolve(args.out_dir, conf.get("out_dir"), default="mix-adjust-run"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -451,29 +469,27 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
             json.loads(Path(args.coarse_result).read_text(encoding="utf-8")))
     except (OSError, json.JSONDecodeError, DataError) as exc:
         raise DataError(f"cannot read coarse result {args.coarse_result}: {exc}")
+    check_controls(coarse, max_epochs, tolerance, factor)
 
     pools = _load_pools(conf)
     oracle = _build_oracle(conf)
-    trajectory_path = out_dir / "trajectory.jsonl"
-    trajectory = run_loop(
-        oracle, coarse, pools,
-        max_epochs=int(max_epochs), tolerance=float(tolerance),
-        factor=float(factor), seed=int(seed), workdir=out_dir,
-        out_path=trajectory_path, coarse_ref=str(args.coarse_result),
+    epochs = run_loop(
+        oracle, coarse, pools, max_epochs=max_epochs, tolerance=tolerance, factor=factor,
+        seed=seed, workdir=out_dir, coarse_ref=str(args.coarse_result),
     )
-    for record in trajectory.epochs:
+    for record in epochs:
         print(f"epoch {record.epoch}: counts {record.counts} "
               f"ratio {record.ratio:.6g} -> {record.action}")
+    trajectory_path = out_dir / "trajectory.jsonl"
     print(f"trajectory written to {trajectory_path}")
 
     pool_paths = [conf["pools"][k] for k in ("d1", "d2", "d3")]
     _write_run_record(
         "mix-adjust",
-        {"seed": int(seed), "max_epochs": int(max_epochs),
-         "tolerance": float(tolerance), "factor": float(factor),
+        {"seed": seed, "max_epochs": max_epochs, "tolerance": tolerance, "factor": factor,
          "out_dir": str(out_dir)},
         [args.config, args.coarse_result, *pool_paths], [trajectory_path],
-        seed=int(seed), started=started,
+        seed=seed, started=started,
         record_path=out_dir / "runrecord.json",
     )
     return 0

@@ -14,10 +14,11 @@ that were actually trained.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Literal, Sequence
@@ -33,7 +34,6 @@ from .util import derive_seed, round_half_up
 log = logging.getLogger(__name__)
 
 Stage = Literal["d2_vs_d3", "mixed_vs_d1"]
-STAGES = ("d2_vs_d3", "mixed_vs_d1")
 
 
 @dataclass(frozen=True)
@@ -342,55 +342,13 @@ class SearchConfig:
     stage2_ratios: tuple[float, ...] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoarseResult:
-    """Outcome of the coarse search: composed ratio plus reference loss ratio."""
+    """What the per-epoch controller reads of a coarse result: the composed
+    mix ratio and the reference loss ratio."""
 
     ratio: MixRatio
     lambda_loss: float
-    d2_d3_ratio: float = 0.0
-    mixed_d1_ratio: float = 0.0
-    stage1_curve: FittedCurve | None = None
-    stage2_curve: FittedCurve | None = None
-    stage1_points: list[PerformancePoint] = field(default_factory=list)
-    stage2_points: list[PerformancePoint] = field(default_factory=list)
-    confirmation: dict = field(default_factory=dict)
-    seed: int = 0
-    repeats: int = 3
-
-
-def _stage_result(curve: FittedCurve, points: list[PerformancePoint],
-                  argmax_axis: float, ratio: float) -> dict:
-    return {
-        "points": [p.to_dict() for p in points],
-        "curve": curve.to_dict(),
-        "argmax_axis": argmax_axis,
-        "ratio": ratio,
-    }
-
-
-def coarse_result_to_dict(result: CoarseResult) -> dict:
-    from . import __version__
-
-    doc: dict = {
-        "tool_version": __version__,
-        "seed": result.seed,
-        "repeats": result.repeats,
-        "mix_ratio": {"d1": result.ratio.d1, "d2": result.ratio.d2, "d3": result.ratio.d3},
-        "lambda_loss": result.lambda_loss,
-        "confirmation": result.confirmation,
-    }
-    if result.stage1_curve is not None:
-        doc["stage1"] = _stage_result(
-            result.stage1_curve, result.stage1_points,
-            argmax_ratio(result.stage1_curve), result.d2_d3_ratio,
-        )
-    if result.stage2_curve is not None:
-        doc["stage2"] = _stage_result(
-            result.stage2_curve, result.stage2_points,
-            argmax_ratio(result.stage2_curve), result.mixed_d1_ratio,
-        )
-    return doc
 
 
 def coarse_result_from_dict(doc: dict) -> CoarseResult:
@@ -407,32 +365,8 @@ def coarse_result_from_dict(doc: dict) -> CoarseResult:
     return CoarseResult(ratio=MixRatio(d1, d2, d3), lambda_loss=lambda_loss)
 
 
-def _persist(doc: dict, out_path: Path | None) -> None:
-    if out_path is None:
-        return
-    import json
-
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
-                        encoding="utf-8")
-
-
-def _persist_partial(out_path: Path | None, stage: Stage, error: Exception,
-                     completed: list[PerformancePoint],
-                     stage1: dict | None, seed: int, repeats: int) -> None:
-    from . import __version__
-
-    doc = {
-        "tool_version": __version__,
-        "seed": seed,
-        "repeats": repeats,
-        "stage": stage,
-        "error": str(error),
-        "partial_points": [p.to_dict() for p in completed],
-    }
-    if stage1 is not None:
-        doc["stage1"] = stage1
-    _persist(doc, out_path)
+def _write_json(doc: dict, path: Path) -> None:
+    path.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 def _warn_if_boundary(stage: Stage, argmax_axis: float, curve: FittedCurve) -> None:
@@ -445,55 +379,41 @@ def _warn_if_boundary(stage: Stage, argmax_axis: float, curve: FittedCurve) -> N
         )
 
 
-def coarse_search(
-    oracle: Oracle,
-    pools: PoolSet,
-    config: SearchConfig,
-    out_path: str | Path | None = None,
-) -> CoarseResult:
+def coarse_search(oracle: Oracle, pools: PoolSet, config: SearchConfig) -> dict:
     """Run both sweep stages, compose the mix ratio, and record the
     reference loss ratio at a confirmation run of the chosen mixture.
 
-    On oracle failure the completed points are persisted with a stage
-    marker before the original error propagates.
+    Writes the result document to workdir/coarse_result.json and returns
+    it. On oracle failure the completed points are written there instead,
+    with a stage marker, before the original error propagates.
     """
-    out = Path(out_path) if out_path is not None else None
+    from . import __version__
+
     workdir = Path(config.workdir)
+    out = workdir / "coarse_result.json"
+    doc: dict = {"tool_version": __version__, "seed": config.seed, "repeats": config.repeats}
+    stages: dict[str, dict] = {}
+    for key, stage, grid in (("stage1", "d2_vs_d3", config.stage1_ratios),
+                             ("stage2", "mixed_vs_d1", config.stage2_ratios)):
+        try:
+            points = sweep(
+                oracle, stage, pools,
+                repeats=config.repeats, seed=config.seed, workdir=workdir, ratios=grid,
+                d2_d3_ratio=stages["stage1"]["ratio"] if stages else None,
+                scoring_weight=config.scoring_weight, jobs=config.jobs,
+            )
+        except SweepFailure as failure:
+            _write_json({**doc, "stage": stage, "error": str(failure.cause),
+                         "partial_points": [p.to_dict() for p in failure.completed],
+                         **stages}, out)
+            raise failure.cause
+        curve = fit_curve(points)
+        t = argmax_ratio(curve)
+        _warn_if_boundary(stage, t, curve)
+        stages[key] = {"points": [p.to_dict() for p in points], "curve": curve.to_dict(),
+                       "argmax_axis": t, "ratio": 10.0 ** t}
 
-    try:
-        pts1 = sweep(
-            oracle, "d2_vs_d3", pools,
-            repeats=config.repeats, seed=config.seed, workdir=workdir,
-            ratios=config.stage1_ratios, scoring_weight=config.scoring_weight,
-            jobs=config.jobs,
-        )
-    except SweepFailure as failure:
-        _persist_partial(out, "d2_vs_d3", failure.cause, failure.completed,
-                         None, config.seed, config.repeats)
-        raise failure.cause
-    curve1 = fit_curve(pts1)
-    t1 = argmax_ratio(curve1)
-    _warn_if_boundary("d2_vs_d3", t1, curve1)
-    d2_d3 = 10.0 ** t1
-
-    stage1_doc = _stage_result(curve1, pts1, t1, d2_d3)
-    try:
-        pts2 = sweep(
-            oracle, "mixed_vs_d1", pools,
-            repeats=config.repeats, seed=config.seed, workdir=workdir,
-            ratios=config.stage2_ratios, d2_d3_ratio=d2_d3,
-            scoring_weight=config.scoring_weight, jobs=config.jobs,
-        )
-    except SweepFailure as failure:
-        _persist_partial(out, "mixed_vs_d1", failure.cause, failure.completed,
-                         stage1_doc, config.seed, config.repeats)
-        raise failure.cause
-    curve2 = fit_curve(pts2)
-    t2 = argmax_ratio(curve2)
-    _warn_if_boundary("mixed_vs_d1", t2, curve2)
-    mixed_d1 = 10.0 ** t2
-
-    ratio = MixRatio.from_stage_ratios(d2_d3, mixed_d1)
+    ratio = MixRatio.from_stage_ratios(stages["stage1"]["ratio"], stages["stage2"]["ratio"])
     counts = ratio.counts_for_d1_base(len(pools.d1))
     sizes = pools.sizes()
     confirm_seed = derive_seed(config.seed, "confirm")
@@ -502,19 +422,11 @@ def coarse_search(
         with_replacement=any(counts[k] > sizes[k] for k in counts),
     )
     confirm_path = workdir / "manifests" / "confirm.jsonl"
-    confirm_path.parent.mkdir(parents=True, exist_ok=True)
     write_manifest(manifest, confirm_path)
     response = oracle.evaluate(OracleRequest(confirm_path, confirm_seed))
-
-    result = CoarseResult(
-        ratio=ratio,
+    doc.update(
+        mix_ratio={"d1": ratio.d1, "d2": ratio.d2, "d3": ratio.d3},
         lambda_loss=response.loss_scoring / response.loss_interpreting,
-        d2_d3_ratio=d2_d3,
-        mixed_d1_ratio=mixed_d1,
-        stage1_curve=curve1,
-        stage2_curve=curve2,
-        stage1_points=pts1,
-        stage2_points=pts2,
         confirmation={
             "counts": counts,
             "loss_scoring": response.loss_scoring,
@@ -522,8 +434,7 @@ def coarse_search(
             "perf_scoring": response.perf_scoring,
             "perf_interpreting": response.perf_interpreting,
         },
-        seed=config.seed,
-        repeats=config.repeats,
+        **stages,
     )
-    _persist(coarse_result_to_dict(result), out)
-    return result
+    _write_json(doc, out)
+    return doc

@@ -112,9 +112,9 @@ def test_criterion_06_planted_optimum_recovery(tmp_path):
     pools = make_pools(1710, 2000, 2000)
     config = SearchConfig(workdir=tmp_path / "exact", seed=42, repeats=1)
     result = coarse_search(SyntheticOracle(planted_config()), pools, config)
-    assert abs(math.log10(result.d2_d3_ratio) - LOG_242) <= 1e-6
-    assert abs(math.log10(result.mixed_d1_ratio) - LOG_354) <= 1e-6
-    composed = (result.ratio.d1, result.ratio.d2, result.ratio.d3)
+    assert abs(math.log10(result["stage1"]["ratio"]) - LOG_242) <= 1e-6
+    assert abs(math.log10(result["stage2"]["ratio"]) - LOG_354) <= 1e-6
+    composed = tuple(result["mix_ratio"][k] for k in ("d1", "d2", "d3"))
     for got, want in zip(composed, (1.00, 2.50, 1.04)):
         assert abs(got - want) / want <= 0.05
 
@@ -124,8 +124,8 @@ def test_criterion_06_planted_optimum_recovery(tmp_path):
     noisy = coarse_search(
         SyntheticOracle(planted_config(noise_sigma=0.01)), noisy_pools, noisy_config
     )
-    assert abs(math.log10(noisy.d2_d3_ratio) - LOG_242) <= 0.05
-    assert abs(math.log10(noisy.mixed_d1_ratio) - LOG_354) <= 0.05
+    assert abs(math.log10(noisy["stage1"]["ratio"]) - LOG_242) <= 0.05
+    assert abs(math.log10(noisy["stage2"]["ratio"]) - LOG_354) <= 0.05
     assert time.monotonic() - start < 10.0
 
 
@@ -139,10 +139,9 @@ def test_criterion_07_controller_convergence(tmp_path):
         planted_config(loss_scale_scoring=c_s, loss_scale_interpreting=1.0,
                        loss_alpha=0.5)
     )
-    coarse = CoarseResult(ratio=MixRatio(1.0, 2.50, 1.04), lambda_loss=lam,
-                          d2_d3_ratio=2.42)
-    trajectory = run_loop(oracle, coarse, pools, max_epochs=3, tolerance=0.1,
-                          factor=1.1, seed=7, workdir=tmp_path)
+    coarse = CoarseResult(ratio=MixRatio(1.0, 2.50, 1.04), lambda_loss=lam)
+    epochs = run_loop(oracle, coarse, pools, max_epochs=3, tolerance=0.1,
+                      factor=1.1, seed=7, workdir=tmp_path)
 
     # closed-form iteration of the same loss model, computed independently
     d1, d23 = 500, 1770
@@ -161,9 +160,9 @@ def test_criterion_07_controller_convergence(tmp_path):
         expected.append((d1, rho, action))
         d1 = d1_next
 
-    observed = [(e.counts["d1"], e.ratio, e.action) for e in trajectory.epochs]
+    observed = [(e.counts["d1"], e.ratio, e.action) for e in epochs]
     assert observed == expected
-    in_band = [lam * 0.9 <= e.ratio <= lam * 1.1 for e in trajectory.epochs]
+    in_band = [lam * 0.9 <= e.ratio <= lam * 1.1 for e in epochs]
     assert any(in_band[:3])
     assert time.monotonic() - start < 1.0
 

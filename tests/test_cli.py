@@ -488,6 +488,22 @@ class TestMixSearch:
         assert run_cli("mix-search", "--config", config,
                        "--out-dir", tmp_path / "run") == 2
 
+    @pytest.mark.parametrize("extra,message", [
+        ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+        ({"seed": math.inf}, "seed must be an integer, got inf"),
+        ({"jobs": "two"}, "jobs must be an integer, got 'two'"),
+        ({"repeats": [3]}, "repeats must be an integer, got [3]"),
+        ({"scoring_weight": "half"}, "scoring_weight must be a number, got 'half'"),
+    ])
+    def test_non_numeric_setting_is_config_error_before_pools_load(
+            self, tmp_path, capsys, extra, message):
+        config = write_pools_and_config(tmp_path, extra=extra)
+        for tag in ("d1", "d2", "d3"):
+            (tmp_path / f"{tag}.jsonl").unlink()  # a pool load would exit 1
+        assert run_cli("mix-search", "--config", config,
+                       "--out-dir", tmp_path / "run") == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
 
 class TestMixAdjust:
     def test_end_to_end(self, tmp_path, capsys):
@@ -571,6 +587,28 @@ class TestMixAdjust:
         assert oracle_calls == []
         assert not (out_dir / "manifests").exists()
         assert not (out_dir / "trajectory.jsonl").exists()
+
+    @pytest.mark.parametrize("extra,flags,message", [
+        ({}, ["--factor", "1.0"], "factor must be finite and > 1"),
+        ({"seed": "abc"}, [], "seed must be an integer, got 'abc'"),
+        ({"controller": {"max_epochs": "three"}}, [],
+         "controller.max_epochs must be an integer, got 'three'"),
+        ({"controller": {"tolerance": "abc"}}, [],
+         "controller.tolerance must be a number, got 'abc'"),
+        ({"controller": {"factor": "1.1x"}}, [],
+         "controller.factor must be a number, got '1.1x'"),
+    ])
+    def test_bad_setting_is_config_error_before_pools_load(
+            self, tmp_path, capsys, extra, flags, message):
+        config = write_pools_and_config(tmp_path, extra=extra)
+        for tag in ("d1", "d2", "d3"):
+            (tmp_path / f"{tag}.jsonl").unlink()  # a pool load would exit 1
+        coarse = tmp_path / "coarse.json"
+        coarse.write_text(json.dumps({"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04},
+                                      "lambda_loss": 0.25}))
+        assert run_cli("mix-adjust", "--config", config, "--coarse-result", coarse,
+                       "--out-dir", tmp_path / "run", *flags) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_counted_calls_on_a_good_coarse_result(self, tmp_path, oracle_calls):
         config = write_pools_and_config(tmp_path)

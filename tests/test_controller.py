@@ -1,16 +1,11 @@
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
-from iqmix.controller import (
-    AdjustmentDecision,
-    EpochObservation,
-    decide,
-    read_trajectory,
-    run_loop,
-)
-from iqmix.errors import ConfigError, DataError, OracleExecutionError
+from iqmix.controller import decide, run_loop
+from iqmix.errors import ConfigError, OracleExecutionError
 from iqmix.mixopt import CoarseResult, MixRatio
 from iqmix.oracle import OracleResponse, SyntheticOracle, SyntheticOracleConfig, ResponseSurface
 
@@ -20,8 +15,7 @@ LAMBDA = 1.0 / 4.66
 
 
 def coarse_stub(lambda_loss=LAMBDA) -> CoarseResult:
-    return CoarseResult(ratio=MixRatio(1.0, 2.50, 1.04), lambda_loss=lambda_loss,
-                        d2_d3_ratio=2.42)
+    return CoarseResult(ratio=MixRatio(1.0, 2.50, 1.04), lambda_loss=lambda_loss)
 
 
 class ScriptedOracle:
@@ -52,71 +46,66 @@ class FailingAfter:
 
 class TestDecide:
     def test_low_ratio_grows_interpreting(self):
-        obs = EpochObservation(1, 1.0, 10.0)  # ratio 0.1 < 0.2146*0.9
-        decision = decide(obs, 0.2146, 0.1, 1.1, {"d1": 100, "d2": 242, "d3": 100}, 2.42)
-        assert decision.action == "increase_interpreting"
-        assert decision.new_counts["d1"] == 100
-        assert decision.new_counts["d2"] + decision.new_counts["d3"] == 376  # 342*1.1
+        # ratio 0.1 < 0.2146*0.9
+        action, new_counts = decide(1.0 / 10.0, 0.2146, 0.1, 1.1,
+                                    {"d1": 100, "d2": 242, "d3": 100}, 2.42)
+        assert action == "increase_interpreting"
+        assert new_counts["d1"] == 100
+        assert new_counts["d2"] + new_counts["d3"] == 376  # 342*1.1
 
     def test_high_ratio_grows_scoring(self):
-        obs = EpochObservation(1, 1.0, 2.0)  # ratio 0.5 > 0.2146*1.1
-        decision = decide(obs, 0.2146, 0.1, 1.1, {"d1": 100, "d2": 242, "d3": 100}, 2.42)
-        assert decision.action == "increase_scoring"
-        assert decision.new_counts == {"d1": 110, "d2": 242, "d3": 100}
+        # ratio 0.5 > 0.2146*1.1
+        action, new_counts = decide(1.0 / 2.0, 0.2146, 0.1, 1.1,
+                                    {"d1": 100, "d2": 242, "d3": 100}, 2.42)
+        assert action == "increase_scoring"
+        assert new_counts == {"d1": 110, "d2": 242, "d3": 100}
 
     def test_exact_lambda_holds(self):
-        obs = EpochObservation(1, 0.2146, 1.0)
-        decision = decide(obs, 0.2146, 0.1, 1.1, {"d1": 10, "d2": 10, "d3": 10}, 1.0)
-        assert decision.action == "hold"
-        assert decision.new_counts == {"d1": 10, "d2": 10, "d3": 10}
+        action, new_counts = decide(0.2146 / 1.0, 0.2146, 0.1, 1.1,
+                                    {"d1": 10, "d2": 10, "d3": 10}, 1.0)
+        assert action == "hold"
+        assert new_counts == {"d1": 10, "d2": 10, "d3": 10}
 
     def test_band_edges_hold(self):
         lam, tol = 0.5, 0.1
         counts = {"d1": 10, "d2": 10, "d3": 10}
-        at_lower = EpochObservation(1, lam * (1 - tol), 1.0)
-        at_upper = EpochObservation(1, lam * (1 + tol), 1.0)
-        assert decide(at_lower, lam, tol, 1.1, counts, 1.0).action == "hold"
-        assert decide(at_upper, lam, tol, 1.1, counts, 1.0).action == "hold"
+        at_lower = lam * (1 - tol) / 1.0
+        at_upper = lam * (1 + tol) / 1.0
+        assert decide(at_lower, lam, tol, 1.1, counts, 1.0)[0] == "hold"
+        assert decide(at_upper, lam, tol, 1.1, counts, 1.0)[0] == "hold"
 
     def test_never_both_directions(self):
         counts = {"d1": 50, "d2": 100, "d3": 40}
         for loss_i in (0.5, 1.0, 2.0, 5.0, 20.0):
-            decision = decide(EpochObservation(1, 1.0, loss_i), 0.5, 0.1, 1.2,
-                              counts, 2.5)
-            if decision.action == "increase_scoring":
-                assert (decision.new_counts["d2"], decision.new_counts["d3"]) == (100, 40)
-            elif decision.action == "increase_interpreting":
-                assert decision.new_counts["d1"] == 50
+            action, new_counts = decide(1.0 / loss_i, 0.5, 0.1, 1.2, counts, 2.5)
+            if action == "increase_scoring":
+                assert (new_counts["d2"], new_counts["d3"]) == (100, 40)
+            elif action == "increase_interpreting":
+                assert new_counts["d1"] == 50
 
     def test_split_error_within_one_sample(self):
         counts = {"d1": 100, "d2": 242, "d3": 100}
-        decision = decide(EpochObservation(1, 0.01, 1.0), 0.5, 0.1, 1.7, counts, 2.42)
-        total = decision.new_counts["d2"] + decision.new_counts["d3"]
+        _, new_counts = decide(0.01 / 1.0, 0.5, 0.1, 1.7, counts, 2.42)
+        total = new_counts["d2"] + new_counts["d3"]
         exact_d2 = total * 2.42 / 3.42
-        assert abs(decision.new_counts["d2"] - exact_d2) <= 1.0
+        assert abs(new_counts["d2"] - exact_d2) <= 1.0
 
     def test_round_half_up(self):
         counts = {"d1": 5, "d2": 0, "d3": 0}
-        decision = decide(EpochObservation(1, 10.0, 1.0), 0.5, 0.1, 1.1, counts, 1.0)
-        assert decision.new_counts["d1"] == 6  # 5.5 rounds up
-
-    def test_invalid_losses(self):
-        with pytest.raises(DataError):
-            EpochObservation(1, 0.0, 1.0)
-        with pytest.raises(DataError):
-            EpochObservation(1, 1.0, -2.0)
+        _, new_counts = decide(10.0 / 1.0, 0.5, 0.1, 1.1, counts, 1.0)
+        assert new_counts["d1"] == 6  # 5.5 rounds up
 
     def test_invalid_parameters(self):
-        obs = EpochObservation(1, 1.0, 1.0)
+        rho = 1.0
         counts = {"d1": 1, "d2": 1, "d3": 1}
         with pytest.raises(ConfigError):
-            decide(obs, 0.0, 0.1, 1.1, counts, 1.0)
+            decide(rho, 0.0, 0.1, 1.1, counts, 1.0)
         with pytest.raises(ConfigError):
-            decide(obs, 0.5, 1.0, 1.1, counts, 1.0)
+            decide(rho, 0.5, 1.0, 1.1, counts, 1.0)
         with pytest.raises(ConfigError):
-            decide(obs, 0.5, 0.1, 1.0, counts, 1.0)
+            decide(rho, 0.5, 0.1, 1.0, counts, 1.0)
         with pytest.raises(ConfigError):
-            decide(obs, 0.5, 0.1, 1.1, counts, 0.0)
+            decide(rho, 0.5, 0.1, 1.1, counts, 0.0)
         # a NaN or an infinity is rejected too
         for args in ((math.nan, 0.1, 1.1, 1.0), (math.inf, 0.1, 1.1, 1.0),
                      (0.5, math.nan, 1.1, 1.0),
@@ -124,7 +113,7 @@ class TestDecide:
                      (0.5, 0.1, 1.1, math.nan), (0.5, 0.1, 1.1, math.inf)):
             lambda_loss, tolerance, factor, split = args
             with pytest.raises(ConfigError):
-                decide(obs, lambda_loss, tolerance, factor, counts, split)
+                decide(rho, lambda_loss, tolerance, factor, counts, split)
 
 
 def convergent_oracle_config() -> SyntheticOracleConfig:
@@ -138,8 +127,8 @@ class TestRunLoop:
     def test_convergence_matches_closed_form(self, tmp_path):
         pools = make_pools(500, 1500, 600)
         oracle = SyntheticOracle(convergent_oracle_config())
-        trajectory = run_loop(oracle, coarse_stub(), pools, max_epochs=3,
-                              tolerance=0.1, factor=1.1, seed=7, workdir=tmp_path)
+        epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=3,
+                          tolerance=0.1, factor=1.1, seed=7, workdir=tmp_path)
         # independent closed-form iteration of the loss model
         c_s = 1.2 * LAMBDA / math.sqrt(1770.0 / 500.0)
         d1, d23 = 500, 1770
@@ -157,49 +146,49 @@ class TestRunLoop:
                 d1_next = d1
             expected.append((d1, rho, action))
             d1 = d1_next
-        assert [(e.counts["d1"], e.ratio, e.action) for e in trajectory.epochs] == expected
-        assert trajectory.epochs[-1].action == "hold"
-        assert LAMBDA * 0.9 <= trajectory.epochs[-1].ratio <= LAMBDA * 1.1
+        assert [(e.counts["d1"], e.ratio, e.action) for e in epochs] == expected
+        assert epochs[-1].action == "hold"
+        assert LAMBDA * 0.9 <= epochs[-1].ratio <= LAMBDA * 1.1
 
     def test_constant_losses_hold_twice_and_stop(self, tmp_path):
         pools = make_pools(100, 300, 130)
         oracle = ScriptedOracle([(LAMBDA, 1.0)] * 10)
-        trajectory = run_loop(oracle, coarse_stub(), pools, max_epochs=5,
-                              seed=1, workdir=tmp_path)
-        assert [e.action for e in trajectory.epochs] == ["hold", "hold"]
+        epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=5,
+                          seed=1, workdir=tmp_path)
+        assert [e.action for e in epochs] == ["hold", "hold"]
         assert oracle.calls == 2
 
     def test_single_epoch(self, tmp_path):
         pools = make_pools(100, 300, 130)
         oracle = ScriptedOracle([(1.0, 1.0)])
-        trajectory = run_loop(oracle, coarse_stub(), pools, max_epochs=1,
-                              seed=1, workdir=tmp_path)
-        assert len(trajectory.epochs) == 1
+        epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=1,
+                          seed=1, workdir=tmp_path)
+        assert len(epochs) == 1
 
     def test_counts_monotone_nondecreasing(self, tmp_path):
         pools = make_pools(120, 400, 170)
         # alternate directions: far below, far above, below, above...
         losses = [(0.01, 1.0), (5.0, 1.0)] * 4
         oracle = ScriptedOracle(losses)
-        trajectory = run_loop(oracle, coarse_stub(), pools, max_epochs=8,
-                              seed=3, workdir=tmp_path)
-        for prev, cur in zip(trajectory.epochs, trajectory.epochs[1:]):
+        epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=8,
+                          seed=3, workdir=tmp_path)
+        for prev, cur in zip(epochs, epochs[1:]):
             for key in ("d1", "d2", "d3"):
                 assert cur.counts[key] >= prev.counts[key]
 
     def test_epoch1_counts_are_coarse_ratio(self, tmp_path):
         pools = make_pools(200, 600, 250)
         oracle = ScriptedOracle([(LAMBDA, 1.0)])
-        trajectory = run_loop(oracle, coarse_stub(), pools, max_epochs=1,
-                              seed=0, workdir=tmp_path)
-        assert trajectory.epochs[0].counts == {"d1": 200, "d2": 500, "d3": 208}
+        epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=1,
+                          seed=0, workdir=tmp_path)
+        assert epochs[0].counts == {"d1": 200, "d2": 500, "d3": 208}
 
     def test_trajectory_file_format(self, tmp_path):
         pools = make_pools(100, 300, 130)
         oracle = ScriptedOracle([(LAMBDA, 1.0)] * 3)
+        epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=3, seed=5,
+                          workdir=tmp_path, coarse_ref="coarse.json")
         out = tmp_path / "trajectory.jsonl"
-        run_loop(oracle, coarse_stub(), pools, max_epochs=3, seed=5,
-                 workdir=tmp_path, out_path=out, coarse_ref="coarse.json")
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert lines[0]["lambda_loss"] == LAMBDA
         assert lines[0]["tolerance"] == 0.1
@@ -209,41 +198,36 @@ class TestRunLoop:
         assert [l["epoch"] for l in lines[1:]] == [1, 2]
         assert set(lines[1]["counts"]) == {"d1", "d2", "d3"}
         assert set(lines[1]["losses"]) == {"scoring", "interpreting"}
-        loaded = read_trajectory(out)
-        assert len(loaded.epochs) == 2
-        assert loaded.epochs[0].action == "hold"
+        assert len(epochs) == 2
+        assert epochs[0].action == "hold"
 
-    @pytest.mark.parametrize("tail", ['{"epoch": 3, "counts": {"d1"', '{"epoch": 3}'])
-    def test_half_written_line_names_its_line(self, tmp_path, tail):
+    def test_library_call_writes_the_returned_epochs(self, tmp_path):
         pools = make_pools(100, 300, 130)
-        out = tmp_path / "trajectory.jsonl"
-        run_loop(ScriptedOracle([(5.0, 1.0)] * 2), coarse_stub(), pools, max_epochs=2,
-                 seed=5, workdir=tmp_path, out_path=out)
-        out.write_text(out.read_text() + tail)  # a run killed mid-write
-        with pytest.raises(DataError, match="line 4"):
-            read_trajectory(out)
+        oracle = ScriptedOracle([(5.0, 1.0), (0.01, 1.0), (LAMBDA, 1.0)])
+        epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=3, seed=5,
+                          workdir=tmp_path)
+        lines = (tmp_path / "trajectory.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines[1:]] == [asdict(e) for e in epochs]
+        assert [list(json.loads(line)) for line in lines[1:]] == \
+            [["epoch", "counts", "losses", "ratio", "action"]] * 3
 
     def test_rerun_byte_identical(self, tmp_path):
         pools = make_pools(150, 450, 190)
         oracle_config = convergent_oracle_config()
         paths = []
         for name in ("a", "b"):
-            out = tmp_path / f"{name}.jsonl"
             workdir = tmp_path / name
-            workdir.mkdir()
             run_loop(SyntheticOracle(oracle_config), coarse_stub(), pools,
-                     max_epochs=3, seed=11, workdir=workdir, out_path=out)
-            paths.append(out)
+                     max_epochs=3, seed=11, workdir=workdir)
+            paths.append(workdir / "trajectory.jsonl")
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_failure_persists_completed_epochs(self, tmp_path):
         pools = make_pools(100, 300, 130)
         oracle = FailingAfter(ScriptedOracle([(5.0, 1.0)] * 5), good_calls=2)
-        out = tmp_path / "trajectory.jsonl"
         with pytest.raises(OracleExecutionError):
-            run_loop(oracle, coarse_stub(), pools, max_epochs=5, seed=2,
-                     workdir=tmp_path, out_path=out)
-        lines = out.read_text().splitlines()
+            run_loop(oracle, coarse_stub(), pools, max_epochs=5, seed=2, workdir=tmp_path)
+        lines = (tmp_path / "trajectory.jsonl").read_text().splitlines()
         assert len(lines) == 3  # header + two completed epochs
         assert json.loads(lines[-1])["epoch"] == 2
 
@@ -251,29 +235,26 @@ class TestRunLoop:
         # d1 pool of 100 with repeated increase_scoring pushes past pool size
         pools = make_pools(100, 400, 170)
         oracle = ScriptedOracle([(5.0, 1.0)] * 6)
-        trajectory = run_loop(oracle, coarse_stub(), pools, max_epochs=6,
-                              seed=4, workdir=tmp_path)
-        assert trajectory.epochs[-1].counts["d1"] > 100
+        epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=6,
+                          seed=4, workdir=tmp_path)
+        assert epochs[-1].counts["d1"] > 100
 
     def test_split_ratio_fallback_from_weights(self, tmp_path):
         coarse = CoarseResult(ratio=MixRatio(1.0, 3.0, 1.0), lambda_loss=0.5)
         pools = make_pools(100, 400, 150)
         oracle = ScriptedOracle([(0.001, 1.0)] * 2)  # far below: grow interpreting
-        trajectory = run_loop(oracle, coarse, pools, max_epochs=2, seed=6,
-                              workdir=tmp_path)
-        first, second = trajectory.epochs
+        first, second = run_loop(oracle, coarse, pools, max_epochs=2, seed=6,
+                                 workdir=tmp_path)
         grown_d2 = second.counts["d2"]
         total = second.counts["d2"] + second.counts["d3"]
         assert abs(grown_d2 - total * 0.75) <= 1.0  # split held at 3:1
 
     def test_split_follows_weights_not_stage1_ratio(self, tmp_path):
         # the stage-1 ratio 1.0 disagrees with the 3:1 weights; the weights win
-        coarse = CoarseResult(ratio=MixRatio(1.0, 3.0, 1.0), lambda_loss=0.5,
-                              d2_d3_ratio=1.0)
+        coarse = CoarseResult(ratio=MixRatio(1.0, 3.0, 1.0), lambda_loss=0.5)
         oracle = ScriptedOracle([(0.001, 1.0)] * 2)  # far below: grow interpreting
-        trajectory = run_loop(oracle, coarse, make_pools(100, 400, 150), max_epochs=2,
-                              seed=6, workdir=tmp_path)
-        first, second = trajectory.epochs
+        first, second = run_loop(oracle, coarse, make_pools(100, 400, 150), max_epochs=2,
+                                 seed=6, workdir=tmp_path)
         assert first.counts == {"d1": 100, "d2": 300, "d3": 100}
         assert second.counts == {"d1": 100, "d2": 330, "d3": 110}  # 440 split 3:1
 
@@ -289,24 +270,18 @@ class TestRunLoop:
     ])
     def test_controls_checked_before_first_call(self, tmp_path, ratio, lambda_loss,
                                                 controls):
-        coarse = CoarseResult(ratio=ratio, lambda_loss=lambda_loss, d2_d3_ratio=2.42)
+        coarse = CoarseResult(ratio=ratio, lambda_loss=lambda_loss)
         oracle = ScriptedOracle([(1.0, 1.0)])
-        out = tmp_path / "trajectory.jsonl"
         with pytest.raises(ConfigError):
-            run_loop(oracle, coarse, make_pools(100, 300, 130), workdir=tmp_path,
-                     out_path=out, **controls)
+            run_loop(oracle, coarse, make_pools(100, 300, 130), workdir=tmp_path, **controls)
         assert oracle.calls == 0
-        assert not out.exists()
+        assert not (tmp_path / "trajectory.jsonl").exists()
         assert not (tmp_path / "manifests").exists()
 
     def test_max_epochs_validation(self, tmp_path):
         with pytest.raises(ConfigError):
             run_loop(ScriptedOracle([(1, 1)]), coarse_stub(), make_pools(10, 10, 10),
                      max_epochs=0, workdir=tmp_path)
-
-    def test_decision_dataclass(self):
-        decision = AdjustmentDecision("hold", 1.1, {"d1": 1, "d2": 1, "d3": 1})
-        assert decision.action == "hold"
 
     def test_external_oracle_interchangeable(self, tmp_path):
         # the epoch loop runs unchanged against the external-command adapter
@@ -326,6 +301,6 @@ class TestRunLoop:
             command=f"{sys.executable} {script} {{manifest}} {{seed}} {{out}}"
         ))
         pools = make_pools(100, 300, 130)
-        trajectory = run_loop(oracle, coarse_stub(), pools, max_epochs=3,
-                              seed=1, workdir=tmp_path)
-        assert [e.action for e in trajectory.epochs] == ["hold", "hold"]
+        epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=3,
+                          seed=1, workdir=tmp_path)
+        assert [e.action for e in epochs] == ["hold", "hold"]

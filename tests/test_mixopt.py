@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -19,7 +20,6 @@ from iqmix.mixopt import (
     SweepFailure,
     argmax_ratio,
     coarse_result_from_dict,
-    coarse_result_to_dict,
     coarse_search,
     compose_counts,
     fit_curve,
@@ -340,17 +340,17 @@ class TestCoarseSearch:
     def test_planted_recovery_small(self, tmp_path):
         pools = make_pools(342, 400, 400)
         config = SearchConfig(workdir=tmp_path, seed=2, repeats=1)
-        result = coarse_search(SyntheticOracle(planted_config()), pools, config)
-        assert math.log10(result.d2_d3_ratio) == pytest.approx(LOG_242, abs=1e-8)
-        assert math.log10(result.mixed_d1_ratio) == pytest.approx(LOG_354, abs=1e-2)
-        assert result.ratio.d1 == 1.0
+        doc = coarse_search(SyntheticOracle(planted_config()), pools, config)
+        assert math.log10(doc["stage1"]["ratio"]) == pytest.approx(LOG_242, abs=1e-8)
+        assert math.log10(doc["stage2"]["ratio"]) == pytest.approx(LOG_354, abs=1e-2)
+        assert doc["mix_ratio"]["d1"] == 1.0
 
     def test_lambda_from_constant_losses(self, tmp_path, pools_small):
         oracle = ConstantOracle(loss_scoring=1.0, loss_interpreting=4.66)
         config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
-        result = coarse_search(oracle, pools_small, config)
-        assert result.lambda_loss == 1.0 / 4.66
-        assert result.lambda_loss == pytest.approx(0.2146, abs=1e-4)
+        doc = coarse_search(oracle, pools_small, config)
+        assert doc["lambda_loss"] == 1.0 / 4.66
+        assert doc["lambda_loss"] == pytest.approx(0.2146, abs=1e-4)
 
     def test_scale_invariance(self, tmp_path):
         # scoring_weight=1 keeps stage 2 a pure function of the realized
@@ -362,61 +362,65 @@ class TestCoarseSearch:
         oracle = SyntheticOracle(planted_config())
         small = coarse_search(oracle, make_pools(200, 300, 300), config_small)
         big = coarse_search(oracle, make_pools(1400, 2100, 2100), config_big)
-        assert math.log10(small.d2_d3_ratio) == pytest.approx(
-            math.log10(big.d2_d3_ratio), abs=1e-9
-        )
-        assert math.log10(small.mixed_d1_ratio) == pytest.approx(
-            math.log10(big.mixed_d1_ratio), abs=1e-9
-        )
+        for key in ("stage1", "stage2"):
+            assert math.log10(small[key]["ratio"]) == pytest.approx(
+                math.log10(big[key]["ratio"]), abs=1e-9
+            )
 
     def test_flat_oracle_warns_and_picks_lower_endpoint(self, tmp_path, pools_small, caplog):
         config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
         with caplog.at_level(logging.WARNING):
-            result = coarse_search(ConstantOracle(), pools_small, config)
+            doc = coarse_search(ConstantOracle(), pools_small, config)
         assert any("boundary" in m for m in caplog.messages)
-        assert result.d2_d3_ratio == pytest.approx(0.1, rel=0.05)
+        assert doc["stage1"]["ratio"] == pytest.approx(0.1, rel=0.05)
 
     def test_persisted_result_round_trips(self, tmp_path, pools_small):
         config = SearchConfig(workdir=tmp_path, seed=8, repeats=1)
-        out = tmp_path / "coarse.json"
-        result = coarse_search(SyntheticOracle(planted_config()), pools_small,
-                               config, out_path=out)
-        doc = json.loads(out.read_text())
+        result = coarse_search(SyntheticOracle(planted_config()), pools_small, config)
+        doc = json.loads((tmp_path / "coarse_result.json").read_text())
         assert doc["tool_version"]
         assert len(doc["stage1"]["points"]) == 19
         loaded = coarse_result_from_dict(doc)
-        assert loaded.lambda_loss == result.lambda_loss
-        assert loaded.ratio == result.ratio
+        assert loaded.lambda_loss == result["lambda_loss"]
+        assert loaded.ratio == MixRatio(**result["mix_ratio"])
         assert doc["stage1"]["curve"]["axis"] == doc["stage2"]["curve"]["axis"] == "log10"
-        # serialization is deterministic
-        assert json.dumps(coarse_result_to_dict(result), indent=2) + "\n" == out.read_text()
+
+    def test_returned_document_is_the_written_file(self, tmp_path, pools_small):
+        config = SearchConfig(workdir=tmp_path, seed=8, repeats=1)
+        doc = coarse_search(SyntheticOracle(planted_config()), pools_small, config)
+        written = (tmp_path / "coarse_result.json").read_bytes()
+        assert (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode() == written
 
     def test_partial_persisted_on_stage1_failure(self, tmp_path, pools_small):
         oracle = FailingOracle(SyntheticOracle(planted_config()), fail_after=4)
-        out = tmp_path / "coarse.json"
         config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
         with pytest.raises(OracleExecutionError):
-            coarse_search(oracle, pools_small, config, out_path=out)
-        doc = json.loads(out.read_text())
+            coarse_search(oracle, pools_small, config)
+        doc = json.loads((tmp_path / "coarse_result.json").read_text())
+        assert list(doc) == ["tool_version", "seed", "repeats", "stage", "error",
+                             "partial_points"]
         assert doc["stage"] == "d2_vs_d3"
         assert len(doc["partial_points"]) == 4
         assert "injected" in doc["error"]
 
     def test_partial_persisted_on_stage2_failure(self, tmp_path, pools_small):
         oracle = FailingOracle(SyntheticOracle(planted_config()), fail_after=25)
-        out = tmp_path / "coarse.json"
         config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
         with pytest.raises(OracleExecutionError):
-            coarse_search(oracle, pools_small, config, out_path=out)
-        doc = json.loads(out.read_text())
+            coarse_search(oracle, pools_small, config)
+        doc = json.loads((tmp_path / "coarse_result.json").read_text())
+        assert list(doc) == ["tool_version", "seed", "repeats", "stage", "error",
+                             "partial_points", "stage1"]
         assert doc["stage"] == "mixed_vs_d1"
         assert len(doc["stage1"]["points"]) == 19
         assert len(doc["partial_points"]) == 25 - 19
 
     def test_manual_coarse_result_construction(self):
         result = CoarseResult(ratio=MixRatio(1.0, 2.5, 1.04), lambda_loss=0.2146)
-        assert result.stage1_curve is None
         assert result.ratio.d2 == 2.5
+        assert [f.name for f in dataclasses.fields(result)] == ["ratio", "lambda_loss"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.lambda_loss = 1.0
 
     def test_external_oracle_interchangeable(self, tmp_path, pools_small):
         # the search runs unchanged against the external-command adapter
@@ -436,6 +440,6 @@ class TestCoarseSearch:
             command=f"{sys.executable} {script} {{manifest}} {{seed}} {{out}}"
         ))
         config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
-        result = coarse_search(oracle, pools_small, config)
-        assert result.lambda_loss == 1.0 / 4.66
-        assert len(result.stage1_points) == 19
+        doc = coarse_search(oracle, pools_small, config)
+        assert doc["lambda_loss"] == 1.0 / 4.66
+        assert len(doc["stage1"]["points"]) == 19

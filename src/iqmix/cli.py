@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from collections import Counter
 from datetime import datetime, timezone
@@ -28,6 +29,7 @@ from . import __version__
 from .controller import check_controls, run_loop
 from .datasets import (
     D1_ANSWER_TEMPLATE,
+    POOL_TAGS,
     PoolSet,
     ingest_mos,
     emit_d1_pairs,
@@ -94,6 +96,26 @@ def _number(key: str, cast, *values, default):
     except (TypeError, ValueError, OverflowError):
         kind = "an integer" if cast is int else "a number"
         raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+
+def _section(conf: dict, key: str) -> dict:
+    """A mapping of the config; absent or empty reads as {}."""
+    value = conf.get(key) or {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
+def _grid_ratios(grid: dict, key: str) -> tuple[float, ...] | None:
+    """An optional ratio-grid override: a list of finite positive numbers."""
+    values = grid.get(key)
+    if not values:
+        return None
+    if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
+            for v in values):  # nan fails the range test too
+        raise ConfigError(f"grid.{key} must be a list of positive numbers, got {values!r}")
+    return tuple(values)
 
 
 # Run records ------------------------------------------------------------------
@@ -177,23 +199,18 @@ def _load_yaml(path: str | Path) -> dict:
     return doc
 
 
-def _load_pools(conf: dict) -> PoolSet:
-    pools_conf = conf.get("pools")
-    if not isinstance(pools_conf, dict):
-        raise ConfigError("config requires a pools mapping with d1/d2/d3 paths")
+def _load_pools(conf: dict) -> tuple[PoolSet, list[str]]:
+    """The three pools of the config, and their paths in d1, d2, d3 order."""
+    pools_conf = _section(conf, "pools")
     missing = [key for key in ("d1", "d2", "d3") if not pools_conf.get(key)]
     if missing:
         raise ConfigError(f"config pools missing path(s): {', '.join(missing)}")
-    pools = PoolSet()
-    for key in ("d1", "d2", "d3"):
-        setattr(pools, key, load_pool(pools_conf[key], key.upper()))
-    return pools
+    paths = [pools_conf[key] for key in ("d1", "d2", "d3")]
+    return PoolSet(*(load_pool(path, tag) for path, tag in zip(paths, POOL_TAGS))), paths
 
 
 def _build_oracle(conf: dict) -> Oracle:
-    oracle_conf = conf.get("oracle")
-    if not isinstance(oracle_conf, dict):
-        raise ConfigError("config requires an oracle mapping")
+    oracle_conf = _section(conf, "oracle")
     kind = oracle_conf.get("kind")
     if kind == "synthetic":
         return SyntheticOracle(SyntheticOracleConfig.from_dict(oracle_conf))
@@ -377,8 +394,9 @@ def _parse_triplet(text: str, what: str) -> tuple[float, float, float]:
 def cmd_sample(args: argparse.Namespace) -> int:
     started = _now()
     conf = _load_yaml(args.config)
-    seed = _resolve(args.seed, _env_default("SEED", int), conf.get("seed"), default=0)
-    pools = _load_pools(conf)
+    seed = _number("seed", int, args.seed, _env_default("SEED", int), conf.get("seed"),
+                   default=0)
+    pools, pool_paths = _load_pools(conf)
     if args.counts is not None:
         c1, c2, c3 = _parse_triplet(args.counts, "--counts")
         counts = {"d1": int(c1), "d2": int(c2), "d3": int(c3)}
@@ -394,7 +412,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     print(f"manifest with {len(manifest.entries)} entries "
           f"(counts {manifest.counts}) written to {out}")
 
-    pool_paths = [conf["pools"][k] for k in ("d1", "d2", "d3")]
     _write_run_record(
         "sample",
         {"counts": counts, "with_replacement": args.with_replacement, "out": str(out)},
@@ -413,23 +430,25 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
                    default=1)
     repeats = _number("repeats", int, args.repeats, conf.get("repeats"), default=3)
     scoring_weight = _number("scoring_weight", float, conf.get("scoring_weight"), default=0.5)
+    if not 0.0 <= scoring_weight <= 1.0:
+        raise ConfigError(f"scoring_weight must be in [0, 1], got {scoring_weight!r}")
     out_dir = Path(_resolve(args.out_dir, conf.get("out_dir"), default="mix-search-run"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if conf.get("axis", "log10") != "log10":
         raise ConfigError(f"axis must be log10 (the only sweep axis), got {conf['axis']!r}")
-    pools = _load_pools(conf)
-    oracle = _build_oracle(conf)
-    grid_conf = conf.get("grid") or {}
+    grid = _section(conf, "grid")
     config = SearchConfig(
         workdir=out_dir,
         seed=seed,
         repeats=repeats,
         jobs=jobs,
         scoring_weight=scoring_weight,
-        stage1_ratios=tuple(grid_conf["stage1"]) if grid_conf.get("stage1") else None,
-        stage2_ratios=tuple(grid_conf["stage2"]) if grid_conf.get("stage2") else None,
+        stage1_ratios=_grid_ratios(grid, "stage1"),
+        stage2_ratios=_grid_ratios(grid, "stage2"),
     )
+    pools, pool_paths = _load_pools(conf)
+    oracle = _build_oracle(conf)
     doc = coarse_search(oracle, pools, config)
     result_path = out_dir / "coarse_result.json"
     weights = doc["mix_ratio"]
@@ -439,7 +458,6 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
     print(f"reference loss ratio {doc['lambda_loss']:.6g}")
     print(f"result written to {result_path}")
 
-    pool_paths = [conf["pools"][k] for k in ("d1", "d2", "d3")]
     _write_run_record(
         "mix-search",
         {"seed": seed, "repeats": repeats, "jobs": jobs, "out_dir": str(out_dir)},
@@ -452,7 +470,7 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
 def cmd_mix_adjust(args: argparse.Namespace) -> int:
     started = _now()
     conf = _load_yaml(args.config)
-    controller_conf = conf.get("controller") or {}
+    controller_conf = _section(conf, "controller")
     seed = _number("seed", int, args.seed, _env_default("SEED", int), conf.get("seed"),
                    default=0)
     max_epochs = _number("controller.max_epochs", int, args.max_epochs,
@@ -471,7 +489,7 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
         raise DataError(f"cannot read coarse result {args.coarse_result}: {exc}")
     check_controls(coarse, max_epochs, tolerance, factor)
 
-    pools = _load_pools(conf)
+    pools, pool_paths = _load_pools(conf)
     oracle = _build_oracle(conf)
     epochs = run_loop(
         oracle, coarse, pools, max_epochs=max_epochs, tolerance=tolerance, factor=factor,
@@ -483,7 +501,6 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
     trajectory_path = out_dir / "trajectory.jsonl"
     print(f"trajectory written to {trajectory_path}")
 
-    pool_paths = [conf["pools"][k] for k in ("d1", "d2", "d3")]
     _write_run_record(
         "mix-adjust",
         {"seed": seed, "max_epochs": max_epochs, "tolerance": tolerance, "factor": factor,
@@ -498,8 +515,17 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
 # Parser ------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes every negative number for a value, also in exponent form
+    (`--scale-min -1e3`), which argparse's own pattern takes for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iqmix",
         description="Image-quality rating conversions, logit scoring, IQA "
                     "evaluation, and data-mixture optimization.",
@@ -607,10 +633,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 3
-    except (DataError, IqmixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (IqmixError, OSError) as exc:  # DataError is an IqmixError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

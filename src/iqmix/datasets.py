@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -232,58 +232,10 @@ def write_pairs(
     path: str | Path,
     *,
     inline_system: bool = False,
-) -> int:
-    count = 0
+) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for pair in pairs:
             handle.write(pair_to_json(pair, inline_system=inline_system) + "\n")
-            count += 1
-    return count
-
-
-def _pair_from_obj(obj: dict, pool_tag: str, line_no: int, source: str) -> InstructionPair:
-    where = f"{source}: line {line_no}"
-    pair_id = record_id(obj, where)
-    image = obj.get("image")
-    if not isinstance(image, str):
-        raise DataError(f"{where}: missing or non-string 'image'")
-    system = obj.get("system")
-    if system is not None and not isinstance(system, str):
-        raise DataError(f"{where}: 'system' must be a string when present")
-    conv = obj.get("conversations")
-    if not isinstance(conv, list) or len(conv) < 2 or len(conv) % 2 != 0:
-        raise DataError(
-            f"{where}: 'conversations' must hold alternating human/gpt turns"
-        )
-    turns: list[tuple[str, str]] = []
-    for k in range(0, len(conv), 2):
-        human, assistant = conv[k], conv[k + 1]
-        for turn, who in ((human, "human"), (assistant, "gpt")):
-            if not isinstance(turn, dict) or turn.get("from") != who \
-                    or not isinstance(turn.get("value"), str):
-                raise DataError(f"{where}: malformed {who} turn at position {k}")
-        turns.append((human["value"], assistant["value"]))
-    try:
-        return InstructionPair(
-            id=pair_id,
-            image_ref=image,
-            system=system,
-            question=turns[0][0],
-            answer=turns[0][1],
-            pool=pool_tag,
-            extra_turns=tuple(turns[1:]),
-        )
-    except DataError as exc:
-        raise DataError(f"{where}: {exc}")
-
-
-def read_pairs(path: str | Path, pool_tag: str) -> Iterator[tuple[int, InstructionPair]]:
-    """Parse and validate a line-delimited instruction-pair file, yielding
-    (1-based line number, pair) for every non-blank line."""
-    if pool_tag not in POOL_TAGS:
-        raise DataError(f"unknown pool tag {pool_tag!r}")
-    for line_no, obj in read_jsonl(path):
-        yield line_no, _pair_from_obj(obj, pool_tag, line_no, str(path))
 
 
 def manifest_row(pool_tag: str, source_line: int, pair_id: str) -> str:
@@ -294,13 +246,36 @@ def manifest_row(pool_tag: str, source_line: int, pair_id: str) -> str:
 
 
 def load_pool(path: str | Path, pool_tag: str) -> list[str]:
-    """Validate every record of a pool file, then keep only its manifest row.
-
-    Sampling needs nothing else of a pair, so the rows are rendered once
-    here and a manifest is a shuffled selection of them.
-    """
-    rows = [manifest_row(pool_tag, line_no, pair.id)
-            for line_no, pair in read_pairs(path, pool_tag)]
+    """Check every record of a pool file as a training pair (id, image,
+    optional system, alternating human/gpt turns; D1 carries the scoring
+    system prefix), then keep only its manifest row. Sampling needs nothing
+    else of a pair, so a manifest is a shuffled selection of these rows."""
+    if pool_tag not in POOL_TAGS:
+        raise DataError(f"unknown pool tag {pool_tag!r}")
+    rows = []
+    for line_no, obj in read_jsonl(path):
+        where = f"{path}: line {line_no}"
+        pair_id = record_id(obj, where)
+        if not isinstance(obj.get("image"), str):
+            raise DataError(f"{where}: missing or non-string 'image'")
+        system = obj.get("system")
+        if system is not None and not isinstance(system, str):
+            raise DataError(f"{where}: 'system' must be a string when present")
+        conv = obj.get("conversations")
+        if not isinstance(conv, list) or len(conv) < 2 or len(conv) % 2 != 0:
+            raise DataError(
+                f"{where}: 'conversations' must hold alternating human/gpt turns"
+            )
+        for k, turn in enumerate(conv):
+            who = "gpt" if k % 2 else "human"
+            if not isinstance(turn, dict) or turn.get("from") != who \
+                    or not isinstance(turn.get("value"), str):
+                raise DataError(f"{where}: malformed {who} turn at position {k - k % 2}")
+        if pool_tag == "D1" and system != SCORING_SYSTEM_PREFIX:
+            raise DataError(
+                f"{where}: {pair_id}: D1 pairs must carry the scoring system prefix verbatim"
+            )
+        rows.append(manifest_row(pool_tag, line_no, pair_id))
     if not rows:
         log.warning("%s: empty pool file for %s", path, pool_tag)
     return rows

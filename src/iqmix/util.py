@@ -31,20 +31,23 @@ def round_half_up(x: float) -> int:
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (1-based line number, object) for every non-blank line of a
-    JSON-lines file; a line that is not a JSON object raises a DataError
-    naming the file and line."""
+    JSON-lines file; a line that is not a JSON object, or a file that is not
+    UTF-8, raises a DataError naming the file (and the line, where known)."""
     with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {line_no}: invalid JSON ({exc})")
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}: line {line_no}: record is not an object")
-            yield line_no, obj
+        try:  # one handler around the loop: nothing is added per line
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}: line {line_no}: invalid JSON ({exc})")
+                if not isinstance(obj, dict):
+                    raise DataError(f"{path}: line {line_no}: record is not an object")
+                yield line_no, obj
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8 ({exc.reason})")
 
 
 def record_id(obj: dict, where: str) -> str:

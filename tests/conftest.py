@@ -24,6 +24,20 @@ def make_pairs(tag: str, n: int) -> list[InstructionPair]:
     ]
 
 
+def pair_record(pair: InstructionPair) -> dict:
+    """Every field write_pairs writes for a pair, as json.loads reads it
+    back (no 'system' key when the pair has none)."""
+    record = {"id": pair.id, "image": pair.image_ref}
+    if pair.system is not None:
+        record["system"] = pair.system
+    record["conversations"] = [
+        {"from": who, "value": value}
+        for human, assistant in ((pair.question, pair.answer), *pair.extra_turns)
+        for who, value in (("human", human), ("gpt", assistant))
+    ]
+    return record
+
+
 def make_rows(tag: str, n: int) -> list[str]:
     """The manifest rows load_pool keeps for a file of make_pairs(tag, n)."""
     return [manifest_row(tag, line, pair.id)

@@ -19,8 +19,8 @@ from iqmix.controller import run_loop
 from iqmix.datasets import (
     emit_d1_pairs,
     load_pool,
+    manifest_row,
     pool_stats,
-    read_pairs,
     subsample_balanced,
     write_pairs,
 )
@@ -35,7 +35,7 @@ from iqmix.scoring import (
     weighted_score,
 )
 
-from conftest import make_pools, planted_config
+from conftest import make_pools, pair_record, planted_config
 
 LOG_242 = math.log10(2.42)
 LOG_354 = math.log10(3.54)
@@ -235,14 +235,12 @@ def test_criterion_09_d1_emission_and_round_trip(tmp_path):
         assert match.group(1) in FIVE_LEVEL_LABELS
         assert sum(pair.answer.count(label) for label in FIVE_LEVEL_LABELS) == 1
 
-    first = tmp_path / "first.jsonl"
-    write_pairs(pairs, first)
-    reloaded = [pair for _, pair in read_pairs(first, "D1")]
-    assert reloaded == pairs
-    assert len(load_pool(first, "D1")) == len(pairs)
-    second = tmp_path / "second.jsonl"
-    write_pairs(reloaded, second)
-    assert first.read_bytes() == second.read_bytes()
+    path = tmp_path / "d1.jsonl"
+    write_pairs(pairs, path)
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert records == [pair_record(pair) for pair in pairs]
+    assert load_pool(path, "D1") == [manifest_row("D1", line, pair.id)
+                                     for line, pair in enumerate(pairs, start=1)]
 
 
 def test_criterion_10_subsampler_balances_skew():

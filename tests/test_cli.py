@@ -71,6 +71,12 @@ class TestConvert:
         assert "finite bounds" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_bound_in_exponent_form(self, tmp_path, mos_file):
+        out = tmp_path / "out.jsonl"
+        assert run_cli("convert", mos_file, "--scale-min", "-1e3", "--scale-max", 100,
+                       "--out", out) == 0
+        assert len(load_pool(out, "D1")) == 60
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert run_cli("convert", tmp_path / "nope.csv", "--scale-min", 0,
                        "--scale-max", 100, "--out", tmp_path / "o.jsonl") == 1
@@ -148,11 +154,15 @@ class TestScore:
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert rows[0]["score"] == 50.0
 
+    def test_rescale_bound_in_exponent_form(self, tmp_path, logits_file):
+        out = tmp_path / "scores.jsonl"
+        assert run_cli("score", logits_file, "--rescale", "-1e3", 5, "--out", out) == 0
+        rows = [json.loads(l) for l in out.read_text().splitlines()]
+        assert rows[0]["score"] == -1e3 + 2 * 1005 / 4  # level 3 of 5 on [-1000, 5]
+
     def test_overflowing_rescale_width_is_config_error(self, tmp_path, logits_file, capsys):
         out = tmp_path / "scores.jsonl"
-        # argparse reads "-1e308" as an option name; the integer spelling is
-        # the same float.
-        assert run_cli("score", logits_file, "--rescale", -10**308, "1e308",
+        assert run_cli("score", logits_file, "--rescale", "-1e308", "1e308",
                        "--out", out) == 2
         assert "finite width" in capsys.readouterr().err
         assert not out.exists()
@@ -421,6 +431,23 @@ class TestSample:
         assert run_cli("sample", "--config", config, "--counts", "20:5:5",
                        "--out", tmp_path / "m.jsonl") == 1
 
+    def test_non_numeric_seed_is_config_error(self, tmp_path, capsys):
+        config = write_pools_and_config(tmp_path, extra={"seed": "abc"})
+        out = tmp_path / "m.jsonl"
+        assert run_cli("sample", "--config", config, "--counts", "5:5:5", "--out", out) == 2
+        assert "config error: seed must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pool_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        config = write_pools_and_config(tmp_path)
+        pool = tmp_path / "d2.jsonl"
+        pool.write_bytes(pool.read_bytes().replace(b"images/", b"images/\xff", 1))
+        out = tmp_path / "m.jsonl"
+        assert run_cli("sample", "--config", config, "--counts", "5:5:5", "--out", out) == 1
+        assert f"error: {pool}: not valid UTF-8 (invalid start byte)" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMixSearch:
     def test_end_to_end(self, tmp_path, capsys):
@@ -503,6 +530,34 @@ class TestMixSearch:
         assert run_cli("mix-search", "--config", config,
                        "--out-dir", tmp_path / "run") == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"grid": [1]}, "grid must be a mapping, got [1]"),
+        ({"grid": {"stage1": "abc"}}, "grid.stage1 must be a list of positive numbers, got 'abc'"),
+        ({"grid": {"stage2": [0.5, "x"]}},
+         "grid.stage2 must be a list of positive numbers, got [0.5, 'x']"),
+        ({"grid": {"stage2": [0.5, 0]}},
+         "grid.stage2 must be a list of positive numbers, got [0.5, 0]"),
+        ({"scoring_weight": 7}, "scoring_weight must be in [0, 1], got 7.0"),
+        ({"scoring_weight": -0.5}, "scoring_weight must be in [0, 1], got -0.5"),
+    ])
+    def test_bad_setting_is_config_error_before_pools_load(
+            self, tmp_path, capsys, extra, message):
+        config = write_pools_and_config(tmp_path, extra=extra)
+        for tag in ("d1", "d2", "d3"):
+            (tmp_path / f"{tag}.jsonl").unlink()  # a pool load would exit 1
+        assert run_cli("mix-search", "--config", config,
+                       "--out-dir", tmp_path / "run") == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_grid_override_sets_the_points(self, tmp_path):
+        grid = [0.25, 0.5, 1, 2, 4, 8]
+        config = write_pools_and_config(tmp_path, extra={"grid": {"stage1": grid}})
+        out_dir = tmp_path / "run"
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 0
+        doc = json.loads((out_dir / "coarse_result.json").read_text())
+        assert len(doc["stage1"]["points"]) == len(grid)
+        assert len(doc["stage2"]["points"]) == 19
 
 
 class TestMixAdjust:
@@ -597,6 +652,7 @@ class TestMixAdjust:
          "controller.tolerance must be a number, got 'abc'"),
         ({"controller": {"factor": "1.1x"}}, [],
          "controller.factor must be a number, got '1.1x'"),
+        ({"controller": [1, 2]}, [], "controller must be a mapping, got [1, 2]"),
     ])
     def test_bad_setting_is_config_error_before_pools_load(
             self, tmp_path, capsys, extra, flags, message):

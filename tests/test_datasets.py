@@ -22,7 +22,6 @@ from iqmix.datasets import (
     pair_to_json,
     pool_stats,
     read_manifest_header,
-    read_pairs,
     sample_mixture,
     subsample_balanced,
     write_manifest,
@@ -32,7 +31,11 @@ from iqmix.errors import DataError, ScoreOutOfRangeError
 from iqmix.levels import FIVE_LEVEL_LABELS, LevelScale
 from iqmix.util import read_jsonl
 
-from conftest import make_pairs, make_pools
+from conftest import make_pairs, make_pools, pair_record
+
+
+HUMAN = {"from": "human", "value": "q"}
+GPT = {"from": "gpt", "value": "a"}
 
 
 def write_mos_csv(path, rows, header="image_id,mos"):
@@ -229,13 +232,12 @@ class TestPoolRoundTrip:
     def test_write_load_identity(self, tmp_path):
         scale = LevelScale(0.0, 100.0)
         pairs = emit_d1_pairs({f"img{i}": float(i * 7 % 101) for i in range(40)}, scale)
-        path_a = tmp_path / "a.jsonl"
-        write_pairs(pairs, path_a)
-        loaded = [pair for _, pair in read_pairs(path_a, "D1")]
-        assert loaded == pairs
-        path_b = tmp_path / "b.jsonl"
-        write_pairs(loaded, path_b)
-        assert path_a.read_bytes() == path_b.read_bytes()
+        path = tmp_path / "a.jsonl"
+        write_pairs(pairs, path)
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert records == [pair_record(pair) for pair in pairs]
+        assert load_pool(path, "D1") == [manifest_row("D1", line, pair.id)
+                                         for line, pair in enumerate(pairs, start=1)]
 
     def test_multi_turn_round_trip(self, tmp_path):
         pair = InstructionPair(
@@ -244,9 +246,10 @@ class TestPoolRoundTrip:
         )
         path = tmp_path / "pool.jsonl"
         write_pairs([pair], path)
-        assert list(read_pairs(path, "D2")) == [(1, pair)]
         obj = json.loads(path.read_text().splitlines()[0])
+        assert obj == pair_record(pair)
         assert len(obj["conversations"]) == 4
+        assert load_pool(path, "D2") == [manifest_row("D2", 1, "c1")]
 
     def test_inline_system_flag(self):
         pair = emit_d1_pairs({"x": 50.0}, LevelScale(0, 100))[0]
@@ -306,6 +309,39 @@ class TestPoolRoundTrip:
         with pytest.raises(DataError, match="malformed gpt turn") as exc:
             load_pool(path, "D3")
         assert "line 2" in str(exc.value)
+
+    @pytest.mark.parametrize("tag,edit,message", [
+        ("D3", {"id": 1.5}, "missing or non-string 'id'"),
+        ("D3", {"image": None}, "missing or non-string 'image'"),
+        ("D3", {"system": 3}, "'system' must be a string when present"),
+        ("D3", {"conversations": "q"}, "'conversations' must hold alternating human/gpt turns"),
+        ("D3", {"conversations": [HUMAN]}, "'conversations' must hold alternating human/gpt turns"),
+        ("D3", {"conversations": [HUMAN, GPT, HUMAN]},
+         "'conversations' must hold alternating human/gpt turns"),
+        ("D3", {"conversations": ["q", GPT]}, "malformed human turn at position 0"),
+        ("D3", {"conversations": [HUMAN, {"from": "gpt"}]}, "malformed gpt turn at position 0"),
+        ("D3", {"conversations": [HUMAN, GPT, {"from": "gpt", "value": "q"}, GPT]},
+         "malformed human turn at position 2"),
+        ("D3", {"conversations": [HUMAN, GPT, HUMAN, {"from": "gpt", "value": 1}]},
+         "malformed gpt turn at position 2"),
+        ("D1", {}, "x: D1 pairs must carry the scoring system prefix verbatim"),
+        ("D1", {"system": SCORING_SYSTEM_PREFIX + " "},
+         "x: D1 pairs must carry the scoring system prefix verbatim"),
+    ])
+    def test_each_check_names_file_and_line(self, tmp_path, tag, edit, message):
+        path = tmp_path / "pool.jsonl"
+        good = {"id": "ok", "image": "ok.jpg", "conversations": [HUMAN, GPT]}
+        if tag == "D1":
+            good["system"] = SCORING_SYSTEM_PREFIX
+        bad = {"id": "x", "image": "x.jpg", "conversations": [HUMAN, GPT], **edit}
+        path.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load_pool(path, tag)
+        assert str(exc.value) == f"{path}: line 3: {message}"
+
+    def test_unknown_tag_is_checked_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(DataError, match="^unknown pool tag 'D4'$"):
+            load_pool(tmp_path / "missing.jsonl", "D4")
 
 
 class TestManifestRow:

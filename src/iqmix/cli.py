@@ -60,12 +60,12 @@ from .mixopt import (
 from .oracle import (
     ExternalOracle,
     ExternalOracleConfig,
-    Oracle,
+    Ledger,
     SyntheticOracle,
     SyntheticOracleConfig,
 )
 from .scoring import BatchDiagnostic, rescale_score, score_batch
-from .util import read_jsonl, record_id
+from .util import file_digest, read_jsonl, record_id
 
 log = logging.getLogger(__name__)
 
@@ -115,32 +115,36 @@ def _grid_ratios(grid: dict, key: str) -> tuple[float, ...] | None:
             isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
             for v in values):  # nan fails the range test too
         raise ConfigError(f"grid.{key} must be a list of positive numbers, got {values!r}")
+    if len(set(values)) < 5:
+        raise ConfigError(f"grid.{key} needs 5 distinct ratios for a degree-4 fit, got {values!r}")
     return tuple(values)
 
 
 # Run records ------------------------------------------------------------------
 
 
-def _config_hash(flags: dict, input_paths: Sequence[str | Path]) -> str:
-    digest = hashlib.sha256()
-    digest.update(json.dumps(flags, sort_keys=True, default=str).encode("utf-8"))
-    for path in input_paths:
-        digest.update(b"\x00" + str(path).encode("utf-8") + b"\x00")
-        with open(path, "rb") as handle:
-            while chunk := handle.read(1 << 20):  # never hold a whole pool file
-                digest.update(chunk)
+def _digests(*paths: str | Path) -> list[tuple[str | Path, str]]:
+    return [(path, file_digest(path)) for path in paths]
+
+
+def _config_hash(flags: dict, inputs: Sequence[tuple[str | Path, str]]) -> str:
+    """sha256 over the flags as sorted-key JSON and each input's path and digest."""
+    digest = hashlib.sha256(json.dumps(flags, sort_keys=True, default=str).encode("utf-8"))
+    for path, file_hash in inputs:
+        digest.update(f"\x00{path}\x00{file_hash}".encode("utf-8"))
     return digest.hexdigest()
 
 
 def _write_run_record(
     command: str,
     flags: dict,
-    inputs: Sequence[str | Path],
+    inputs: Sequence[tuple[str | Path, str]],
     outputs: Sequence[str | Path],
     seed: int,
     started: str,
-    record_path: Path,
+    record_path: Path | None = None,
 ) -> None:
+    """Write the run record to record_path, by default `{first output}.run.json`."""
     record = {
         "command": command,
         "config_hash": _config_hash(flags, inputs),
@@ -150,6 +154,7 @@ def _write_run_record(
         "started": started,
         "finished": _now(),
     }
+    record_path = record_path or Path(f"{outputs[0]}.run.json")
     record_path.write_text(json.dumps(record, indent=2, ensure_ascii=False) + "\n",
                            encoding="utf-8")
 
@@ -199,24 +204,32 @@ def _load_yaml(path: str | Path) -> dict:
     return doc
 
 
-def _load_pools(conf: dict) -> tuple[PoolSet, list[str]]:
-    """The three pools of the config, and their paths in d1, d2, d3 order."""
+def _load_pools(conf: dict) -> tuple[PoolSet, list[tuple[str | Path, str]]]:
+    """The three pools of the config, and their paths and file digests in
+    d1, d2, d3 order, which both the ledger and the run record use."""
     pools_conf = _section(conf, "pools")
     missing = [key for key in ("d1", "d2", "d3") if not pools_conf.get(key)]
     if missing:
         raise ConfigError(f"config pools missing path(s): {', '.join(missing)}")
     paths = [pools_conf[key] for key in ("d1", "d2", "d3")]
-    return PoolSet(*(load_pool(path, tag) for path, tag in zip(paths, POOL_TAGS))), paths
+    pools = PoolSet(*(load_pool(path, tag) for path, tag in zip(paths, POOL_TAGS)))
+    return pools, _digests(*paths)
 
 
-def _build_oracle(conf: dict) -> Oracle:
+def _build_oracle(conf: dict, out_dir: Path, pool_inputs: Sequence[tuple]) -> Ledger:
+    """The config's oracle behind out_dir's ledger, keyed by the pool digests
+    and the oracle section without `timeout` (which never changes a result)."""
     oracle_conf = _section(conf, "oracle")
     kind = oracle_conf.get("kind")
     if kind == "synthetic":
-        return SyntheticOracle(SyntheticOracleConfig.from_dict(oracle_conf))
-    if kind == "external":
-        return ExternalOracle(ExternalOracleConfig.from_dict(oracle_conf))
-    raise ConfigError(f"oracle.kind must be synthetic or external, got {kind!r}")
+        oracle = SyntheticOracle(SyntheticOracleConfig.from_dict(oracle_conf))
+    elif kind == "external":
+        oracle = ExternalOracle(ExternalOracleConfig.from_dict(oracle_conf))
+    else:
+        raise ConfigError(f"oracle.kind must be synthetic or external, got {kind!r}")
+    identity = {k: v for k, v in oracle_conf.items() if k != "timeout"}
+    context = [d for _, d in pool_inputs] + [json.dumps(identity, sort_keys=True, default=str)]
+    return Ledger(oracle, out_dir / "ledger.jsonl", context)
 
 
 # Subcommands -------------------------------------------------------------------
@@ -242,8 +255,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         {"scale": [args.scale_min, args.scale_max], "delimiter": args.delimiter,
          "lenient": args.lenient, "inline_system": args.inline_system,
          "out": str(out)},
-        [args.mos_file], [out], seed=0, started=started,
-        record_path=out.with_name(out.name + ".run.json"),
+        _digests(args.mos_file), [out], seed=0, started=started,
     )
     return 0
 
@@ -266,16 +278,19 @@ def cmd_score(args: argparse.Namespace) -> int:
     encode_id = json.encoder.encode_basestring_ascii
     with open(args.logits_file, encoding="utf-8") as src, \
             open(out, "w", encoding="utf-8") as dst:
-        for item in score_batch(src, binary=binary, strict=args.strict):
-            if isinstance(item, BatchDiagnostic):
-                diagnostics += 1
-                print(f"line {item.line_no}: {item.message}", file=sys.stderr)
-                continue
-            item_id, score = item
-            if rescale is not None:
-                score = rescale_score(score, rescale)
-            # repr is the bytes json.dumps writes for a finite float.
-            dst.write(f'{{"id": {encode_id(item_id)}, "score": {score!r}}}\n')
+        try:  # one handler around the loop: nothing is added per record
+            for item in score_batch(src, binary=binary, strict=args.strict):
+                if isinstance(item, BatchDiagnostic):
+                    diagnostics += 1
+                    print(f"line {item.line_no}: {item.message}", file=sys.stderr)
+                    continue
+                item_id, score = item
+                if rescale is not None:
+                    score = rescale_score(score, rescale)
+                # repr is the bytes json.dumps writes for a finite float.
+                dst.write(f'{{"id": {encode_id(item_id)}, "score": {score!r}}}\n')
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{args.logits_file}: not valid UTF-8 ({exc.reason})")
     if diagnostics:
         print(f"{diagnostics} malformed record(s) skipped", file=sys.stderr)
 
@@ -283,8 +298,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         "score",
         {"mode": args.mode, "strict": args.strict, "rescale": args.rescale,
          "out": str(out)},
-        [args.logits_file], [out], seed=0, started=started,
-        record_path=out.with_name(out.name + ".run.json"),
+        _digests(args.logits_file), [out], seed=0, started=started,
     )
     return 0
 
@@ -375,8 +389,7 @@ def cmd_subsample(args: argparse.Namespace) -> int:
     _write_run_record(
         "subsample",
         {"target": args.target, "bins": args.bins, "out": str(out)},
-        [args.mos_file], [out], seed=seed, started=started,
-        record_path=out.with_name(out.name + ".run.json"),
+        _digests(args.mos_file), [out], seed=seed, started=started,
     )
     return 0
 
@@ -396,7 +409,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     conf = _load_yaml(args.config)
     seed = _number("seed", int, args.seed, _env_default("SEED", int), conf.get("seed"),
                    default=0)
-    pools, pool_paths = _load_pools(conf)
+    pools, pool_inputs = _load_pools(conf)
     if args.counts is not None:
         c1, c2, c3 = _parse_triplet(args.counts, "--counts")
         counts = {"d1": int(c1), "d2": int(c2), "d3": int(c3)}
@@ -415,8 +428,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _write_run_record(
         "sample",
         {"counts": counts, "with_replacement": args.with_replacement, "out": str(out)},
-        [args.config, *pool_paths], [out], seed=seed, started=started,
-        record_path=out.with_name(out.name + ".run.json"),
+        [*_digests(args.config), *pool_inputs], [out], seed=seed, started=started,
     )
     return 0
 
@@ -447,8 +459,8 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
         stage1_ratios=_grid_ratios(grid, "stage1"),
         stage2_ratios=_grid_ratios(grid, "stage2"),
     )
-    pools, pool_paths = _load_pools(conf)
-    oracle = _build_oracle(conf)
+    pools, pool_inputs = _load_pools(conf)
+    oracle = _build_oracle(conf, out_dir, pool_inputs)
     doc = coarse_search(oracle, pools, config)
     result_path = out_dir / "coarse_result.json"
     weights = doc["mix_ratio"]
@@ -461,7 +473,8 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
     _write_run_record(
         "mix-search",
         {"seed": seed, "repeats": repeats, "jobs": jobs, "out_dir": str(out_dir)},
-        [args.config, *pool_paths], [result_path], seed=seed, started=started,
+        [*_digests(args.config), *pool_inputs], [result_path, oracle.path],
+        seed=seed, started=started,
         record_path=out_dir / "runrecord.json",
     )
     return 0
@@ -485,12 +498,12 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
     try:
         coarse = coarse_result_from_dict(
             json.loads(Path(args.coarse_result).read_text(encoding="utf-8")))
-    except (OSError, json.JSONDecodeError, DataError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DataError) as exc:
         raise DataError(f"cannot read coarse result {args.coarse_result}: {exc}")
     check_controls(coarse, max_epochs, tolerance, factor)
 
-    pools, pool_paths = _load_pools(conf)
-    oracle = _build_oracle(conf)
+    pools, pool_inputs = _load_pools(conf)
+    oracle = _build_oracle(conf, out_dir, pool_inputs)
     epochs = run_loop(
         oracle, coarse, pools, max_epochs=max_epochs, tolerance=tolerance, factor=factor,
         seed=seed, workdir=out_dir, coarse_ref=str(args.coarse_result),
@@ -505,7 +518,8 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
         "mix-adjust",
         {"seed": seed, "max_epochs": max_epochs, "tolerance": tolerance, "factor": factor,
          "out_dir": str(out_dir)},
-        [args.config, args.coarse_result, *pool_paths], [trajectory_path],
+        [*_digests(args.config, args.coarse_result), *pool_inputs],
+        [trajectory_path, oracle.path],
         seed=seed, started=started,
         record_path=out_dir / "runrecord.json",
     )

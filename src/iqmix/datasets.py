@@ -85,48 +85,51 @@ def ingest_mos(
     mos_by_id: dict[str, float] = {}
     first_row: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row")
-        try:
-            id_col = header.index("image_id")
-            mos_col = header.index("mos")
-        except ValueError:
-            raise DataError(
-                f"{path}: header must contain image_id and mos columns, got {header}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if not "".join(row).strip():  # no cells, or only blank ones
-                continue
+        try:  # one handler around the reader: nothing is added per row
+            reader = csv.reader(handle, delimiter=delimiter)
             try:
-                if len(row) <= max(id_col, mos_col):
-                    raise DataError(f"{path}: row {row_no}: missing columns")
-                image_id = row[id_col]
-                if image_id in first_row:
-                    raise DataError(
-                        f"{path}: row {row_no}: duplicate image_id {image_id!r} "
-                        f"(first on row {first_row[image_id]})"
-                    )
-                mos = float(row[mos_col])
-                if not math.isfinite(mos):
-                    raise DataError(f"{path}: row {row_no}: non-finite mos {mos!r}")
-                if scale is not None and not (scale.min_score <= mos <= scale.max_score):
-                    raise ScoreOutOfRangeError(
-                        f"{path}: row {row_no}: mos {mos!r} outside "
-                        f"[{scale.min_score}, {scale.max_score}]"
-                    )
-            except (ValueError, DataError) as exc:
-                err = exc if isinstance(exc, DataError) else DataError(
-                    f"{path}: row {row_no}: unparsable mos {row[mos_col]!r}"
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file, expected a header row")
+            try:
+                id_col = header.index("image_id")
+                mos_col = header.index("mos")
+            except ValueError:
+                raise DataError(
+                    f"{path}: header must contain image_id and mos columns, got {header}"
                 )
-                if strict:
-                    raise err
-                log.warning("skipping row: %s", err)
-                continue
-            first_row[image_id] = row_no
-            mos_by_id[image_id] = mos
+            for row_no, row in enumerate(reader, start=2):
+                if not "".join(row).strip():  # no cells, or only blank ones
+                    continue
+                try:
+                    if len(row) <= max(id_col, mos_col):
+                        raise DataError(f"{path}: row {row_no}: missing columns")
+                    image_id = row[id_col]
+                    if image_id in first_row:
+                        raise DataError(
+                            f"{path}: row {row_no}: duplicate image_id {image_id!r} "
+                            f"(first on row {first_row[image_id]})"
+                        )
+                    mos = float(row[mos_col])
+                    if not math.isfinite(mos):
+                        raise DataError(f"{path}: row {row_no}: non-finite mos {mos!r}")
+                    if scale is not None and not (scale.min_score <= mos <= scale.max_score):
+                        raise ScoreOutOfRangeError(
+                            f"{path}: row {row_no}: mos {mos!r} outside "
+                            f"[{scale.min_score}, {scale.max_score}]"
+                        )
+                except (ValueError, DataError) as exc:
+                    err = exc if isinstance(exc, DataError) else DataError(
+                        f"{path}: row {row_no}: unparsable mos {row[mos_col]!r}"
+                    )
+                    if strict:
+                        raise err
+                    log.warning("skipping row: %s", err)
+                    continue
+                first_row[image_id] = row_no
+                mos_by_id[image_id] = mos
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not valid UTF-8 ({exc.reason})")
     if not mos_by_id:
         raise DataError(f"{path}: no valid MOS records")
     return mos_by_id

@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -101,9 +100,6 @@ class FittedCurve:
     fit_domain: tuple[float, float]
     residual_rms: float
 
-    def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
-        return npoly.polyval(x, np.asarray(self.coefficients))
-
     def to_dict(self) -> dict:
         return {
             "coefficients": list(self.coefficients),
@@ -163,15 +159,6 @@ def compose_counts(
     raise ConfigError(f"unknown sweep stage {stage!r}")
 
 
-class SweepFailure(Exception):
-    """Oracle failure mid-sweep; carries the points completed so far."""
-
-    def __init__(self, cause: Exception, completed: list[PerformancePoint]):
-        super().__init__(str(cause))
-        self.cause = cause
-        self.completed = completed
-
-
 def _point_axis(stage: Stage, counts: dict[str, int]) -> float:
     t_d2d3, t_mix = realized_axes(counts)
     return t_d2d3 if stage == "d2_vs_d3" else t_mix
@@ -188,30 +175,24 @@ def _point_performance(stage: Stage, response: OracleResponse, scoring_weight: f
 
 def _evaluate_in_order(
     oracle: Oracle, requests: Sequence[OracleRequest], jobs: int
-) -> tuple[list[OracleResponse | None], Exception | None]:
-    """Evaluate requests in order with at most `jobs` calls in flight.
+) -> list[OracleResponse]:
+    """Each request's response, evaluated in order with at most `jobs` calls
+    in flight.
 
     A call starts only while no failure has been seen; calls already running
-    when one fails still finish. Returns each request's response (None when
-    it failed or never started) and the failure of the lowest request index.
+    when one fails still finish. Then the failure of the lowest request
+    index is raised as it is.
     """
-    responses: list[OracleResponse | None] = [None] * len(requests)
-    failures: dict[int, Exception] = {}
-    queue = iter(enumerate(requests))
+    futures: list[Future] = []
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        running = {pool.submit(oracle.evaluate, req): i for i, req in islice(queue, jobs)}
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                i = running.pop(future)
-                try:
-                    responses[i] = future.result()
-                except Exception as exc:  # noqa: BLE001 - reported once the sweep stops
-                    failures[i] = exc
-            if not failures:
-                running.update((pool.submit(oracle.evaluate, req), i)
-                               for i, req in islice(queue, len(done)))
-    return responses, failures[min(failures)] if failures else None
+        for request in requests:
+            running = [future for future in futures if not future.done()]
+            if len(running) >= jobs:
+                wait(running, return_when=FIRST_COMPLETED)
+            if any(future.done() and future.exception() is not None for future in futures):
+                break
+            futures.append(pool.submit(oracle.evaluate, request))
+    return [future.result() for future in futures]  # raises the first failure in order
 
 
 def sweep(
@@ -232,8 +213,8 @@ def sweep(
     Each (point, repeat) gets its own derived seed, its own sampled manifest
     on disk, and one oracle call; at most `jobs` calls run at once, and
     results are aggregated in grid order. After the first oracle error no
-    further call starts, and SweepFailure carries the leading run of fully
-    completed points.
+    further call starts; the calls in flight finish, and then that error is
+    raised.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
@@ -260,12 +241,10 @@ def sweep(
             write_manifest(manifest, path)
             requests.append(OracleRequest(path, rep_seed))
 
-    responses, failure = _evaluate_in_order(oracle, requests, jobs)
+    responses = _evaluate_in_order(oracle, requests, jobs)
     points: list[PerformancePoint] = []
     for point_idx, counts in enumerate(point_counts):
         chunk = responses[point_idx * repeats : (point_idx + 1) * repeats]
-        if any(r is None for r in chunk):
-            raise SweepFailure(failure, points)
         perfs = [_point_performance(stage, r, scoring_weight) for r in chunk]
         points.append(
             PerformancePoint(
@@ -365,10 +344,6 @@ def coarse_result_from_dict(doc: dict) -> CoarseResult:
     return CoarseResult(ratio=MixRatio(d1, d2, d3), lambda_loss=lambda_loss)
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
 def _warn_if_boundary(stage: Stage, argmax_axis: float, curve: FittedCurve) -> None:
     lo, hi = curve.fit_domain
     if argmax_axis in (lo, hi):
@@ -384,29 +359,23 @@ def coarse_search(oracle: Oracle, pools: PoolSet, config: SearchConfig) -> dict:
     reference loss ratio at a confirmation run of the chosen mixture.
 
     Writes the result document to workdir/coarse_result.json and returns
-    it. On oracle failure the completed points are written there instead,
-    with a stage marker, before the original error propagates.
+    it. A document left there by an earlier run is deleted before the first
+    oracle call, so a failed search leaves none behind.
     """
     from . import __version__
 
     workdir = Path(config.workdir)
     out = workdir / "coarse_result.json"
-    doc: dict = {"tool_version": __version__, "seed": config.seed, "repeats": config.repeats}
+    out.unlink(missing_ok=True)
     stages: dict[str, dict] = {}
     for key, stage, grid in (("stage1", "d2_vs_d3", config.stage1_ratios),
                              ("stage2", "mixed_vs_d1", config.stage2_ratios)):
-        try:
-            points = sweep(
-                oracle, stage, pools,
-                repeats=config.repeats, seed=config.seed, workdir=workdir, ratios=grid,
-                d2_d3_ratio=stages["stage1"]["ratio"] if stages else None,
-                scoring_weight=config.scoring_weight, jobs=config.jobs,
-            )
-        except SweepFailure as failure:
-            _write_json({**doc, "stage": stage, "error": str(failure.cause),
-                         "partial_points": [p.to_dict() for p in failure.completed],
-                         **stages}, out)
-            raise failure.cause
+        points = sweep(
+            oracle, stage, pools,
+            repeats=config.repeats, seed=config.seed, workdir=workdir, ratios=grid,
+            d2_d3_ratio=stages["stage1"]["ratio"] if stages else None,
+            scoring_weight=config.scoring_weight, jobs=config.jobs,
+        )
         curve = fit_curve(points)
         t = argmax_ratio(curve)
         _warn_if_boundary(stage, t, curve)
@@ -424,10 +393,11 @@ def coarse_search(oracle: Oracle, pools: PoolSet, config: SearchConfig) -> dict:
     confirm_path = workdir / "manifests" / "confirm.jsonl"
     write_manifest(manifest, confirm_path)
     response = oracle.evaluate(OracleRequest(confirm_path, confirm_seed))
-    doc.update(
-        mix_ratio={"d1": ratio.d1, "d2": ratio.d2, "d3": ratio.d3},
-        lambda_loss=response.loss_scoring / response.loss_interpreting,
-        confirmation={
+    doc = {
+        "tool_version": __version__, "seed": config.seed, "repeats": config.repeats,
+        "mix_ratio": {"d1": ratio.d1, "d2": ratio.d2, "d3": ratio.d3},
+        "lambda_loss": response.loss_scoring / response.loss_interpreting,
+        "confirmation": {
             "counts": counts,
             "loss_scoring": response.loss_scoring,
             "loss_interpreting": response.loss_interpreting,
@@ -435,6 +405,6 @@ def coarse_search(oracle: Oracle, pools: PoolSet, config: SearchConfig) -> dict:
             "perf_interpreting": response.perf_interpreting,
         },
         **stages,
-    )
-    _write_json(doc, out)
+    }
+    out.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     return doc

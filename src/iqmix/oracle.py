@@ -4,19 +4,21 @@ An oracle maps (mixture manifest, seed) to task performances and validation
 losses. The synthetic oracle evaluates configured concave response surfaces
 over the manifest's realized mixture ratios, for desk-scale verification;
 the external oracle shells out to a real training command and reads back a
-small result file.
+small result file. A Ledger in front of either replays every finished call.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+import threading
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .errors import (
     OracleResultError,
     OracleTimeoutError,
 )
+from .util import file_digest, read_jsonl
 
 RESPONSE_FIELDS = ("perf_scoring", "perf_interpreting", "loss_scoring", "loss_interpreting")
 
@@ -56,6 +59,20 @@ class OracleResponse:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise DataError(f"{name} must be a positive real, got {value!r}")
+
+
+def _response_from(obj) -> OracleResponse:
+    """The response a result object holds; anything else, or a missing,
+    non-numeric or out-of-range field, raises a DataError."""
+    if not isinstance(obj, dict):
+        raise DataError("result is not an object")
+    missing = [k for k in RESPONSE_FIELDS if k not in obj]
+    if missing:
+        raise DataError(f"missing fields {missing}")
+    try:
+        return OracleResponse(**{k: float(obj[k]) for k in RESPONSE_FIELDS})
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"non-numeric result field ({exc})")
 
 
 class Oracle(Protocol):
@@ -268,16 +285,54 @@ class ExternalOracle:
             raise OracleResultError(f"oracle result file missing: {out_path}")
         try:
             obj = json.loads(out_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
             raise OracleResultError(f"unreadable oracle result {out_path}: {exc}")
-        if not isinstance(obj, dict):
-            raise OracleResultError(f"{out_path}: result is not an object")
-        missing = [k for k in RESPONSE_FIELDS if k not in obj]
-        if missing:
-            raise OracleResultError(f"{out_path}: missing fields {missing}")
         try:
-            return OracleResponse(**{k: float(obj[k]) for k in RESPONSE_FIELDS})
-        except (TypeError, ValueError) as exc:
-            raise OracleResultError(f"{out_path}: non-numeric result field ({exc})")
+            return _response_from(obj)
         except DataError as exc:
             raise OracleResultError(f"{out_path}: {exc}")
+
+
+# Ledger -----------------------------------------------------------------------
+
+
+class Ledger:
+    """An oracle behind an append-only file of its finished calls. A call's
+    key is the sha256 of the JSON array [*context, manifest digest, seed];
+    a key already in the file returns the recorded response and runs
+    nothing. Any other call runs the oracle, then appends one line
+    {"key", "manifest", "seed", "response"}."""
+
+    def __init__(self, oracle: Oracle, path: str | Path, context: Sequence[str]):
+        self.oracle, self.path, self.context = oracle, Path(path), list(context)
+        self._lock = threading.Lock()
+        self._responses: dict[str, OracleResponse] = {}
+        # A last line without its newline is a torn append: cut it off, so
+        # that its call runs again and the next append starts a new line.
+        with open(self.path, "a+b") as handle:  # an empty ledger if there is none
+            handle.seek(0)
+            handle.truncate(handle.read().rfind(b"\n") + 1)
+        for line_no, record in read_jsonl(self.path):
+            try:
+                if not isinstance(record.get("key"), str):
+                    raise DataError("no string 'key'")
+                response = _response_from(record.get("response"))
+            except DataError as exc:
+                raise DataError(f"{self.path}: line {line_no}: bad ledger record ({exc})")
+            self._responses.setdefault(record["key"], response)  # the first record wins
+
+    def evaluate(self, request: OracleRequest) -> OracleResponse:
+        key = hashlib.sha256(json.dumps(
+            [*self.context, file_digest(request.manifest_path), request.seed]
+        ).encode("utf-8")).hexdigest()
+        if key in self._responses:
+            return self._responses[key]
+        response = self.oracle.evaluate(request)
+        manifest = os.path.relpath(request.manifest_path, self.path.parent)
+        line = json.dumps({"key": key, "manifest": manifest, "seed": request.seed,
+                           "response": asdict(response)}, ensure_ascii=False) + "\n"
+        with self._lock:
+            self._responses.setdefault(key, response)
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write(line)
+        return response

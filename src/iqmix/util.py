@@ -1,5 +1,5 @@
-"""Shared plumbing: deterministic seed derivation, rounding, and reading
-JSON-lines records."""
+"""Shared plumbing: deterministic seed derivation, rounding, file digests
+and reading JSON-lines records."""
 
 from __future__ import annotations
 
@@ -27,6 +27,15 @@ def derive_seed(base: int, *parts: object) -> int:
 def round_half_up(x: float) -> int:
     """Round to nearest integer with .5 going up (not banker's rounding)."""
     return math.floor(x + 0.5)
+
+
+def file_digest(path: str | Path) -> str:
+    """Hex sha256 of a file, read in 64 KiB chunks: no file is held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

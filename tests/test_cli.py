@@ -3,13 +3,16 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
 from iqmix.cli import _config_hash, main
 from iqmix.datasets import ingest_mos, load_pool, write_pairs
+from iqmix.errors import OracleExecutionError
 from iqmix.oracle import SyntheticOracle
+from iqmix.util import file_digest
 
 from conftest import make_pairs
 
@@ -36,6 +39,20 @@ def logits_file(tmp_path):
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.mark.parametrize("command", [
+    ["convert", "{mos}", "--scale-min", "0", "--scale-max", "100", "--out", "{out}"],
+    ["subsample", "{mos}", "--target", "5", "--out", "{out}"],
+    ["eval-iqa", "{scores}", "{mos}"],
+])
+def test_mos_file_that_is_not_utf8_is_data_error(tmp_path, mos_file, capsys, command):
+    mos_file.write_bytes(mos_file.read_bytes().replace(b"img007", b"img\xff07"))
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text('{"id": "img000", "score": 1.0}\n{"id": "img001", "score": 2.0}\n')
+    argv = [a.format(mos=mos_file, out=tmp_path / "out", scores=scores) for a in command]
+    assert run_cli(*argv) == 1
+    assert f"error: {mos_file}: not valid UTF-8 (invalid start byte)" in capsys.readouterr().err
 
 
 class TestConvert:
@@ -111,6 +128,12 @@ class TestConvert:
 
 
 class TestScore:
+    def test_logits_file_that_is_not_utf8_is_data_error(self, tmp_path, logits_file, capsys):
+        logits_file.write_bytes(logits_file.read_bytes().replace(b"top", b"t\xffp"))
+        assert run_cli("score", logits_file, "--out", tmp_path / "scores.jsonl") == 1
+        assert f"error: {logits_file}: not valid UTF-8 (invalid start byte)" \
+            in capsys.readouterr().err
+
     def test_five_level(self, tmp_path, logits_file):
         out = tmp_path / "scores.jsonl"
         assert run_cli("score", logits_file, "--out", out) == 0
@@ -540,6 +563,10 @@ class TestMixSearch:
          "grid.stage2 must be a list of positive numbers, got [0.5, 0]"),
         ({"scoring_weight": 7}, "scoring_weight must be in [0, 1], got 7.0"),
         ({"scoring_weight": -0.5}, "scoring_weight must be in [0, 1], got -0.5"),
+        ({"grid": {"stage1": [1, 2, 3]}},
+         "grid.stage1 needs 5 distinct ratios for a degree-4 fit, got [1, 2, 3]"),
+        ({"grid": {"stage2": [1, 2.0, 2, 3, 4, 4]}},
+         "grid.stage2 needs 5 distinct ratios for a degree-4 fit, got [1, 2.0, 2, 3, 4, 4]"),
     ])
     def test_bad_setting_is_config_error_before_pools_load(
             self, tmp_path, capsys, extra, message):
@@ -581,20 +608,33 @@ class TestMixAdjust:
                        "--coarse-result", tmp_path / "nope.json",
                        "--out-dir", tmp_path / "run") == 1
 
-    def test_partial_coarse_result_is_data_error(self, tmp_path, capsys):
-        # a failed mix-search leaves a partial document without mix_ratio
+    def test_failed_search_leaves_no_coarse_result(self, tmp_path, capsys):
+        # the document of an earlier, successful run is removed, not left behind
+        config = write_pools_and_config(tmp_path)
+        assert run_cli("mix-search", "--config", config, "--out-dir", tmp_path / "search") == 0
+        coarse = tmp_path / "search" / "coarse_result.json"
+        assert coarse.is_file()
         oracle = {"kind": "external",
                   "command": f"{sys.executable} -c exit(4) {{manifest}} {{seed}} {{out}}"}
         config = write_pools_and_config(tmp_path, oracle=oracle)
         assert run_cli("mix-search", "--config", config,
                        "--out-dir", tmp_path / "search") == 3
-        coarse = tmp_path / "search" / "coarse_result.json"
-        assert "partial_points" in json.loads(coarse.read_text())
+        assert not coarse.exists()
         capsys.readouterr()
         assert run_cli("mix-adjust", "--config", config, "--coarse-result", coarse,
                        "--out-dir", tmp_path / "run") == 1
-        assert f"cannot read coarse result {coarse}: malformed coarse result (KeyError(" \
+        assert f"cannot read coarse result {coarse}: [Errno 2]" in capsys.readouterr().err
+
+    def test_coarse_result_that_is_not_utf8_is_data_error(self, tmp_path, capsys,
+                                                          oracle_calls):
+        config = write_pools_and_config(tmp_path)
+        coarse = tmp_path / "coarse.json"
+        coarse.write_bytes(b'{"mix_ratio": "\xff"}')
+        assert run_cli("mix-adjust", "--config", config, "--coarse-result", coarse,
+                       "--out-dir", tmp_path / "run") == 1
+        assert f"error: cannot read coarse result {coarse}: 'utf-8' codec can't decode" \
             in capsys.readouterr().err
+        assert oracle_calls == []
 
     @pytest.mark.parametrize("doc", [
         [1, 2],
@@ -678,6 +718,148 @@ class TestMixAdjust:
         assert len(oracle_calls) == len(epochs) >= 2
 
 
+@pytest.fixture
+def scripted(monkeypatch):
+    """The manifest of every synthetic oracle call, in call order; the call
+    numbered `fail_on` (from 1) raises instead of training."""
+    script = SimpleNamespace(calls=[], fail_on=None)
+    evaluate = SyntheticOracle.evaluate
+
+    def scripted_evaluate(self, request):
+        script.calls.append(str(request.manifest_path))
+        if len(script.calls) == script.fail_on:
+            raise OracleExecutionError("scripted trainer failure")
+        return evaluate(self, request)
+
+    monkeypatch.setattr(SyntheticOracle, "evaluate", scripted_evaluate)
+    return script
+
+
+class TestLedger:
+    """A rerun into the same out-dir replays every finished oracle call."""
+
+    @pytest.mark.parametrize("k", [1, 12, 25, 39])  # stage 1, stage 1, stage 2, confirmation
+    def test_rerun_after_failure_at_call_k_repeats_no_completed_call(
+            self, tmp_path, scripted, k):
+        config = write_pools_and_config(tmp_path)
+        assert run_cli("mix-search", "--config", config, "--out-dir", tmp_path / "ref") == 0
+        reference = (tmp_path / "ref" / "coarse_result.json").read_bytes()
+        scripted.calls.clear()
+        scripted.fail_on = k
+        out_dir = tmp_path / "run"
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 3
+        first = list(scripted.calls)
+        assert len(first) == k
+        scripted.calls.clear()
+        scripted.fail_on = None
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 0
+        assert scripted.calls[0] == first[-1]  # the failed call runs again
+        assert not set(scripted.calls) & set(first[:-1])
+        assert len(scripted.calls) == 39 - (k - 1)
+        assert (out_dir / "coarse_result.json").read_bytes() == reference
+
+    def test_an_edited_pool_record_reuses_nothing(self, tmp_path, scripted):
+        config = write_pools_and_config(tmp_path)
+        out_dir = tmp_path / "run"
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 0
+        manifest = out_dir / "manifests" / "d2_vs_d3" / "point00_rep0.jsonl"
+        before = manifest.read_bytes()
+        pool = tmp_path / "d3.jsonl"
+        pool.write_text(pool.read_text().replace("answer 7", "answer seven", 1))  # same id
+        scripted.calls.clear()
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 0
+        assert manifest.read_bytes() == before  # a manifest names lines and ids only
+        assert len(scripted.calls) == 39
+        scripted.calls.clear()
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 0
+        assert scripted.calls == []
+
+    def test_a_torn_last_line_runs_again(self, tmp_path, scripted):
+        config = write_pools_and_config(tmp_path)
+        out_dir = tmp_path / "run"
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 0
+        ledger = out_dir / "ledger.jsonl"
+        whole = ledger.read_bytes()
+        ledger.write_bytes(whole[:-20])  # the last append was cut short
+        scripted.calls.clear()
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 0
+        assert scripted.calls == [str(out_dir / "manifests" / "confirm.jsonl")]
+        assert ledger.read_bytes() == whole
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"key": "0a1b", "response": {"perf_sc',
+        '{"key": "0a1b", "response": {"perf_scoring": 7.0, "perf_interpreting": 0.5, '
+        '"loss_scoring": 1.0, "loss_interpreting": 1.0}}',
+        '{"key": "0a1b", "response": {"perf_scoring": 0.5}}',
+        '{"key": 12, "response": {}}',
+        '{"key": "0a1b", "response": [1, 2, 3, 4]}',
+    ])
+    def test_a_bad_middle_line_is_data_error_naming_the_line(
+            self, tmp_path, scripted, capsys, bad_line):
+        config = write_pools_and_config(tmp_path)
+        out_dir = tmp_path / "run"
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 0
+        ledger = out_dir / "ledger.jsonl"
+        lines = ledger.read_text().splitlines(keepends=True)
+        lines[2] = bad_line + "\n"
+        ledger.write_text("".join(lines))
+        scripted.calls.clear()
+        capsys.readouterr()
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 1
+        assert f"error: {ledger}: line 3: " in capsys.readouterr().err
+        assert scripted.calls == []
+
+    def test_a_changed_command_reuses_nothing_and_a_changed_timeout_everything(
+            self, tmp_path):
+        calls = tmp_path / "calls.log"
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import json, sys\n"
+            "open(sys.argv[4], 'a').write(sys.argv[1] + '\\n')\n"
+            "json.dump({'perf_scoring': 0.5, 'perf_interpreting': 0.5, 'loss_scoring': 1.0,"
+            " 'loss_interpreting': 2.0}, open(sys.argv[3], 'w'))\n", encoding="utf-8")
+        command = f"{sys.executable} {stub} {{manifest}} {{seed}} {{out}} {calls}"
+        grid = {"stage1": [0.25, 0.5, 1, 2, 4], "stage2": [0.25, 0.5, 1, 2, 4]}
+
+        def search(oracle) -> int:
+            """The oracle calls one search makes in the shared out-dir."""
+            before = len(calls.read_text().splitlines()) if calls.exists() else 0
+            config = write_pools_and_config(tmp_path, oracle={"kind": "external", **oracle},
+                                            extra={"grid": grid})
+            assert run_cli("mix-search", "--config", config,
+                           "--out-dir", tmp_path / "run") == 0
+            return len(calls.read_text().splitlines()) - before
+
+        assert search({"command": command}) == 11
+        assert search({"command": command, "timeout": 600}) == 0
+        assert search({"command": command + " variant"}) == 11
+        assert search({"command": command + " variant", "timeout": 60}) == 0
+
+    def test_mix_adjust_rerun_after_failure_writes_the_same_trajectory(
+            self, tmp_path, scripted):
+        config = write_pools_and_config(tmp_path)
+        coarse = tmp_path / "coarse.json"
+        coarse.write_text(json.dumps({"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04},
+                                      "lambda_loss": 0.25}))
+        argv = ["mix-adjust", "--config", config, "--coarse-result", coarse,
+                "--max-epochs", 3]
+        assert run_cli(*argv, "--out-dir", tmp_path / "ref") == 0
+        epochs = len(scripted.calls)
+        assert epochs == 3
+        scripted.calls.clear()
+        scripted.fail_on = 2
+        out_dir = tmp_path / "run"
+        assert run_cli(*argv, "--out-dir", out_dir) == 3
+        assert len((out_dir / "trajectory.jsonl").read_text().splitlines()) == 2
+        first = list(scripted.calls)
+        scripted.calls.clear()
+        scripted.fail_on = None
+        assert run_cli(*argv, "--out-dir", out_dir) == 0
+        assert scripted.calls == first[1:] + [str(out_dir / "manifests" / "epoch03.jsonl")]
+        assert (out_dir / "trajectory.jsonl").read_bytes() == \
+            (tmp_path / "ref" / "trajectory.jsonl").read_bytes()
+
+
 class TestProvenanceRecords:
     def test_config_hash_tracks_input_bytes(self, tmp_path, mos_file):
         out1 = tmp_path / "a.jsonl"
@@ -703,10 +885,12 @@ class TestProvenanceRecords:
     def test_hash_of_file_larger_than_one_chunk(self, tmp_path):
         big = tmp_path / "big.bin"
         big.write_bytes(bytes(range(256)) * (3 * 4096 + 1))  # over 3 MiB
+        content = hashlib.sha256(big.read_bytes()).hexdigest()
+        assert file_digest(big) == content
         flags = {"out": "x"}
         reference = hashlib.sha256(json.dumps(flags, sort_keys=True).encode("utf-8"))
-        reference.update(b"\x00" + str(big).encode("utf-8") + b"\x00" + big.read_bytes())
-        assert _config_hash(flags, [big]) == reference.hexdigest()
+        reference.update(b"\x00" + str(big).encode("utf-8") + b"\x00" + content.encode("ascii"))
+        assert _config_hash(flags, [(big, file_digest(big))]) == reference.hexdigest()
 
     def test_hash_deterministic_for_same_inputs(self, tmp_path, mos_file):
         out = tmp_path / "a.jsonl"

@@ -2,6 +2,9 @@
 pools must reproduce every manifest, coarse_result.json and trajectory.jsonl
 byte for byte. The hashes were recorded when the manifest writer still ran
 json.dumps once per entry; a faster data path must not move a single byte.
+Both runs use one job, so their ledger.jsonl files are pinned too: each
+line's key covers the pool-file digests, the oracle config, the manifest
+digest and the seed.
 
 The evaluation path is pinned the same way: `convert` and `score` on seeded
 inputs, their output files and what they print. Those hashes were recorded
@@ -28,6 +31,8 @@ from iqmix.datasets import SCORING_SYSTEM_PREFIX
 SIZES = {"d1": 120, "d2": 250, "d3": 400}
 
 GOLDEN = {
+    "adjust/ledger.jsonl":
+        "106333d1c0bd1c065cd742952db91830d8d10a73439289c1138c7f3c675231cf",
     "adjust/manifests/epoch01.jsonl":
         "74e709d4aa56fa36897c319cd01252464cd37b46eb2f2685c218d756a82a0ac9",
     "adjust/manifests/epoch02.jsonl":
@@ -36,6 +41,8 @@ GOLDEN = {
         "0ca7caa6cf4195bb24e5acb99c3ef2965c13b0539304dcedf445a5ce2aa4f6a1",
     "search/coarse_result.json":
         "2ec9a773c27a41af2d48e0de8a267dddc424601359d5d01a06369755c8eee71b",
+    "search/ledger.jsonl":
+        "7552bdf0d199a9aac433acebb0db6456a4c8f7a3f1d8fe373de912986adfd4c0",
     "search/manifests/confirm.jsonl":
         "513052b37ed12e7e35bb5b2a3302ca4cb166d28ce1e379dd6fbbc7d3563f2dfe",
     "search/manifests/d2_vs_d3/point00_rep0.jsonl":

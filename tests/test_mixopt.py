@@ -17,7 +17,6 @@ from iqmix.mixopt import (
     MixRatio,
     PerformancePoint,
     SearchConfig,
-    SweepFailure,
     argmax_ratio,
     coarse_result_from_dict,
     coarse_search,
@@ -26,12 +25,18 @@ from iqmix.mixopt import (
     grid_ratios,
     sweep,
 )
-from iqmix.oracle import OracleResponse, SyntheticOracle
+from iqmix.oracle import Ledger, OracleResponse, SyntheticOracle
 
 from conftest import make_pools, planted_config
 
 LOG_242 = math.log10(2.42)
 LOG_354 = math.log10(3.54)
+
+
+def ledger_manifests(workdir) -> list[str]:
+    """The manifest file name of each ledger record, in file order."""
+    lines = (workdir / "ledger.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line)["manifest"].rsplit("/", 1)[-1] for line in lines]
 
 
 class ConstantOracle:
@@ -270,24 +275,31 @@ class TestSweep:
 
     def test_one_job_issues_exactly_the_calls_up_to_the_failure(self, tmp_path, pools_small):
         oracle = CountingOracle(fail_on=5, jobs=1)
-        with pytest.raises(SweepFailure) as exc:
-            sweep(oracle, "d2_vs_d3", pools_small, repeats=1, seed=0,
+        ledger = Ledger(oracle, tmp_path / "ledger.jsonl", ["pools"])
+        with pytest.raises(OracleExecutionError, match="injected"):
+            sweep(ledger, "d2_vs_d3", pools_small, repeats=1, seed=0,
                   workdir=tmp_path, jobs=1)
         assert oracle.calls == 5
         assert oracle.max_in_flight == 1
-        assert len(exc.value.completed) == 4
+        assert ledger_manifests(tmp_path) == [f"point{i:02d}_rep0.jsonl" for i in range(4)]
 
     def test_jobs_bound_calls_in_flight_and_none_start_after_failure(self, tmp_path,
                                                                      pools_small):
         oracle = CountingOracle(fail_on=4, jobs=3)
-        with pytest.raises(SweepFailure) as exc:
-            sweep(oracle, "d2_vs_d3", pools_small, repeats=1, seed=0,
-                  workdir=tmp_path, jobs=3)
+        with pytest.raises(OracleExecutionError, match="injected"):
+            sweep(Ledger(oracle, tmp_path / "ledger.jsonl", ["pools"]), "d2_vs_d3",
+                  pools_small, repeats=1, seed=0, workdir=tmp_path, jobs=3)
         assert oracle.max_in_flight == 3
         assert oracle.started_after_failure == 0
         assert oracle.calls == 6  # the failing call plus the two started beside it
-        assert len(exc.value.completed) == 3  # calls 5 and 6 follow the gap at 4
-        assert isinstance(exc.value.cause, OracleExecutionError)
+        # calls 5 and 6 were in flight at the failure: they finish and are recorded
+        assert len(set(ledger_manifests(tmp_path))) == 5
+
+        rerun = CountingOracle()
+        points = sweep(Ledger(rerun, tmp_path / "ledger.jsonl", ["pools"]), "d2_vs_d3",
+                       pools_small, repeats=1, seed=0, workdir=tmp_path, jobs=3)
+        assert len(points) == 19
+        assert rerun.calls == 19 - 5
 
     def test_many_jobs_under_fast_thread_switching(self, tmp_path, pools_small):
         interval = sys.getswitchinterval()
@@ -307,13 +319,13 @@ class TestSweep:
             sweep(ConstantOracle(), "d2_vs_d3", pools_small, repeats=1,
                   workdir=tmp_path, jobs=0)
 
-    def test_failure_carries_completed_points(self, tmp_path, pools_small):
+    def test_oracle_error_propagates_and_the_ledger_holds_the_completed_calls(
+            self, tmp_path, pools_small):
         oracle = FailingOracle(SyntheticOracle(planted_config()), fail_after=7)
-        with pytest.raises(SweepFailure) as exc:
-            sweep(oracle, "d2_vs_d3", pools_small, repeats=1, seed=0,
-                  workdir=tmp_path)
-        assert len(exc.value.completed) == 7
-        assert isinstance(exc.value.cause, OracleExecutionError)
+        with pytest.raises(OracleExecutionError, match="injected trainer failure"):
+            sweep(Ledger(oracle, tmp_path / "ledger.jsonl", ["pools"]), "d2_vs_d3",
+                  pools_small, repeats=1, seed=0, workdir=tmp_path)
+        assert ledger_manifests(tmp_path) == [f"point{i:02d}_rep0.jsonl" for i in range(7)]
 
 
 class TestMixRatio:
@@ -391,29 +403,16 @@ class TestCoarseSearch:
         written = (tmp_path / "coarse_result.json").read_bytes()
         assert (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode() == written
 
-    def test_partial_persisted_on_stage1_failure(self, tmp_path, pools_small):
-        oracle = FailingOracle(SyntheticOracle(planted_config()), fail_after=4)
+    @pytest.mark.parametrize("fail_after", [4, 25, 38])  # stage 1, stage 2, confirmation
+    def test_failed_search_leaves_no_result_and_removes_a_stale_one(
+            self, tmp_path, pools_small, fail_after):
         config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
-        with pytest.raises(OracleExecutionError):
+        coarse_search(SyntheticOracle(planted_config()), pools_small, config)
+        oracle = FailingOracle(SyntheticOracle(planted_config()), fail_after=fail_after)
+        with pytest.raises(OracleExecutionError, match="injected"):
             coarse_search(oracle, pools_small, config)
-        doc = json.loads((tmp_path / "coarse_result.json").read_text())
-        assert list(doc) == ["tool_version", "seed", "repeats", "stage", "error",
-                             "partial_points"]
-        assert doc["stage"] == "d2_vs_d3"
-        assert len(doc["partial_points"]) == 4
-        assert "injected" in doc["error"]
-
-    def test_partial_persisted_on_stage2_failure(self, tmp_path, pools_small):
-        oracle = FailingOracle(SyntheticOracle(planted_config()), fail_after=25)
-        config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
-        with pytest.raises(OracleExecutionError):
-            coarse_search(oracle, pools_small, config)
-        doc = json.loads((tmp_path / "coarse_result.json").read_text())
-        assert list(doc) == ["tool_version", "seed", "repeats", "stage", "error",
-                             "partial_points", "stage1"]
-        assert doc["stage"] == "mixed_vs_d1"
-        assert len(doc["stage1"]["points"]) == 19
-        assert len(doc["partial_points"]) == 25 - 19
+        assert oracle.calls == fail_after + 1
+        assert not (tmp_path / "coarse_result.json").exists()
 
     def test_manual_coarse_result_construction(self):
         result = CoarseResult(ratio=MixRatio(1.0, 2.5, 1.04), lambda_loss=0.2146)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 import sys
 import textwrap
 
@@ -17,6 +19,7 @@ from iqmix.errors import (
 from iqmix.oracle import (
     ExternalOracle,
     ExternalOracleConfig,
+    Ledger,
     OracleRequest,
     OracleResponse,
     ResponseSurface,
@@ -261,6 +264,16 @@ class TestExternalOracle:
         with pytest.raises(OracleResultError):
             ExternalOracle(config).evaluate(OracleRequest(path, 0))
 
+    def test_result_file_that_is_not_utf8(self, tmp_path):
+        script = tmp_path / "garbage.py"
+        script.write_text("import sys\nopen(sys.argv[3], 'wb').write(b'{\"x\": \"\\xff\"}')")
+        config = ExternalOracleConfig(
+            command=f"{sys.executable} {script} {{manifest}} {{seed}} {{out}}"
+        )
+        path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
+        with pytest.raises(OracleResultError, match="unreadable oracle result .*utf-8"):
+            ExternalOracle(config).evaluate(OracleRequest(path, 0))
+
     def test_command_must_reference_out(self):
         with pytest.raises(ConfigError):
             ExternalOracleConfig(command="trainer --manifest {manifest}")
@@ -285,3 +298,85 @@ class TestExternalOracle:
         first = oracle.evaluate(OracleRequest(path, 1))
         second = oracle.evaluate(OracleRequest(path, 1))
         assert first == second
+
+
+class RecordingOracle:
+    """Returns a fixed response and records the positional arguments of
+    each call (a tracer wrapping evaluate reads the request as args[1])."""
+
+    def __init__(self, response=OracleResponse(0.5, 0.25, 1.0, 2.0)):
+        self.response = response
+        self.calls = []
+
+    def evaluate(self, *args):
+        self.calls.append(args)
+        return self.response
+
+
+class TestLedger:
+    def test_key_is_the_documented_digest(self, tmp_path):
+        path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
+        Ledger(RecordingOracle(), tmp_path / "ledger.jsonl", ["a", "b"]).evaluate(
+            OracleRequest(path, 7))
+        record = json.loads((tmp_path / "ledger.jsonl").read_text())
+        manifest = hashlib.sha256(path.read_bytes()).hexdigest()
+        key = hashlib.sha256(json.dumps(["a", "b", manifest, 7]).encode()).hexdigest()
+        assert record == {"key": key, "manifest": "m.jsonl", "seed": 7,
+                          "response": {"perf_scoring": 0.5, "perf_interpreting": 0.25,
+                                       "loss_scoring": 1.0, "loss_interpreting": 2.0}}
+
+    def test_hit_replays_and_miss_calls_with_the_request_positionally(self, tmp_path):
+        path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
+        inner = RecordingOracle()
+        first = Ledger(inner, tmp_path / "ledger.jsonl", ["ctx"])
+        request = OracleRequest(path, 1)
+        assert first.evaluate(request) == inner.response
+        assert inner.calls == [(request,)]
+        again = RecordingOracle(OracleResponse(0.1, 0.1, 9.0, 9.0))
+        replayed = Ledger(again, tmp_path / "ledger.jsonl", ["ctx"])
+        assert replayed.evaluate(request) == inner.response
+        assert replayed.evaluate(OracleRequest(path, 1)) == inner.response
+        assert again.calls == []
+        # another seed, or another context, is another call
+        assert replayed.evaluate(OracleRequest(path, 2)) == again.response
+        other = Ledger(again, tmp_path / "ledger.jsonl", ["other"])
+        assert other.evaluate(request) == again.response
+        assert len(again.calls) == 2
+
+    def test_first_record_of_a_key_wins(self, tmp_path):
+        path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
+        ledger = tmp_path / "ledger.jsonl"
+        Ledger(RecordingOracle(), ledger, ["ctx"]).evaluate(OracleRequest(path, 1))
+        record = json.loads(ledger.read_text())
+        record["response"]["perf_scoring"] = -0.5
+        with open(ledger, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        response = Ledger(RecordingOracle(), ledger, ["ctx"]).evaluate(OracleRequest(path, 1))
+        assert response.perf_scoring == 0.5
+
+    def test_failed_call_records_nothing(self, tmp_path):
+        path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
+
+        class Failing:
+            def evaluate(self, request):
+                raise OracleExecutionError("trainer died")
+
+        with pytest.raises(OracleExecutionError):
+            Ledger(Failing(), tmp_path / "ledger.jsonl", ["ctx"]).evaluate(OracleRequest(path, 1))
+        assert (tmp_path / "ledger.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("response,message", [
+        ({"perf_scoring": 0.5, "perf_interpreting": 0.5, "loss_scoring": 0.0,
+          "loss_interpreting": 1.0}, "loss_scoring must be a positive real"),
+        ({"perf_scoring": 0.5, "perf_interpreting": 0.5, "loss_scoring": 10 ** 400,
+          "loss_interpreting": 1.0}, "non-numeric result field"),
+        ({"perf_scoring": "x", "perf_interpreting": 0.5, "loss_scoring": 1.0,
+          "loss_interpreting": 1.0}, "non-numeric result field"),
+    ])
+    def test_bad_recorded_value_is_data_error(self, tmp_path, response, message):
+        ledger = tmp_path / "ledger.jsonl"
+        good = json.dumps({"key": "k0", "response": RecordingOracle().response.__dict__})
+        ledger.write_text(good + "\n" + json.dumps({"key": "k1", "response": response}) + "\n")
+        where = re.escape(f"{ledger}: line 2: bad ledger record")
+        with pytest.raises(DataError, match=f"^{where} .*{message}"):
+            Ledger(RecordingOracle(), ledger, ["ctx"])

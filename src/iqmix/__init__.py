@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 
 from .levels import (
     FIVE_LEVEL_LABELS,
-    FrequencyVector,
     LevelScale,
     RatingLevel,
-    mos_from_frequencies,
     score_to_level,
 )
 from .scoring import binary_score, score_from_logit_vector, softmax_vector, weighted_score
@@ -18,10 +16,8 @@ from .metrics import PairedSample, conversion_precision, plcc, srcc
 __all__ = [
     "__version__",
     "FIVE_LEVEL_LABELS",
-    "FrequencyVector",
     "LevelScale",
     "RatingLevel",
-    "mos_from_frequencies",
     "score_to_level",
     "binary_score",
     "score_from_logit_vector",

@@ -28,7 +28,6 @@ import yaml
 from . import __version__
 from .controller import check_controls, run_loop
 from .datasets import (
-    D1_ANSWER_TEMPLATE,
     POOL_TAGS,
     PoolSet,
     ingest_mos,
@@ -244,11 +243,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
     write_pairs(pairs, out, inline_system=args.inline_system)
 
     stats = pool_stats(mos)
-    histogram = Counter(p.answer for p in pairs)
+    histogram = Counter(label for _, label in pairs)
     print(f"converted {len(pairs)} records "
           f"(mos mean {stats.mean_mos:.3f}, std {stats.std_mos:.3f})")
     for label in scale.labels:
-        print(f"  {label:<10} {histogram[D1_ANSWER_TEMPLATE.format(label=label)]}")
+        print(f"  {label:<10} {histogram[label]}")
 
     _write_run_record(
         "convert",
@@ -446,6 +445,10 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
         raise ConfigError(f"scoring_weight must be in [0, 1], got {scoring_weight!r}")
     out_dir = Path(_resolve(args.out_dir, conf.get("out_dir"), default="mix-search-run"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Before any check or pool load, so a run that fails leaves no result
+    # of an earlier one for mix-adjust to read.
+    result_path = out_dir / "coarse_result.json"
+    result_path.unlink(missing_ok=True)
 
     if conf.get("axis", "log10") != "log10":
         raise ConfigError(f"axis must be log10 (the only sweep axis), got {conf['axis']!r}")
@@ -462,7 +465,6 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
     pools, pool_inputs = _load_pools(conf)
     oracle = _build_oracle(conf, out_dir, pool_inputs)
     doc = coarse_search(oracle, pools, config)
-    result_path = out_dir / "coarse_result.json"
     weights = doc["mix_ratio"]
     print(f"d2:d3 ratio        {doc['stage1']['ratio']:.6g}")
     print(f"(d2+d3):d1 ratio   {doc['stage2']['ratio']:.6g}")

@@ -11,7 +11,6 @@ rule.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -22,8 +21,6 @@ from .errors import ConfigError
 from .mixopt import CoarseResult
 from .oracle import Oracle, OracleRequest
 from .util import derive_seed, round_half_up
-
-log = logging.getLogger(__name__)
 
 Action = Literal["increase_interpreting", "increase_scoring", "hold"]
 
@@ -121,16 +118,10 @@ def run_loop(
                                  "factor": factor, "seed": seed,
                                  "coarse_result": coarse_ref}, ensure_ascii=False) + "\n")
         counts = coarse.ratio.counts_for_d1_base(len(pools.d1))
-        sizes = pools.sizes()
         consecutive_holds = 0
         for epoch in range(1, max_epochs + 1):
             epoch_seed = derive_seed(seed, "epoch", epoch)
-            oversample = any(counts[k] > sizes[k] for k in counts)
-            if oversample:
-                log.info("epoch %d: counts exceed pool sizes, sampling with replacement",
-                         epoch)
-            manifest = sample_mixture(pools, counts, epoch_seed,
-                                      with_replacement=oversample)
+            manifest = sample_mixture(pools, counts, epoch_seed, with_replacement=True)
             path = manifest_dir / f"epoch{epoch:02d}.jsonl"
             write_manifest(manifest, path)
             response = oracle.evaluate(OracleRequest(path, epoch_seed))

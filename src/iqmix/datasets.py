@@ -45,28 +45,6 @@ def pool_stats(mos: Mapping[str, float]) -> PoolStats:
     return PoolStats(len(mos), float(values.mean()), float(values.std()))
 
 
-@dataclass(frozen=True)
-class InstructionPair:
-    """One question-answer training pair; extra_turns keeps any follow-up
-    human/assistant exchanges so multi-turn records survive a round trip."""
-
-    id: str
-    image_ref: str
-    system: str | None
-    question: str
-    answer: str
-    pool: str
-    extra_turns: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.pool not in POOL_TAGS:
-            raise DataError(f"unknown pool tag {self.pool!r}")
-        if self.pool == "D1" and self.system != SCORING_SYSTEM_PREFIX:
-            raise DataError(
-                f"{self.id}: D1 pairs must carry the scoring system prefix verbatim"
-            )
-
-
 def ingest_mos(
     path: str | Path,
     scale: LevelScale | None = None,
@@ -194,51 +172,35 @@ def subsample_balanced(
     return dict(items[i] for i in selected)
 
 
-def emit_d1_pairs(mos: Mapping[str, float], scale: LevelScale) -> list[InstructionPair]:
-    """One scoring question-answer pair per image_id -> MOS entry, in order."""
-    answers = {label: D1_ANSWER_TEMPLATE.format(label=label) for label in scale.labels}
-    return [
-        InstructionPair(
-            id=image_id,
-            image_ref=image_id,
-            system=SCORING_SYSTEM_PREFIX,
-            question=D1_QUESTION,
-            answer=answers[score_to_level(value, scale).label],
-            pool="D1",
-        )
-        for image_id, value in mos.items()
-    ]
-
-
-def pair_to_json(pair: InstructionPair, *, inline_system: bool = False) -> str:
-    """Serialize one pair with a fixed key order (round-trip stable),
-    byte-identical to json.dumps with ensure_ascii=False."""
-    enc = json.encoder.encode_basestring
-    question = pair.question
-    system = ""
-    if pair.system is not None:
-        if inline_system:
-            question = f"{pair.system}\n{question}"
-        else:
-            system = f'"system": {enc(pair.system)}, '
-    turns = ", ".join(
-        f'{{"from": "human", "value": {enc(human)}}}, '
-        f'{{"from": "gpt", "value": {enc(assistant)}}}'
-        for human, assistant in ((question, pair.answer), *pair.extra_turns)
-    )
-    return (f'{{"id": {enc(pair.id)}, "image": {enc(pair.image_ref)}, '
-            f'{system}"conversations": [{turns}]}}')
+def emit_d1_pairs(mos: Mapping[str, float], scale: LevelScale) -> list[tuple[str, str]]:
+    """The (image_id, level label) of each image_id -> MOS entry, in order:
+    one D1 scoring pair each, which write_pairs renders."""
+    return [(image_id, score_to_level(value, scale).label) for image_id, value in mos.items()]
 
 
 def write_pairs(
-    pairs: Iterable[InstructionPair],
+    pairs: Iterable[tuple[str, str]],
     path: str | Path,
     *,
     inline_system: bool = False,
 ) -> None:
+    """One D1 line per (image_id, label), the id doubling as the image:
+    json.dumps of {"id", "image", "system", "conversations"} with
+    ensure_ascii=False, or with the prefix opening the question and no
+    "system" key under inline_system. Each label's tail is rendered once."""
+    head = {} if inline_system else {"system": SCORING_SYSTEM_PREFIX}
+    question = f"{SCORING_SYSTEM_PREFIX}\n{D1_QUESTION}" if inline_system else D1_QUESTION
+    tails: dict[str, str] = {}  # label -> the line after its id and image
+    encode = json.encoder.encode_basestring
     with open(path, "w", encoding="utf-8") as handle:
-        for pair in pairs:
-            handle.write(pair_to_json(pair, inline_system=inline_system) + "\n")
+        for image_id, label in pairs:
+            if label not in tails:
+                answer = D1_ANSWER_TEMPLATE.format(label=label)
+                tails[label] = json.dumps({**head, "conversations": [
+                    {"from": "human", "value": question},
+                    {"from": "gpt", "value": answer}]}, ensure_ascii=False)[1:]
+            quoted = encode(image_id)
+            handle.write(f'{{"id": {quoted}, "image": {quoted}, {tails[label]}\n')
 
 
 def manifest_row(pool_tag: str, source_line: int, pair_id: str) -> str:

@@ -27,10 +27,6 @@ class ScoreOutOfRangeError(DataError):
     """A score falls outside the declared [min, max] scale."""
 
 
-class NormalizationError(DataError):
-    """A frequency vector is not in normalized form."""
-
-
 class MalformedLogitsError(DataError):
     """A logit record is missing a level or contains a non-finite value."""
 

@@ -4,9 +4,9 @@ A scale divides its score range [m, M] into equal-width intervals, one per
 rating level. A score s maps to level i when
 m + (i-1)/n * (M-m) < s <= m + i/n * (M-m); the lone leftover point s = m
 is assigned to level 1 so the whole range is covered. Interior edges are
-compared bit-exactly, with no epsilon adjustment. The reverse mapping sends
-level i back to the integer score i, and a MOS is the frequency-weighted
-average of those integers.
+compared bit-exactly, with no epsilon adjustment. Level i stands for the
+integer score i, so a score averaged over the levels (as the logit scorer's
+probability-weighted score is) lies in [1, n].
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, NormalizationError, ScoreOutOfRangeError
+from .errors import ConfigError, ScoreOutOfRangeError
 
 FIVE_LEVEL_LABELS = ("bad", "poor", "fair", "good", "excellent")
 TWO_LEVEL_LABELS = ("poor", "good")
@@ -119,53 +119,3 @@ def quantize_scores(scores: Iterable[float], scale: LevelScale) -> np.ndarray:
     # side='left' counts edges strictly below s, so s on an edge stays in the
     # lower interval, matching score_to_level.
     return np.searchsorted(edges, arr, side="left").astype(np.int64) + 1
-
-
-@dataclass(frozen=True)
-class FrequencyVector:
-    """Per-level frequencies, either normalized or raw counts.
-
-    The form is explicit; nothing is inferred from the values.
-    """
-
-    values: tuple[float, ...]
-    form: Literal["normalized", "counts"] = "normalized"
-
-    def __post_init__(self) -> None:
-        if len(self.values) != 5:
-            raise NormalizationError(
-                f"expected one frequency per rating level (5), got {len(self.values)}"
-            )
-        if any(v < 0 or not np.isfinite(v) for v in self.values):
-            raise NormalizationError(
-                f"frequencies must be finite and nonnegative, got {self.values}"
-            )
-        if self.form not in ("normalized", "counts"):
-            raise NormalizationError(f"unknown frequency form {self.form!r}")
-
-    @classmethod
-    def from_counts(cls, counts: Iterable[float]) -> "FrequencyVector":
-        return cls(tuple(float(c) for c in counts), form="counts")
-
-    def as_normalized(self) -> "FrequencyVector":
-        if self.form == "normalized":
-            return self
-        total = sum(self.values)
-        if total <= 0:
-            raise NormalizationError("cannot normalize an all-zero count vector")
-        return FrequencyVector(tuple(v / total for v in self.values))
-
-
-def mos_from_frequencies(freq: FrequencyVector) -> float:
-    """MOS as the frequency-weighted average of the per-level scores i."""
-    if freq.form != "normalized":
-        raise NormalizationError(
-            "mos_from_frequencies requires the normalized form; "
-            "call as_normalized() on count vectors first"
-        )
-    total = sum(freq.values)
-    if abs(total - 1.0) > 1e-9:
-        raise NormalizationError(
-            f"normalized frequencies must sum to 1 within 1e-9, got sum {total!r}"
-        )
-    return float(sum(f * (i + 1) for i, f in enumerate(freq.values)))

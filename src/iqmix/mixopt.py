@@ -222,21 +222,17 @@ def sweep(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     grid = tuple(sorted(ratios)) if ratios else grid_ratios(stage)
     sizes = pools.sizes()
+    point_counts = [compose_counts(stage, ratio, sizes, d2_d3_ratio) for ratio in grid]
+    # Close ratios can round to the same counts: fail before the first call.
+    _check_distinct_axes([_point_axis(stage, counts) for counts in point_counts])
     manifest_dir = Path(workdir) / "manifests" / stage
     manifest_dir.mkdir(parents=True, exist_ok=True)
 
     requests: list[OracleRequest] = []
-    point_counts: list[dict[str, int]] = []
-    for point_idx, ratio in enumerate(grid):
-        counts = compose_counts(stage, ratio, sizes, d2_d3_ratio)
-        point_counts.append(counts)
-        oversample = any(counts[k] > sizes[k] for k in counts)
-        if oversample:
-            log.info("%s point %d: counts exceed pool sizes, sampling with replacement",
-                     stage, point_idx)
+    for point_idx, counts in enumerate(point_counts):
         for rep in range(repeats):
             rep_seed = derive_seed(seed, stage, point_idx, rep)
-            manifest = sample_mixture(pools, counts, rep_seed, with_replacement=oversample)
+            manifest = sample_mixture(pools, counts, rep_seed, with_replacement=True)
             path = manifest_dir / f"point{point_idx:02d}_rep{rep}.jsonl"
             write_manifest(manifest, path)
             requests.append(OracleRequest(path, rep_seed))
@@ -258,14 +254,19 @@ def sweep(
     return points
 
 
+def _check_distinct_axes(axes: Sequence[float]) -> None:
+    distinct = len(set(axes))
+    if distinct < 5:
+        raise RankDeficientFitError(
+            f"degree-4 fit needs >= 5 distinct axis values, got {distinct}"
+        )
+
+
 def fit_curve(points: Sequence[PerformancePoint]) -> FittedCurve:
     """Least-squares degree-4 fit of performance over the log10 ratio axis."""
     x = np.asarray([p.ratio_axis_value for p in points], dtype=np.float64)
     y = np.asarray([p.performance for p in points], dtype=np.float64)
-    if len(np.unique(x)) < 5:
-        raise RankDeficientFitError(
-            f"degree-4 fit needs >= 5 distinct axis values, got {len(np.unique(x))}"
-        )
+    _check_distinct_axes(x.tolist())
     coef = npoly.polyfit(x, y, 4)
     residuals = npoly.polyval(x, coef) - y
     return FittedCurve(
@@ -384,12 +385,8 @@ def coarse_search(oracle: Oracle, pools: PoolSet, config: SearchConfig) -> dict:
 
     ratio = MixRatio.from_stage_ratios(stages["stage1"]["ratio"], stages["stage2"]["ratio"])
     counts = ratio.counts_for_d1_base(len(pools.d1))
-    sizes = pools.sizes()
     confirm_seed = derive_seed(config.seed, "confirm")
-    manifest = sample_mixture(
-        pools, counts, confirm_seed,
-        with_replacement=any(counts[k] > sizes[k] for k in counts),
-    )
+    manifest = sample_mixture(pools, counts, confirm_seed, with_replacement=True)
     confirm_path = workdir / "manifests" / "confirm.jsonl"
     write_manifest(manifest, confirm_path)
     response = oracle.evaluate(OracleRequest(confirm_path, confirm_seed))

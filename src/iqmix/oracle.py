@@ -69,9 +69,14 @@ def _response_from(obj) -> OracleResponse:
     missing = [k for k in RESPONSE_FIELDS if k not in obj]
     if missing:
         raise DataError(f"missing fields {missing}")
+    values = [obj[k] for k in RESPONSE_FIELDS]
     try:
-        return OracleResponse(**{k: float(obj[k]) for k in RESPONSE_FIELDS})
-    except (TypeError, ValueError, OverflowError) as exc:
+        # A JSON number, as coarse_result_from_dict reads one: bool is an int
+        # subclass, and a string such as "0.5" is not a number either.
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+            raise TypeError(f"result fields must be numbers, got {values}")
+        return OracleResponse(*(float(v) for v in values))
+    except (TypeError, OverflowError) as exc:
         raise DataError(f"non-numeric result field ({exc})")
 
 

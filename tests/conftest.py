@@ -3,45 +3,56 @@ acceptance criterion."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from iqmix.datasets import SCORING_SYSTEM_PREFIX, InstructionPair, PoolSet, manifest_row
+from iqmix.datasets import SCORING_SYSTEM_PREFIX, PoolSet, manifest_row
 from iqmix.oracle import ResponseSurface, SyntheticOracleConfig
 
 
-def make_pairs(tag: str, n: int) -> list[InstructionPair]:
-    system = SCORING_SYSTEM_PREFIX if tag == "D1" else None
-    return [
-        InstructionPair(
-            id=f"{tag.lower()}-{i:05d}",
-            image_ref=f"images/{tag.lower()}_{i:05d}.jpg",
-            system=system,
-            question="<img> placeholder question",
-            answer=f"answer {i}",
-            pool=tag,
-        )
-        for i in range(n)
-    ]
+def make_pairs(tag: str, n: int) -> list[dict]:
+    """n pool records of a tag, as a pool file holds them: one question-answer
+    turn each, and the scoring system prefix on D1 records."""
+    records = []
+    for i in range(n):
+        record = {"id": f"{tag.lower()}-{i:05d}", "image": f"images/{tag.lower()}_{i:05d}.jpg"}
+        if tag == "D1":
+            record["system"] = SCORING_SYSTEM_PREFIX
+        record["conversations"] = [{"from": "human", "value": "<img> placeholder question"},
+                                   {"from": "gpt", "value": f"answer {i}"}]
+        records.append(record)
+    return records
 
 
-def pair_record(pair: InstructionPair) -> dict:
-    """Every field write_pairs writes for a pair, as json.loads reads it
-    back (no 'system' key when the pair has none)."""
-    record = {"id": pair.id, "image": pair.image_ref}
-    if pair.system is not None:
-        record["system"] = pair.system
-    record["conversations"] = [
-        {"from": who, "value": value}
-        for human, assistant in ((pair.question, pair.answer), *pair.extra_turns)
-        for who, value in (("human", human), ("gpt", assistant))
-    ]
+def write_records(records, path) -> None:
+    """A JSON-lines pool file: one json.dumps line per record."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+
+
+def read_records(path) -> list[dict]:
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+
+
+def d1_record(image_id: str, label: str, *, inline_system: bool = False) -> dict:
+    """The D1 record convert writes for one image and its level label."""
+    record = {"id": image_id, "image": image_id}
+    question = "<img> How would you rate the quality of the image."
+    if inline_system:
+        question = "Assume you are an image quality evaluator\n" + question
+    else:
+        record["system"] = "Assume you are an image quality evaluator"
+    record["conversations"] = [{"from": "human", "value": question},
+                               {"from": "gpt", "value": f"The quality of the image is {label}."}]
     return record
 
 
 def make_rows(tag: str, n: int) -> list[str]:
     """The manifest rows load_pool keeps for a file of make_pairs(tag, n)."""
-    return [manifest_row(tag, line, pair.id)
-            for line, pair in enumerate(make_pairs(tag, n), start=1)]
+    return [manifest_row(tag, line, record["id"])
+            for line, record in enumerate(make_pairs(tag, n), start=1)]
 
 
 def make_pools(n1: int, n2: int, n3: int) -> PoolSet:

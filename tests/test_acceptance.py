@@ -35,7 +35,7 @@ from iqmix.scoring import (
     weighted_score,
 )
 
-from conftest import make_pools, pair_record, planted_config
+from conftest import d1_record, make_pools, planted_config, read_records
 
 LOG_242 = math.log10(2.42)
 LOG_354 = math.log10(3.54)
@@ -168,13 +168,13 @@ def test_criterion_07_controller_convergence(tmp_path):
 
 
 def _write_search_inputs(tmp_path, seed=3, noise=0.0):
-    from conftest import make_pairs
+    from conftest import make_pairs, write_records
 
     pool_paths = {}
     for tag, n in (("d1", 120), ("d2", 400), ("d3", 400)):
         path = tmp_path / f"{tag}.jsonl"
         if not path.exists():
-            write_pairs(make_pairs(tag.upper(), n), path)
+            write_records(make_pairs(tag.upper(), n), path)
         pool_paths[tag] = str(path)
     conf = {
         "pools": pool_paths,
@@ -226,21 +226,23 @@ def test_criterion_09_d1_emission_and_round_trip(tmp_path):
     scale = LevelScale(0.0, 100.0)
     mos = {f"img{i:04d}": float(v) for i, v in enumerate(rng.uniform(0.0, 100.0, 500))}
     pairs = emit_d1_pairs(mos, scale)
-
-    answer_re = re.compile(r"^The quality of the image is (\w+)\.$")
-    for pair in pairs:
-        assert pair.system == "Assume you are an image quality evaluator"
-        match = answer_re.match(pair.answer)
-        assert match is not None
-        assert match.group(1) in FIVE_LEVEL_LABELS
-        assert sum(pair.answer.count(label) for label in FIVE_LEVEL_LABELS) == 1
-
     path = tmp_path / "d1.jsonl"
     write_pairs(pairs, path)
-    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    assert records == [pair_record(pair) for pair in pairs]
-    assert load_pool(path, "D1") == [manifest_row("D1", line, pair.id)
-                                     for line, pair in enumerate(pairs, start=1)]
+    records = read_records(path)
+
+    answer_re = re.compile(r"^The quality of the image is (\w+)\.$")
+    for record in records:
+        assert record["system"] == "Assume you are an image quality evaluator"
+        answer = record["conversations"][1]["value"]
+        match = answer_re.match(answer)
+        assert match is not None
+        assert match.group(1) in FIVE_LEVEL_LABELS
+        assert sum(answer.count(label) for label in FIVE_LEVEL_LABELS) == 1
+
+    assert records == [d1_record(image_id, label) for image_id, label in pairs]
+    assert [record["id"] for record in records] == list(mos)
+    assert load_pool(path, "D1") == [manifest_row("D1", line, image_id)
+                                     for line, image_id in enumerate(mos, start=1)]
 
 
 def test_criterion_10_subsampler_balances_skew():

@@ -9,12 +9,12 @@ import pytest
 import yaml
 
 from iqmix.cli import _config_hash, main
-from iqmix.datasets import ingest_mos, load_pool, write_pairs
+from iqmix.datasets import ingest_mos, load_pool
 from iqmix.errors import OracleExecutionError
 from iqmix.oracle import SyntheticOracle
 from iqmix.util import file_digest
 
-from conftest import make_pairs
+from conftest import make_pairs, write_records
 
 
 def run_cli(*argv) -> int:
@@ -407,7 +407,7 @@ def write_pools_and_config(tmp_path, n1=120, n2=400, n3=400, oracle=None,
     paths = {}
     for tag, n in (("d1", n1), ("d2", n2), ("d3", n3)):
         path = tmp_path / f"{tag}.jsonl"
-        write_pairs(make_pairs(tag.upper(), n), path)
+        write_records(make_pairs(tag.upper(), n), path)
         paths[tag] = str(path)
     conf = {
         "pools": paths,
@@ -576,6 +576,55 @@ class TestMixSearch:
         assert run_cli("mix-search", "--config", config,
                        "--out-dir", tmp_path / "run") == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("perf_scoring", True),
+                                             ("perf_interpreting", "0.5")])
+    def test_a_result_field_that_is_not_a_number_exits_3(self, tmp_path, capsys, field, value):
+        stub = tmp_path / "stub.py"
+        result = {"perf_scoring": 0.5, "perf_interpreting": 0.5, "loss_scoring": 1.0,
+                  "loss_interpreting": 1.0, field: value}
+        stub.write_text(f"import json, sys\njson.dump({result!r}, open(sys.argv[1], 'w'))\n",
+                        encoding="utf-8")
+        config = write_pools_and_config(tmp_path, oracle={
+            "kind": "external", "command": f"{sys.executable} {stub} {{out}}"})
+        assert run_cli("mix-search", "--config", config, "--out-dir", tmp_path / "run") == 3
+        assert "non-numeric result field" in capsys.readouterr().err
+        assert (tmp_path / "run" / "ledger.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("break_run", ["missing pools.d2", "bad oracle.kind",
+                                           "malformed ledger"])
+    def test_a_run_that_fails_early_leaves_no_earlier_coarse_result(
+            self, tmp_path, capsys, oracle_calls, break_run):
+        oracle = extra = None
+        if break_run == "missing pools.d2":
+            extra = {"pools": {"d1": str(tmp_path / "d1.jsonl"),
+                               "d2": str(tmp_path / "missing.jsonl"),
+                               "d3": str(tmp_path / "d3.jsonl")}}
+        elif break_run == "bad oracle.kind":
+            oracle = {"kind": "oracular"}
+        config = write_pools_and_config(tmp_path, oracle=oracle, extra=extra)
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        result = out_dir / "coarse_result.json"
+        result.write_text(json.dumps({"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04},
+                                      "lambda_loss": 0.25}))  # an earlier run's
+        if break_run == "malformed ledger":
+            (out_dir / "ledger.jsonl").write_text("not json\n")
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) != 0
+        assert not result.exists()
+        assert oracle_calls == []
+
+    def test_grid_whose_ratios_round_to_the_same_counts_fails_before_any_call(
+            self, tmp_path, capsys, oracle_calls):
+        config = write_pools_and_config(
+            tmp_path, n1=20, n2=40, n3=40,
+            extra={"grid": {"stage1": [1.0, 1.001, 1.002, 1.003, 1.004]}})
+        out_dir = tmp_path / "run"
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 1
+        assert "error: degree-4 fit needs >= 5 distinct axis values, got 1" \
+            in capsys.readouterr().err
+        assert oracle_calls == []
+        assert not (out_dir / "manifests" / "d2_vs_d3").exists()
 
     def test_grid_override_sets_the_points(self, tmp_path):
         grid = [0.25, 0.5, 1, 2, 4, 8]

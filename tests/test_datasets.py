@@ -13,13 +13,11 @@ from iqmix.datasets import (
     D1_QUESTION,
     POOL_TAGS,
     SCORING_SYSTEM_PREFIX,
-    InstructionPair,
     PoolSet,
     emit_d1_pairs,
     ingest_mos,
     load_pool,
     manifest_row,
-    pair_to_json,
     pool_stats,
     read_manifest_header,
     sample_mixture,
@@ -31,7 +29,7 @@ from iqmix.errors import DataError, ScoreOutOfRangeError
 from iqmix.levels import FIVE_LEVEL_LABELS, LevelScale
 from iqmix.util import read_jsonl
 
-from conftest import make_pairs, make_pools, pair_record
+from conftest import d1_record, make_pairs, make_pools, read_records, write_records
 
 
 HUMAN = {"from": "human", "value": "q"}
@@ -193,69 +191,90 @@ class TestSubsampleBalanced:
         assert a != c
 
 
+def write_d1(path, mos, *, inline_system=False):
+    """The records convert writes for a MOS table on the 0..100 scale."""
+    write_pairs(emit_d1_pairs(mos, LevelScale(0.0, 100.0)), path, inline_system=inline_system)
+    return read_records(path)
+
+
+def answer(record):
+    return record["conversations"][1]["value"]
+
+
 class TestEmitD1Pairs:
-    def test_answer_levels(self):
-        scale = LevelScale(0.0, 100.0)
-        pairs = emit_d1_pairs({"hi": 85.0, "lo": 0.0, "mid": 50.0}, scale)
-        assert pairs[0].answer == "The quality of the image is excellent."
-        assert pairs[1].answer == "The quality of the image is bad."
-        assert pairs[2].answer == "The quality of the image is fair."
+    def test_answer_levels(self, tmp_path):
+        mos = {"hi": 85.0, "lo": 0.0, "mid": 50.0}
+        assert emit_d1_pairs(mos, LevelScale(0.0, 100.0)) == \
+            [("hi", "excellent"), ("lo", "bad"), ("mid", "fair")]
+        records = write_d1(tmp_path / "d1.jsonl", mos)
+        assert answer(records[0]) == "The quality of the image is excellent."
+        assert answer(records[1]) == "The quality of the image is bad."
+        assert answer(records[2]) == "The quality of the image is fair."
 
-    def test_system_prefix_verbatim(self):
-        pairs = emit_d1_pairs({str(i): float(i) for i in range(60)}, LevelScale(0.0, 100.0))
-        assert all(p.system == "Assume you are an image quality evaluator" for p in pairs)
-        assert all(p.question == D1_QUESTION for p in pairs)
+    def test_system_prefix_verbatim(self, tmp_path):
+        records = write_d1(tmp_path / "d1.jsonl", {str(i): float(i) for i in range(60)})
+        assert all(r["system"] == "Assume you are an image quality evaluator" for r in records)
+        assert all(r["conversations"][0]["value"] == D1_QUESTION for r in records)
 
-    def test_exactly_one_level_label_per_answer(self):
+    def test_exactly_one_level_label_per_answer(self, tmp_path):
         rng = np.random.default_rng(31)
-        records = {str(i): float(v) for i, v in enumerate(rng.uniform(0, 100, 300))}
-        pairs = emit_d1_pairs(records, LevelScale(0.0, 100.0))
+        mos = {str(i): float(v) for i, v in enumerate(rng.uniform(0, 100, 300))}
         pattern = re.compile(r"^The quality of the image is (\w+)\.$")
-        for pair in pairs:
-            m = pattern.match(pair.answer)
+        for record in write_d1(tmp_path / "d1.jsonl", mos):
+            m = pattern.match(answer(record))
             assert m is not None
             assert m.group(1) in FIVE_LEVEL_LABELS
             # 'poor' is a substring trap for none of the other labels
-            assert sum(pair.answer.count(lbl) for lbl in FIVE_LEVEL_LABELS) == 1
+            assert sum(answer(record).count(lbl) for lbl in FIVE_LEVEL_LABELS) == 1
 
-    def test_count_and_order_preserved(self):
-        records = {f"r{i}": float(i) for i in range(100)}
-        pairs = emit_d1_pairs(records, LevelScale(0.0, 100.0))
-        assert [p.id for p in pairs] == list(records)
+    def test_count_and_order_preserved(self, tmp_path):
+        mos = {f"r{i}": float(i) for i in range(100)}
+        records = write_d1(tmp_path / "d1.jsonl", mos)
+        assert [r["id"] for r in records] == list(mos)
+        assert [r["image"] for r in records] == list(mos)
 
-    def test_d1_requires_prefix(self):
-        with pytest.raises(DataError):
-            InstructionPair("x", "x.jpg", None, "q", "a", "D1")
+    def test_d1_requires_prefix(self, tmp_path):
+        # The prefix is checked where D1 lines are read back: in load_pool.
+        records = write_d1(tmp_path / "d1.jsonl", {"x": 50.0})
+        del records[0]["system"]
+        write_records(records, tmp_path / "bare.jsonl")
+        with pytest.raises(DataError, match="line 1: x: D1 pairs must carry"):
+            load_pool(tmp_path / "bare.jsonl", "D1")
 
 
 class TestPoolRoundTrip:
     def test_write_load_identity(self, tmp_path):
         scale = LevelScale(0.0, 100.0)
-        pairs = emit_d1_pairs({f"img{i}": float(i * 7 % 101) for i in range(40)}, scale)
+        mos = {f"img{i}": float(i * 7 % 101) for i in range(40)}
+        mos['bild-\u00e4"\\'] = 99.0  # written raw, with only the JSON escapes
+        pairs = emit_d1_pairs(mos, scale)
         path = tmp_path / "a.jsonl"
         write_pairs(pairs, path)
-        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        assert records == [pair_record(pair) for pair in pairs]
-        assert load_pool(path, "D1") == [manifest_row("D1", line, pair.id)
-                                         for line, pair in enumerate(pairs, start=1)]
+        expected = [d1_record(image_id, label) for image_id, label in pairs]
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(record, ensure_ascii=False) + "\n" for record in expected)
+        assert read_records(path) == expected
+        assert load_pool(path, "D1") == [manifest_row("D1", line, image_id)
+                                         for line, (image_id, _) in enumerate(pairs, start=1)]
 
     def test_multi_turn_round_trip(self, tmp_path):
-        pair = InstructionPair(
-            "c1", "img.jpg", None, "what is wrong?", "it is blurry",
-            "D2", extra_turns=(("why?", "motion during capture"),),
-        )
+        record = {"id": "c1", "image": "img.jpg", "conversations": [
+            {"from": "human", "value": "what is wrong?"}, {"from": "gpt", "value": "it is blurry"},
+            {"from": "human", "value": "why?"}, {"from": "gpt", "value": "motion during capture"},
+        ]}
         path = tmp_path / "pool.jsonl"
-        write_pairs([pair], path)
-        obj = json.loads(path.read_text().splitlines()[0])
-        assert obj == pair_record(pair)
-        assert len(obj["conversations"]) == 4
+        write_records([record], path)
+        assert read_records(path) == [record]
         assert load_pool(path, "D2") == [manifest_row("D2", 1, "c1")]
 
-    def test_inline_system_flag(self):
-        pair = emit_d1_pairs({"x": 50.0}, LevelScale(0, 100))[0]
-        obj = json.loads(pair_to_json(pair, inline_system=True))
+    def test_inline_system_flag(self, tmp_path):
+        path = tmp_path / "d1.jsonl"
+        write_pairs(emit_d1_pairs({"x": 50.0}, LevelScale(0, 100)), path, inline_system=True)
+        obj, = read_records(path)
         assert "system" not in obj
         assert obj["conversations"][0]["value"].startswith(SCORING_SYSTEM_PREFIX + "\n")
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            d1_record("x", "fair", inline_system=True), ensure_ascii=False) + "\n"
 
     def test_malformed_line_diagnostics(self, tmp_path):
         path = tmp_path / "pool.jsonl"
@@ -272,9 +291,9 @@ class TestPoolRoundTrip:
         assert any("empty pool" in m for m in caplog.messages)
 
     def test_duplicate_ids_preserved(self, tmp_path):
-        pair = InstructionPair("dup", "x.jpg", None, "q", "a", "D3")
+        record = {"id": "dup", "image": "x.jpg", "conversations": [HUMAN, GPT]}
         path = tmp_path / "pool.jsonl"
-        write_pairs([pair, pair], path)
+        write_records([record, record], path)
         assert len(load_pool(path, "D3")) == 2
 
     def test_integer_ids_coerced(self, tmp_path):
@@ -291,9 +310,9 @@ class TestPoolRoundTrip:
 
     def test_d1_without_prefix_names_line(self, tmp_path):
         path = tmp_path / "d1.jsonl"
-        good = emit_d1_pairs({"ok": 50.0}, LevelScale(0, 100))[0]
-        unprefixed = InstructionPair("a", "a.jpg", None, "q", "a", "D2")
-        write_pairs([good, unprefixed], path)
+        good, = write_d1(path, {"ok": 50.0})
+        unprefixed = {"id": "a", "image": "a.jpg", "conversations": [HUMAN, GPT]}
+        write_records([good, unprefixed], path)
         with pytest.raises(DataError, match="scoring system prefix") as exc:
             load_pool(path, "D1")
         assert "line 2" in str(exc.value)
@@ -443,4 +462,6 @@ class TestPoolSet:
         assert pools.by_tag("D2") is pools.d2
 
     def test_make_pairs_tags(self):
-        assert all(p.pool == "D2" for p in make_pairs("D2", 5))
+        records = make_pairs("D2", 5)
+        assert all(r["id"].startswith("d2-") and "system" not in r for r in records)
+        assert all(r["system"] == SCORING_SYSTEM_PREFIX for r in make_pairs("D1", 5))

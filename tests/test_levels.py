@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqmix.errors import ConfigError, NormalizationError, ScoreOutOfRangeError
+from iqmix.errors import ConfigError, ScoreOutOfRangeError
 from iqmix.levels import (
     FIVE_LEVEL_LABELS,
-    FrequencyVector,
     LevelScale,
     RatingLevel,
-    mos_from_frequencies,
     quantize_scores,
     score_to_level,
 )
+from iqmix.scoring import weighted_score
 
 
 @pytest.fixture
@@ -127,29 +126,17 @@ class TestLevelToScore:
 
 
 class TestMosFromFrequencies:
+    """A MOS from normalized per-level frequencies is their weighted average
+    of the level scores 1..5, which scoring.weighted_score computes."""
+
     def test_point_mass(self):
-        assert mos_from_frequencies(FrequencyVector((0, 0, 1, 0, 0))) == 3.0
+        assert weighted_score((0, 0, 1, 0, 0)) == 3.0
 
     def test_symmetry(self):
-        assert mos_from_frequencies(FrequencyVector((0.5, 0, 0, 0, 0.5))) == 3.0
+        assert weighted_score((0.5, 0, 0, 0, 0.5)) == 3.0
 
     def test_weighted(self):
-        assert mos_from_frequencies(FrequencyVector((0, 0, 0.5, 0.5, 0))) == 3.5
-
-    def test_rejects_counts_form(self):
-        counts = FrequencyVector.from_counts((2, 0, 1, 0, 1))
-        with pytest.raises(NormalizationError):
-            mos_from_frequencies(counts)
-        assert mos_from_frequencies(counts.as_normalized()) == pytest.approx(2.5)
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(NormalizationError) as exc:
-            mos_from_frequencies(FrequencyVector((0.5, 0.1, 0, 0, 0.1)))
-        assert "0.7" in str(exc.value)
-
-    def test_rejects_negative(self):
-        with pytest.raises(NormalizationError):
-            FrequencyVector((-0.1, 0.4, 0.3, 0.2, 0.2))
+        assert weighted_score((0, 0, 0.5, 0.5, 0)) == 3.5
 
     def test_affine_in_frequencies(self):
         rng = np.random.default_rng(5)
@@ -157,17 +144,15 @@ class TestMosFromFrequencies:
             f = rng.dirichlet(np.ones(5))
             g = rng.dirichlet(np.ones(5))
             a = float(rng.uniform())
-            mixed = mos_from_frequencies(FrequencyVector(tuple(a * f + (1 - a) * g)))
-            parts = a * mos_from_frequencies(FrequencyVector(tuple(f))) + (
-                1 - a
-            ) * mos_from_frequencies(FrequencyVector(tuple(g)))
+            mixed = weighted_score(tuple(a * f + (1 - a) * g))
+            parts = a * weighted_score(tuple(f)) + (1 - a) * weighted_score(tuple(g))
             assert mixed == pytest.approx(parts, abs=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             f = rng.dirichlet(np.ones(5))
-            assert 1.0 <= mos_from_frequencies(FrequencyVector(tuple(f))) <= 5.0
+            assert 1.0 <= weighted_score(tuple(f)) <= 5.0
 
 
 SCALES = [LevelScale(1.0, 5.0), LevelScale(0.0, 100.0), LevelScale(0.0, 1.0),

@@ -372,6 +372,10 @@ class TestLedger:
           "loss_interpreting": 1.0}, "non-numeric result field"),
         ({"perf_scoring": "x", "perf_interpreting": 0.5, "loss_scoring": 1.0,
           "loss_interpreting": 1.0}, "non-numeric result field"),
+        ({"perf_scoring": 0.5, "perf_interpreting": "0.5", "loss_scoring": 1.0,
+          "loss_interpreting": 1.0}, "non-numeric result field"),
+        ({"perf_scoring": 0.5, "perf_interpreting": 0.5, "loss_scoring": True,
+          "loss_interpreting": 1.0}, "non-numeric result field"),
     ])
     def test_bad_recorded_value_is_data_error(self, tmp_path, response, message):
         ledger = tmp_path / "ledger.jsonl"

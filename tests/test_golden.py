@@ -9,7 +9,9 @@ digest and the seed.
 The evaluation path is pinned the same way: `convert` and `score` on seeded
 inputs, their output files and what they print. Those hashes were recorded
 when `convert` ran json.dumps once per pair and `score` ran one numpy softmax
-per record.
+per record. The `eval-mcq` and `eval-desc` reports, text and json, were
+recorded when each report was still built as a dataclass and then turned into
+its dict and its text.
 
 The pools are written here with plain json.dumps so the fixture does not
 depend on the package's own writers. Ids include quotes, backslashes,
@@ -243,6 +245,28 @@ def _logit_line(i: int, rng: random.Random) -> str:
     return json.dumps(record, ensure_ascii=i % 3 == 0)
 
 
+MCQ_TYPES = ("yes-or-no", "what", "how")
+MCQ_QUADRANTS = ("distortion", "other", "in-context distortion")  # one quadrant unused
+MCQ_CHOICES = (("yes", "no"), ("blur", "noise", "overexposure"),
+               ("sharp", "slightly blurry", "very blurry", "unreadable"))
+DESC_DIMENSIONS = ("completeness", "precision", "relevance")
+
+
+def _mcq_line(i: int, rng: random.Random) -> str:
+    """One answer record; the prediction is a choice text (in any case), a
+    choice letter in one of its forms, or text that matches no choice."""
+    choices = MCQ_CHOICES[i % 3]
+    gold = rng.choice(choices)
+    pick = rng.randrange(len(choices))
+    predicted = rng.choice([
+        choices[pick], choices[pick].upper() + "  ", f"({'abcd'[pick]})",
+        f"{'abcd'[pick]}. {choices[pick]}", "keine Ahnung, 画質", "",
+    ])
+    return json.dumps({"id": _eval_id(i), "type": MCQ_TYPES[(i // 3) % 3],
+                       "quadrant": rng.choice(MCQ_QUADRANTS), "choices": list(choices),
+                       "gold": gold, "predicted": predicted}, ensure_ascii=i % 2 == 0)
+
+
 def _write_eval_inputs(root):
     rng = random.Random(23)
     with open(root / "mos.csv", "w", newline="", encoding="utf-8") as handle:
@@ -251,6 +275,13 @@ def _write_eval_inputs(root):
         writer.writerows([_eval_id(i), repr(m)] for i, m in enumerate(_mos_values(rng)))
     with open(root / "logits.jsonl", "w", encoding="utf-8") as handle:
         handle.writelines(_logit_line(i, rng) + "\n" for i in range(EVAL_ROWS))
+    with open(root / "mcq.jsonl", "w", encoding="utf-8") as handle:
+        handle.writelines(_mcq_line(i, rng) + "\n" for i in range(211))
+    with open(root / "ratings.jsonl", "w", encoding="utf-8") as handle:
+        handle.writelines(
+            json.dumps({"dimension": DESC_DIMENSIONS[i % 3],
+                        "rating": rng.choice((0, 1, 1, 2, 2, 2)) if i % 3 else rng.randrange(3)})
+            + "\n" for i in range(301))
 
 
 GOLDEN_EVAL = {
@@ -278,6 +309,22 @@ GOLDEN_EVAL = {
         "8c35390f5bf23b531fa70f0c39d98ed307ba37ca7d307c6e2f0a70dd9bacae4d",
     "scores-rescale.jsonl":
         "ee53bc78102426695495e9c792988df10a52825e4c16aac3d138c0d73d609631",
+    "eval-mcq.stdout":
+        "f6559cb581ab013f4d83315700dca4a3fe8c3d49dceffd8fe93645f32c7719c0",
+    "eval-mcq.stderr":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "eval-mcq-json.stdout":
+        "1f73abd57b6ab0e9d5edab62c52b300ebf788d5b531a39bc9d7267b57ba810bb",
+    "eval-mcq-json.stderr":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "eval-desc.stdout":
+        "3face6ae3e8f52a60938edcc4b209d98af546c2b85c7cec9f79efb501d64d125",
+    "eval-desc.stderr":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "eval-desc-json.stdout":
+        "b1bc171a9b993adedd2eadebfa787c4acca7afc3f425df1ca5dcb502a9962b15",
+    "eval-desc-json.stderr":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
 
 
@@ -296,6 +343,10 @@ def test_eval_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
         "score": ["score", "logits.jsonl", "--out", "scores.jsonl"],
         "score-rescale": ["score", "logits.jsonl", "--rescale", "0", "100",
                           "--out", "scores-rescale.jsonl"],
+        "eval-mcq": ["eval-mcq", "mcq.jsonl", "--format", "text"],
+        "eval-mcq-json": ["eval-mcq", "mcq.jsonl", "--format", "json"],
+        "eval-desc": ["eval-desc", "ratings.jsonl", "--format", "text"],
+        "eval-desc-json": ["eval-desc", "ratings.jsonl", "--format", "json"],
     }
     digests = {}
     for name, argv in runs.items():
@@ -304,7 +355,8 @@ def test_eval_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
         printed = capsys.readouterr()
         digests[f"{name}.stdout"] = _sha(printed.out)
         digests[f"{name}.stderr"] = _sha(printed.err)
-        digests[argv[-1]] = _sha((tmp_path / argv[-1]).read_bytes())
+        if "--out" in argv:
+            digests[argv[-1]] = _sha((tmp_path / argv[-1]).read_bytes())
     assert digests == GOLDEN_EVAL
 
 

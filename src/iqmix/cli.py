@@ -46,7 +46,9 @@ from .metrics import (
     McqRecord,
     PairedSample,
     description_report,
+    description_text,
     mcq_report,
+    mcq_text,
     plcc,
     srcc,
 )
@@ -60,11 +62,12 @@ from .oracle import (
     ExternalOracle,
     ExternalOracleConfig,
     Ledger,
+    Oracle,
     SyntheticOracle,
     SyntheticOracleConfig,
 )
 from .scoring import BatchDiagnostic, rescale_score, score_batch
-from .util import file_digest, read_jsonl, record_id
+from .util import file_digest, is_number, read_jsonl, record_id
 
 log = logging.getLogger(__name__)
 
@@ -87,14 +90,17 @@ def _resolve(*values, default=None):
 
 
 def _number(key: str, cast, *values, default):
-    """The first value given, converted by cast (int or float); a value that
-    does not convert is a config error naming its key."""
+    """The first value given, as cast (int or float). An integer setting
+    takes an integer only, a float setting any number; anything else, a
+    bool or a numeric string too, is a config error naming its key."""
     value = _resolve(*values, default=default)
     try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        if is_number(value) and (cast is float or isinstance(value, int)):
+            return cast(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    kind = "an integer" if cast is int else "a number"
+    raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
 def _section(conf: dict, key: str) -> dict:
@@ -111,8 +117,7 @@ def _grid_ratios(grid: dict, key: str) -> tuple[float, ...] | None:
     if not values:
         return None
     if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
-            for v in values):  # nan fails the range test too
+            is_number(v) and 0 < v < math.inf for v in values):  # nan fails the range test
         raise ConfigError(f"grid.{key} must be a list of positive numbers, got {values!r}")
     if len(set(values)) < 5:
         raise ConfigError(f"grid.{key} needs 5 distinct ratios for a degree-4 fit, got {values!r}")
@@ -176,10 +181,9 @@ def _read_scores(path: str | Path) -> dict[str, float]:
                 f"{where}: duplicate id {item_id!r} (first on line {first_line[item_id]})"
             )
         score = obj.get("score")
-        # bool is an int subclass. The range test also rejects nan and inf,
-        # and unlike math.isfinite it cannot overflow on a huge int.
-        if isinstance(score, bool) or not isinstance(score, (int, float)) \
-                or not -sys.float_info.max <= score <= sys.float_info.max:
+        # The range test rejects nan and inf, and unlike math.isfinite it
+        # cannot overflow on a huge int.
+        if not is_number(score) or not -sys.float_info.max <= score <= sys.float_info.max:
             raise DataError(f"{where}: 'score' must be a finite number, got {score!r}")
         scores[item_id] = float(score)
         first_line[item_id] = line_no
@@ -215,18 +219,21 @@ def _load_pools(conf: dict) -> tuple[PoolSet, list[tuple[str | Path, str]]]:
     return pools, _digests(*paths)
 
 
-def _build_oracle(conf: dict, out_dir: Path, pool_inputs: Sequence[tuple]) -> Ledger:
-    """The config's oracle behind out_dir's ledger, keyed by the pool digests
-    and the oracle section without `timeout` (which never changes a result)."""
+def _build_oracle(conf: dict) -> Oracle:
+    """The config's oracle; a bad oracle section is a config error."""
     oracle_conf = _section(conf, "oracle")
     kind = oracle_conf.get("kind")
     if kind == "synthetic":
-        oracle = SyntheticOracle(SyntheticOracleConfig.from_dict(oracle_conf))
-    elif kind == "external":
-        oracle = ExternalOracle(ExternalOracleConfig.from_dict(oracle_conf))
-    else:
-        raise ConfigError(f"oracle.kind must be synthetic or external, got {kind!r}")
-    identity = {k: v for k, v in oracle_conf.items() if k != "timeout"}
+        return SyntheticOracle(SyntheticOracleConfig.from_dict(oracle_conf))
+    if kind == "external":
+        return ExternalOracle(ExternalOracleConfig.from_dict(oracle_conf))
+    raise ConfigError(f"oracle.kind must be synthetic or external, got {kind!r}")
+
+
+def _ledger(oracle: Oracle, conf: dict, out_dir: Path, pool_inputs: Sequence[tuple]) -> Ledger:
+    """The oracle behind out_dir's ledger, keyed by the pool digests and the
+    oracle section without `timeout` (which never changes a result)."""
+    identity = {k: v for k, v in _section(conf, "oracle").items() if k != "timeout"}
     context = [d for _, d in pool_inputs] + [json.dumps(identity, sort_keys=True, default=str)]
     return Ledger(oracle, out_dir / "ledger.jsonl", context)
 
@@ -357,7 +364,7 @@ def cmd_eval_mcq(args: argparse.Namespace) -> int:
         except (KeyError, TypeError) as exc:
             raise DataError(f"{args.answers_file}: line {line_no}: {exc}")
     report = mcq_report(records)
-    _emit_report(report.to_dict(), report.as_text(), args.format)
+    _emit_report(report, mcq_text(report), args.format)
     return 0
 
 
@@ -369,7 +376,7 @@ def cmd_eval_desc(args: argparse.Namespace) -> int:
         except (KeyError, DataError) as exc:
             raise DataError(f"{args.ratings_file}: line {line_no}: {exc}")
     report = description_report(ratings)
-    _emit_report(report.to_dict(), report.as_text(), args.format)
+    _emit_report(report, description_text(report), args.format)
     return 0
 
 
@@ -446,9 +453,10 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
     out_dir = Path(_resolve(args.out_dir, conf.get("out_dir"), default="mix-search-run"))
     out_dir.mkdir(parents=True, exist_ok=True)
     # Before any check or pool load, so a run that fails leaves no result
-    # of an earlier one for mix-adjust to read.
+    # or run record of an earlier one for mix-adjust to read.
     result_path = out_dir / "coarse_result.json"
-    result_path.unlink(missing_ok=True)
+    for path in (result_path, out_dir / "runrecord.json"):
+        path.unlink(missing_ok=True)
 
     if conf.get("axis", "log10") != "log10":
         raise ConfigError(f"axis must be log10 (the only sweep axis), got {conf['axis']!r}")
@@ -462,9 +470,10 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
         stage1_ratios=_grid_ratios(grid, "stage1"),
         stage2_ratios=_grid_ratios(grid, "stage2"),
     )
+    oracle = _build_oracle(conf)
     pools, pool_inputs = _load_pools(conf)
-    oracle = _build_oracle(conf, out_dir, pool_inputs)
-    doc = coarse_search(oracle, pools, config)
+    ledger = _ledger(oracle, conf, out_dir, pool_inputs)
+    doc = coarse_search(ledger, pools, config)
     weights = doc["mix_ratio"]
     print(f"d2:d3 ratio        {doc['stage1']['ratio']:.6g}")
     print(f"(d2+d3):d1 ratio   {doc['stage2']['ratio']:.6g}")
@@ -475,7 +484,7 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
     _write_run_record(
         "mix-search",
         {"seed": seed, "repeats": repeats, "jobs": jobs, "out_dir": str(out_dir)},
-        [*_digests(args.config), *pool_inputs], [result_path, oracle.path],
+        [*_digests(args.config), *pool_inputs], [result_path, ledger.path],
         seed=seed, started=started,
         record_path=out_dir / "runrecord.json",
     )
@@ -496,6 +505,11 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
                      default=1.1)
     out_dir = Path(_resolve(args.out_dir, conf.get("out_dir"), default="mix-adjust-run"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Before any check or pool load, so a run that fails leaves no output
+    # of an earlier one to be read as its own.
+    trajectory_path = out_dir / "trajectory.jsonl"
+    for path in (trajectory_path, out_dir / "runrecord.json"):
+        path.unlink(missing_ok=True)
 
     try:
         coarse = coarse_result_from_dict(
@@ -504,16 +518,16 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
         raise DataError(f"cannot read coarse result {args.coarse_result}: {exc}")
     check_controls(coarse, max_epochs, tolerance, factor)
 
+    oracle = _build_oracle(conf)
     pools, pool_inputs = _load_pools(conf)
-    oracle = _build_oracle(conf, out_dir, pool_inputs)
+    ledger = _ledger(oracle, conf, out_dir, pool_inputs)
     epochs = run_loop(
-        oracle, coarse, pools, max_epochs=max_epochs, tolerance=tolerance, factor=factor,
+        ledger, coarse, pools, max_epochs=max_epochs, tolerance=tolerance, factor=factor,
         seed=seed, workdir=out_dir, coarse_ref=str(args.coarse_result),
     )
     for record in epochs:
         print(f"epoch {record.epoch}: counts {record.counts} "
               f"ratio {record.ratio:.6g} -> {record.action}")
-    trajectory_path = out_dir / "trajectory.jsonl"
     print(f"trajectory written to {trajectory_path}")
 
     _write_run_record(
@@ -521,7 +535,7 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
         {"seed": seed, "max_epochs": max_epochs, "tolerance": tolerance, "factor": factor,
          "out_dir": str(out_dir)},
         [*_digests(args.config, args.coarse_result), *pool_inputs],
-        [trajectory_path, oracle.path],
+        [trajectory_path, ledger.path],
         seed=seed, started=started,
         record_path=out_dir / "runrecord.json",
     )

@@ -9,7 +9,7 @@ down by question type and quadrant, and description-rating aggregation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -161,65 +161,44 @@ def match_choice(predicted: str, choices: Sequence[str]) -> int | None:
     return None
 
 
-@dataclass
-class CategoryAccuracy:
-    total: int = 0
-    correct: int = 0
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.total if self.total else 0.0
-
-
-@dataclass
-class McqReport:
-    overall: CategoryAccuracy
-    by_type: dict[str, CategoryAccuracy]
-    by_quadrant: dict[str, CategoryAccuracy]
-
-    def to_dict(self) -> dict:
-        def cat(c: CategoryAccuracy) -> dict:
-            return {"total": c.total, "correct": c.correct, "accuracy": c.accuracy}
-
-        return {
-            "overall": cat(self.overall),
-            "by_type": {k: cat(v) for k, v in self.by_type.items()},
-            "by_quadrant": {k: cat(v) for k, v in self.by_quadrant.items()},
-        }
-
-    def as_text(self) -> str:
-        rows = [("overall", self.overall)]
-        rows += [(k, v) for k, v in self.by_type.items()]
-        rows += [(k, v) for k, v in self.by_quadrant.items()]
-        width = max(len(name) for name, _ in rows)
-        lines = [f"{'category'.ljust(width)}  correct/total  accuracy"]
-        for name, c in rows:
-            lines.append(
-                f"{name.ljust(width)}  {c.correct:>7d}/{c.total:<5d}  {c.accuracy:.4f}"
-            )
-        return "\n".join(lines)
-
-
-def mcq_report(records: Sequence[McqRecord]) -> McqReport:
-    """Overall plus per-type and per-quadrant accuracy.
+def mcq_report(records: Sequence[McqRecord]) -> dict:
+    """Overall, per-type and per-quadrant accuracy, each as {"total",
+    "correct", "accuracy"}, under "overall", "by_type" and "by_quadrant"; a
+    type or quadrant with no record is left out.
 
     A prediction is correct when it resolves to the gold choice; unmatched
     predictions count as incorrect.
     """
     if not records:
         raise DataError("no MCQ records to score")
-    overall = CategoryAccuracy()
-    by_type = {t: CategoryAccuracy() for t in QUESTION_TYPES}
-    by_quadrant = {q: CategoryAccuracy() for q in QUADRANTS}
+    overall = [0, 0]  # total, correct
+    by_type = {t: [0, 0] for t in QUESTION_TYPES}
+    by_quadrant = {q: [0, 0] for q in QUADRANTS}
     for rec in records:
-        gold_idx = rec.choices.index(rec.gold)
-        correct = match_choice(rec.predicted, rec.choices) == gold_idx
+        correct = match_choice(rec.predicted, rec.choices) == rec.choices.index(rec.gold)
         for bucket in (overall, by_type[rec.question_type], by_quadrant[rec.quadrant]):
-            bucket.total += 1
-            bucket.correct += int(correct)
-    by_type = {k: v for k, v in by_type.items() if v.total}
-    by_quadrant = {k: v for k, v in by_quadrant.items() if v.total}
-    return McqReport(overall, by_type, by_quadrant)
+            bucket[0] += 1
+            bucket[1] += correct
+
+    def category(total: int, correct: int) -> dict:
+        return {"total": total, "correct": correct, "accuracy": correct / total}
+
+    return {
+        "overall": category(*overall),
+        "by_type": {k: category(*v) for k, v in by_type.items() if v[0]},
+        "by_quadrant": {k: category(*v) for k, v in by_quadrant.items() if v[0]},
+    }
+
+
+def mcq_text(report: dict) -> str:
+    """The MCQ report as a table: one row per category, overall first."""
+    rows = [("overall", report["overall"]), *report["by_type"].items(),
+            *report["by_quadrant"].items()]
+    width = max(len(name) for name, _ in rows)
+    lines = [f"{'category'.ljust(width)}  correct/total  accuracy"]
+    lines += [f"{name.ljust(width)}  {c['correct']:>7d}/{c['total']:<5d}  {c['accuracy']:.4f}"
+              for name, c in rows]
+    return "\n".join(lines)
 
 
 # Description-rating aggregation ---------------------------------------------
@@ -242,54 +221,10 @@ class DescriptionRating:
             )
 
 
-@dataclass
-class DimensionStats:
-    count: int
-    frequencies: tuple[float, float, float]  # P0, P1, P2
-
-    @property
-    def score(self) -> float:
-        return self.frequencies[1] + 2.0 * self.frequencies[2]
-
-
-@dataclass
-class DescriptionReport:
-    dimensions: dict[str, DimensionStats] = field(default_factory=dict)
-
-    @property
-    def total(self) -> float:
-        return sum(d.score for d in self.dimensions.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "dimensions": {
-                name: {
-                    "count": d.count,
-                    "p0": d.frequencies[0],
-                    "p1": d.frequencies[1],
-                    "p2": d.frequencies[2],
-                    "score": d.score,
-                }
-                for name, d in self.dimensions.items()
-            },
-            "sum": self.total,
-        }
-
-    def as_text(self) -> str:
-        width = max(len(n) for n in self.dimensions)
-        lines = [f"{'dimension'.ljust(width)}      P0      P1      P2   score"]
-        for name, d in self.dimensions.items():
-            p0, p1, p2 = d.frequencies
-            lines.append(
-                f"{name.ljust(width)}  {p0:.4f}  {p1:.4f}  {p2:.4f}  {d.score:.4f}"
-            )
-        lines.append(f"{'sum'.ljust(width)}  {self.total:.4f}")
-        return "\n".join(lines)
-
-
-def description_report(ratings: Sequence[DescriptionRating]) -> DescriptionReport:
-    """Per-dimension rating frequencies P0/P1/P2, their weighted score, and
-    the three-dimension sum."""
+def description_report(ratings: Sequence[DescriptionRating]) -> dict:
+    """Per-dimension rating frequencies p0/p1/p2 with their count and
+    weighted score p1 + 2*p2, under "dimensions", and the three-dimension
+    "sum" of the scores."""
     buckets: dict[str, list[int]] = {d: [] for d in DESCRIPTION_DIMENSIONS}
     for r in ratings:
         buckets[r.dimension].append(r.rating)
@@ -298,10 +233,20 @@ def description_report(ratings: Sequence[DescriptionRating]) -> DescriptionRepor
         raise MissingDimensionError(
             f"no ratings for dimension(s): {', '.join(missing)}"
         )
-    report = DescriptionReport()
-    for dim in DESCRIPTION_DIMENSIONS:
-        vals = buckets[dim]
-        n = len(vals)
-        freqs = tuple(vals.count(i) / n for i in (0, 1, 2))
-        report.dimensions[dim] = DimensionStats(n, freqs)  # type: ignore[arg-type]
-    return report
+    dimensions = {}
+    for dim, vals in buckets.items():
+        p0, p1, p2 = (vals.count(i) / len(vals) for i in (0, 1, 2))
+        dimensions[dim] = {"count": len(vals), "p0": p0, "p1": p1, "p2": p2,
+                           "score": p1 + 2.0 * p2}
+    return {"dimensions": dimensions, "sum": sum(d["score"] for d in dimensions.values())}
+
+
+def description_text(report: dict) -> str:
+    """The description report as a table: one row per dimension, then the sum."""
+    dimensions = report["dimensions"]
+    width = max(len(name) for name in dimensions)
+    lines = [f"{'dimension'.ljust(width)}      P0      P1      P2   score"]
+    lines += [f"{name.ljust(width)}  {d['p0']:.4f}  {d['p1']:.4f}  {d['p2']:.4f}  "
+              f"{d['score']:.4f}" for name, d in dimensions.items()]
+    lines.append(f"{'sum'.ljust(width)}  {report['sum']:.4f}")
+    return "\n".join(lines)

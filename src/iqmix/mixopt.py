@@ -28,7 +28,7 @@ from numpy.polynomial import polynomial as npoly
 from .datasets import PoolSet, sample_mixture, write_manifest
 from .errors import ConfigError, DataError, RankDeficientFitError
 from .oracle import Oracle, OracleRequest, OracleResponse, realized_axes
-from .util import derive_seed, round_half_up
+from .util import derive_seed, is_number, round_half_up
 
 log = logging.getLogger(__name__)
 
@@ -65,47 +65,6 @@ class MixRatio:
             "d1": d1_count,
             "d2": round_half_up(self.d2 * scale),
             "d3": round_half_up(self.d3 * scale),
-        }
-
-
-@dataclass(frozen=True)
-class PerformancePoint:
-    """One swept mixture: realized log10 ratio, mean performance and losses."""
-
-    ratio_axis_value: float
-    performance: float
-    repeats: int
-    loss_scoring: float
-    loss_interpreting: float
-
-    def to_dict(self) -> dict:
-        return {
-            "axis": self.ratio_axis_value,
-            "performance": self.performance,
-            "repeats": self.repeats,
-            "loss_scoring": self.loss_scoring,
-            "loss_interpreting": self.loss_interpreting,
-        }
-
-
-@dataclass(frozen=True)
-class FittedCurve:
-    """Least-squares degree-4 polynomial over the log10 ratio axis.
-
-    Coefficients are ascending (c0..c4). Maximizer queries never leave
-    fit_domain, so the curve is not used to extrapolate.
-    """
-
-    coefficients: tuple[float, float, float, float, float]
-    fit_domain: tuple[float, float]
-    residual_rms: float
-
-    def to_dict(self) -> dict:
-        return {
-            "coefficients": list(self.coefficients),
-            "fit_domain": list(self.fit_domain),
-            "residual_rms": self.residual_rms,
-            "axis": "log10",
         }
 
 
@@ -207,8 +166,10 @@ def sweep(
     d2_d3_ratio: float | None = None,
     scoring_weight: float = 0.5,
     jobs: int = 1,
-) -> list[PerformancePoint]:
-    """Evaluate every grid ratio `repeats` times and average.
+) -> list[dict]:
+    """Evaluate every grid ratio `repeats` times and average, into one point
+    record per ratio: the realized log10 `axis`, the mean `performance`,
+    `repeats` and the mean `loss_scoring` and `loss_interpreting`.
 
     Each (point, repeat) gets its own derived seed, its own sampled manifest
     on disk, and one oracle call; at most `jobs` calls run at once, and
@@ -238,19 +199,17 @@ def sweep(
             requests.append(OracleRequest(path, rep_seed))
 
     responses = _evaluate_in_order(oracle, requests, jobs)
-    points: list[PerformancePoint] = []
+    points: list[dict] = []
     for point_idx, counts in enumerate(point_counts):
         chunk = responses[point_idx * repeats : (point_idx + 1) * repeats]
         perfs = [_point_performance(stage, r, scoring_weight) for r in chunk]
-        points.append(
-            PerformancePoint(
-                ratio_axis_value=_point_axis(stage, counts),
-                performance=float(np.mean(perfs)),
-                repeats=repeats,
-                loss_scoring=float(np.mean([r.loss_scoring for r in chunk])),
-                loss_interpreting=float(np.mean([r.loss_interpreting for r in chunk])),
-            )
-        )
+        points.append({
+            "axis": _point_axis(stage, counts),
+            "performance": float(np.mean(perfs)),
+            "repeats": repeats,
+            "loss_scoring": float(np.mean([r.loss_scoring for r in chunk])),
+            "loss_interpreting": float(np.mean([r.loss_interpreting for r in chunk])),
+        })
     return points
 
 
@@ -262,21 +221,24 @@ def _check_distinct_axes(axes: Sequence[float]) -> None:
         )
 
 
-def fit_curve(points: Sequence[PerformancePoint]) -> FittedCurve:
-    """Least-squares degree-4 fit of performance over the log10 ratio axis."""
-    x = np.asarray([p.ratio_axis_value for p in points], dtype=np.float64)
-    y = np.asarray([p.performance for p in points], dtype=np.float64)
+def fit_curve(points: Sequence[dict]) -> dict:
+    """Least-squares degree-4 fit of the points' performance over their log10
+    ratio axis: the ascending `coefficients` c0..c4, the `fit_domain` [min,
+    max] of the axis, which the maximizer never leaves, and `residual_rms`."""
+    x = np.asarray([p["axis"] for p in points], dtype=np.float64)
+    y = np.asarray([p["performance"] for p in points], dtype=np.float64)
     _check_distinct_axes(x.tolist())
     coef = npoly.polyfit(x, y, 4)
     residuals = npoly.polyval(x, coef) - y
-    return FittedCurve(
-        coefficients=tuple(float(c) for c in coef),
-        fit_domain=(float(x.min()), float(x.max())),
-        residual_rms=float(np.sqrt(np.mean(residuals * residuals))),
-    )
+    return {
+        "coefficients": [float(c) for c in coef],
+        "fit_domain": [float(x.min()), float(x.max())],
+        "residual_rms": float(np.sqrt(np.mean(residuals * residuals))),
+        "axis": "log10",
+    }
 
 
-def argmax_ratio(curve: FittedCurve) -> float:
+def argmax_ratio(curve: dict) -> float:
     """Maximizer of the fitted polynomial over its fit domain.
 
     Candidates are the real roots of the derivative cubic plus both domain
@@ -284,8 +246,8 @@ def argmax_ratio(curve: FittedCurve) -> float:
     Near-zero leading derivative coefficients are trimmed before
     root-finding so lower-degree fits stay well conditioned.
     """
-    lo, hi = curve.fit_domain
-    coef = np.asarray(curve.coefficients, dtype=np.float64)
+    lo, hi = curve["fit_domain"]
+    coef = np.asarray(curve["coefficients"], dtype=np.float64)
     dcoef = npoly.polyder(coef)
     # Threshold against the polynomial's own coefficient scale: a derivative
     # that is pure fit noise (constant curve) must vanish entirely.
@@ -337,7 +299,7 @@ def coarse_result_from_dict(doc: dict) -> CoarseResult:
     try:
         weights = doc["mix_ratio"]
         values = (weights["d1"], weights["d2"], weights["d3"], doc["lambda_loss"])
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        if not all(is_number(v) for v in values):
             raise TypeError(f"mix_ratio weights and lambda_loss must be numbers, got {values}")
         d1, d2, d3, lambda_loss = (float(v) for v in values)
     except (KeyError, TypeError, OverflowError) as exc:
@@ -345,9 +307,8 @@ def coarse_result_from_dict(doc: dict) -> CoarseResult:
     return CoarseResult(ratio=MixRatio(d1, d2, d3), lambda_loss=lambda_loss)
 
 
-def _warn_if_boundary(stage: Stage, argmax_axis: float, curve: FittedCurve) -> None:
-    lo, hi = curve.fit_domain
-    if argmax_axis in (lo, hi):
+def _warn_if_boundary(stage: Stage, argmax_axis: float, curve: dict) -> None:
+    if argmax_axis in curve["fit_domain"]:
         log.warning(
             "%s: fitted maximum sits on the sweep boundary (axis %.6g); "
             "the performance surface may be flat or monotone over the grid",
@@ -380,8 +341,7 @@ def coarse_search(oracle: Oracle, pools: PoolSet, config: SearchConfig) -> dict:
         curve = fit_curve(points)
         t = argmax_ratio(curve)
         _warn_if_boundary(stage, t, curve)
-        stages[key] = {"points": [p.to_dict() for p in points], "curve": curve.to_dict(),
-                       "argmax_axis": t, "ratio": 10.0 ** t}
+        stages[key] = {"points": points, "curve": curve, "argmax_axis": t, "ratio": 10.0 ** t}
 
     ratio = MixRatio.from_stage_ratios(stages["stage1"]["ratio"], stages["stage2"]["ratio"])
     counts = ratio.counts_for_d1_base(len(pools.d1))

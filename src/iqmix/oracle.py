@@ -30,7 +30,7 @@ from .errors import (
     OracleResultError,
     OracleTimeoutError,
 )
-from .util import file_digest, read_jsonl
+from .util import file_digest, is_number, read_jsonl
 
 RESPONSE_FIELDS = ("perf_scoring", "perf_interpreting", "loss_scoring", "loss_interpreting")
 
@@ -71,9 +71,7 @@ def _response_from(obj) -> OracleResponse:
         raise DataError(f"missing fields {missing}")
     values = [obj[k] for k in RESPONSE_FIELDS]
     try:
-        # A JSON number, as coarse_result_from_dict reads one: bool is an int
-        # subclass, and a string such as "0.5" is not a number either.
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        if not all(is_number(v) for v in values):  # not true, nor "0.5"
             raise TypeError(f"result fields must be numbers, got {values}")
         return OracleResponse(*(float(v) for v in values))
     except (TypeError, OverflowError) as exc:
@@ -98,6 +96,21 @@ def realized_axes(counts: Mapping[str, int]) -> tuple[float, float]:
 
 
 # Synthetic oracle -------------------------------------------------------------
+
+
+def _setting(obj: Mapping, key: str, where: str, default: float | None = None) -> float:
+    """obj[key] as a float, or default where the key is absent and a default
+    is given; a missing key or a value that is not a number is a config
+    error naming where.key."""
+    if key not in obj and default is None:
+        raise ConfigError(f"{where} is missing {key!r}")
+    value = obj.get(key, default)
+    try:
+        if is_number(value):
+            return float(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -129,16 +142,12 @@ class ResponseSurface:
         return self.peak_value - self.curvature * d * d - self.quartic * d ** 4
 
     @classmethod
-    def from_dict(cls, obj: Mapping) -> "ResponseSurface":
-        try:
-            return cls(
-                peak_ratio=float(obj["peak_ratio"]),
-                peak_value=float(obj["peak_value"]),
-                curvature=float(obj["curvature"]),
-                quartic=float(obj.get("quartic", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad surface config {dict(obj)!r}: {exc}")
+    def from_dict(cls, obj: Mapping, where: str = "surface") -> "ResponseSurface":
+        if not isinstance(obj, Mapping):
+            raise ConfigError(f"{where} must be a mapping, got {obj!r}")
+        return cls(*(_setting(obj, key, where) for key in
+                     ("peak_ratio", "peak_value", "curvature")),
+                   quartic=_setting(obj, "quartic", where, 0.0))
 
 
 @dataclass(frozen=True)
@@ -159,17 +168,16 @@ class SyntheticOracleConfig:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "SyntheticOracleConfig":
-        try:
-            return cls(
-                scoring_surface=ResponseSurface.from_dict(obj["scoring_surface"]),
-                interpreting_surface=ResponseSurface.from_dict(obj["interpreting_surface"]),
-                noise_sigma=float(obj.get("noise_sigma", 0.0)),
-                loss_alpha=float(obj.get("loss_alpha", 0.5)),
-                loss_scale_scoring=float(obj.get("loss_scale_scoring", 30.0)),
-                loss_scale_interpreting=float(obj.get("loss_scale_interpreting", 30.0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"synthetic oracle config missing {exc}")
+        surfaces = [ResponseSurface.from_dict(obj.get(key), f"oracle.{key}")
+                    for key in ("scoring_surface", "interpreting_surface")]
+        noise_sigma = _setting(obj, "noise_sigma", "oracle", 0.0)
+        if not 0.0 <= noise_sigma < math.inf:
+            raise ConfigError(f"oracle.noise_sigma must be finite and >= 0, got {noise_sigma!r}")
+        return cls(*surfaces, noise_sigma=noise_sigma,
+                   loss_alpha=_setting(obj, "loss_alpha", "oracle", 0.5),
+                   loss_scale_scoring=_setting(obj, "loss_scale_scoring", "oracle", 30.0),
+                   loss_scale_interpreting=_setting(obj, "loss_scale_interpreting", "oracle",
+                                                    30.0))
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:
@@ -235,11 +243,15 @@ class ExternalOracleConfig:
             raise ConfigError("oracle.max_parallel is no longer supported: the top-level "
                               "jobs setting is the only limit on concurrent oracle calls")
         timeout = obj.get("timeout")
-        return cls(
-            command=str(command),
-            timeout=float(timeout) if timeout is not None else None,
-            env=dict(obj.get("env", {})),
-        )
+        if timeout is not None:
+            timeout = _setting(obj, "timeout", "oracle")
+            if not 0.0 < timeout < math.inf:
+                raise ConfigError(f"oracle.timeout must be finite and > 0, got {timeout!r}")
+        env = obj.get("env") or {}
+        if not isinstance(env, dict) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in env.items()):
+            raise ConfigError(f"oracle.env must map names to strings, got {env!r}")
+        return cls(command=str(command), timeout=timeout, env=dict(env))
 
 
 class ExternalOracle:

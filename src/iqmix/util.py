@@ -1,5 +1,5 @@
-"""Shared plumbing: deterministic seed derivation, rounding, file digests
-and reading JSON-lines records."""
+"""Shared plumbing: deterministic seed derivation, the number test, rounding,
+file digests and reading JSON-lines records."""
 
 from __future__ import annotations
 
@@ -22,6 +22,12 @@ def derive_seed(base: int, *parts: object) -> int:
     payload = repr((base, *parts)).encode("utf-8")
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
+
+
+def is_number(value: object) -> bool:
+    """An int or a float, as a JSON or YAML number reads; not a bool, which
+    is an int subclass, and not a numeric string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def round_half_up(x: float) -> int:

@@ -402,6 +402,13 @@ def oracle_calls(monkeypatch):
     return calls
 
 
+SYNTHETIC = {
+    "kind": "synthetic",
+    "scoring_surface": {"peak_ratio": 3.54, "peak_value": 0.85, "curvature": 0.25},
+    "interpreting_surface": {"peak_ratio": 2.42, "peak_value": 0.75, "curvature": 0.25},
+}
+
+
 def write_pools_and_config(tmp_path, n1=120, n2=400, n3=400, oracle=None,
                            extra=None):
     paths = {}
@@ -411,11 +418,7 @@ def write_pools_and_config(tmp_path, n1=120, n2=400, n3=400, oracle=None,
         paths[tag] = str(path)
     conf = {
         "pools": paths,
-        "oracle": oracle or {
-            "kind": "synthetic",
-            "scoring_surface": {"peak_ratio": 3.54, "peak_value": 0.85, "curvature": 0.25},
-            "interpreting_surface": {"peak_ratio": 2.42, "peak_value": 0.75, "curvature": 0.25},
-        },
+        "oracle": oracle or SYNTHETIC,
         "seed": 3,
         "repeats": 1,
     }
@@ -544,6 +547,13 @@ class TestMixSearch:
         ({"jobs": "two"}, "jobs must be an integer, got 'two'"),
         ({"repeats": [3]}, "repeats must be an integer, got [3]"),
         ({"scoring_weight": "half"}, "scoring_weight must be a number, got 'half'"),
+        # a bool, a numeric string or a fraction is not a number setting
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": "42"}, "seed must be an integer, got '42'"),
+        ({"repeats": 1.9}, "repeats must be an integer, got 1.9"),
+        ({"repeats": True}, "repeats must be an integer, got True"),
+        ({"jobs": True}, "jobs must be an integer, got True"),
+        ({"scoring_weight": True}, "scoring_weight must be a number, got True"),
     ])
     def test_non_numeric_setting_is_config_error_before_pools_load(
             self, tmp_path, capsys, extra, message):
@@ -613,6 +623,20 @@ class TestMixSearch:
         assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) != 0
         assert not result.exists()
         assert oracle_calls == []
+
+    def test_a_failed_run_leaves_no_earlier_run_record(self, tmp_path):
+        config = write_pools_and_config(tmp_path)
+        out_dir = tmp_path / "run"
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 0
+        ledger = (out_dir / "ledger.jsonl").read_bytes()
+        manifests = sorted((out_dir / "manifests").rglob("*.jsonl"))
+        (tmp_path / "d2.jsonl").unlink()
+        assert run_cli("mix-search", "--config", config, "--out-dir", out_dir) == 1
+        assert not (out_dir / "runrecord.json").exists()
+        assert not (out_dir / "coarse_result.json").exists()
+        # the ledger and the manifests are kept for a rerun to replay
+        assert (out_dir / "ledger.jsonl").read_bytes() == ledger
+        assert sorted((out_dir / "manifests").rglob("*.jsonl")) == manifests
 
     def test_grid_whose_ratios_round_to_the_same_counts_fails_before_any_call(
             self, tmp_path, capsys, oracle_calls):
@@ -742,6 +766,13 @@ class TestMixAdjust:
         ({"controller": {"factor": "1.1x"}}, [],
          "controller.factor must be a number, got '1.1x'"),
         ({"controller": [1, 2]}, [], "controller must be a mapping, got [1, 2]"),
+        ({"controller": {"max_epochs": True}}, [],
+         "controller.max_epochs must be an integer, got True"),
+        ({"controller": {"max_epochs": 2.5}}, [],
+         "controller.max_epochs must be an integer, got 2.5"),
+        ({"controller": {"tolerance": "0.1"}}, [],
+         "controller.tolerance must be a number, got '0.1'"),
+        ({"controller": {"factor": True}}, [], "controller.factor must be a number, got True"),
     ])
     def test_bad_setting_is_config_error_before_pools_load(
             self, tmp_path, capsys, extra, flags, message):
@@ -755,6 +786,25 @@ class TestMixAdjust:
                        "--out-dir", tmp_path / "run", *flags) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 
+    def test_a_failed_run_leaves_no_earlier_trajectory_or_run_record(self, tmp_path):
+        config = write_pools_and_config(tmp_path)
+        coarse = tmp_path / "coarse.json"
+        coarse.write_text(json.dumps({"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04},
+                                      "lambda_loss": 0.25}))
+        out_dir = tmp_path / "run"
+        argv = ["mix-adjust", "--config", config, "--coarse-result", coarse,
+                "--out-dir", out_dir]
+        assert run_cli(*argv) == 0
+        ledger = (out_dir / "ledger.jsonl").read_bytes()
+        manifests = sorted((out_dir / "manifests").glob("*.jsonl"))
+        (tmp_path / "d2.jsonl").unlink()
+        assert run_cli(*argv) == 1
+        assert not (out_dir / "trajectory.jsonl").exists()
+        assert not (out_dir / "runrecord.json").exists()
+        # the ledger and the manifests are kept for a rerun to replay
+        assert (out_dir / "ledger.jsonl").read_bytes() == ledger
+        assert sorted((out_dir / "manifests").glob("*.jsonl")) == manifests
+
     def test_counted_calls_on_a_good_coarse_result(self, tmp_path, oracle_calls):
         config = write_pools_and_config(tmp_path)
         coarse = tmp_path / "coarse.json"
@@ -765,6 +815,39 @@ class TestMixAdjust:
                        "--out-dir", out_dir, "--max-epochs", 3) == 0
         epochs = (out_dir / "trajectory.jsonl").read_text().splitlines()[1:]
         assert len(oracle_calls) == len(epochs) >= 2
+
+
+EXTERNAL = {"kind": "external", "command": f"{sys.executable} -c pass {{out}}"}
+
+
+@pytest.mark.parametrize("command", ["mix-search", "mix-adjust"])
+@pytest.mark.parametrize("oracle,message", [
+    ({**SYNTHETIC, "noise_sigma": "abc"}, "oracle.noise_sigma must be a number, got 'abc'"),
+    ({**SYNTHETIC, "noise_sigma": True}, "oracle.noise_sigma must be a number, got True"),
+    ({**SYNTHETIC, "noise_sigma": -1}, "oracle.noise_sigma must be finite and >= 0, got -1.0"),
+    ({**SYNTHETIC, "scoring_surface": "x"}, "oracle.scoring_surface must be a mapping, got 'x'"),
+    ({**SYNTHETIC, "interpreting_surface": {"peak_ratio": "2.42", "peak_value": 0.75,
+                                            "curvature": 0.25}},
+     "oracle.interpreting_surface.peak_ratio must be a number, got '2.42'"),
+    ({**SYNTHETIC, "scoring_surface": {"peak_ratio": 3.54, "curvature": 0.25}},
+     "oracle.scoring_surface is missing 'peak_value'"),
+    ({**EXTERNAL, "timeout": "abc"}, "oracle.timeout must be a number, got 'abc'"),
+    ({**EXTERNAL, "timeout": 0}, "oracle.timeout must be finite and > 0, got 0.0"),
+    ({**EXTERNAL, "env": [1, 2]}, "oracle.env must map names to strings, got [1, 2]"),
+    ({**EXTERNAL, "env": {"CUDA_VISIBLE_DEVICES": 0}},
+     "oracle.env must map names to strings, got {'CUDA_VISIBLE_DEVICES': 0}"),
+])
+def test_bad_oracle_setting_is_config_error_before_pools_load(
+        tmp_path, capsys, command, oracle, message):
+    config = write_pools_and_config(tmp_path, oracle=oracle)
+    for tag in ("d1", "d2", "d3"):
+        (tmp_path / f"{tag}.jsonl").unlink()  # a pool load would exit 1
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(json.dumps({"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04},
+                                  "lambda_loss": 0.25}))
+    flags = ["--coarse-result", coarse] if command == "mix-adjust" else []
+    assert run_cli(command, "--config", config, "--out-dir", tmp_path / "run", *flags) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 @pytest.fixture

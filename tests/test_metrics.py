@@ -18,8 +18,10 @@ from iqmix.metrics import (
     PairedSample,
     conversion_precision,
     description_report,
+    description_text,
     match_choice,
     mcq_report,
+    mcq_text,
     _average_ranks,
     plcc,
     srcc,
@@ -281,7 +283,7 @@ class TestMcqReport:
             mcq("4", "how", "other", "high", "low", ("high", "low")),
         ]
         report = mcq_report(records)
-        assert report.overall.accuracy == pytest.approx(0.75)
+        assert report["overall"] == {"total": 4, "correct": 3, "accuracy": 0.75}
 
     def test_single_quadrant_equals_overall(self):
         records = [
@@ -289,8 +291,8 @@ class TestMcqReport:
             for i in range(10)
         ]
         report = mcq_report(records)
-        assert report.by_quadrant["in-context other"].accuracy == report.overall.accuracy
-        assert list(report.by_quadrant) == ["in-context other"]
+        assert report["by_quadrant"]["in-context other"] == report["overall"]
+        assert list(report["by_quadrant"]) == ["in-context other"]
 
     def test_partition_recomposes_overall(self):
         rng = np.random.default_rng(20)
@@ -308,11 +310,11 @@ class TestMcqReport:
             for i in range(200)
         ]
         report = mcq_report(records)
-        for buckets in (report.by_type, report.by_quadrant):
-            weighted = sum(c.accuracy * c.total for c in buckets.values())
-            assert weighted / report.overall.total == pytest.approx(
-                report.overall.accuracy, abs=1e-12
-            )
+        overall = report["overall"]
+        for buckets in (report["by_type"], report["by_quadrant"]):
+            weighted = sum(c["accuracy"] * c["total"] for c in buckets.values())
+            assert weighted / overall["total"] == pytest.approx(overall["accuracy"], abs=1e-12)
+            assert sum(c["correct"] for c in buckets.values()) == overall["correct"]
 
     @pytest.mark.parametrize(
         "predicted,expected_index",
@@ -351,9 +353,14 @@ class TestMcqReport:
 
     def test_text_and_dict_outputs(self):
         report = mcq_report([mcq("1", "what", "other", "yes", "yes")])
-        doc = report.to_dict()
-        assert doc["overall"]["accuracy"] == 1.0
-        assert "overall" in report.as_text()
+        assert report["overall"]["accuracy"] == 1.0
+        assert list(report["by_type"]) == ["what"]
+        assert mcq_text(report).splitlines() == [
+            "category  correct/total  accuracy",
+            "overall        1/1      1.0000",
+            "what           1/1      1.0000",
+            "other          1/1      1.0000",
+        ]
 
 
 class TestDescriptionReport:
@@ -361,9 +368,15 @@ class TestDescriptionReport:
         ratings = [DescriptionRating("completeness", r) for r in (1, 1, 2, 0)]
         ratings += [DescriptionRating("precision", 2), DescriptionRating("relevance", 0)]
         report = description_report(ratings)
-        stats = report.dimensions["completeness"]
-        assert stats.frequencies == pytest.approx((0.25, 0.5, 0.25))
-        assert stats.score == pytest.approx(1.0)
+        stats = report["dimensions"]["completeness"]
+        assert stats == {"count": 4, "p0": 0.25, "p1": 0.5, "p2": 0.25, "score": 1.0}
+        assert description_text(report).splitlines() == [
+            "dimension         P0      P1      P2   score",
+            "completeness  0.2500  0.5000  0.2500  1.0000",
+            "precision     0.0000  0.0000  1.0000  2.0000",
+            "relevance     1.0000  0.0000  0.0000  0.0000",
+            "sum           3.0000",
+        ]
 
     def test_maximum(self):
         ratings = [
@@ -371,14 +384,14 @@ class TestDescriptionReport:
             for dim in ("completeness", "precision", "relevance")
             for _ in range(3)
         ]
-        assert description_report(ratings).total == pytest.approx(6.0)
+        assert description_report(ratings)["sum"] == pytest.approx(6.0)
 
     def test_minimum(self):
         ratings = [
             DescriptionRating(dim, 0)
             for dim in ("completeness", "precision", "relevance")
         ]
-        assert description_report(ratings).total == pytest.approx(0.0)
+        assert description_report(ratings)["sum"] == pytest.approx(0.0)
 
     def test_missing_dimension(self):
         ratings = [DescriptionRating("completeness", 1)]

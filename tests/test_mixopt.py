@@ -13,9 +13,7 @@ from numpy.polynomial import polynomial as npoly
 from iqmix.errors import ConfigError, OracleExecutionError, RankDeficientFitError
 from iqmix.mixopt import (
     CoarseResult,
-    FittedCurve,
     MixRatio,
-    PerformancePoint,
     SearchConfig,
     argmax_ratio,
     coarse_result_from_dict,
@@ -163,18 +161,31 @@ def log10_grid(stage):
     return tuple(math.log10(r) for r in grid_ratios(stage))
 
 
+def point(axis, performance):
+    """A point record as sweep returns it, from one repeat with unit losses."""
+    return {"axis": axis, "performance": performance, "repeats": 1,
+            "loss_scoring": 1.0, "loss_interpreting": 1.0}
+
+
 def points_from(func, axis_values):
-    return [PerformancePoint(t, func(t), 1, 1.0, 1.0) for t in axis_values]
+    return [point(t, func(t)) for t in axis_values]
+
+
+def curve(coefficients, fit_domain=(-1.0, 1.0)):
+    """A curve record as fit_curve returns it."""
+    return {"coefficients": list(coefficients), "fit_domain": list(fit_domain),
+            "residual_rms": 0.0, "axis": "log10"}
 
 
 class TestFitCurve:
     def test_quartic_interpolated_exactly(self):
         truth = lambda t: t**4 - t**2
         points = points_from(truth, log10_grid("d2_vs_d3"))
-        curve = fit_curve(points)
-        assert curve.coefficients == pytest.approx((0, 0, -1, 0, 1), abs=1e-9)
-        assert curve.residual_rms <= 1e-12
-        assert curve.fit_domain == (-1.0, 1.0)
+        fitted = fit_curve(points)
+        assert fitted["coefficients"] == pytest.approx([0, 0, -1, 0, 1], abs=1e-9)
+        assert fitted["residual_rms"] <= 1e-12
+        assert fitted["fit_domain"] == [-1.0, 1.0]
+        assert fitted["axis"] == "log10"
 
     def test_quadratic_truth_argmax(self):
         truth = lambda t: 1.0 - (t - 0.38) ** 2
@@ -193,38 +204,31 @@ class TestFitCurve:
 
     def test_residual_reported(self):
         rng = np.random.default_rng(0)
-        noisy = [
-            PerformancePoint(t, t**2 + float(rng.normal(0, 0.05)), 1, 1.0, 1.0)
-            for t in np.linspace(-1, 1, 15)
-        ]
-        assert fit_curve(noisy).residual_rms > 0.0
+        noisy = [point(float(t), t**2 + float(rng.normal(0, 0.05)))
+                 for t in np.linspace(-1, 1, 15)]
+        assert fit_curve(noisy)["residual_rms"] > 0.0
 
 
 class TestArgmaxRatio:
     def test_monotone_increasing_hits_upper_endpoint(self):
-        curve = FittedCurve((0.0, 1.0, 0.0, 0.0, 0.0), (-1.0, 1.0), 0.0)
-        assert argmax_ratio(curve) == 1.0
+        assert argmax_ratio(curve((0.0, 1.0, 0.0, 0.0, 0.0))) == 1.0
 
     def test_constant_ties_to_lower_endpoint(self):
-        curve = FittedCurve((0.7, 0.0, 0.0, 0.0, 0.0), (-1.0, 1.0), 0.0)
-        assert argmax_ratio(curve) == -1.0
+        assert argmax_ratio(curve((0.7, 0.0, 0.0, 0.0, 0.0))) == -1.0
 
     def test_interior_maximum(self):
         # p(t) = -(t-0.2)^2 expanded: -0.04 + 0.4 t - t^2
-        curve = FittedCurve((-0.04, 0.4, -1.0, 0.0, 0.0), (-1.0, 1.0), 0.0)
-        assert argmax_ratio(curve) == pytest.approx(0.2, abs=1e-12)
+        assert argmax_ratio(curve((-0.04, 0.4, -1.0, 0.0, 0.0))) == pytest.approx(0.2, abs=1e-12)
 
     def test_never_extrapolates(self):
         # maximum of the unconstrained quadratic sits outside the domain
-        curve = FittedCurve((0.0, 4.0, -1.0, 0.0, 0.0), (-1.0, 1.0), 0.0)
-        assert argmax_ratio(curve) == 1.0
+        assert argmax_ratio(curve((0.0, 4.0, -1.0, 0.0, 0.0))) == 1.0
 
     def test_dense_grid_cross_check(self):
         rng = np.random.default_rng(77)
         for _ in range(50):
             coef = tuple(float(c) for c in rng.normal(0, 1, 5))
-            curve = FittedCurve(coef, (-1.0, 1.0), 0.0)
-            t_star = argmax_ratio(curve)
+            t_star = argmax_ratio(curve(coef))
             grid = np.linspace(-1.0, 1.0, 1000)
             dense_best = float(np.max(npoly.polyval(grid, np.asarray(coef))))
             assert -1.0 <= t_star <= 1.0
@@ -237,7 +241,9 @@ class TestSweep:
         points = sweep(oracle, "mixed_vs_d1", pools_small, repeats=3, seed=1,
                        workdir=tmp_path, d2_d3_ratio=2.42)
         assert len(points) == 19
-        assert all(p.repeats == 3 for p in points)
+        assert all(p["repeats"] == 3 for p in points)
+        assert list(points[0]) == ["axis", "performance", "repeats", "loss_scoring",
+                                   "loss_interpreting"]
         assert oracle is not None and (tmp_path / "manifests" / "mixed_vs_d1").is_dir()
         manifests = list((tmp_path / "manifests" / "mixed_vs_d1").glob("*.jsonl"))
         assert len(manifests) == 57
@@ -249,7 +255,7 @@ class TestSweep:
         three = sweep(oracle, "d2_vs_d3", pools_small, repeats=3, seed=5,
                       workdir=tmp_path / "r3")
         for a, b in zip(one, three):
-            assert a.performance == pytest.approx(b.performance, abs=1e-15)
+            assert a["performance"] == pytest.approx(b["performance"], abs=1e-15)
 
     def test_same_seed_reproducible(self, tmp_path, pools_small):
         oracle = SyntheticOracle(planted_config(noise_sigma=0.02))

@@ -1,5 +1,6 @@
-"""The package exports and the README's library example match the code, and
-no module imports a name it never uses."""
+"""The package exports and the README's library example match the code, no
+module imports a name it never uses, and no private module-level name is
+left that no module reads."""
 
 import ast
 import re
@@ -56,3 +57,52 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in sorted((ROOT / "src" / "iqmix").glob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == [], "imported but never used:\n" + "\n".join(found)
+
+
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each private module-level def, class or
+    assignment (a `_` name that is not a dunder) that no module reads: as a
+    name, as an attribute, or as an imported name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [(module, node.lineno, name) for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    return sorted(unread)
+
+
+def test_unread_private_name_finder():
+    sources = {
+        "a.py": ("import b\n__all__ = []\n_RE = 1\n_DEAD = 2\n"
+                 "def _used(): return _RE\ndef _dead(): _used()\n"
+                 "class _Held: pass\nclass _Lost: pass\n"),
+        "b.py": "from .a import _Held\n_ann: int = 3\nprint(b._ann)\n",
+    }
+    assert unread_private_names(sources) == [
+        ("a.py", 4, "_DEAD"), ("a.py", 6, "_dead"), ("a.py", 8, "_Lost")]
+
+
+def test_no_private_module_level_name_is_left_unread():
+    sources = {f"src/iqmix/{path.name}": path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "iqmix").glob("*.py"))}
+    found = [f"{module}:{line}: {name}"
+             for module, line, name in unread_private_names(sources)]
+    assert found == [], "defined but never read:\n" + "\n".join(found)

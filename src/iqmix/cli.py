@@ -42,8 +42,6 @@ from .datasets import (
 from .errors import ConfigError, DataError, IqmixError, OracleError
 from .levels import LevelScale
 from .metrics import (
-    DescriptionRating,
-    McqRecord,
     PairedSample,
     description_report,
     description_text,
@@ -58,16 +56,9 @@ from .mixopt import (
     coarse_result_from_dict,
     coarse_search,
 )
-from .oracle import (
-    ExternalOracle,
-    ExternalOracleConfig,
-    Ledger,
-    Oracle,
-    SyntheticOracle,
-    SyntheticOracleConfig,
-)
+from .oracle import ExternalOracle, Ledger, Oracle, SyntheticOracle
 from .scoring import BatchDiagnostic, rescale_score, score_batch
-from .util import file_digest, is_number, read_jsonl, record_id
+from .util import file_digest, is_number, number_setting, read_jsonl, record_id
 
 log = logging.getLogger(__name__)
 
@@ -90,17 +81,8 @@ def _resolve(*values, default=None):
 
 
 def _number(key: str, cast, *values, default):
-    """The first value given, as cast (int or float). An integer setting
-    takes an integer only, a float setting any number; anything else, a
-    bool or a numeric string too, is a config error naming its key."""
-    value = _resolve(*values, default=default)
-    try:
-        if is_number(value) and (cast is float or isinstance(value, int)):
-            return cast(value)
-    except OverflowError:  # an int too large for a float
-        pass
-    kind = "an integer" if cast is int else "a number"
-    raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    """The first value given, by util.number_setting's rule."""
+    return number_setting(_resolve(*values, default=default), key, cast)
 
 
 def _section(conf: dict, key: str) -> dict:
@@ -219,14 +201,28 @@ def _load_pools(conf: dict) -> tuple[PoolSet, list[tuple[str | Path, str]]]:
     return pools, _digests(*paths)
 
 
+def _fresh_out_dir(args: argparse.Namespace, conf: dict, default: str, output: str) -> Path:
+    """The run's out-dir, made if absent, less the output and run record of
+    an earlier run: deleted before any later check or pool load, so a run
+    that fails leaves neither behind to be read as its own."""
+    value = _resolve(args.out_dir, conf.get("out_dir"), default=default)
+    if not isinstance(value, str):
+        raise ConfigError(f"out_dir must be a string, got {value!r}")
+    out_dir = Path(value)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in (output, "runrecord.json"):
+        (out_dir / name).unlink(missing_ok=True)
+    return out_dir
+
+
 def _build_oracle(conf: dict) -> Oracle:
     """The config's oracle; a bad oracle section is a config error."""
     oracle_conf = _section(conf, "oracle")
     kind = oracle_conf.get("kind")
     if kind == "synthetic":
-        return SyntheticOracle(SyntheticOracleConfig.from_dict(oracle_conf))
+        return SyntheticOracle.from_dict(oracle_conf)
     if kind == "external":
-        return ExternalOracle(ExternalOracleConfig.from_dict(oracle_conf))
+        return ExternalOracle.from_dict(oracle_conf)
     raise ConfigError(f"oracle.kind must be synthetic or external, got {kind!r}")
 
 
@@ -310,6 +306,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _emit_report(doc: dict, text: str, fmt: str) -> None:
+    # --format takes text or json only, so another value came from the environment.
+    if fmt not in ("text", "json"):
+        raise ConfigError(f"environment variable IQMIX_FORMAT={fmt!r} must be text or json")
     if fmt == "json":
         print(json.dumps(doc, indent=2, ensure_ascii=False))
     else:
@@ -348,34 +347,13 @@ def cmd_eval_iqa(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_mcq(args: argparse.Namespace) -> int:
-    records = []
-    for line_no, obj in read_jsonl(args.answers_file):
-        try:
-            records.append(
-                McqRecord(
-                    question_id=str(obj["id"]),
-                    question_type=obj["type"],
-                    quadrant=obj["quadrant"],
-                    choices=tuple(obj["choices"]),
-                    gold=obj["gold"],
-                    predicted=str(obj.get("predicted", "")),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{args.answers_file}: line {line_no}: {exc}")
-    report = mcq_report(records)
+    report = mcq_report(args.answers_file)
     _emit_report(report, mcq_text(report), args.format)
     return 0
 
 
 def cmd_eval_desc(args: argparse.Namespace) -> int:
-    ratings = []
-    for line_no, obj in read_jsonl(args.ratings_file):
-        try:
-            ratings.append(DescriptionRating(obj["dimension"], obj["rating"]))
-        except (KeyError, DataError) as exc:
-            raise DataError(f"{args.ratings_file}: line {line_no}: {exc}")
-    report = description_report(ratings)
+    report = description_report(args.ratings_file)
     _emit_report(report, description_text(report), args.format)
     return 0
 
@@ -415,15 +393,18 @@ def cmd_sample(args: argparse.Namespace) -> int:
     conf = _load_yaml(args.config)
     seed = _number("seed", int, args.seed, _env_default("SEED", int), conf.get("seed"),
                    default=0)
-    pools, pool_inputs = _load_pools(conf)
     if args.counts is not None:
-        c1, c2, c3 = _parse_triplet(args.counts, "--counts")
-        counts = {"d1": int(c1), "d2": int(c2), "d3": int(c3)}
+        parts = _parse_triplet(args.counts, "--counts")
+        if not all(p >= 0 and p.is_integer() for p in parts):  # nan and inf are not integers
+            raise ConfigError(f"--counts must be whole numbers >= 0, got {args.counts!r}")
+        counts = dict(zip(("d1", "d2", "d3"), map(int, parts)))
     elif args.ratio is not None:
-        r1, r2, r3 = _parse_triplet(args.ratio, "--ratio")
-        counts = MixRatio(r1, r2, r3).counts_for_d1_base(len(pools.d1))
+        ratio = MixRatio(*_parse_triplet(args.ratio, "--ratio"))
     else:
         raise ConfigError("sample requires --counts or --ratio")
+    pools, pool_inputs = _load_pools(conf)
+    if args.counts is None:
+        counts = ratio.counts_for_d1_base(len(pools.d1))
     manifest = sample_mixture(pools, counts, seed,
                               with_replacement=args.with_replacement)
     out = Path(args.out)
@@ -450,13 +431,8 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
     scoring_weight = _number("scoring_weight", float, conf.get("scoring_weight"), default=0.5)
     if not 0.0 <= scoring_weight <= 1.0:
         raise ConfigError(f"scoring_weight must be in [0, 1], got {scoring_weight!r}")
-    out_dir = Path(_resolve(args.out_dir, conf.get("out_dir"), default="mix-search-run"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # Before any check or pool load, so a run that fails leaves no result
-    # or run record of an earlier one for mix-adjust to read.
+    out_dir = _fresh_out_dir(args, conf, "mix-search-run", "coarse_result.json")
     result_path = out_dir / "coarse_result.json"
-    for path in (result_path, out_dir / "runrecord.json"):
-        path.unlink(missing_ok=True)
 
     if conf.get("axis", "log10") != "log10":
         raise ConfigError(f"axis must be log10 (the only sweep axis), got {conf['axis']!r}")
@@ -503,13 +479,8 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
                         controller_conf.get("tolerance"), default=0.1)
     factor = _number("controller.factor", float, args.factor, controller_conf.get("factor"),
                      default=1.1)
-    out_dir = Path(_resolve(args.out_dir, conf.get("out_dir"), default="mix-adjust-run"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # Before any check or pool load, so a run that fails leaves no output
-    # of an earlier one to be read as its own.
+    out_dir = _fresh_out_dir(args, conf, "mix-adjust-run", "trajectory.jsonl")
     trajectory_path = out_dir / "trajectory.jsonl"
-    for path in (trajectory_path, out_dir / "runrecord.json"):
-        path.unlink(missing_ok=True)
 
     try:
         coarse = coarse_result_from_dict(

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, DegenerateSampleError, MissingDimensionError
 from .levels import LevelScale, quantize_scores
+from .util import read_jsonl, record_id
 
 QUESTION_TYPES = ("yes-or-no", "what", "how")
 QUADRANTS = ("distortion", "other", "in-context distortion", "in-context other")
@@ -121,28 +123,6 @@ def conversion_precision(scores: Sequence[float], scale: LevelScale) -> tuple[fl
 _LETTER_RE = re.compile(r"^\(?([a-z])[\).:,]?(?:\s|$)")
 
 
-@dataclass(frozen=True)
-class McqRecord:
-    question_id: str
-    question_type: str
-    quadrant: str
-    choices: tuple[str, ...]
-    gold: str
-    predicted: str
-
-    def __post_init__(self) -> None:
-        if self.question_type not in QUESTION_TYPES:
-            raise DataError(
-                f"{self.question_id}: unknown question type {self.question_type!r}"
-            )
-        if self.quadrant not in QUADRANTS:
-            raise DataError(f"{self.question_id}: unknown quadrant {self.quadrant!r}")
-        if self.gold not in self.choices:
-            raise DataError(
-                f"{self.question_id}: gold {self.gold!r} not among declared choices"
-            )
-
-
 def match_choice(predicted: str, choices: Sequence[str]) -> int | None:
     """Resolve a free-form prediction to a choice index, or None.
 
@@ -161,24 +141,40 @@ def match_choice(predicted: str, choices: Sequence[str]) -> int | None:
     return None
 
 
-def mcq_report(records: Sequence[McqRecord]) -> dict:
-    """Overall, per-type and per-quadrant accuracy, each as {"total",
-    "correct", "accuracy"}, under "overall", "by_type" and "by_quadrant"; a
-    type or quadrant with no record is left out.
+def mcq_report(path: str | Path) -> dict:
+    """Overall, per-type and per-quadrant accuracy of an answers file, each
+    as {"total", "correct", "accuracy"}, under "overall", "by_type" and
+    "by_quadrant"; a type or quadrant with no record is left out.
 
-    A prediction is correct when it resolves to the gold choice; unmatched
-    predictions count as incorrect.
+    Each record is checked as it is read: its id, a known type and quadrant,
+    `choices` a list of strings holding `gold`, and `predicted` a string
+    (absent reads as ""). A prediction is correct when it resolves to the
+    gold choice; unmatched predictions count as incorrect.
     """
-    if not records:
-        raise DataError("no MCQ records to score")
     overall = [0, 0]  # total, correct
     by_type = {t: [0, 0] for t in QUESTION_TYPES}
     by_quadrant = {q: [0, 0] for q in QUADRANTS}
-    for rec in records:
-        correct = match_choice(rec.predicted, rec.choices) == rec.choices.index(rec.gold)
-        for bucket in (overall, by_type[rec.question_type], by_quadrant[rec.quadrant]):
+    for line_no, obj in read_jsonl(path):
+        where = f"{path}: line {line_no}"
+        record_id(obj, where)
+        qtype, quadrant = obj.get("type"), obj.get("quadrant")
+        choices, gold, predicted = obj.get("choices"), obj.get("gold"), obj.get("predicted", "")
+        if qtype not in QUESTION_TYPES:
+            raise DataError(f"{where}: unknown question type {qtype!r}")
+        if quadrant not in QUADRANTS:
+            raise DataError(f"{where}: unknown quadrant {quadrant!r}")
+        if not isinstance(choices, list) or not all(isinstance(c, str) for c in choices):
+            raise DataError(f"{where}: 'choices' must be a list of strings, got {choices!r}")
+        if gold not in choices:
+            raise DataError(f"{where}: gold {gold!r} not among declared choices")
+        if not isinstance(predicted, str):
+            raise DataError(f"{where}: 'predicted' must be a string, got {predicted!r}")
+        correct = match_choice(predicted, choices) == choices.index(gold)
+        for bucket in (overall, by_type[qtype], by_quadrant[quadrant]):
             bucket[0] += 1
             bucket[1] += correct
+    if not overall[0]:
+        raise DataError(f"{path}: no MCQ records to score")
 
     def category(total: int, correct: int) -> dict:
         return {"total": total, "correct": correct, "accuracy": correct / total}
@@ -194,7 +190,7 @@ def mcq_text(report: dict) -> str:
     """The MCQ report as a table: one row per category, overall first."""
     rows = [("overall", report["overall"]), *report["by_type"].items(),
             *report["by_quadrant"].items()]
-    width = max(len(name) for name, _ in rows)
+    width = max(len("category"), *(len(name) for name, _ in rows))
     lines = [f"{'category'.ljust(width)}  correct/total  accuracy"]
     lines += [f"{name.ljust(width)}  {c['correct']:>7d}/{c['total']:<5d}  {c['accuracy']:.4f}"
               for name, c in rows]
@@ -204,34 +200,27 @@ def mcq_text(report: dict) -> str:
 # Description-rating aggregation ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class DescriptionRating:
-    dimension: str
-    rating: int
-
-    def __post_init__(self) -> None:
-        if self.dimension not in DESCRIPTION_DIMENSIONS:
-            raise DataError(f"unknown description dimension {self.dimension!r}")
-        # bool is an int subclass, and True == 1 == 1.0 would pass the range test.
-        if isinstance(self.rating, bool) or not isinstance(self.rating, int) \
-                or self.rating not in (0, 1, 2):
-            raise DataError(
-                f"{self.dimension}: rating must be the integer 0, 1 or 2, "
-                f"got {self.rating!r}"
-            )
-
-
-def description_report(ratings: Sequence[DescriptionRating]) -> dict:
-    """Per-dimension rating frequencies p0/p1/p2 with their count and
-    weighted score p1 + 2*p2, under "dimensions", and the three-dimension
-    "sum" of the scores."""
+def description_report(path: str | Path) -> dict:
+    """Per-dimension rating frequencies p0/p1/p2 of a ratings file, with
+    their count and weighted score p1 + 2*p2, under "dimensions", and the
+    three-dimension "sum" of the scores. Each record needs a known
+    `dimension` and a `rating` that is the JSON integer 0, 1 or 2."""
     buckets: dict[str, list[int]] = {d: [] for d in DESCRIPTION_DIMENSIONS}
-    for r in ratings:
-        buckets[r.dimension].append(r.rating)
+    for line_no, obj in read_jsonl(path):
+        where = f"{path}: line {line_no}"
+        dimension, rating = obj.get("dimension"), obj.get("rating")
+        if dimension not in DESCRIPTION_DIMENSIONS:
+            raise DataError(f"{where}: unknown description dimension {dimension!r}")
+        # bool is an int subclass, and True == 1 == 1.0 would pass the range test.
+        if isinstance(rating, bool) or not isinstance(rating, int) or rating not in (0, 1, 2):
+            raise DataError(
+                f"{where}: {dimension}: rating must be the integer 0, 1 or 2, got {rating!r}"
+            )
+        buckets[dimension].append(rating)
     missing = [d for d, vals in buckets.items() if not vals]
     if missing:
         raise MissingDimensionError(
-            f"no ratings for dimension(s): {', '.join(missing)}"
+            f"{path}: no ratings for dimension(s): {', '.join(missing)}"
         )
     dimensions = {}
     for dim, vals in buckets.items():

@@ -16,7 +16,7 @@ import os
 import shlex
 import subprocess
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -30,7 +30,7 @@ from .errors import (
     OracleResultError,
     OracleTimeoutError,
 )
-from .util import file_digest, is_number, read_jsonl
+from .util import file_digest, is_number, number_setting, read_jsonl
 
 RESPONSE_FIELDS = ("perf_scoring", "perf_interpreting", "loss_scoring", "loss_interpreting")
 
@@ -104,13 +104,7 @@ def _setting(obj: Mapping, key: str, where: str, default: float | None = None) -
     error naming where.key."""
     if key not in obj and default is None:
         raise ConfigError(f"{where} is missing {key!r}")
-    value = obj.get(key, default)
-    try:
-        if is_number(value):
-            return float(value)
-    except OverflowError:  # an int too large for a float
-        pass
-    raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    return number_setting(obj.get(key, default), f"{where}.{key}")
 
 
 @dataclass(frozen=True)
@@ -150,13 +144,18 @@ class ResponseSurface:
                    quartic=_setting(obj, "quartic", where, 0.0))
 
 
-@dataclass(frozen=True)
-class SyntheticOracleConfig:
-    """Planted response surfaces plus a count-driven loss model.
+def _clamp(value: float, lo: float, hi: float) -> float:
+    return min(max(value, lo), hi)
 
-    Losses follow loss = scale * max(count, 1)^(-alpha), with the scoring
-    loss driven by the D1 count and the interpreting loss by the D2+D3
-    count, which gives the feedback controller a solvable fixed point.
+
+@dataclass(frozen=True)
+class SyntheticOracle:
+    """Deterministic test double: a pure function of (request, settings).
+
+    Planted response surfaces give the performances. Losses follow
+    loss = scale * max(count, 1)^(-alpha), with the scoring loss driven by
+    the D1 count and the interpreting loss by the D2+D3 count, which gives
+    the feedback controller a solvable fixed point.
     """
 
     scoring_surface: ResponseSurface
@@ -166,50 +165,41 @@ class SyntheticOracleConfig:
     loss_scale_scoring: float = 30.0
     loss_scale_interpreting: float = 30.0
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ConfigError(
+                f"oracle.noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        for key in ("loss_alpha", "loss_scale_scoring", "loss_scale_interpreting"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigError(
+                    f"oracle.{key} must be finite and > 0, got {getattr(self, key)!r}")
+
     @classmethod
-    def from_dict(cls, obj: Mapping) -> "SyntheticOracleConfig":
+    def from_dict(cls, obj: Mapping) -> "SyntheticOracle":
         surfaces = [ResponseSurface.from_dict(obj.get(key), f"oracle.{key}")
                     for key in ("scoring_surface", "interpreting_surface")]
-        noise_sigma = _setting(obj, "noise_sigma", "oracle", 0.0)
-        if not 0.0 <= noise_sigma < math.inf:
-            raise ConfigError(f"oracle.noise_sigma must be finite and >= 0, got {noise_sigma!r}")
-        return cls(*surfaces, noise_sigma=noise_sigma,
-                   loss_alpha=_setting(obj, "loss_alpha", "oracle", 0.5),
-                   loss_scale_scoring=_setting(obj, "loss_scale_scoring", "oracle", 30.0),
-                   loss_scale_interpreting=_setting(obj, "loss_scale_interpreting", "oracle",
-                                                    30.0))
-
-
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return min(max(value, lo), hi)
-
-
-class SyntheticOracle:
-    """Deterministic test double: pure function of (request, config)."""
-
-    def __init__(self, config: SyntheticOracleConfig):
-        self.config = config
+        return cls(*surfaces, **{f.name: _setting(obj, f.name, "oracle", f.default)
+                                 for f in fields(cls)[2:]})  # the settings after the surfaces
 
     def evaluate(self, request: OracleRequest) -> OracleResponse:
         header = read_manifest_header(request.manifest_path)
         counts = {k: int(v) for k, v in header["counts"].items()}
         t_d2d3, t_mix = realized_axes(counts)
 
-        perf_scoring = self.config.scoring_surface.value(t_mix)
-        perf_interpreting = self.config.interpreting_surface.value(t_d2d3)
-        if self.config.noise_sigma > 0:
+        perf_scoring = self.scoring_surface.value(t_mix)
+        perf_interpreting = self.interpreting_surface.value(t_d2d3)
+        if self.noise_sigma > 0:
             rng = np.random.default_rng(request.seed)
-            perf_scoring += float(rng.normal(0.0, self.config.noise_sigma))
-            perf_interpreting += float(rng.normal(0.0, self.config.noise_sigma))
+            perf_scoring += float(rng.normal(0.0, self.noise_sigma))
+            perf_interpreting += float(rng.normal(0.0, self.noise_sigma))
 
-        alpha = self.config.loss_alpha
         d1 = max(counts.get("d1", 0), 1)
         d23 = max(counts.get("d2", 0) + counts.get("d3", 0), 1)
         return OracleResponse(
             perf_scoring=_clamp(perf_scoring, -1.0, 1.0),
             perf_interpreting=_clamp(perf_interpreting, 0.0, 1.0),
-            loss_scoring=self.config.loss_scale_scoring * d1 ** (-alpha),
-            loss_interpreting=self.config.loss_scale_interpreting * d23 ** (-alpha),
+            loss_scoring=self.loss_scale_scoring * d1 ** (-self.loss_alpha),
+            loss_interpreting=self.loss_scale_interpreting * d23 ** (-self.loss_alpha),
         )
 
 
@@ -217,8 +207,9 @@ class SyntheticOracle:
 
 
 @dataclass(frozen=True)
-class ExternalOracleConfig:
-    """Command template with {manifest}, {seed} and {out} placeholders.
+class ExternalOracle:
+    """Run a training command per request: a template with {manifest},
+    {seed} and {out} placeholders.
 
     The command must write a JSON object with the four response fields to
     the {out} path; stdout/stderr are captured only for diagnostics and are
@@ -230,35 +221,23 @@ class ExternalOracleConfig:
     env: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if "{out}" not in self.command:
+        if not isinstance(self.command, str) or "{out}" not in self.command:
             raise ConfigError("external oracle command must reference {out}")
+        if self.timeout is not None and not 0.0 < self.timeout < math.inf:
+            raise ConfigError(f"oracle.timeout must be finite and > 0, got {self.timeout!r}")
+        if not isinstance(self.env, Mapping) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in self.env.items()):
+            raise ConfigError(f"oracle.env must map names to strings, got {self.env!r}")
 
     @classmethod
-    def from_dict(cls, obj: Mapping) -> "ExternalOracleConfig":
-        try:
-            command = obj["command"]
-        except KeyError:
+    def from_dict(cls, obj: Mapping) -> "ExternalOracle":
+        if "command" not in obj:
             raise ConfigError("external oracle config requires a command template")
         if "max_parallel" in obj:
             raise ConfigError("oracle.max_parallel is no longer supported: the top-level "
                               "jobs setting is the only limit on concurrent oracle calls")
-        timeout = obj.get("timeout")
-        if timeout is not None:
-            timeout = _setting(obj, "timeout", "oracle")
-            if not 0.0 < timeout < math.inf:
-                raise ConfigError(f"oracle.timeout must be finite and > 0, got {timeout!r}")
-        env = obj.get("env") or {}
-        if not isinstance(env, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in env.items()):
-            raise ConfigError(f"oracle.env must map names to strings, got {env!r}")
-        return cls(command=str(command), timeout=timeout, env=dict(env))
-
-
-class ExternalOracle:
-    """Run a training command per request."""
-
-    def __init__(self, config: ExternalOracleConfig):
-        self.config = config
+        timeout = None if obj.get("timeout") is None else _setting(obj, "timeout", "oracle")
+        return cls(obj["command"], timeout, obj.get("env") or {})
 
     def evaluate(self, request: OracleRequest) -> OracleResponse:
         out_path = Path(f"{request.manifest_path}.result.json")
@@ -269,24 +248,19 @@ class ExternalOracle:
                 seed=request.seed,
                 out=str(out_path),
             )
-            for token in shlex.split(self.config.command)
+            for token in shlex.split(self.command)
         ]
-        env = None
-        if self.config.env:
-            env = dict(os.environ)
-            env.update(self.config.env)
+        env = {**os.environ, **self.env} if self.env else None
         try:
             proc = subprocess.run(
                 tokens,
                 capture_output=True,
                 text=True,
-                timeout=self.config.timeout,
+                timeout=self.timeout,
                 env=env,
             )
         except subprocess.TimeoutExpired:
-            raise OracleTimeoutError(
-                f"oracle command timed out after {self.config.timeout}s: {tokens}"
-            )
+            raise OracleTimeoutError(f"oracle command timed out after {self.timeout}s: {tokens}")
         except OSError as exc:
             raise OracleExecutionError(f"cannot run oracle command {tokens}: {exc}")
         if proc.returncode != 0:
@@ -294,10 +268,6 @@ class ExternalOracle:
                 f"oracle command exited {proc.returncode}: {tokens}\n"
                 f"stderr: {proc.stderr.strip()[-2000:]}"
             )
-        return self._read_result(out_path)
-
-    @staticmethod
-    def _read_result(out_path: Path) -> OracleResponse:
         if not out_path.is_file():
             raise OracleResultError(f"oracle result file missing: {out_path}")
         try:

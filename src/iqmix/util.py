@@ -1,5 +1,5 @@
-"""Shared plumbing: deterministic seed derivation, the number test, rounding,
-file digests and reading JSON-lines records."""
+"""Shared plumbing: deterministic seed derivation, the number test and the
+number-setting rule, rounding, file digests and reading JSON-lines records."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import math
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 def derive_seed(base: int, *parts: object) -> int:
@@ -28,6 +28,19 @@ def is_number(value: object) -> bool:
     """An int or a float, as a JSON or YAML number reads; not a bool, which
     is an int subclass, and not a numeric string."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def number_setting(value: object, key: str, cast: type = float) -> float:
+    """A config value as cast (int or float). An integer setting takes an
+    integer only, a float setting any number; anything else, a bool or a
+    numeric string too, is a config error naming its key."""
+    try:
+        if is_number(value) and (cast is float or isinstance(value, int)):
+            return cast(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    kind = "an integer" if cast is int else "a number"
+    raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
 def round_half_up(x: float) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from iqmix.datasets import SCORING_SYSTEM_PREFIX, PoolSet, manifest_row
-from iqmix.oracle import ResponseSurface, SyntheticOracleConfig
+from iqmix.oracle import ResponseSurface, SyntheticOracle
 
 
 def make_pairs(tag: str, n: int) -> list[dict]:
@@ -59,7 +59,7 @@ def make_pools(n1: int, n2: int, n3: int) -> PoolSet:
     return PoolSet(make_rows("D1", n1), make_rows("D2", n2), make_rows("D3", n3))
 
 
-def planted_config(noise_sigma: float = 0.0, **overrides) -> SyntheticOracleConfig:
+def planted_oracle(noise_sigma: float = 0.0, **overrides) -> SyntheticOracle:
     """Synthetic oracle with maxima at D2:D3=2.42 and (D2+D3):D1=3.54."""
     kwargs = dict(
         scoring_surface=ResponseSurface(3.54, 0.85, 0.25),
@@ -67,7 +67,7 @@ def planted_config(noise_sigma: float = 0.0, **overrides) -> SyntheticOracleConf
         noise_sigma=noise_sigma,
     )
     kwargs.update(overrides)
-    return SyntheticOracleConfig(**kwargs)
+    return SyntheticOracle(**kwargs)
 
 
 @pytest.fixture

@@ -27,7 +27,6 @@ from iqmix.datasets import (
 from iqmix.levels import FIVE_LEVEL_LABELS, LevelScale
 from iqmix.metrics import PairedSample, conversion_precision, plcc, srcc
 from iqmix.mixopt import CoarseResult, MixRatio, SearchConfig, coarse_search
-from iqmix.oracle import SyntheticOracle
 from iqmix.scoring import (
     binary_score,
     score_from_logit_vector,
@@ -35,7 +34,7 @@ from iqmix.scoring import (
     weighted_score,
 )
 
-from conftest import d1_record, make_pools, planted_config, read_records
+from conftest import d1_record, make_pools, planted_oracle, read_records
 
 LOG_242 = math.log10(2.42)
 LOG_354 = math.log10(3.54)
@@ -111,7 +110,7 @@ def test_criterion_06_planted_optimum_recovery(tmp_path):
     # noise-free: D1 sized so every swept mixed count splits 2.42 exactly
     pools = make_pools(1710, 2000, 2000)
     config = SearchConfig(workdir=tmp_path / "exact", seed=42, repeats=1)
-    result = coarse_search(SyntheticOracle(planted_config()), pools, config)
+    result = coarse_search(planted_oracle(), pools, config)
     assert abs(math.log10(result["stage1"]["ratio"]) - LOG_242) <= 1e-6
     assert abs(math.log10(result["stage2"]["ratio"]) - LOG_354) <= 1e-6
     composed = tuple(result["mix_ratio"][k] for k in ("d1", "d2", "d3"))
@@ -122,7 +121,7 @@ def test_criterion_06_planted_optimum_recovery(tmp_path):
     noisy_pools = make_pools(600, 600, 600)
     noisy_config = SearchConfig(workdir=tmp_path / "noisy", seed=42, repeats=3)
     noisy = coarse_search(
-        SyntheticOracle(planted_config(noise_sigma=0.01)), noisy_pools, noisy_config
+        planted_oracle(noise_sigma=0.01), noisy_pools, noisy_config
     )
     assert abs(math.log10(noisy["stage1"]["ratio"]) - LOG_242) <= 0.05
     assert abs(math.log10(noisy["stage2"]["ratio"]) - LOG_354) <= 0.05
@@ -135,10 +134,8 @@ def test_criterion_07_controller_convergence(tmp_path):
     pools = make_pools(500, 1500, 600)
     # alpha = 0.5 loss model whose epoch-1 ratio sits 20% above the reference
     c_s = 1.2 * lam / math.sqrt(1770.0 / 500.0)
-    oracle = SyntheticOracle(
-        planted_config(loss_scale_scoring=c_s, loss_scale_interpreting=1.0,
-                       loss_alpha=0.5)
-    )
+    oracle = planted_oracle(loss_scale_scoring=c_s, loss_scale_interpreting=1.0,
+                            loss_alpha=0.5)
     coarse = CoarseResult(ratio=MixRatio(1.0, 2.50, 1.04), lambda_loss=lam)
     epochs = run_loop(oracle, coarse, pools, max_epochs=3, tolerance=0.1,
                       factor=1.1, seed=7, workdir=tmp_path)

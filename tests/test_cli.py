@@ -1,16 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqmix.cli import _config_hash, main
 from iqmix.datasets import ingest_mos, load_pool
 from iqmix.errors import OracleExecutionError
+from iqmix.metrics import DESCRIPTION_DIMENSIONS, QUADRANTS, QUESTION_TYPES
 from iqmix.oracle import SyntheticOracle
 from iqmix.util import file_digest
 
@@ -291,6 +297,30 @@ class TestEvalIqa:
         assert "line 1: missing or non-string 'id'" in capsys.readouterr().err
 
 
+MCQ = {"id": "1", "type": "what", "quadrant": "other", "choices": ["blur", "noise"],
+       "gold": "noise", "predicted": "B"}
+RATINGS = [{"id": "r", "dimension": dim, "rating": 1} for dim in DESCRIPTION_DIMENSIONS]
+NAMES = QUESTION_TYPES + QUADRANTS + DESCRIPTION_DIMENSIONS + ("blur", "noise", "")
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(),
+                    st.sampled_from(NAMES), st.text(max_size=4))
+FIELD_VALUES = st.one_of(SCALARS, st.lists(st.sampled_from(NAMES), max_size=3),
+                         st.lists(SCALARS, max_size=3),
+                         st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
+
+
+@st.composite
+def fuzzed_record(draw, valid: dict) -> dict:
+    """A valid record with some fields replaced by any JSON value, some
+    dropped, and, half the time, a gold drawn from whatever the choices are."""
+    record = {**valid, **draw(st.fixed_dictionaries({}, optional=dict.fromkeys(
+        valid, FIELD_VALUES)))}
+    for key in draw(st.sets(st.sampled_from(sorted(valid)), max_size=2)):
+        del record[key]
+    if isinstance(record.get("choices"), list) and record["choices"] and draw(st.booleans()):
+        record["gold"] = draw(st.sampled_from(record["choices"]))
+    return record
+
+
 class TestEvalMcqDesc:
     def test_mcq(self, tmp_path, capsys):
         path = tmp_path / "answers.jsonl"
@@ -334,6 +364,45 @@ class TestEvalMcqDesc:
         path = tmp_path / "ratings.jsonl"
         path.write_text(json.dumps({"id": "r", "dimension": "precision", "rating": 1}) + "\n")
         assert run_cli("eval-desc", path) == 1
+
+    @pytest.mark.parametrize("command", ["eval-iqa", "eval-mcq", "eval-desc"])
+    def test_unknown_format_from_the_environment_is_config_error(
+            self, tmp_path, mos_file, capsys, monkeypatch, command):
+        monkeypatch.setenv("IQMIX_FORMAT", "xml")
+        scores = tmp_path / "scores.jsonl"
+        write_records([{"id": "img000", "score": 1.0}, {"id": "img001", "score": 2.0}], scores)
+        answers = tmp_path / "answers.jsonl"
+        write_records([MCQ], answers)
+        ratings = tmp_path / "ratings.jsonl"
+        write_records(RATINGS, ratings)
+        inputs = {"eval-iqa": [scores, mos_file], "eval-mcq": [answers],
+                  "eval-desc": [ratings]}[command]
+        assert run_cli(command, *inputs) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: environment variable IQMIX_FORMAT='xml' must be text or json" \
+            in captured.err
+
+    @settings(deadline=None, max_examples=200)
+    @given(command_and_records=st.one_of(
+        st.tuples(st.just("eval-mcq"), st.lists(fuzzed_record(MCQ), min_size=1, max_size=3)),
+        st.tuples(st.just("eval-desc"), st.lists(fuzzed_record(RATINGS[0]), min_size=1,
+                                                 max_size=3))))
+    def test_any_field_values_exit_0_or_name_the_file_and_line(
+            self, tmp_path_factory, command_and_records):
+        command, fuzzed = command_and_records
+        valid = [MCQ] if command == "eval-mcq" else RATINGS
+        path = tmp_path_factory.mktemp("fuzz") / "records.jsonl"
+        write_records(valid + fuzzed, path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(command, path, "--format", "json")
+        if code == 0:
+            json.loads(out.getvalue())
+        else:
+            assert code == 1
+            assert re.match(rf"error: {re.escape(str(path))}: line \d+: ", err.getvalue()), \
+                err.getvalue()
 
 
 class TestSubsample:
@@ -463,6 +532,26 @@ class TestSample:
         assert run_cli("sample", "--config", config, "--counts", "5:5:5", "--out", out) == 2
         assert "config error: seed must be an integer, got 'abc'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("counts", ["nan:1:1", "inf:1:1", "1.9:2.7:3", "-1:2:3"])
+    def test_counts_that_are_not_whole_and_non_negative_are_config_error_before_pools_load(
+            self, tmp_path, capsys, counts):
+        config = write_pools_and_config(tmp_path)
+        for tag in ("d1", "d2", "d3"):
+            (tmp_path / f"{tag}.jsonl").unlink()  # a pool load would exit 1
+        out = tmp_path / "m.jsonl"
+        assert run_cli("sample", "--config", config, f"--counts={counts}", "--out", out) == 2
+        assert (f"config error: --counts must be whole numbers >= 0, got {counts!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_counts_in_exponent_form(self, tmp_path):
+        config = write_pools_and_config(tmp_path)
+        out = tmp_path / "m.jsonl"
+        assert run_cli("sample", "--config", config, "--counts", "1e1:2E1:3.0",
+                       "--out", out) == 0
+        assert json.loads(out.read_text().splitlines()[0])["counts"] == \
+            {"d1": 10, "d2": 20, "d3": 3}
 
     def test_pool_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
         config = write_pools_and_config(tmp_path)
@@ -836,6 +925,14 @@ EXTERNAL = {"kind": "external", "command": f"{sys.executable} -c pass {{out}}"}
     ({**EXTERNAL, "env": [1, 2]}, "oracle.env must map names to strings, got [1, 2]"),
     ({**EXTERNAL, "env": {"CUDA_VISIBLE_DEVICES": 0}},
      "oracle.env must map names to strings, got {'CUDA_VISIBLE_DEVICES': 0}"),
+    ({**SYNTHETIC, "loss_scale_scoring": 0},
+     "oracle.loss_scale_scoring must be finite and > 0, got 0.0"),
+    ({**SYNTHETIC, "loss_scale_interpreting": -2},
+     "oracle.loss_scale_interpreting must be finite and > 0, got -2.0"),
+    ({**SYNTHETIC, "loss_scale_scoring": math.inf},
+     "oracle.loss_scale_scoring must be finite and > 0, got inf"),
+    ({**SYNTHETIC, "loss_alpha": math.nan}, "oracle.loss_alpha must be finite and > 0, got nan"),
+    ({**SYNTHETIC, "loss_alpha": 0}, "oracle.loss_alpha must be finite and > 0, got 0.0"),
 ])
 def test_bad_oracle_setting_is_config_error_before_pools_load(
         tmp_path, capsys, command, oracle, message):
@@ -848,6 +945,18 @@ def test_bad_oracle_setting_is_config_error_before_pools_load(
     flags = ["--coarse-result", coarse] if command == "mix-adjust" else []
     assert run_cli(command, "--config", config, "--out-dir", tmp_path / "run", *flags) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mix-search", "mix-adjust"])
+@pytest.mark.parametrize("out_dir", [5, ["a"]])
+def test_out_dir_that_is_not_a_string_is_config_error(tmp_path, capsys, command, out_dir):
+    config = write_pools_and_config(tmp_path, extra={"out_dir": out_dir})
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(json.dumps({"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04},
+                                  "lambda_loss": 0.25}))
+    flags = ["--coarse-result", coarse] if command == "mix-adjust" else []
+    assert run_cli(command, "--config", config, *flags) == 2
+    assert f"config error: out_dir must be a string, got {out_dir!r}" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -7,9 +7,9 @@ import pytest
 from iqmix.controller import decide, run_loop
 from iqmix.errors import ConfigError, OracleExecutionError
 from iqmix.mixopt import CoarseResult, MixRatio
-from iqmix.oracle import OracleResponse, SyntheticOracle, SyntheticOracleConfig, ResponseSurface
+from iqmix.oracle import OracleResponse, SyntheticOracle, ResponseSurface
 
-from conftest import make_pools, planted_config
+from conftest import make_pools, planted_oracle
 
 LAMBDA = 1.0 / 4.66
 
@@ -116,17 +116,17 @@ class TestDecide:
                 decide(rho, lambda_loss, tolerance, factor, counts, split)
 
 
-def convergent_oracle_config() -> SyntheticOracleConfig:
+def convergent_oracle() -> SyntheticOracle:
     """Loss model whose epoch-1 ratio sits 20% above the reference band."""
     c_s = 1.2 * LAMBDA / math.sqrt(1770.0 / 500.0)
-    return planted_config(loss_scale_scoring=c_s, loss_scale_interpreting=1.0,
+    return planted_oracle(loss_scale_scoring=c_s, loss_scale_interpreting=1.0,
                           loss_alpha=0.5)
 
 
 class TestRunLoop:
     def test_convergence_matches_closed_form(self, tmp_path):
         pools = make_pools(500, 1500, 600)
-        oracle = SyntheticOracle(convergent_oracle_config())
+        oracle = convergent_oracle()
         epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=3,
                           tolerance=0.1, factor=1.1, seed=7, workdir=tmp_path)
         # independent closed-form iteration of the loss model
@@ -213,11 +213,11 @@ class TestRunLoop:
 
     def test_rerun_byte_identical(self, tmp_path):
         pools = make_pools(150, 450, 190)
-        oracle_config = convergent_oracle_config()
+        oracle = convergent_oracle()
         paths = []
         for name in ("a", "b"):
             workdir = tmp_path / name
-            run_loop(SyntheticOracle(oracle_config), coarse_stub(), pools,
+            run_loop(oracle, coarse_stub(), pools,
                      max_epochs=3, seed=11, workdir=workdir)
             paths.append(workdir / "trajectory.jsonl")
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -288,7 +288,7 @@ class TestRunLoop:
         import sys
         import textwrap
 
-        from iqmix.oracle import ExternalOracle, ExternalOracleConfig
+        from iqmix.oracle import ExternalOracle
 
         script = tmp_path / "stub.py"
         script.write_text(textwrap.dedent(f"""
@@ -297,9 +297,9 @@ class TestRunLoop:
                         "loss_scoring": {LAMBDA!r}, "loss_interpreting": 1.0}},
                       open(sys.argv[3], "w"))
         """), encoding="utf-8")
-        oracle = ExternalOracle(ExternalOracleConfig(
+        oracle = ExternalOracle(
             command=f"{sys.executable} {script} {{manifest}} {{seed}} {{out}}"
-        ))
+        )
         pools = make_pools(100, 300, 130)
         epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=3,
                           seed=1, workdir=tmp_path)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from iqmix.cli import main
 from iqmix.errors import DataError, DegenerateSampleError, MissingDimensionError
 from iqmix.levels import LevelScale
 from iqmix.metrics import (
-    DescriptionRating,
-    McqRecord,
     PairedSample,
     conversion_precision,
     description_report,
@@ -26,6 +25,8 @@ from iqmix.metrics import (
     plcc,
     srcc,
 )
+
+from conftest import write_records
 
 
 def sample(x, y) -> PairedSample:
@@ -271,30 +272,47 @@ class TestConversionPrecision:
 
 
 def mcq(qid, qtype, quadrant, gold, predicted, choices=("yes", "no")):
-    return McqRecord(qid, qtype, quadrant, tuple(choices), gold, predicted)
+    return {"id": qid, "type": qtype, "quadrant": quadrant, "choices": list(choices),
+            "gold": gold, "predicted": predicted}
+
+
+def mcq_file(tmp_path, records):
+    path = tmp_path / "answers.jsonl"
+    write_records(records, path)
+    return path
+
+
+def report_error(tmp_path, records, line=1) -> str:
+    """The message of the DataError that mcq_report raises on the records,
+    checked to start with the file and line."""
+    path = mcq_file(tmp_path, records)
+    with pytest.raises(DataError) as exc:
+        mcq_report(path)
+    assert str(exc.value).startswith(f"{path}: line {line}: ")
+    return str(exc.value)
 
 
 class TestMcqReport:
-    def test_overall_accuracy(self):
+    def test_overall_accuracy(self, tmp_path):
         records = [
             mcq("1", "yes-or-no", "distortion", "yes", "yes"),
             mcq("2", "yes-or-no", "other", "no", "no"),
             mcq("3", "what", "distortion", "blur", "blur", ("blur", "noise")),
             mcq("4", "how", "other", "high", "low", ("high", "low")),
         ]
-        report = mcq_report(records)
+        report = mcq_report(mcq_file(tmp_path, records))
         assert report["overall"] == {"total": 4, "correct": 3, "accuracy": 0.75}
 
-    def test_single_quadrant_equals_overall(self):
+    def test_single_quadrant_equals_overall(self, tmp_path):
         records = [
             mcq(str(i), "what", "in-context other", "a", "a" if i % 2 else "b", ("a", "b"))
             for i in range(10)
         ]
-        report = mcq_report(records)
+        report = mcq_report(mcq_file(tmp_path, records))
         assert report["by_quadrant"]["in-context other"] == report["overall"]
         assert list(report["by_quadrant"]) == ["in-context other"]
 
-    def test_partition_recomposes_overall(self):
+    def test_partition_recomposes_overall(self, tmp_path):
         rng = np.random.default_rng(20)
         types = ["yes-or-no", "what", "how"]
         quadrants = ["distortion", "other", "in-context distortion", "in-context other"]
@@ -309,7 +327,7 @@ class TestMcqReport:
             )
             for i in range(200)
         ]
-        report = mcq_report(records)
+        report = mcq_report(mcq_file(tmp_path, records))
         overall = report["overall"]
         for buckets in (report["by_type"], report["by_quadrant"]):
             weighted = sum(c["accuracy"] * c["total"] for c in buckets.values())
@@ -335,39 +353,64 @@ class TestMcqReport:
         choices = ("the image is sharp", "slightly blurry", "very blurry")
         assert match_choice(predicted, choices) == expected_index
 
-    def test_gold_must_be_declared(self):
-        with pytest.raises(DataError):
-            mcq("1", "what", "other", "maybe", "yes")
+    def test_gold_must_be_declared(self, tmp_path):
+        message = report_error(tmp_path, [mcq("1", "what", "other", "maybe", "yes")])
+        assert message.endswith("gold 'maybe' not among declared choices")
 
-    def test_unknown_type_rejected(self):
-        with pytest.raises(DataError):
-            mcq("1", "essay", "other", "yes", "yes")
+    def test_unknown_type_rejected(self, tmp_path):
+        message = report_error(tmp_path, [mcq("1", "essay", "other", "yes", "yes")])
+        assert message.endswith("unknown question type 'essay'")
 
-    def test_unknown_quadrant_rejected(self):
-        with pytest.raises(DataError):
-            mcq("1", "what", "everything", "yes", "yes")
+    def test_unknown_quadrant_rejected(self, tmp_path):
+        message = report_error(tmp_path, [mcq("1", "what", "everything", "yes", "yes")])
+        assert message.endswith("unknown quadrant 'everything'")
 
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            mcq_report([])
+    @pytest.mark.parametrize("field,value,message", [
+        ("choices", [1, 2], "'choices' must be a list of strings, got [1, 2]"),
+        ("choices", "yes", "'choices' must be a list of strings, got 'yes'"),
+        ("predicted", None, "'predicted' must be a string, got None"),
+        ("id", True, "missing or non-string 'id'"),
+    ])
+    def test_malformed_field_names_file_and_line(self, tmp_path, field, value, message):
+        records = [mcq("1", "what", "other", "yes", "yes"),
+                   {**mcq("2", "what", "other", "yes", "no"), field: value}]
+        if field == "choices":
+            records[1]["gold"] = value[0]
+        assert report_error(tmp_path, records, line=2).endswith(message)
 
-    def test_text_and_dict_outputs(self):
-        report = mcq_report([mcq("1", "what", "other", "yes", "yes")])
+    def test_absent_prediction_reads_as_empty(self, tmp_path):
+        record = mcq("1", "what", "other", "None", "", ("None", "Some"))
+        del record["predicted"]
+        assert mcq_report(mcq_file(tmp_path, [record]))["overall"]["correct"] == 0
+
+    def test_empty_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="no MCQ records to score"):
+            mcq_report(mcq_file(tmp_path, []))
+
+    def test_text_and_dict_outputs(self, tmp_path):
+        report = mcq_report(mcq_file(tmp_path, [mcq("1", "what", "other", "yes", "yes")]))
         assert report["overall"]["accuracy"] == 1.0
         assert list(report["by_type"]) == ["what"]
         assert mcq_text(report).splitlines() == [
             "category  correct/total  accuracy",
-            "overall        1/1      1.0000",
-            "what           1/1      1.0000",
-            "other          1/1      1.0000",
+            "overall         1/1      1.0000",
+            "what            1/1      1.0000",
+            "other           1/1      1.0000",
         ]
 
 
+def ratings_file(tmp_path, pairs):
+    """A ratings file of (dimension, rating) pairs."""
+    path = tmp_path / "ratings.jsonl"
+    write_records([{"id": "r", "dimension": d, "rating": r} for d, r in pairs], path)
+    return path
+
+
 class TestDescriptionReport:
-    def test_example_frequencies(self):
-        ratings = [DescriptionRating("completeness", r) for r in (1, 1, 2, 0)]
-        ratings += [DescriptionRating("precision", 2), DescriptionRating("relevance", 0)]
-        report = description_report(ratings)
+    def test_example_frequencies(self, tmp_path):
+        pairs = [("completeness", r) for r in (1, 1, 2, 0)]
+        pairs += [("precision", 2), ("relevance", 0)]
+        report = description_report(ratings_file(tmp_path, pairs))
         stats = report["dimensions"]["completeness"]
         assert stats == {"count": 4, "p0": 0.25, "p1": 0.5, "p2": 0.25, "score": 1.0}
         assert description_text(report).splitlines() == [
@@ -378,31 +421,32 @@ class TestDescriptionReport:
             "sum           3.0000",
         ]
 
-    def test_maximum(self):
-        ratings = [
-            DescriptionRating(dim, 2)
+    def test_maximum(self, tmp_path):
+        pairs = [
+            (dim, 2)
             for dim in ("completeness", "precision", "relevance")
             for _ in range(3)
         ]
-        assert description_report(ratings)["sum"] == pytest.approx(6.0)
+        assert description_report(ratings_file(tmp_path, pairs))["sum"] == pytest.approx(6.0)
 
-    def test_minimum(self):
-        ratings = [
-            DescriptionRating(dim, 0)
-            for dim in ("completeness", "precision", "relevance")
-        ]
-        assert description_report(ratings)["sum"] == pytest.approx(0.0)
+    def test_minimum(self, tmp_path):
+        pairs = [(dim, 0) for dim in ("completeness", "precision", "relevance")]
+        assert description_report(ratings_file(tmp_path, pairs))["sum"] == pytest.approx(0.0)
 
-    def test_missing_dimension(self):
-        ratings = [DescriptionRating("completeness", 1)]
+    def test_missing_dimension(self, tmp_path):
+        path = ratings_file(tmp_path, [("completeness", 1)])
         with pytest.raises(MissingDimensionError) as exc:
-            description_report(ratings)
+            description_report(path)
         assert "precision" in str(exc.value) and "relevance" in str(exc.value)
 
-    def test_invalid_rating(self):
-        with pytest.raises(DataError):
-            DescriptionRating("precision", 3)
+    def test_invalid_rating(self, tmp_path):
+        path = ratings_file(tmp_path, [("completeness", 1), ("precision", 3)])
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 2: precision: "
+                                            "rating must be the integer 0, 1 or 2, got 3$"):
+            description_report(path)
 
-    def test_unknown_dimension(self):
-        with pytest.raises(DataError):
-            DescriptionRating("fluency", 1)
+    def test_unknown_dimension(self, tmp_path):
+        path = ratings_file(tmp_path, [("fluency", 1)])
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 1: "
+                                            "unknown description dimension 'fluency'$"):
+            description_report(path)

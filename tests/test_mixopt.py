@@ -23,9 +23,9 @@ from iqmix.mixopt import (
     grid_ratios,
     sweep,
 )
-from iqmix.oracle import Ledger, OracleResponse, SyntheticOracle
+from iqmix.oracle import Ledger, OracleResponse
 
-from conftest import make_pools, planted_config
+from conftest import make_pools, planted_oracle
 
 LOG_242 = math.log10(2.42)
 LOG_354 = math.log10(3.54)
@@ -237,7 +237,7 @@ class TestArgmaxRatio:
 
 class TestSweep:
     def test_bookkeeping(self, tmp_path, pools_small):
-        oracle = SyntheticOracle(planted_config())
+        oracle = planted_oracle()
         points = sweep(oracle, "mixed_vs_d1", pools_small, repeats=3, seed=1,
                        workdir=tmp_path, d2_d3_ratio=2.42)
         assert len(points) == 19
@@ -249,7 +249,7 @@ class TestSweep:
         assert len(manifests) == 57
 
     def test_deterministic_oracle_zero_variance(self, tmp_path, pools_small):
-        oracle = SyntheticOracle(planted_config())  # noise-free
+        oracle = planted_oracle()  # noise-free
         one = sweep(oracle, "d2_vs_d3", pools_small, repeats=1, seed=5,
                     workdir=tmp_path / "r1")
         three = sweep(oracle, "d2_vs_d3", pools_small, repeats=3, seed=5,
@@ -258,7 +258,7 @@ class TestSweep:
             assert a["performance"] == pytest.approx(b["performance"], abs=1e-15)
 
     def test_same_seed_reproducible(self, tmp_path, pools_small):
-        oracle = SyntheticOracle(planted_config(noise_sigma=0.02))
+        oracle = planted_oracle(noise_sigma=0.02)
         first = sweep(oracle, "d2_vs_d3", pools_small, repeats=2, seed=11,
                       workdir=tmp_path / "a")
         second = sweep(oracle, "d2_vs_d3", pools_small, repeats=2, seed=11,
@@ -266,7 +266,7 @@ class TestSweep:
         assert first == second
 
     def test_jobs_do_not_change_results(self, tmp_path, pools_small):
-        oracle = SyntheticOracle(planted_config(noise_sigma=0.01))
+        oracle = planted_oracle(noise_sigma=0.01)
         serial = sweep(oracle, "d2_vs_d3", pools_small, repeats=2, seed=3,
                        workdir=tmp_path / "serial")
         parallel = sweep(oracle, "d2_vs_d3", pools_small, repeats=2, seed=3,
@@ -274,7 +274,7 @@ class TestSweep:
         assert serial == parallel
 
     def test_grid_override(self, tmp_path, pools_small):
-        oracle = SyntheticOracle(planted_config())
+        oracle = planted_oracle()
         points = sweep(oracle, "d2_vs_d3", pools_small, repeats=1, seed=0,
                        workdir=tmp_path, ratios=(0.5, 1.0, 2.0, 4.0, 8.0))
         assert len(points) == 5
@@ -327,7 +327,7 @@ class TestSweep:
 
     def test_oracle_error_propagates_and_the_ledger_holds_the_completed_calls(
             self, tmp_path, pools_small):
-        oracle = FailingOracle(SyntheticOracle(planted_config()), fail_after=7)
+        oracle = FailingOracle(planted_oracle(), fail_after=7)
         with pytest.raises(OracleExecutionError, match="injected trainer failure"):
             sweep(Ledger(oracle, tmp_path / "ledger.jsonl", ["pools"]), "d2_vs_d3",
                   pools_small, repeats=1, seed=0, workdir=tmp_path)
@@ -358,7 +358,7 @@ class TestCoarseSearch:
     def test_planted_recovery_small(self, tmp_path):
         pools = make_pools(342, 400, 400)
         config = SearchConfig(workdir=tmp_path, seed=2, repeats=1)
-        doc = coarse_search(SyntheticOracle(planted_config()), pools, config)
+        doc = coarse_search(planted_oracle(), pools, config)
         assert math.log10(doc["stage1"]["ratio"]) == pytest.approx(LOG_242, abs=1e-8)
         assert math.log10(doc["stage2"]["ratio"]) == pytest.approx(LOG_354, abs=1e-2)
         assert doc["mix_ratio"]["d1"] == 1.0
@@ -377,7 +377,7 @@ class TestCoarseSearch:
                                     scoring_weight=1.0)
         config_big = SearchConfig(workdir=tmp_path / "big", seed=4, repeats=1,
                                   scoring_weight=1.0)
-        oracle = SyntheticOracle(planted_config())
+        oracle = planted_oracle()
         small = coarse_search(oracle, make_pools(200, 300, 300), config_small)
         big = coarse_search(oracle, make_pools(1400, 2100, 2100), config_big)
         for key in ("stage1", "stage2"):
@@ -394,7 +394,7 @@ class TestCoarseSearch:
 
     def test_persisted_result_round_trips(self, tmp_path, pools_small):
         config = SearchConfig(workdir=tmp_path, seed=8, repeats=1)
-        result = coarse_search(SyntheticOracle(planted_config()), pools_small, config)
+        result = coarse_search(planted_oracle(), pools_small, config)
         doc = json.loads((tmp_path / "coarse_result.json").read_text())
         assert doc["tool_version"]
         assert len(doc["stage1"]["points"]) == 19
@@ -405,7 +405,7 @@ class TestCoarseSearch:
 
     def test_returned_document_is_the_written_file(self, tmp_path, pools_small):
         config = SearchConfig(workdir=tmp_path, seed=8, repeats=1)
-        doc = coarse_search(SyntheticOracle(planted_config()), pools_small, config)
+        doc = coarse_search(planted_oracle(), pools_small, config)
         written = (tmp_path / "coarse_result.json").read_bytes()
         assert (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode() == written
 
@@ -413,8 +413,8 @@ class TestCoarseSearch:
     def test_failed_search_leaves_no_result_and_removes_a_stale_one(
             self, tmp_path, pools_small, fail_after):
         config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
-        coarse_search(SyntheticOracle(planted_config()), pools_small, config)
-        oracle = FailingOracle(SyntheticOracle(planted_config()), fail_after=fail_after)
+        coarse_search(planted_oracle(), pools_small, config)
+        oracle = FailingOracle(planted_oracle(), fail_after=fail_after)
         with pytest.raises(OracleExecutionError, match="injected"):
             coarse_search(oracle, pools_small, config)
         assert oracle.calls == fail_after + 1
@@ -432,7 +432,7 @@ class TestCoarseSearch:
         import sys
         import textwrap
 
-        from iqmix.oracle import ExternalOracle, ExternalOracleConfig
+        from iqmix.oracle import ExternalOracle
 
         script = tmp_path / "stub.py"
         script.write_text(textwrap.dedent("""
@@ -441,9 +441,9 @@ class TestCoarseSearch:
                        "loss_scoring": 1.0, "loss_interpreting": 4.66},
                       open(sys.argv[3], "w"))
         """), encoding="utf-8")
-        oracle = ExternalOracle(ExternalOracleConfig(
+        oracle = ExternalOracle(
             command=f"{sys.executable} {script} {{manifest}} {{seed}} {{out}}"
-        ))
+        )
         config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
         doc = coarse_search(oracle, pools_small, config)
         assert doc["lambda_loss"] == 1.0 / 4.66

@@ -18,17 +18,15 @@ from iqmix.errors import (
 )
 from iqmix.oracle import (
     ExternalOracle,
-    ExternalOracleConfig,
     Ledger,
     OracleRequest,
     OracleResponse,
     ResponseSurface,
     SyntheticOracle,
-    SyntheticOracleConfig,
     realized_axes,
 )
 
-from conftest import make_pools, planted_config
+from conftest import make_pools, planted_oracle
 
 
 def write_test_manifest(tmp_path, counts, seed=0, name="m.jsonl"):
@@ -100,58 +98,66 @@ class TestResponseSurface:
 class TestSyntheticOracle:
     def test_peak_evaluation(self, tmp_path):
         path = write_test_manifest(tmp_path, {"d1": 0, "d2": 242, "d3": 100})
-        response = SyntheticOracle(planted_config()).evaluate(OracleRequest(path, 0))
+        response = planted_oracle().evaluate(OracleRequest(path, 0))
         assert response.perf_interpreting == 0.75
 
     def test_deterministic(self, tmp_path):
         path = write_test_manifest(tmp_path, {"d1": 50, "d2": 100, "d3": 50})
-        config = planted_config(noise_sigma=0.02)
-        first = SyntheticOracle(config).evaluate(OracleRequest(path, 1234))
-        second = SyntheticOracle(config).evaluate(OracleRequest(path, 1234))
+        first = planted_oracle(noise_sigma=0.02).evaluate(OracleRequest(path, 1234))
+        second = planted_oracle(noise_sigma=0.02).evaluate(OracleRequest(path, 1234))
         assert first == second
 
     def test_noise_mean_within_standard_error(self, tmp_path):
         sigma = 0.01
-        config = planted_config(noise_sigma=sigma)
+        oracle = planted_oracle(noise_sigma=sigma)
         path = write_test_manifest(tmp_path, {"d1": 0, "d2": 242, "d3": 100})
         values = [
-            SyntheticOracle(config).evaluate(OracleRequest(path, seed)).perf_interpreting
+            oracle.evaluate(OracleRequest(path, seed)).perf_interpreting
             for seed in (101, 202, 303)
         ]
         assert abs(float(np.mean(values)) - 0.75) <= 3 * sigma / math.sqrt(3)
 
     def test_loss_model_exact(self, tmp_path):
-        config = planted_config(loss_scale_scoring=30.0, loss_scale_interpreting=12.0,
+        oracle = planted_oracle(loss_scale_scoring=30.0, loss_scale_interpreting=12.0,
                                 loss_alpha=0.5)
         path = write_test_manifest(tmp_path, {"d1": 400, "d2": 100, "d3": 44})
-        response = SyntheticOracle(config).evaluate(OracleRequest(path, 0))
+        response = oracle.evaluate(OracleRequest(path, 0))
         assert response.loss_scoring == 30.0 * 400 ** -0.5
         assert response.loss_interpreting == 12.0 * 144 ** -0.5
 
     def test_no_d1_floors_loss(self, tmp_path):
         path = write_test_manifest(tmp_path, {"d1": 0, "d2": 100, "d3": 100})
-        response = SyntheticOracle(planted_config()).evaluate(OracleRequest(path, 0))
+        response = planted_oracle().evaluate(OracleRequest(path, 0))
         assert response.loss_scoring == 30.0
 
     def test_performance_clamped_to_range(self, tmp_path):
-        config = planted_config(
+        oracle = planted_oracle(
             interpreting_surface=ResponseSurface(100.0, 0.5, 5.0)  # peak far away
         )
         path = write_test_manifest(tmp_path, {"d1": 0, "d2": 10, "d3": 100})
-        response = SyntheticOracle(config).evaluate(OracleRequest(path, 0))
+        response = oracle.evaluate(OracleRequest(path, 0))
         assert response.perf_interpreting == 0.0
 
     def test_config_from_dict(self):
-        config = SyntheticOracleConfig.from_dict(
+        oracle = SyntheticOracle.from_dict(
             {
                 "scoring_surface": {"peak_ratio": 3.54, "peak_value": 0.85, "curvature": 0.25},
                 "interpreting_surface": {"peak_ratio": 2.42, "peak_value": 0.75, "curvature": 0.25},
                 "noise_sigma": 0.01,
             }
         )
-        assert config.loss_alpha == 0.5
+        assert oracle.loss_alpha == 0.5
+        assert oracle == planted_oracle(noise_sigma=0.01)
         with pytest.raises(ConfigError):
-            SyntheticOracleConfig.from_dict({})
+            SyntheticOracle.from_dict({})
+
+    @pytest.mark.parametrize("key", ["noise_sigma", "loss_alpha", "loss_scale_scoring",
+                                     "loss_scale_interpreting"])
+    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
+    def test_direct_construction_checks_every_setting(self, key, value):
+        kind = "finite and >= 0" if key == "noise_sigma" else "finite and > 0"
+        with pytest.raises(ConfigError, match=re.escape(f"oracle.{key} must be {kind}, got")):
+            planted_oracle(**{key: value})
 
 
 STUB = textwrap.dedent("""
@@ -177,48 +183,47 @@ def stub_command(tmp_path):
 class TestExternalOracle:
     def test_round_trip(self, tmp_path, stub_command):
         path = write_test_manifest(tmp_path, {"d1": 5, "d2": 5, "d3": 5})
-        config = ExternalOracleConfig(command=stub_command)
-        response = ExternalOracle(config).evaluate(OracleRequest(path, 7))
+        response = ExternalOracle(stub_command).evaluate(OracleRequest(path, 7))
         assert response.perf_scoring == 0.5
         assert response.loss_scoring == 8.0  # seed placeholder reached the command
         assert response.loss_interpreting == 4.66
 
     def test_env_passthrough(self, tmp_path, stub_command):
         path = write_test_manifest(tmp_path, {"d1": 5, "d2": 5, "d3": 5})
-        config = ExternalOracleConfig(command=stub_command, env={"STUB_PERF": "0.25"})
-        assert ExternalOracle(config).evaluate(OracleRequest(path, 0)).perf_scoring == 0.25
+        oracle = ExternalOracle(stub_command, env={"STUB_PERF": "0.25"})
+        assert oracle.evaluate(OracleRequest(path, 0)).perf_scoring == 0.25
 
     def test_nonzero_exit_captures_output(self, tmp_path):
         script = tmp_path / "fail.py"
         script.write_text("import sys; print('boom', file=sys.stderr); sys.exit(3)")
-        config = ExternalOracleConfig(
+        oracle = ExternalOracle(
             command=f"{sys.executable} {script} {{manifest}} {{seed}} {{out}}"
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleExecutionError) as exc:
-            ExternalOracle(config).evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0))
         assert "exited 3" in str(exc.value) and "boom" in str(exc.value)
 
     def test_timeout(self, tmp_path):
         script = tmp_path / "slow.py"
         script.write_text("import time; time.sleep(30)")
-        config = ExternalOracleConfig(
+        oracle = ExternalOracle(
             command=f"{sys.executable} {script} {{manifest}} {{seed}} {{out}}",
             timeout=0.4,
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleTimeoutError):
-            ExternalOracle(config).evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0))
 
     def test_missing_result_file(self, tmp_path):
         script = tmp_path / "noop.py"
         script.write_text("pass")
-        config = ExternalOracleConfig(
+        oracle = ExternalOracle(
             command=f"{sys.executable} {script} {{manifest}} {{seed}} {{out}}"
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleResultError) as exc:
-            ExternalOracle(config).evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0))
         assert "missing" in str(exc.value)
 
     def test_stale_result_is_never_read(self, tmp_path):
@@ -226,9 +231,9 @@ class TestExternalOracle:
         stale = tmp_path / "m.jsonl.result.json"
         stale.write_text(json.dumps({"perf_scoring": 0.5, "perf_interpreting": 0.5,
                                      "loss_scoring": 1.0, "loss_interpreting": 1.0}))
-        config = ExternalOracleConfig(command=f"{sys.executable} -c pass {{out}}")
+        oracle = ExternalOracle(command=f"{sys.executable} -c pass {{out}}")
         with pytest.raises(OracleResultError, match="missing"):
-            ExternalOracle(config).evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0))
         assert not stale.exists()
 
     @pytest.mark.parametrize(
@@ -246,54 +251,54 @@ class TestExternalOracle:
         script.write_text(
             "import json, sys\njson.dump(%r, open(sys.argv[3], 'w'))" % (payload,)
         )
-        config = ExternalOracleConfig(
+        oracle = ExternalOracle(
             command=f"{sys.executable} {script} {{manifest}} {{seed}} {{out}}"
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleResultError) as exc:
-            ExternalOracle(config).evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0))
         assert needle in str(exc.value)
 
     def test_unparsable_result_file(self, tmp_path):
         script = tmp_path / "garbage.py"
         script.write_text("import sys\nopen(sys.argv[3], 'w').write('{nope')")
-        config = ExternalOracleConfig(
+        oracle = ExternalOracle(
             command=f"{sys.executable} {script} {{manifest}} {{seed}} {{out}}"
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleResultError):
-            ExternalOracle(config).evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0))
 
     def test_result_file_that_is_not_utf8(self, tmp_path):
         script = tmp_path / "garbage.py"
         script.write_text("import sys\nopen(sys.argv[3], 'wb').write(b'{\"x\": \"\\xff\"}')")
-        config = ExternalOracleConfig(
+        oracle = ExternalOracle(
             command=f"{sys.executable} {script} {{manifest}} {{seed}} {{out}}"
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleResultError, match="unreadable oracle result .*utf-8"):
-            ExternalOracle(config).evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0))
 
     def test_command_must_reference_out(self):
         with pytest.raises(ConfigError):
-            ExternalOracleConfig(command="trainer --manifest {manifest}")
+            ExternalOracle(command="trainer --manifest {manifest}")
 
     def test_config_from_dict(self):
-        config = ExternalOracleConfig.from_dict(
+        oracle = ExternalOracle.from_dict(
             {"command": "run {manifest} {seed} {out}", "timeout": 60}
         )
-        assert config.timeout == 60.0
+        assert oracle.timeout == 60.0
         with pytest.raises(ConfigError):
-            ExternalOracleConfig.from_dict({})
+            ExternalOracle.from_dict({})
 
     def test_max_parallel_is_rejected_and_names_jobs(self):
         with pytest.raises(ConfigError, match="jobs"):
-            ExternalOracleConfig.from_dict(
+            ExternalOracle.from_dict(
                 {"command": "run {manifest} {seed} {out}", "max_parallel": 2}
             )
 
     def test_oracle_object_reusable(self, tmp_path, stub_command):
-        oracle = ExternalOracle(ExternalOracleConfig(command=stub_command))
+        oracle = ExternalOracle(stub_command)
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         first = oracle.evaluate(OracleRequest(path, 1))
         second = oracle.evaluate(OracleRequest(path, 1))

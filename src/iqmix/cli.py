@@ -284,7 +284,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             for item in score_batch(src, binary=binary, strict=args.strict):
                 if isinstance(item, BatchDiagnostic):
                     diagnostics += 1
-                    print(f"line {item.line_no}: {item.message}", file=sys.stderr)
+                    print(item, file=sys.stderr)
                     continue
                 item_id, score = item
                 if rescale is not None:

@@ -96,11 +96,14 @@ class BatchDiagnostic:
     line_no: int
     message: str
 
+    def __str__(self) -> str:
+        return f"line {self.line_no}: {self.message}"
 
-def _parse_five_level(obj: dict, line_no: int) -> tuple[str, list[float]]:
+
+def _parse_five_level(obj: dict) -> tuple[str, list[float]]:
     item_id = obj.get("id")
     if not isinstance(item_id, str):
-        raise MalformedLogitsError(f"line {line_no}: missing or non-string 'id'")
+        raise MalformedLogitsError("missing or non-string 'id'")
     logits = obj.get("logits")
     if not isinstance(logits, dict):
         raise MalformedLogitsError(f"{item_id}: missing 'logits' object")
@@ -119,10 +122,10 @@ def _parse_five_level(obj: dict, line_no: int) -> tuple[str, list[float]]:
     return item_id, values
 
 
-def _parse_binary(obj: dict, line_no: int) -> tuple[str, float, float]:
+def _parse_binary(obj: dict) -> tuple[str, float, float]:
     item_id = obj.get("id")
     if not isinstance(item_id, str):
-        raise MalformedLogitsError(f"line {line_no}: missing or non-string 'id'")
+        raise MalformedLogitsError("missing or non-string 'id'")
     pair = []
     for key in ("good", "poor"):
         v = obj.get(key)
@@ -153,8 +156,9 @@ def score_batch(
     each valid record yields its (id, score) pair.
 
     Malformed records become BatchDiagnostic entries (with line numbers) in
-    lenient mode; in strict mode the first malformed record raises, after
-    the scores of the lines before it have been yielded. Results are
+    lenient mode; in strict mode the first malformed record raises, with
+    its diagnostic's text, after the scores of the lines before it have
+    been yielded. Results are
     buffered CHUNK_ROWS at a time, and the five-level rows of a chunk are
     scored as one array.
     """
@@ -168,21 +172,22 @@ def score_batch(
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedLogitsError(f"line {line_no}: invalid JSON ({exc})")
+                raise MalformedLogitsError(f"invalid JSON ({exc})")
             if not isinstance(obj, dict):
-                raise MalformedLogitsError(f"line {line_no}: record is not an object")
+                raise MalformedLogitsError("record is not an object")
             if binary:
-                item_id, x_good, x_poor = _parse_binary(obj, line_no)
+                item_id, x_good, x_poor = _parse_binary(obj)
                 pending.append((item_id, binary_score(x_good, x_poor)))
             else:
-                item_id, values = _parse_five_level(obj, line_no)
+                item_id, values = _parse_five_level(obj)
                 pending.append(item_id)
                 rows.append(values)
         except DataError as exc:
+            diagnostic = BatchDiagnostic(line_no, str(exc))
             if strict:
                 yield from _score_chunk(pending, rows)
-                raise
-            pending.append(BatchDiagnostic(line_no, str(exc)))
+                raise MalformedLogitsError(str(diagnostic)) from exc
+            pending.append(diagnostic)
         if len(pending) == CHUNK_ROWS:
             yield from _score_chunk(pending, rows)
             pending, rows = [], []

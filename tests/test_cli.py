@@ -177,6 +177,26 @@ class TestScore:
         assert [json.loads(l)["id"] for l in out.read_text().splitlines()] == ["uniform", "top"]
         assert "line 3: invalid JSON" in capsys.readouterr().err
 
+    BAD_LINES = ["{broken", "[1, 2]", json.dumps({"logits": {}}),
+                 json.dumps({"id": "r", "logits": {}})]
+    BAD_MESSAGES = ["invalid JSON (Expecting property name enclosed in double quotes: "
+                    "line 1 column 2 (char 1))", "record is not an object",
+                    "missing or non-string 'id'", "r: missing logit for level 'bad'"]
+
+    def test_lenient_diagnostic_names_its_line_once(self, tmp_path, capsys):
+        src = tmp_path / "bad.jsonl"
+        src.write_text("\n".join(self.BAD_LINES) + "\n")
+        assert run_cli("score", src, "--out", tmp_path / "scores.jsonl") == 0
+        assert capsys.readouterr().err.splitlines()[:4] == [
+            f"line {n}: {message}" for n, message in enumerate(self.BAD_MESSAGES, start=1)]
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_strict_error_names_its_line_once(self, tmp_path, logits_file, capsys, index):
+        src = tmp_path / "bad.jsonl"
+        src.write_text(logits_file.read_text() + self.BAD_LINES[index] + "\n")
+        assert run_cli("score", src, "--strict", "--out", tmp_path / "scores.jsonl") == 1
+        assert f"error: line 3: {self.BAD_MESSAGES[index]}\n" in capsys.readouterr().err
+
     def test_rescale(self, tmp_path, logits_file):
         out = tmp_path / "scores.jsonl"
         assert run_cli("score", logits_file, "--rescale", 0, 100, "--out", out) == 0

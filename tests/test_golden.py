@@ -300,13 +300,13 @@ GOLDEN_EVAL = {
     "score.stdout":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "score.stderr":
-        "8c35390f5bf23b531fa70f0c39d98ed307ba37ca7d307c6e2f0a70dd9bacae4d",
+        "ec17b994196c29852dedb78bd7033238d0188900eefba5a735535c32ffaa554e",
     "scores.jsonl":
         "511e0dd08e987451ba299f95ab6a8a3afcad60c62b04d4c441771eb02f36de7f",
     "score-rescale.stdout":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "score-rescale.stderr":
-        "8c35390f5bf23b531fa70f0c39d98ed307ba37ca7d307c6e2f0a70dd9bacae4d",
+        "ec17b994196c29852dedb78bd7033238d0188900eefba5a735535c32ffaa554e",
     "scores-rescale.jsonl":
         "ee53bc78102426695495e9c792988df10a52825e4c16aac3d138c0d73d609631",
     "eval-mcq.stdout":

@@ -191,14 +191,16 @@ def _load_yaml(path: str | Path) -> dict:
 
 def _load_pools(conf: dict) -> tuple[PoolSet, list[tuple[str | Path, str]]]:
     """The three pools of the config, and their paths and file digests in
-    d1, d2, d3 order, which both the ledger and the run record use."""
+    d1, d2, d3 order, which both the ledger and the run record use. Each
+    digest is of the bytes its pool was parsed from: one read per file."""
     pools_conf = _section(conf, "pools")
     missing = [key for key in ("d1", "d2", "d3") if not pools_conf.get(key)]
     if missing:
         raise ConfigError(f"config pools missing path(s): {', '.join(missing)}")
     paths = [pools_conf[key] for key in ("d1", "d2", "d3")]
-    pools = PoolSet(*(load_pool(path, tag) for path, tag in zip(paths, POOL_TAGS)))
-    return pools, _digests(*paths)
+    digests = [hashlib.sha256() for _ in paths]
+    pools = PoolSet(*(load_pool(p, tag, digest=d) for p, tag, d in zip(paths, POOL_TAGS, digests)))
+    return pools, [(path, digest.hexdigest()) for path, digest in zip(paths, digests)]
 
 
 def _fresh_out_dir(args: argparse.Namespace, conf: dict, default: str, output: str) -> Path:

@@ -210,36 +210,46 @@ def manifest_row(pool_tag: str, source_line: int, pair_id: str) -> str:
     return f'{{"pool": "{pool_tag}", "source_line": {source_line}, "id": {pair_id}}}\n'
 
 
-def load_pool(path: str | Path, pool_tag: str) -> list[str]:
+def _pair_problem(obj: dict, pair_id: str, d1: bool) -> str | None:
+    """What keeps a pool record with a good id from being a training pair,
+    or None: each check in turn, every turn pair at once on the common path."""
+    if not isinstance(obj.get("image"), str):
+        return "missing or non-string 'image'"
+    system = obj.get("system")
+    if system is not None and not isinstance(system, str):
+        return "'system' must be a string when present"
+    conv = obj.get("conversations")
+    if not isinstance(conv, list) or len(conv) < 2 or len(conv) % 2 != 0:
+        return "'conversations' must hold alternating human/gpt turns"
+    for k in range(0, len(conv), 2):
+        human, gpt = conv[k], conv[k + 1]
+        if not (isinstance(human, dict) and human.get("from") == "human"
+                and isinstance(human.get("value"), str)):
+            return f"malformed human turn at position {k}"
+        if not (isinstance(gpt, dict) and gpt.get("from") == "gpt"
+                and isinstance(gpt.get("value"), str)):
+            return f"malformed gpt turn at position {k}"
+    if d1 and system != SCORING_SYSTEM_PREFIX:
+        return f"{pair_id}: D1 pairs must carry the scoring system prefix verbatim"
+    return None
+
+
+def load_pool(path: str | Path, pool_tag: str, *, digest=None) -> list[str]:
     """Check every record of a pool file as a training pair (id, image,
     optional system, alternating human/gpt turns; D1 carries the scoring
     system prefix), then keep only its manifest row. Sampling needs nothing
-    else of a pair, so a manifest is a shuffled selection of these rows."""
+    else of a pair, so a manifest is a shuffled selection of these rows.
+    A hashlib hash given as digest takes the bytes of the file as it is read."""
     if pool_tag not in POOL_TAGS:
         raise DataError(f"unknown pool tag {pool_tag!r}")
     rows = []
-    for line_no, obj in read_jsonl(path):
-        where = f"{path}: line {line_no}"
-        pair_id = record_id(obj, where)
-        if not isinstance(obj.get("image"), str):
-            raise DataError(f"{where}: missing or non-string 'image'")
-        system = obj.get("system")
-        if system is not None and not isinstance(system, str):
-            raise DataError(f"{where}: 'system' must be a string when present")
-        conv = obj.get("conversations")
-        if not isinstance(conv, list) or len(conv) < 2 or len(conv) % 2 != 0:
-            raise DataError(
-                f"{where}: 'conversations' must hold alternating human/gpt turns"
-            )
-        for k, turn in enumerate(conv):
-            who = "gpt" if k % 2 else "human"
-            if not isinstance(turn, dict) or turn.get("from") != who \
-                    or not isinstance(turn.get("value"), str):
-                raise DataError(f"{where}: malformed {who} turn at position {k - k % 2}")
-        if pool_tag == "D1" and system != SCORING_SYSTEM_PREFIX:
-            raise DataError(
-                f"{where}: {pair_id}: D1 pairs must carry the scoring system prefix verbatim"
-            )
+    for line_no, obj in read_jsonl(path, digest):
+        pair_id = obj.get("id")
+        if not isinstance(pair_id, str):  # an integer id, or the error naming the line
+            pair_id = record_id(obj, f"{path}: line {line_no}")
+        problem = _pair_problem(obj, pair_id, pool_tag == "D1")
+        if problem is not None:
+            raise DataError(f"{path}: line {line_no}: {problem}")
         rows.append(manifest_row(pool_tag, line_no, pair_id))
     if not rows:
         log.warning("%s: empty pool file for %s", path, pool_tag)

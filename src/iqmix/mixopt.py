@@ -249,8 +249,9 @@ def argmax_ratio(curve: dict) -> float:
     lo, hi = curve["fit_domain"]
     coef = np.asarray(curve["coefficients"], dtype=np.float64)
     dcoef = npoly.polyder(coef)
-    # Threshold against the polynomial's own coefficient scale: a derivative
-    # that is pure fit noise (constant curve) must vanish entirely.
+    # Fit noise, against the polynomial's own coefficient scale: a derivative
+    # that is pure fit noise (constant curve) must vanish entirely, and an
+    # improvement below it counts as a tie, which goes to the smaller axis value.
     tol = 1e-12 * max(1.0, float(np.max(np.abs(coef))))
     trimmed = np.trim_zeros(np.where(np.abs(dcoef) > tol, dcoef, 0.0), trim="b")
     candidates = [lo, hi]
@@ -261,12 +262,9 @@ def argmax_ratio(curve: dict) -> float:
     candidates.sort()
     best = candidates[0]
     best_value = float(npoly.polyval(best, coef))
-    # Improvements below fit-noise level count as ties, which go to the
-    # smaller axis value.
-    tie_eps = 1e-12 * max(1.0, float(np.max(np.abs(coef))))
     for cand in candidates[1:]:
         value = float(npoly.polyval(cand, coef))
-        if value > best_value + tie_eps:
+        if value > best_value + tol:
             best, best_value = cand, value
     return best
 

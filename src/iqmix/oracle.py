@@ -122,6 +122,9 @@ class ResponseSurface:
     quartic: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # nan and inf would only fail at the first oracle call
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.peak_ratio <= 0:
             raise ConfigError(f"peak_ratio must be positive, got {self.peak_ratio}")
         if self.curvature < 0 or self.quartic < 0:
@@ -139,9 +142,12 @@ class ResponseSurface:
     def from_dict(cls, obj: Mapping, where: str = "surface") -> "ResponseSurface":
         if not isinstance(obj, Mapping):
             raise ConfigError(f"{where} must be a mapping, got {obj!r}")
-        return cls(*(_setting(obj, key, where) for key in
-                     ("peak_ratio", "peak_value", "curvature")),
-                   quartic=_setting(obj, "quartic", where, 0.0))
+        terms = [_setting(obj, key, where) for key in ("peak_ratio", "peak_value", "curvature")]
+        terms.append(_setting(obj, "quartic", where, 0.0))
+        try:
+            return cls(*terms)
+        except ConfigError as exc:  # each message opens with the term's name
+            raise ConfigError(f"{where}.{exc}") from None
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:

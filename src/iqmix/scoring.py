@@ -100,10 +100,7 @@ class BatchDiagnostic:
         return f"line {self.line_no}: {self.message}"
 
 
-def _parse_five_level(obj: dict) -> tuple[str, list[float]]:
-    item_id = obj.get("id")
-    if not isinstance(item_id, str):
-        raise MalformedLogitsError("missing or non-string 'id'")
+def _parse_five_level(obj: dict, item_id: str) -> list[float]:
     logits = obj.get("logits")
     if not isinstance(logits, dict):
         raise MalformedLogitsError(f"{item_id}: missing 'logits' object")
@@ -119,20 +116,17 @@ def _parse_five_level(obj: dict) -> tuple[str, list[float]]:
     # value finite, which spares the per-level check on the common path.
     if not math.isfinite(sum(values)):
         _check_finite(values, FIVE_LEVEL_LABELS, item_id)
-    return item_id, values
+    return values
 
 
-def _parse_binary(obj: dict) -> tuple[str, float, float]:
-    item_id = obj.get("id")
-    if not isinstance(item_id, str):
-        raise MalformedLogitsError("missing or non-string 'id'")
+def _parse_binary(obj: dict, item_id: str) -> tuple[float, float]:
     pair = []
     for key in ("good", "poor"):
         v = obj.get(key)
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise MalformedLogitsError(f"{item_id}: missing or non-numeric {key!r} logit")
         pair.append(float(v))
-    return item_id, pair[0], pair[1]
+    return pair[0], pair[1]
 
 
 def _score_chunk(
@@ -175,13 +169,14 @@ def score_batch(
                 raise MalformedLogitsError(f"invalid JSON ({exc})")
             if not isinstance(obj, dict):
                 raise MalformedLogitsError("record is not an object")
+            item_id = obj.get("id")
+            if not isinstance(item_id, str):
+                raise MalformedLogitsError("missing or non-string 'id'")
             if binary:
-                item_id, x_good, x_poor = _parse_binary(obj)
-                pending.append((item_id, binary_score(x_good, x_poor)))
+                pending.append((item_id, binary_score(*_parse_binary(obj, item_id))))
             else:
-                item_id, values = _parse_five_level(obj)
+                rows.append(_parse_five_level(obj, item_id))
                 pending.append(item_id)
-                rows.append(values)
         except DataError as exc:
             diagnostic = BatchDiagnostic(line_no, str(exc))
             if strict:

@@ -4,6 +4,7 @@ number-setting rule, rounding, file digests and reading JSON-lines records."""
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -57,20 +58,45 @@ def file_digest(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+class _HashingFile(io.FileIO):
+    """A binary file that feeds every byte read from it to a hash."""
+
+    def __init__(self, path: str | Path, digest):
+        super().__init__(path)
+        self.digest = digest
+
+    def readinto(self, buffer) -> int:
+        count = super().readinto(buffer)
+        self.digest.update(buffer[:count])
+        return count
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def read_jsonl(path: str | Path, digest=None) -> Iterator[tuple[int, dict]]:
     """Yield (1-based line number, object) for every non-blank line of a
     JSON-lines file; a line that is not a JSON object, or a file that is not
-    UTF-8, raises a DataError naming the file (and the line, where known)."""
-    with open(path, encoding="utf-8") as handle:
+    UTF-8, raises a DataError naming the file (and the line, where known).
+    A hashlib hash given as digest takes every byte of the file as the one
+    pass reads it; lines split and decode as with open(path, encoding="utf-8")."""
+    handle = open(path, encoding="utf-8") if digest is None else io.TextIOWrapper(
+        io.BufferedReader(_HashingFile(path, digest)), encoding="utf-8")
+    with handle:
         try:  # one handler around the loop: nothing is added per line
             for line_no, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line:
                     continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}: line {line_no}: invalid JSON ({exc})")
+                try:  # json.loads's parse less its checks; a line not taken whole goes to it
+                    obj, end = _raw_decode(line)
+                    if end != len(line):
+                        raise ValueError
+                except ValueError:
+                    try:
+                        obj = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise DataError(f"{path}: line {line_no}: invalid JSON ({exc})")
                 if not isinstance(obj, dict):
                     raise DataError(f"{path}: line {line_no}: record is not an object")
                 yield line_no, obj

@@ -491,6 +491,28 @@ def oracle_calls(monkeypatch):
     return calls
 
 
+_opened: list[str] | None = None  # the path of every file opened while a test records
+
+
+def _record_open(event: str, args: tuple) -> None:
+    if event == "open" and _opened is not None:
+        _opened.append(str(args[0]))
+
+
+@pytest.fixture
+def opened_paths():
+    """The path of every file the test opens, by any means: an audit hook
+    sees open(), io.FileIO and its subclasses alike. A hook cannot be
+    removed, so it is added once and records only inside this fixture."""
+    global _opened
+    if not getattr(_record_open, "added", False):
+        sys.addaudithook(_record_open)
+        _record_open.added = True
+    _opened = []
+    yield _opened
+    _opened = None
+
+
 SYNTHETIC = {
     "kind": "synthetic",
     "scoring_surface": {"peak_ratio": 3.54, "peak_value": 0.85, "curvature": 0.25},
@@ -953,6 +975,18 @@ EXTERNAL = {"kind": "external", "command": f"{sys.executable} -c pass {{out}}"}
      "oracle.loss_scale_scoring must be finite and > 0, got inf"),
     ({**SYNTHETIC, "loss_alpha": math.nan}, "oracle.loss_alpha must be finite and > 0, got nan"),
     ({**SYNTHETIC, "loss_alpha": 0}, "oracle.loss_alpha must be finite and > 0, got 0.0"),
+    ({**SYNTHETIC, "scoring_surface": {**SYNTHETIC["scoring_surface"], "peak_ratio": math.inf}},
+     "oracle.scoring_surface.peak_ratio must be finite, got inf"),
+    ({**SYNTHETIC, "scoring_surface": {**SYNTHETIC["scoring_surface"], "peak_value": math.nan}},
+     "oracle.scoring_surface.peak_value must be finite, got nan"),
+    ({**SYNTHETIC, "interpreting_surface": {**SYNTHETIC["interpreting_surface"],
+                                            "curvature": math.inf}},
+     "oracle.interpreting_surface.curvature must be finite, got inf"),
+    ({**SYNTHETIC, "interpreting_surface": {**SYNTHETIC["interpreting_surface"],
+                                            "quartic": -math.inf}},
+     "oracle.interpreting_surface.quartic must be finite, got -inf"),
+    ({**SYNTHETIC, "scoring_surface": {**SYNTHETIC["scoring_surface"], "peak_ratio": -1}},
+     "oracle.scoring_surface.peak_ratio must be positive, got -1.0"),
 ])
 def test_bad_oracle_setting_is_config_error_before_pools_load(
         tmp_path, capsys, command, oracle, message):
@@ -1152,6 +1186,32 @@ class TestProvenanceRecords:
         reference = hashlib.sha256(json.dumps(flags, sort_keys=True).encode("utf-8"))
         reference.update(b"\x00" + str(big).encode("utf-8") + b"\x00" + content.encode("ascii"))
         assert _config_hash(flags, [(big, file_digest(big))]) == reference.hexdigest()
+
+    @pytest.mark.parametrize("command", [
+        ["sample", "--counts", "5:5:5", "--out", "manifest.jsonl"],
+        ["mix-search", "--out-dir", "run"],
+        ["mix-adjust", "--coarse-result", "coarse.json", "--out-dir", "run"],
+    ])
+    def test_each_pool_is_read_once(self, tmp_path, monkeypatch, opened_paths, command):
+        monkeypatch.chdir(tmp_path)
+        config = write_pools_and_config(tmp_path)
+        (tmp_path / "coarse.json").write_text(json.dumps(
+            {"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04}, "lambda_loss": 0.25}))
+        pools = [str(tmp_path / f"{tag}.jsonl") for tag in ("d1", "d2", "d3")]
+        opened_paths.clear()  # the pools were opened to be written
+        assert run_cli(*command, "--config", config) == 0
+        assert [opened_paths.count(path) for path in pools] == [1, 1, 1]
+        # the digests the load pass took are those of a second, separate read
+        record = tmp_path / ("manifest.jsonl.run.json" if command[0] == "sample"
+                             else "run/runrecord.json")
+        inputs = [config] + (["coarse.json"] if command[0] == "mix-adjust" else []) + pools
+        flags = {"sample": {"counts": {"d1": 5, "d2": 5, "d3": 5}, "with_replacement": False,
+                            "out": "manifest.jsonl"},
+                 "mix-search": {"seed": 3, "repeats": 1, "jobs": 1, "out_dir": "run"},
+                 "mix-adjust": {"seed": 3, "max_epochs": 3, "tolerance": 0.1, "factor": 1.1,
+                                "out_dir": "run"}}[command[0]]
+        assert json.loads(record.read_text())["config_hash"] == _config_hash(
+            flags, [(path, file_digest(path)) for path in inputs])
 
     def test_hash_deterministic_for_same_inputs(self, tmp_path, mos_file):
         out = tmp_path / "a.jsonl"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import random
@@ -6,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iqmix.datasets import (
@@ -27,7 +28,7 @@ from iqmix.datasets import (
 )
 from iqmix.errors import DataError, ScoreOutOfRangeError
 from iqmix.levels import FIVE_LEVEL_LABELS, LevelScale
-from iqmix.util import read_jsonl
+from iqmix.util import file_digest, read_jsonl
 
 from conftest import d1_record, make_pairs, make_pools, read_records, write_records
 
@@ -361,6 +362,114 @@ class TestPoolRoundTrip:
     def test_unknown_tag_is_checked_before_the_file_is_read(self, tmp_path):
         with pytest.raises(DataError, match="^unknown pool tag 'D4'$"):
             load_pool(tmp_path / "missing.jsonl", "D4")
+
+
+def reference_read(path) -> tuple[list, str | None]:
+    """What read_jsonl reads with json.loads on each stripped line: the
+    (line number, repr of the object) it yields, then its error or None."""
+    got = []
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                if not (line := raw.strip()):
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    return got, f"{path}: line {line_no}: invalid JSON ({exc})"
+                if not isinstance(obj, dict):
+                    return got, f"{path}: line {line_no}: record is not an object"
+                got.append((line_no, repr(obj)))  # repr: nan equals nan
+    except UnicodeDecodeError as exc:
+        return got, f"{path}: not valid UTF-8 ({exc.reason})"
+    return got, None
+
+
+def fast_read(path, digest=None) -> tuple[list, str | None]:
+    got = []
+    try:
+        for line_no, obj in read_jsonl(path, digest):
+            got.append((line_no, repr(obj)))
+    except DataError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def assert_reads_as_json_loads(path):
+    expected = reference_read(path)
+    assert fast_read(path) == expected
+    digest = hashlib.sha256()
+    assert fast_read(path, digest) == expected
+    if expected[1] is None:  # read to the end
+        assert digest.hexdigest() == file_digest(path)
+    return expected
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+JSON_LINES = st.one_of(
+    st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4).map(json.dumps),
+    st.builds(json.dumps, JSON_VALUES, ensure_ascii=st.booleans()),
+    st.tuples(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2).map(json.dumps),
+              st.text(max_size=4)).map("".join),  # trailing data, or trailing space
+    st.text(max_size=12),
+)
+
+
+class TestReadJsonl:
+    @settings(deadline=None, max_examples=300)
+    @given(lines=st.lists(JSON_LINES, max_size=6),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           bad_byte_at=st.none() | st.integers(0, 200))
+    def test_fast_path_reads_as_json_loads(self, tmp_path_factory, lines, newline, bad_byte_at):
+        data = newline.join(lines).encode("utf-8")
+        if bad_byte_at is not None:
+            cut = min(bad_byte_at, len(data))
+            data = data[:cut] + b"\xff" + data[cut:]
+        path = tmp_path_factory.mktemp("jsonl") / "records.jsonl"
+        path.write_bytes(data)
+        assert_reads_as_json_loads(path)
+
+    @pytest.mark.parametrize("data,records,error", [
+        (b'{"a": 1} x\n', [], 'line 1: invalid JSON (Extra data: line 1 column 10 (char 9))'),
+        (b'{"a": 1}\n{"a": 1}{"b": 2}\n', [(1, "{'a': 1}")],
+         "line 2: invalid JSON (Extra data: line 1 column 9 (char 8))"),
+        (b'\xef\xbb\xbf{"a": 1}\n', [],
+         "line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0))"),
+        (b'{"a": NaN, "b": Infinity, "c": -Infinity}\n',
+         [(1, "{'a': nan, 'b': inf, 'c': -inf}")], None),
+        (b'{"a": 1, "a": 2}\n', [(1, "{'a': 2}")], None),
+        (b'{"a": 1}\r{"b": 2}\r\n\r{"c": 3}', [(1, "{'a': 1}"), (2, "{'b': 2}"),
+                                               (4, "{'c': 3}")], None),
+        (b'{"a": 1}\n[1, 2]\n', [(1, "{'a': 1}")], "line 2: record is not an object"),
+        (b'{"a": 1}\n{"b": "\xff"}\n', [], "not valid UTF-8 (invalid start byte)"),
+    ])
+    def test_fixed_case(self, tmp_path, data, records, error):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(data)
+        assert assert_reads_as_json_loads(path) == (
+            records, error and f"{path}: {error}")
+
+    def test_bad_byte_past_the_first_chunk(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        lines = [json.dumps({"id": f"r{i}", "pad": "x" * 90}) for i in range(400)]
+        path.write_bytes("\n".join(lines[:300]).encode() + b"\n\xff\n"
+                         + "\n".join(lines[300:]).encode())
+        records, error = assert_reads_as_json_loads(path)
+        assert 0 < len(records) < 300 and "not valid UTF-8" in error
+
+    def test_digest_of_a_file_over_64_kib(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(json.dumps({"id": f"r{i}", "v": "é" * (i % 7)}) + "\n"
+                                for i in range(9000)), encoding="utf-8")
+        size = path.stat().st_size
+        assert size > 1 << 16 and size % 8192 and size % (1 << 16)
+        records, error = assert_reads_as_json_loads(path)
+        assert len(records) == 9000 and error is None
 
 
 class TestManifestRow:

@@ -86,6 +86,15 @@ class TestResponseSurface:
         with pytest.raises(ConfigError):
             ResponseSurface(1.0, 0.5, -0.1)
 
+    @pytest.mark.parametrize("key", ["peak_ratio", "peak_value", "curvature", "quartic"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_term_is_config_error_naming_it(self, key, value):
+        terms = {"peak_ratio": 2.0, "peak_value": 0.5, "curvature": 0.1, "quartic": 0.0}
+        with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value!r}$"):
+            ResponseSurface(**{**terms, key: value})
+        with pytest.raises(ConfigError, match=f"^oracle.s.{key} must be finite"):
+            ResponseSurface.from_dict({**terms, key: value}, "oracle.s")
+
     def test_from_dict(self):
         surface = ResponseSurface.from_dict(
             {"peak_ratio": 3.54, "peak_value": 0.85, "curvature": 0.25}

@@ -50,12 +50,7 @@ from .metrics import (
     plcc,
     srcc,
 )
-from .mixopt import (
-    MixRatio,
-    SearchConfig,
-    coarse_result_from_dict,
-    coarse_search,
-)
+from .mixopt import MixRatio, coarse_search
 from .oracle import ExternalOracle, Ledger, Oracle, SyntheticOracle
 from .scoring import BatchDiagnostic, rescale_score, score_batch
 from .util import file_digest, is_number, number_setting, read_jsonl, record_id
@@ -433,25 +428,21 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
     scoring_weight = _number("scoring_weight", float, conf.get("scoring_weight"), default=0.5)
     if not 0.0 <= scoring_weight <= 1.0:
         raise ConfigError(f"scoring_weight must be in [0, 1], got {scoring_weight!r}")
+    for key, value in (("repeats", repeats), ("jobs", jobs)):
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
     out_dir = _fresh_out_dir(args, conf, "mix-search-run", "coarse_result.json")
     result_path = out_dir / "coarse_result.json"
 
     if conf.get("axis", "log10") != "log10":
         raise ConfigError(f"axis must be log10 (the only sweep axis), got {conf['axis']!r}")
     grid = _section(conf, "grid")
-    config = SearchConfig(
-        workdir=out_dir,
-        seed=seed,
-        repeats=repeats,
-        jobs=jobs,
-        scoring_weight=scoring_weight,
-        stage1_ratios=_grid_ratios(grid, "stage1"),
-        stage2_ratios=_grid_ratios(grid, "stage2"),
-    )
+    stage_ratios = {f"{key}_ratios": _grid_ratios(grid, key) for key in ("stage1", "stage2")}
     oracle = _build_oracle(conf)
     pools, pool_inputs = _load_pools(conf)
     ledger = _ledger(oracle, conf, out_dir, pool_inputs)
-    doc = coarse_search(ledger, pools, config)
+    doc = coarse_search(ledger, pools, workdir=out_dir, seed=seed, repeats=repeats, jobs=jobs,
+                        scoring_weight=scoring_weight, **stage_ratios)
     weights = doc["mix_ratio"]
     print(f"d2:d3 ratio        {doc['stage1']['ratio']:.6g}")
     print(f"(d2+d3):d1 ratio   {doc['stage2']['ratio']:.6g}")
@@ -485,11 +476,10 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
     trajectory_path = out_dir / "trajectory.jsonl"
 
     try:
-        coarse = coarse_result_from_dict(
-            json.loads(Path(args.coarse_result).read_text(encoding="utf-8")))
+        coarse = json.loads(Path(args.coarse_result).read_text(encoding="utf-8"))
+        check_controls(coarse, max_epochs, tolerance, factor)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, DataError) as exc:
         raise DataError(f"cannot read coarse result {args.coarse_result}: {exc}")
-    check_controls(coarse, max_epochs, tolerance, factor)
 
     oracle = _build_oracle(conf)
     pools, pool_inputs = _load_pools(conf)
@@ -499,8 +489,8 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
         seed=seed, workdir=out_dir, coarse_ref=str(args.coarse_result),
     )
     for record in epochs:
-        print(f"epoch {record.epoch}: counts {record.counts} "
-              f"ratio {record.ratio:.6g} -> {record.action}")
+        print(f"epoch {record['epoch']}: counts {record['counts']} "
+              f"ratio {record['ratio']:.6g} -> {record['action']}")
     print(f"trajectory written to {trajectory_path}")
 
     _write_run_record(

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Literal, Mapping
 
 from .datasets import PoolSet, sample_mixture, write_manifest
-from .errors import ConfigError
-from .mixopt import CoarseResult
+from .errors import ConfigError, DataError
+from .mixopt import MixRatio, split_d2_d3
 from .oracle import Oracle, OracleRequest
-from .util import derive_seed, round_half_up
+from .util import derive_seed, is_number, round_half_up
 
 Action = Literal["increase_interpreting", "increase_scoring", "hold"]
 
@@ -38,16 +37,27 @@ def _check_step(lambda_loss: float, tolerance: float, factor: float, split: floa
         raise ConfigError(f"D2:D3 split must be finite and positive, got {split!r}")
 
 
-def check_controls(coarse: CoarseResult, max_epochs: int, tolerance: float,
-                   factor: float) -> float:
-    """Reject controls that run_loop() cannot act on, before any pool is
-    loaded or oracle called; returns the D2:D3 split of the coarse weights."""
+def check_controls(coarse: dict, max_epochs: int, tolerance: float,
+                   factor: float) -> tuple[MixRatio, float, float]:
+    """Check a coarse-result document and the controls before any pool is
+    loaded or oracle called: a missing or non-numeric mix_ratio weight or
+    lambda_loss is a DataError, a negative weight or a control that
+    run_loop() cannot act on a ConfigError. Returns the weights, lambda_loss
+    and the D2:D3 split of the weights."""
+    try:
+        weights = coarse["mix_ratio"]
+        values = (weights["d1"], weights["d2"], weights["d3"], coarse["lambda_loss"])
+        if not all(is_number(v) for v in values):
+            raise TypeError(f"mix_ratio weights and lambda_loss must be numbers, got {values}")
+        d1, d2, d3, lambda_loss = (float(v) for v in values)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise DataError(f"malformed coarse result ({exc!r})")
+    ratio = MixRatio(d1, d2, d3)
     if max_epochs < 1:
         raise ConfigError(f"max_epochs must be >= 1, got {max_epochs}")
-    weights = coarse.ratio
-    split = weights.d2 / weights.d3 if weights.d3 > 0 else math.inf
-    _check_step(coarse.lambda_loss, tolerance, factor, split)
-    return split
+    split = ratio.d2 / ratio.d3 if ratio.d3 > 0 else math.inf
+    _check_step(lambda_loss, tolerance, factor, split)
+    return ratio, lambda_loss, split
 
 
 def decide(
@@ -68,26 +78,16 @@ def decide(
     _check_step(lambda_loss, tolerance, factor, d2_d3_ratio)
     d1, d2, d3 = (int(counts.get(k, 0)) for k in ("d1", "d2", "d3"))
     if rho < lambda_loss * (1.0 - tolerance):
-        total = round_half_up(factor * (d2 + d3))
-        d2 = round_half_up(total * (d2_d3_ratio / (1.0 + d2_d3_ratio)))
-        return "increase_interpreting", {"d1": d1, "d2": d2, "d3": total - d2}
+        return "increase_interpreting", {
+            "d1": d1, **split_d2_d3(round_half_up(factor * (d2 + d3)), d2_d3_ratio)}
     if rho > lambda_loss * (1.0 + tolerance):
         return "increase_scoring", {"d1": round_half_up(factor * d1), "d2": d2, "d3": d3}
     return "hold", {"d1": d1, "d2": d2, "d3": d3}
 
 
-@dataclass(frozen=True)
-class EpochRecord:
-    epoch: int
-    counts: dict[str, int]
-    losses: dict[str, float]
-    ratio: float
-    action: Action
-
-
 def run_loop(
     oracle: Oracle,
-    coarse: CoarseResult,
+    coarse: dict,
     pools: PoolSet,
     *,
     max_epochs: int = 3,
@@ -96,8 +96,10 @@ def run_loop(
     seed: int = 0,
     workdir: str | Path,
     coarse_ref: str | None = None,
-) -> list[EpochRecord]:
-    """Per-epoch adjustment loop; returns the epochs it ran.
+) -> list[dict]:
+    """Per-epoch adjustment loop on a coarse-result document (the dict that
+    coarse_search() returns); returns the epochs it ran, each the dict of
+    its trajectory line: `epoch`, `counts`, `losses`, `ratio`, `action`.
 
     Epoch 1 trains at the coarse ratio scaled to the full D1 pool; every
     later epoch applies decide() to the previous epoch's losses and
@@ -108,16 +110,16 @@ def run_loop(
     gets a header line and then one line per epoch as it finishes, so a
     mid-run oracle failure leaves the completed epochs behind.
     """
-    split = check_controls(coarse, max_epochs, tolerance, factor)
+    weights, lambda_loss, split = check_controls(coarse, max_epochs, tolerance, factor)
     manifest_dir = Path(workdir) / "manifests"
     manifest_dir.mkdir(parents=True, exist_ok=True)
 
-    epochs: list[EpochRecord] = []
+    epochs: list[dict] = []
     with open(Path(workdir) / "trajectory.jsonl", "w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"lambda_loss": coarse.lambda_loss, "tolerance": tolerance,
+        handle.write(json.dumps({"lambda_loss": lambda_loss, "tolerance": tolerance,
                                  "factor": factor, "seed": seed,
                                  "coarse_result": coarse_ref}, ensure_ascii=False) + "\n")
-        counts = coarse.ratio.counts_for_d1_base(len(pools.d1))
+        counts = weights.counts_for_d1_base(len(pools.d1))
         consecutive_holds = 0
         for epoch in range(1, max_epochs + 1):
             epoch_seed = derive_seed(seed, "epoch", epoch)
@@ -126,17 +128,12 @@ def run_loop(
             write_manifest(manifest, path)
             response = oracle.evaluate(OracleRequest(path, epoch_seed))
             rho = response.loss_scoring / response.loss_interpreting
-            action, next_counts = decide(rho, coarse.lambda_loss, tolerance, factor,
-                                         counts, split)
-            epochs.append(EpochRecord(
-                epoch=epoch,
-                counts=dict(counts),
-                losses={"scoring": response.loss_scoring,
-                        "interpreting": response.loss_interpreting},
-                ratio=rho,
-                action=action,
-            ))
-            handle.write(json.dumps(asdict(epochs[-1]), ensure_ascii=False) + "\n")
+            action, next_counts = decide(rho, lambda_loss, tolerance, factor, counts, split)
+            epochs.append({"epoch": epoch, "counts": dict(counts),
+                           "losses": {"scoring": response.loss_scoring,
+                                      "interpreting": response.loss_interpreting},
+                           "ratio": rho, "action": action})
+            handle.write(json.dumps(epochs[-1], ensure_ascii=False) + "\n")
             handle.flush()
 
             consecutive_holds = consecutive_holds + 1 if action == "hold" else 0

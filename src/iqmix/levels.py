@@ -110,8 +110,9 @@ def quantize_scores(scores: Iterable[float], scale: LevelScale) -> np.ndarray:
     """Vectorized score -> level-index conversion (same edge convention)."""
     arr = np.asarray(list(scores) if not isinstance(scores, np.ndarray) else scores,
                      dtype=np.float64)
-    if arr.size and (arr.min() < scale.min_score or arr.max() > scale.max_score):
-        bad = arr[(arr < scale.min_score) | (arr > scale.max_score)][0]
+    # min() and max() are nan if any score is, and nan fails every comparison
+    if arr.size and not (scale.min_score <= arr.min() and arr.max() <= scale.max_score):
+        bad = float(arr[~((arr >= scale.min_score) & (arr <= scale.max_score))][0])
         raise ScoreOutOfRangeError(
             f"score {bad!r} outside scale [{scale.min_score}, {scale.max_score}]"
         )

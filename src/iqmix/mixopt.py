@@ -26,9 +26,9 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .datasets import PoolSet, sample_mixture, write_manifest
-from .errors import ConfigError, DataError, RankDeficientFitError
+from .errors import ConfigError, RankDeficientFitError
 from .oracle import Oracle, OracleRequest, OracleResponse, realized_axes
-from .util import derive_seed, is_number, round_half_up
+from .util import derive_seed, round_half_up
 
 log = logging.getLogger(__name__)
 
@@ -111,11 +111,14 @@ def compose_counts(
         if d2_d3_ratio is None or d2_d3_ratio <= 0:
             raise ConfigError("stage mixed_vs_d1 requires a positive d2_d3_ratio")
         d1 = pool_sizes["d1"]
-        mixed = max(1, round_half_up(d1 * ratio))
-        share = d2_d3_ratio / (1.0 + d2_d3_ratio)
-        d2 = round_half_up(mixed * share)
-        return {"d1": d1, "d2": d2, "d3": mixed - d2}
+        return {"d1": d1, **split_d2_d3(max(1, round_half_up(d1 * ratio)), d2_d3_ratio)}
     raise ConfigError(f"unknown sweep stage {stage!r}")
+
+
+def split_d2_d3(total: int, d2_d3_ratio: float) -> dict[str, int]:
+    """A D2+D3 total split at a D2:D3 ratio: D2 rounds half-up, D3 takes the rest."""
+    d2 = round_half_up(total * (d2_d3_ratio / (1.0 + d2_d3_ratio)))
+    return {"d2": d2, "d3": total - d2}
 
 
 def _point_axis(stage: Stage, counts: dict[str, int]) -> float:
@@ -269,42 +272,6 @@ def argmax_ratio(curve: dict) -> float:
     return best
 
 
-@dataclass
-class SearchConfig:
-    """Knobs for the two-stage coarse search."""
-
-    workdir: Path
-    seed: int = 0
-    repeats: int = 3
-    jobs: int = 1
-    scoring_weight: float = 0.5
-    stage1_ratios: tuple[float, ...] | None = None
-    stage2_ratios: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class CoarseResult:
-    """What the per-epoch controller reads of a coarse result: the composed
-    mix ratio and the reference loss ratio."""
-
-    ratio: MixRatio
-    lambda_loss: float
-
-
-def coarse_result_from_dict(doc: dict) -> CoarseResult:
-    """The two fields the per-epoch controller uses: the mix_ratio weights
-    and lambda_loss. A missing or non-numeric one raises a DataError."""
-    try:
-        weights = doc["mix_ratio"]
-        values = (weights["d1"], weights["d2"], weights["d3"], doc["lambda_loss"])
-        if not all(is_number(v) for v in values):
-            raise TypeError(f"mix_ratio weights and lambda_loss must be numbers, got {values}")
-        d1, d2, d3, lambda_loss = (float(v) for v in values)
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise DataError(f"malformed coarse result ({exc!r})")
-    return CoarseResult(ratio=MixRatio(d1, d2, d3), lambda_loss=lambda_loss)
-
-
 def _warn_if_boundary(stage: Stage, argmax_axis: float, curve: dict) -> None:
     if argmax_axis in curve["fit_domain"]:
         log.warning(
@@ -314,7 +281,18 @@ def _warn_if_boundary(stage: Stage, argmax_axis: float, curve: dict) -> None:
         )
 
 
-def coarse_search(oracle: Oracle, pools: PoolSet, config: SearchConfig) -> dict:
+def coarse_search(
+    oracle: Oracle,
+    pools: PoolSet,
+    *,
+    workdir: str | Path,
+    seed: int = 0,
+    repeats: int = 3,
+    jobs: int = 1,
+    scoring_weight: float = 0.5,
+    stage1_ratios: Sequence[float] | None = None,
+    stage2_ratios: Sequence[float] | None = None,
+) -> dict:
     """Run both sweep stages, compose the mix ratio, and record the
     reference loss ratio at a confirmation run of the chosen mixture.
 
@@ -324,17 +302,17 @@ def coarse_search(oracle: Oracle, pools: PoolSet, config: SearchConfig) -> dict:
     """
     from . import __version__
 
-    workdir = Path(config.workdir)
+    workdir = Path(workdir)
     out = workdir / "coarse_result.json"
     out.unlink(missing_ok=True)
     stages: dict[str, dict] = {}
-    for key, stage, grid in (("stage1", "d2_vs_d3", config.stage1_ratios),
-                             ("stage2", "mixed_vs_d1", config.stage2_ratios)):
+    for key, stage, grid in (("stage1", "d2_vs_d3", stage1_ratios),
+                             ("stage2", "mixed_vs_d1", stage2_ratios)):
         points = sweep(
             oracle, stage, pools,
-            repeats=config.repeats, seed=config.seed, workdir=workdir, ratios=grid,
+            repeats=repeats, seed=seed, workdir=workdir, ratios=grid,
             d2_d3_ratio=stages["stage1"]["ratio"] if stages else None,
-            scoring_weight=config.scoring_weight, jobs=config.jobs,
+            scoring_weight=scoring_weight, jobs=jobs,
         )
         curve = fit_curve(points)
         t = argmax_ratio(curve)
@@ -343,13 +321,13 @@ def coarse_search(oracle: Oracle, pools: PoolSet, config: SearchConfig) -> dict:
 
     ratio = MixRatio.from_stage_ratios(stages["stage1"]["ratio"], stages["stage2"]["ratio"])
     counts = ratio.counts_for_d1_base(len(pools.d1))
-    confirm_seed = derive_seed(config.seed, "confirm")
+    confirm_seed = derive_seed(seed, "confirm")
     manifest = sample_mixture(pools, counts, confirm_seed, with_replacement=True)
     confirm_path = workdir / "manifests" / "confirm.jsonl"
     write_manifest(manifest, confirm_path)
     response = oracle.evaluate(OracleRequest(confirm_path, confirm_seed))
     doc = {
-        "tool_version": __version__, "seed": config.seed, "repeats": config.repeats,
+        "tool_version": __version__, "seed": seed, "repeats": repeats,
         "mix_ratio": {"d1": ratio.d1, "d2": ratio.d2, "d3": ratio.d3},
         "lambda_loss": response.loss_scoring / response.loss_interpreting,
         "confirmation": {

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DataError, MalformedLogitsError
 from .levels import FIVE_LEVEL_LABELS, LevelScale, _labels_for
+from .util import is_number
 
 # Records score_batch buffers; their five-level rows are softmaxed as one array.
 CHUNK_ROWS = 4096
@@ -105,13 +106,16 @@ def _parse_five_level(obj: dict, item_id: str) -> list[float]:
     if not isinstance(logits, dict):
         raise MalformedLogitsError(f"{item_id}: missing 'logits' object")
     values = []
-    for label in FIVE_LEVEL_LABELS:
-        if label not in logits:
-            raise MalformedLogitsError(f"{item_id}: missing logit for level {label!r}")
-        v = logits[label]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise MalformedLogitsError(f"{item_id}: non-numeric logit for {label!r}")
-        values.append(float(v))
+    try:
+        for label in FIVE_LEVEL_LABELS:
+            if label not in logits:
+                raise MalformedLogitsError(f"{item_id}: missing logit for level {label!r}")
+            v = logits[label]
+            if not is_number(v):
+                raise MalformedLogitsError(f"{item_id}: non-numeric logit for {label!r}")
+            values.append(float(v))
+    except OverflowError:  # an int too large for a float
+        raise MalformedLogitsError(f"{item_id}: logit for {label!r} is too large for a float")
     # A NaN or infinity makes the sum non-finite; a finite sum proves every
     # value finite, which spares the per-level check on the common path.
     if not math.isfinite(sum(values)):
@@ -121,11 +125,14 @@ def _parse_five_level(obj: dict, item_id: str) -> list[float]:
 
 def _parse_binary(obj: dict, item_id: str) -> tuple[float, float]:
     pair = []
-    for key in ("good", "poor"):
-        v = obj.get(key)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise MalformedLogitsError(f"{item_id}: missing or non-numeric {key!r} logit")
-        pair.append(float(v))
+    try:
+        for key in ("good", "poor"):
+            v = obj.get(key)
+            if not is_number(v):
+                raise MalformedLogitsError(f"{item_id}: missing or non-numeric {key!r} logit")
+            pair.append(float(v))
+    except OverflowError:  # an int too large for a float
+        raise MalformedLogitsError(f"{item_id}: logit for {key!r} is too large for a float")
     return pair[0], pair[1]
 
 

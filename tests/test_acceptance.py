@@ -26,7 +26,7 @@ from iqmix.datasets import (
 )
 from iqmix.levels import FIVE_LEVEL_LABELS, LevelScale
 from iqmix.metrics import PairedSample, conversion_precision, plcc, srcc
-from iqmix.mixopt import CoarseResult, MixRatio, SearchConfig, coarse_search
+from iqmix.mixopt import coarse_search
 from iqmix.scoring import (
     binary_score,
     score_from_logit_vector,
@@ -109,8 +109,8 @@ def test_criterion_06_planted_optimum_recovery(tmp_path):
 
     # noise-free: D1 sized so every swept mixed count splits 2.42 exactly
     pools = make_pools(1710, 2000, 2000)
-    config = SearchConfig(workdir=tmp_path / "exact", seed=42, repeats=1)
-    result = coarse_search(planted_oracle(), pools, config)
+    result = coarse_search(planted_oracle(), pools, workdir=tmp_path / "exact", seed=42,
+                           repeats=1)
     assert abs(math.log10(result["stage1"]["ratio"]) - LOG_242) <= 1e-6
     assert abs(math.log10(result["stage2"]["ratio"]) - LOG_354) <= 1e-6
     composed = tuple(result["mix_ratio"][k] for k in ("d1", "d2", "d3"))
@@ -119,10 +119,8 @@ def test_criterion_06_planted_optimum_recovery(tmp_path):
 
     # noisy: sigma 0.01 with 3 repeats recovers within 0.05 axis units
     noisy_pools = make_pools(600, 600, 600)
-    noisy_config = SearchConfig(workdir=tmp_path / "noisy", seed=42, repeats=3)
-    noisy = coarse_search(
-        planted_oracle(noise_sigma=0.01), noisy_pools, noisy_config
-    )
+    noisy = coarse_search(planted_oracle(noise_sigma=0.01), noisy_pools,
+                          workdir=tmp_path / "noisy", seed=42, repeats=3)
     assert abs(math.log10(noisy["stage1"]["ratio"]) - LOG_242) <= 0.05
     assert abs(math.log10(noisy["stage2"]["ratio"]) - LOG_354) <= 0.05
     assert time.monotonic() - start < 10.0
@@ -136,7 +134,7 @@ def test_criterion_07_controller_convergence(tmp_path):
     c_s = 1.2 * lam / math.sqrt(1770.0 / 500.0)
     oracle = planted_oracle(loss_scale_scoring=c_s, loss_scale_interpreting=1.0,
                             loss_alpha=0.5)
-    coarse = CoarseResult(ratio=MixRatio(1.0, 2.50, 1.04), lambda_loss=lam)
+    coarse = {"mix_ratio": {"d1": 1.0, "d2": 2.50, "d3": 1.04}, "lambda_loss": lam}
     epochs = run_loop(oracle, coarse, pools, max_epochs=3, tolerance=0.1,
                       factor=1.1, seed=7, workdir=tmp_path)
 
@@ -157,9 +155,9 @@ def test_criterion_07_controller_convergence(tmp_path):
         expected.append((d1, rho, action))
         d1 = d1_next
 
-    observed = [(e.counts["d1"], e.ratio, e.action) for e in epochs]
+    observed = [(e["counts"]["d1"], e["ratio"], e["action"]) for e in epochs]
     assert observed == expected
-    in_band = [lam * 0.9 <= e.ratio <= lam * 1.1 for e in epochs]
+    in_band = [lam * 0.9 <= e["ratio"] <= lam * 1.1 for e in epochs]
     assert any(in_band[:3])
     assert time.monotonic() - start < 1.0
 

@@ -709,6 +709,8 @@ class TestMixSearch:
          "grid.stage1 needs 5 distinct ratios for a degree-4 fit, got [1, 2, 3]"),
         ({"grid": {"stage2": [1, 2.0, 2, 3, 4, 4]}},
          "grid.stage2 needs 5 distinct ratios for a degree-4 fit, got [1, 2.0, 2, 3, 4, 4]"),
+        ({"repeats": 0}, "repeats must be >= 1, got 0"),
+        ({"jobs": 0}, "jobs must be >= 1, got 0"),
     ])
     def test_bad_setting_is_config_error_before_pools_load(
             self, tmp_path, capsys, extra, message):

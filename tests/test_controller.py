@@ -1,12 +1,11 @@
 import json
 import math
-from dataclasses import asdict
 
 import pytest
 
-from iqmix.controller import decide, run_loop
-from iqmix.errors import ConfigError, OracleExecutionError
-from iqmix.mixopt import CoarseResult, MixRatio
+from iqmix.controller import check_controls, decide, run_loop
+from iqmix.errors import ConfigError, DataError, OracleExecutionError
+from iqmix.mixopt import MixRatio, coarse_search
 from iqmix.oracle import OracleResponse, SyntheticOracle, ResponseSurface
 
 from conftest import make_pools, planted_oracle
@@ -14,8 +13,9 @@ from conftest import make_pools, planted_oracle
 LAMBDA = 1.0 / 4.66
 
 
-def coarse_stub(lambda_loss=LAMBDA) -> CoarseResult:
-    return CoarseResult(ratio=MixRatio(1.0, 2.50, 1.04), lambda_loss=lambda_loss)
+def coarse_stub(lambda_loss=LAMBDA, weights=(1.0, 2.50, 1.04)) -> dict:
+    """The two fields of a coarse-result document that run_loop reads."""
+    return {"mix_ratio": dict(zip(("d1", "d2", "d3"), weights)), "lambda_loss": lambda_loss}
 
 
 class ScriptedOracle:
@@ -116,6 +116,45 @@ class TestDecide:
                 decide(rho, lambda_loss, tolerance, factor, counts, split)
 
 
+class TestCheckControls:
+    def test_returns_weights_lambda_and_split(self):
+        weights, lambda_loss, split = check_controls(
+            {"mix_ratio": {"d1": 1, "d2": 3, "d3": 1.5}, "lambda_loss": 2}, 3, 0.1, 1.1)
+        assert weights == MixRatio(1.0, 3.0, 1.5)
+        assert (lambda_loss, split) == (2.0, 2.0)
+        assert type(lambda_loss) is float
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {},
+        {"mix_ratio": {"d1": 1.0, "d2": 2.5}, "lambda_loss": 0.25},
+        {"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04}},
+        {"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04}, "lambda_loss": "high"},
+        {"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04}, "lambda_loss": True},
+        {"mix_ratio": {"d1": 1.0, "d2": "2.5", "d3": 1.04}, "lambda_loss": 0.25},
+        {"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 10 ** 400}, "lambda_loss": 0.25},
+        {"mix_ratio": [1.0, 2.5, 1.04], "lambda_loss": 0.25},
+    ])
+    def test_document_fields_are_checked_first_as_data_errors(self, doc):
+        # bad controls too: the document is checked before them
+        with pytest.raises(DataError, match="malformed coarse result"):
+            check_controls(doc, 0, 1.0, 1.0)
+
+    def test_negative_weight_is_config_error_before_the_controls(self):
+        doc = coarse_stub(weights=(1.0, -2.5, 1.04))
+        with pytest.raises(ConfigError, match="mix weights must be finite and nonnegative"):
+            check_controls(doc, 0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("controls,message", [
+        ((0, 1.0, 1.0), "max_epochs must be >= 1, got 0"),
+        ((3, 1.0, 1.0), "tolerance must be in"),
+        ((3, 0.1, 1.0), "factor must be finite and > 1"),
+    ])
+    def test_controls_are_config_errors_in_order(self, controls, message):
+        with pytest.raises(ConfigError, match=message):
+            check_controls(coarse_stub(), *controls)
+
+
 def convergent_oracle() -> SyntheticOracle:
     """Loss model whose epoch-1 ratio sits 20% above the reference band."""
     c_s = 1.2 * LAMBDA / math.sqrt(1770.0 / 500.0)
@@ -146,16 +185,27 @@ class TestRunLoop:
                 d1_next = d1
             expected.append((d1, rho, action))
             d1 = d1_next
-        assert [(e.counts["d1"], e.ratio, e.action) for e in epochs] == expected
-        assert epochs[-1].action == "hold"
-        assert LAMBDA * 0.9 <= epochs[-1].ratio <= LAMBDA * 1.1
+        assert [(e["counts"]["d1"], e["ratio"], e["action"]) for e in epochs] == expected
+        assert epochs[-1]["action"] == "hold"
+        assert LAMBDA * 0.9 <= epochs[-1]["ratio"] <= LAMBDA * 1.1
+
+    def test_takes_the_document_that_coarse_search_returns(self, tmp_path, pools_small):
+        coarse = coarse_search(planted_oracle(), pools_small, workdir=tmp_path / "search",
+                               seed=3, repeats=1)
+        epochs = run_loop(convergent_oracle(), coarse, pools_small, max_epochs=2, seed=3,
+                          workdir=tmp_path / "adjust")
+        weights = MixRatio(**coarse["mix_ratio"])
+        assert epochs[0]["counts"] == weights.counts_for_d1_base(len(pools_small.d1))
+        header = json.loads((tmp_path / "adjust" / "trajectory.jsonl").read_text()
+                            .splitlines()[0])
+        assert header["lambda_loss"] == coarse["lambda_loss"]
 
     def test_constant_losses_hold_twice_and_stop(self, tmp_path):
         pools = make_pools(100, 300, 130)
         oracle = ScriptedOracle([(LAMBDA, 1.0)] * 10)
         epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=5,
                           seed=1, workdir=tmp_path)
-        assert [e.action for e in epochs] == ["hold", "hold"]
+        assert [e["action"] for e in epochs] == ["hold", "hold"]
         assert oracle.calls == 2
 
     def test_single_epoch(self, tmp_path):
@@ -174,14 +224,14 @@ class TestRunLoop:
                           seed=3, workdir=tmp_path)
         for prev, cur in zip(epochs, epochs[1:]):
             for key in ("d1", "d2", "d3"):
-                assert cur.counts[key] >= prev.counts[key]
+                assert cur["counts"][key] >= prev["counts"][key]
 
     def test_epoch1_counts_are_coarse_ratio(self, tmp_path):
         pools = make_pools(200, 600, 250)
         oracle = ScriptedOracle([(LAMBDA, 1.0)])
         epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=1,
                           seed=0, workdir=tmp_path)
-        assert epochs[0].counts == {"d1": 200, "d2": 500, "d3": 208}
+        assert epochs[0]["counts"] == {"d1": 200, "d2": 500, "d3": 208}
 
     def test_trajectory_file_format(self, tmp_path):
         pools = make_pools(100, 300, 130)
@@ -199,7 +249,7 @@ class TestRunLoop:
         assert set(lines[1]["counts"]) == {"d1", "d2", "d3"}
         assert set(lines[1]["losses"]) == {"scoring", "interpreting"}
         assert len(epochs) == 2
-        assert epochs[0].action == "hold"
+        assert epochs[0]["action"] == "hold"
 
     def test_library_call_writes_the_returned_epochs(self, tmp_path):
         pools = make_pools(100, 300, 130)
@@ -207,7 +257,7 @@ class TestRunLoop:
         epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=3, seed=5,
                           workdir=tmp_path)
         lines = (tmp_path / "trajectory.jsonl").read_text().splitlines()
-        assert [json.loads(line) for line in lines[1:]] == [asdict(e) for e in epochs]
+        assert [json.loads(line) for line in lines[1:]] == epochs
         assert [list(json.loads(line)) for line in lines[1:]] == \
             [["epoch", "counts", "losses", "ratio", "action"]] * 3
 
@@ -237,40 +287,41 @@ class TestRunLoop:
         oracle = ScriptedOracle([(5.0, 1.0)] * 6)
         epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=6,
                           seed=4, workdir=tmp_path)
-        assert epochs[-1].counts["d1"] > 100
+        assert epochs[-1]["counts"]["d1"] > 100
 
     def test_split_ratio_fallback_from_weights(self, tmp_path):
-        coarse = CoarseResult(ratio=MixRatio(1.0, 3.0, 1.0), lambda_loss=0.5)
+        coarse = coarse_stub(0.5, (1.0, 3.0, 1.0))
         pools = make_pools(100, 400, 150)
         oracle = ScriptedOracle([(0.001, 1.0)] * 2)  # far below: grow interpreting
         first, second = run_loop(oracle, coarse, pools, max_epochs=2, seed=6,
                                  workdir=tmp_path)
-        grown_d2 = second.counts["d2"]
-        total = second.counts["d2"] + second.counts["d3"]
+        grown_d2 = second["counts"]["d2"]
+        total = second["counts"]["d2"] + second["counts"]["d3"]
         assert abs(grown_d2 - total * 0.75) <= 1.0  # split held at 3:1
 
     def test_split_follows_weights_not_stage1_ratio(self, tmp_path):
         # the stage-1 ratio 1.0 disagrees with the 3:1 weights; the weights win
-        coarse = CoarseResult(ratio=MixRatio(1.0, 3.0, 1.0), lambda_loss=0.5)
+        coarse = coarse_stub(0.5, (1.0, 3.0, 1.0))
         oracle = ScriptedOracle([(0.001, 1.0)] * 2)  # far below: grow interpreting
         first, second = run_loop(oracle, coarse, make_pools(100, 400, 150), max_epochs=2,
                                  seed=6, workdir=tmp_path)
-        assert first.counts == {"d1": 100, "d2": 300, "d3": 100}
-        assert second.counts == {"d1": 100, "d2": 330, "d3": 110}  # 440 split 3:1
+        assert first["counts"] == {"d1": 100, "d2": 300, "d3": 100}
+        assert second["counts"] == {"d1": 100, "d2": 330, "d3": 110}  # 440 split 3:1
 
-    @pytest.mark.parametrize("ratio,lambda_loss,controls", [
-        (MixRatio(1.0, 2.5, 1.04), math.nan, {}),
-        (MixRatio(1.0, 2.5, 1.04), math.inf, {}),
-        (MixRatio(1.0, 2.5, 1.04), -1.0, {}),
-        (MixRatio(1.0, 2.5, 1.04), LAMBDA, {"factor": 1.0}),
-        (MixRatio(1.0, 2.5, 1.04), LAMBDA, {"factor": math.inf}),
-        (MixRatio(1.0, 2.5, 1.04), LAMBDA, {"tolerance": 1.0}),
-        (MixRatio(1.0, 2.5, 0.0), LAMBDA, {}),
-        (MixRatio(1.0, 0.0, 1.04), LAMBDA, {}),
+    @pytest.mark.parametrize("weights,lambda_loss,controls", [
+        ((1.0, 2.5, 1.04), math.nan, {}),
+        ((1.0, 2.5, 1.04), math.inf, {}),
+        ((1.0, 2.5, 1.04), -1.0, {}),
+        ((1.0, 2.5, 1.04), LAMBDA, {"factor": 1.0}),
+        ((1.0, 2.5, 1.04), LAMBDA, {"factor": math.inf}),
+        ((1.0, 2.5, 1.04), LAMBDA, {"tolerance": 1.0}),
+        ((1.0, 2.5, 0.0), LAMBDA, {}),
+        ((1.0, 0.0, 1.04), LAMBDA, {}),
+        ((1.0, -2.5, 1.04), LAMBDA, {}),
     ])
-    def test_controls_checked_before_first_call(self, tmp_path, ratio, lambda_loss,
+    def test_controls_checked_before_first_call(self, tmp_path, weights, lambda_loss,
                                                 controls):
-        coarse = CoarseResult(ratio=ratio, lambda_loss=lambda_loss)
+        coarse = coarse_stub(lambda_loss, weights)
         oracle = ScriptedOracle([(1.0, 1.0)])
         with pytest.raises(ConfigError):
             run_loop(oracle, coarse, make_pools(100, 300, 130), workdir=tmp_path, **controls)
@@ -303,4 +354,4 @@ class TestRunLoop:
         pools = make_pools(100, 300, 130)
         epochs = run_loop(oracle, coarse_stub(), pools, max_epochs=3,
                           seed=1, workdir=tmp_path)
-        assert [e.action for e in epochs] == ["hold", "hold"]
+        assert [e["action"] for e in epochs] == ["hold", "hold"]

@@ -40,11 +40,14 @@ class TestScoreToLevel:
             above = np.nextafter(edge, np.inf)
             assert score_to_level(above, scale15).index == i + 1
 
-    @pytest.mark.parametrize("bad", [0.5, 5.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0.5, 5.5, float("nan"), float("inf"), float("-inf")])
     def test_out_of_range(self, scale15, bad):
-        with pytest.raises(ScoreOutOfRangeError) as exc:
+        message = f"score {bad!r} outside scale [1.0, 5.0]"
+        with pytest.raises(ScoreOutOfRangeError) as scalar:
             score_to_level(bad, scale15)
-        assert repr(bad) in str(exc.value)
+        with pytest.raises(ScoreOutOfRangeError) as vector:
+            quantize_scores([3.0, bad, 2.0], scale15)
+        assert str(scalar.value) == str(vector.value) == message
 
     def test_monotone(self, scale15):
         rng = np.random.default_rng(11)

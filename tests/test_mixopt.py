@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import logging
 import math
@@ -11,16 +10,15 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from iqmix.errors import ConfigError, OracleExecutionError, RankDeficientFitError
+from iqmix.controller import check_controls
 from iqmix.mixopt import (
-    CoarseResult,
     MixRatio,
-    SearchConfig,
     argmax_ratio,
-    coarse_result_from_dict,
     coarse_search,
     compose_counts,
     fit_curve,
     grid_ratios,
+    split_d2_d3,
     sweep,
 )
 from iqmix.oracle import Ledger, OracleResponse
@@ -147,6 +145,21 @@ class TestComposeCounts:
         assert counts["d1"] == 100
         assert counts["d2"] + counts["d3"] == 200
         assert counts["d2"] == 150 and counts["d3"] == 50
+
+    def test_split_rounds_d2_half_up_and_d3_takes_the_rest(self):
+        assert split_d2_d3(5, 1.0) == {"d2": 3, "d3": 2}
+        assert split_d2_d3(440, 3.0) == {"d2": 330, "d3": 110}
+        assert split_d2_d3(1, 0.5) == {"d2": 0, "d3": 1}
+
+    def test_stage2_and_the_controller_split_alike(self):
+        from iqmix.controller import decide
+
+        for total, ratio in ((201, 2.42), (151, 1.0), (1001, 0.37)):
+            stage2 = compose_counts("mixed_vs_d1", total / 100, {"d1": 100, "d2": 1, "d3": 1},
+                                    d2_d3_ratio=ratio)
+            _, grown = decide(0.0, 0.5, 0.1, total / 100, {"d1": 7, "d2": 60, "d3": 40}, ratio)
+            assert stage2 == {"d1": 100, **split_d2_d3(total, ratio)}
+            assert grown == {"d1": 7, **split_d2_d3(total, ratio)}
 
     def test_stage2_requires_split_ratio(self):
         with pytest.raises(ConfigError):
@@ -357,75 +370,62 @@ class TestMixRatio:
 class TestCoarseSearch:
     def test_planted_recovery_small(self, tmp_path):
         pools = make_pools(342, 400, 400)
-        config = SearchConfig(workdir=tmp_path, seed=2, repeats=1)
-        doc = coarse_search(planted_oracle(), pools, config)
+        doc = coarse_search(planted_oracle(), pools, workdir=tmp_path, seed=2, repeats=1)
         assert math.log10(doc["stage1"]["ratio"]) == pytest.approx(LOG_242, abs=1e-8)
         assert math.log10(doc["stage2"]["ratio"]) == pytest.approx(LOG_354, abs=1e-2)
         assert doc["mix_ratio"]["d1"] == 1.0
 
     def test_lambda_from_constant_losses(self, tmp_path, pools_small):
         oracle = ConstantOracle(loss_scoring=1.0, loss_interpreting=4.66)
-        config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
-        doc = coarse_search(oracle, pools_small, config)
+        doc = coarse_search(oracle, pools_small, workdir=tmp_path, seed=0, repeats=1)
         assert doc["lambda_loss"] == 1.0 / 4.66
         assert doc["lambda_loss"] == pytest.approx(0.2146, abs=1e-4)
 
     def test_scale_invariance(self, tmp_path):
         # scoring_weight=1 keeps stage 2 a pure function of the realized
         # mixed:d1 ratio, so the recovered optimum is size-independent
-        config_small = SearchConfig(workdir=tmp_path / "small", seed=4, repeats=1,
-                                    scoring_weight=1.0)
-        config_big = SearchConfig(workdir=tmp_path / "big", seed=4, repeats=1,
-                                  scoring_weight=1.0)
         oracle = planted_oracle()
-        small = coarse_search(oracle, make_pools(200, 300, 300), config_small)
-        big = coarse_search(oracle, make_pools(1400, 2100, 2100), config_big)
+        small = coarse_search(oracle, make_pools(200, 300, 300), workdir=tmp_path / "small",
+                              seed=4, repeats=1, scoring_weight=1.0)
+        big = coarse_search(oracle, make_pools(1400, 2100, 2100), workdir=tmp_path / "big",
+                            seed=4, repeats=1, scoring_weight=1.0)
         for key in ("stage1", "stage2"):
             assert math.log10(small[key]["ratio"]) == pytest.approx(
                 math.log10(big[key]["ratio"]), abs=1e-9
             )
 
     def test_flat_oracle_warns_and_picks_lower_endpoint(self, tmp_path, pools_small, caplog):
-        config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
         with caplog.at_level(logging.WARNING):
-            doc = coarse_search(ConstantOracle(), pools_small, config)
+            doc = coarse_search(ConstantOracle(), pools_small, workdir=tmp_path, seed=0,
+                                repeats=1)
         assert any("boundary" in m for m in caplog.messages)
         assert doc["stage1"]["ratio"] == pytest.approx(0.1, rel=0.05)
 
     def test_persisted_result_round_trips(self, tmp_path, pools_small):
-        config = SearchConfig(workdir=tmp_path, seed=8, repeats=1)
-        result = coarse_search(planted_oracle(), pools_small, config)
+        result = coarse_search(planted_oracle(), pools_small, workdir=tmp_path, seed=8,
+                               repeats=1)
         doc = json.loads((tmp_path / "coarse_result.json").read_text())
         assert doc["tool_version"]
         assert len(doc["stage1"]["points"]) == 19
-        loaded = coarse_result_from_dict(doc)
-        assert loaded.lambda_loss == result["lambda_loss"]
-        assert loaded.ratio == MixRatio(**result["mix_ratio"])
+        weights, lambda_loss, _ = check_controls(doc, 3, 0.1, 1.1)
+        assert lambda_loss == result["lambda_loss"]
+        assert weights == MixRatio(**result["mix_ratio"])
         assert doc["stage1"]["curve"]["axis"] == doc["stage2"]["curve"]["axis"] == "log10"
 
     def test_returned_document_is_the_written_file(self, tmp_path, pools_small):
-        config = SearchConfig(workdir=tmp_path, seed=8, repeats=1)
-        doc = coarse_search(planted_oracle(), pools_small, config)
+        doc = coarse_search(planted_oracle(), pools_small, workdir=tmp_path, seed=8, repeats=1)
         written = (tmp_path / "coarse_result.json").read_bytes()
         assert (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode() == written
 
     @pytest.mark.parametrize("fail_after", [4, 25, 38])  # stage 1, stage 2, confirmation
     def test_failed_search_leaves_no_result_and_removes_a_stale_one(
             self, tmp_path, pools_small, fail_after):
-        config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
-        coarse_search(planted_oracle(), pools_small, config)
+        coarse_search(planted_oracle(), pools_small, workdir=tmp_path, seed=0, repeats=1)
         oracle = FailingOracle(planted_oracle(), fail_after=fail_after)
         with pytest.raises(OracleExecutionError, match="injected"):
-            coarse_search(oracle, pools_small, config)
+            coarse_search(oracle, pools_small, workdir=tmp_path, seed=0, repeats=1)
         assert oracle.calls == fail_after + 1
         assert not (tmp_path / "coarse_result.json").exists()
-
-    def test_manual_coarse_result_construction(self):
-        result = CoarseResult(ratio=MixRatio(1.0, 2.5, 1.04), lambda_loss=0.2146)
-        assert result.ratio.d2 == 2.5
-        assert [f.name for f in dataclasses.fields(result)] == ["ratio", "lambda_loss"]
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            result.lambda_loss = 1.0
 
     def test_external_oracle_interchangeable(self, tmp_path, pools_small):
         # the search runs unchanged against the external-command adapter
@@ -444,7 +444,6 @@ class TestCoarseSearch:
         oracle = ExternalOracle(
             command=f"{sys.executable} {script} {{manifest}} {{seed}} {{out}}"
         )
-        config = SearchConfig(workdir=tmp_path, seed=0, repeats=1)
-        doc = coarse_search(oracle, pools_small, config)
+        doc = coarse_search(oracle, pools_small, workdir=tmp_path, seed=0, repeats=1)
         assert doc["lambda_loss"] == 1.0 / 4.66
         assert len(doc["stage1"]["points"]) == 19

@@ -1,8 +1,9 @@
-"""The package exports and the README's library example match the code, no
+"""The package exports and the README's library examples match the code, no
 module imports a name it never uses, and no private module-level name is
 left that no module reads."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -22,6 +23,20 @@ def test_exports_resolve_and_readme_example_runs():
     exec(block.group(1), namespace)
     assert namespace["level"].label == "good"
     assert 1.0 <= namespace["score"] <= 5.0
+
+
+def test_every_readme_python_block_imports_names_that_exist():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    assert len(blocks) >= 2
+    imported = [(node.module, alias.name)
+                for block in blocks for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "iqmix"
+                for alias in node.names]
+    assert ("iqmix.mixopt", "coarse_search") in imported
+    missing = [f"from {module} import {name}" for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == [], "README imports names the package lacks:\n" + "\n".join(missing)
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:

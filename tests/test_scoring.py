@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqmix.cli import main as cli_main
 from iqmix.errors import MalformedLogitsError
 from iqmix.levels import LevelScale
 from iqmix.scoring import (
@@ -218,6 +219,38 @@ class TestScoreBatch:
     def test_score_serialization_round_trips(self):
         score = score_from_logit_vector(LN_WEIGHTS)
         assert json.loads(json.dumps({"score": score}))["score"] == score
+
+
+class TestLogitTooLargeForAFloat:
+    """An integer logit that float() cannot take is a malformed record that
+    names its id and level, not an OverflowError."""
+
+    FIVE = _lines(_record("a", (0, 0, 0, 0, 0)), _record("b", (0, 0, 10 ** 400, 0, 0)),
+                  _record("c", (0, 0, 0, 0, 0)))
+    BINARY = _lines({"id": "a", "good": 1, "poor": 0}, {"id": "b", "good": 0, "poor": -10 ** 400},
+                    {"id": "c", "good": 0, "poor": 0})
+    MESSAGES = {False: "b: logit for 'fair' is too large for a float",
+                True: "b: logit for 'poor' is too large for a float"}
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_lenient_run_reports_the_line_and_keeps_going(self, binary):
+        out = list(score_batch(self.BINARY if binary else self.FIVE, binary=binary))
+        assert [item[0] for item in (out[0], out[2])] == ["a", "c"]
+        assert out[1] == BatchDiagnostic(2, self.MESSAGES[binary])
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_cli_lenient_and_strict(self, tmp_path, capsys, binary):
+        src = tmp_path / "logits.jsonl"
+        src.write_text("\n".join(self.BINARY if binary else self.FIVE) + "\n")
+        out = tmp_path / "scores.jsonl"
+        flags = ["--mode", "binary"] if binary else []
+        assert cli_main(["score", str(src), "--out", str(out), *flags]) == 0
+        assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["a", "c"]
+        assert f"line 2: {self.MESSAGES[binary]}" in capsys.readouterr().err
+        assert cli_main(["score", str(src), "--out", str(out), "--strict", *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"error: line 2: {self.MESSAGES[binary]}\n" in err
+        assert "Traceback" not in err
 
 
 def _reference_score(values) -> float:

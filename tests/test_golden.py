@@ -11,7 +11,9 @@ inputs, their output files and what they print. Those hashes were recorded
 when `convert` ran json.dumps once per pair and `score` ran one numpy softmax
 per record. The `eval-mcq` and `eval-desc` reports, text and json, were
 recorded when each report was still built as a dataclass and then turned into
-its dict and its text.
+its dict and its text. The `eval-iqa` reports, text and json, with and without
+`--logistic`, and the warning each logs about the ids it drops, were recorded
+when its score reader and the join still checked one record at a time.
 
 The pools are written here with plain json.dumps so the fixture does not
 depend on the package's own writers. Ids include quotes, backslashes,
@@ -309,6 +311,30 @@ GOLDEN_EVAL = {
         "ec17b994196c29852dedb78bd7033238d0188900eefba5a735535c32ffaa554e",
     "scores-rescale.jsonl":
         "ee53bc78102426695495e9c792988df10a52825e4c16aac3d138c0d73d609631",
+    "eval-iqa.stdout":
+        "220ad376a376d7342b1b73f2c338272dcac8f961dadaf00cba95dc63d115c34c",
+    "eval-iqa.stderr":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "eval-iqa.log":
+        "8a6dc298fe75e30c66dc06cf06c6f034b5e6e875b35c6007a7318606279b2c45",
+    "eval-iqa-json.stdout":
+        "4f78815e84449ed4fbdac05f291ceafa1c7d9d8c4df52cbef217dc507539be0e",
+    "eval-iqa-json.stderr":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "eval-iqa-json.log":
+        "8a6dc298fe75e30c66dc06cf06c6f034b5e6e875b35c6007a7318606279b2c45",
+    "eval-iqa-logistic.stdout":
+        "d10587c10b087f92ac4819205c12088d7ab5472e0267306fed5e96e82da7ab27",
+    "eval-iqa-logistic.stderr":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "eval-iqa-logistic.log":
+        "8a6dc298fe75e30c66dc06cf06c6f034b5e6e875b35c6007a7318606279b2c45",
+    "eval-iqa-logistic-json.stdout":
+        "470d53d79f2361213c01eb0a3eb55796b7b07d226ee558e7ecaf5cac8e5e6f8b",
+    "eval-iqa-logistic-json.stderr":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "eval-iqa-logistic-json.log":
+        "8a6dc298fe75e30c66dc06cf06c6f034b5e6e875b35c6007a7318606279b2c45",
     "eval-mcq.stdout":
         "f6559cb581ab013f4d83315700dca4a3fe8c3d49dceffd8fe93645f32c7719c0",
     "eval-mcq.stderr":
@@ -332,7 +358,7 @@ def _sha(data) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode("utf-8")).hexdigest()
 
 
-def test_eval_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
+def test_eval_outputs_are_byte_identical(tmp_path, monkeypatch, capsys, caplog):
     monkeypatch.chdir(tmp_path)
     _write_eval_inputs(tmp_path)
     runs = {
@@ -343,6 +369,12 @@ def test_eval_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
         "score": ["score", "logits.jsonl", "--out", "scores.jsonl"],
         "score-rescale": ["score", "logits.jsonl", "--rescale", "0", "100",
                           "--out", "scores-rescale.jsonl"],
+        "eval-iqa": ["eval-iqa", "scores.jsonl", "mos.csv", "--format", "text"],
+        "eval-iqa-json": ["eval-iqa", "scores.jsonl", "mos.csv", "--format", "json"],
+        "eval-iqa-logistic": ["eval-iqa", "scores.jsonl", "mos.csv", "--logistic",
+                              "--format", "text"],
+        "eval-iqa-logistic-json": ["eval-iqa", "scores.jsonl", "mos.csv", "--logistic",
+                                   "--format", "json"],
         "eval-mcq": ["eval-mcq", "mcq.jsonl", "--format", "text"],
         "eval-mcq-json": ["eval-mcq", "mcq.jsonl", "--format", "json"],
         "eval-desc": ["eval-desc", "ratings.jsonl", "--format", "text"],
@@ -351,10 +383,16 @@ def test_eval_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
     digests = {}
     for name, argv in runs.items():
         capsys.readouterr()
+        caplog.clear()
         assert main(argv) == 0
         printed = capsys.readouterr()
         digests[f"{name}.stdout"] = _sha(printed.out)
         digests[f"{name}.stderr"] = _sha(printed.err)
+        # The log lines main's handler would print; pinned for the runs that log.
+        logged = "".join(f"{r.levelname} {r.name}: {r.getMessage()}\n" for r in caplog.records
+                         if r.name.startswith("iqmix"))
+        if logged:
+            digests[f"{name}.log"] = _sha(logged)
         if "--out" in argv:
             digests[argv[-1]] = _sha((tmp_path / argv[-1]).read_bytes())
     assert digests == GOLDEN_EVAL

@@ -47,13 +47,15 @@ from .metrics import (
     description_text,
     mcq_report,
     mcq_text,
+    pair_by_id,
     plcc,
+    read_scores,
     srcc,
 )
 from .mixopt import MixRatio, coarse_search
 from .oracle import ExternalOracle, Ledger, Oracle, SyntheticOracle
-from .scoring import BatchDiagnostic, rescale_score, score_batch
-from .util import file_digest, is_number, number_setting, read_jsonl, record_id
+from .scoring import rescale_score, score_batch
+from .util import file_digest, is_number, number_setting
 
 log = logging.getLogger(__name__)
 
@@ -145,28 +147,6 @@ def _now() -> str:
 
 
 # Shared input helpers ----------------------------------------------------------
-
-
-def _read_scores(path: str | Path) -> dict[str, float]:
-    scores: dict[str, float] = {}
-    first_line: dict[str, int] = {}
-    for line_no, obj in read_jsonl(path):
-        where = f"{path}: line {line_no}"
-        item_id = record_id(obj, where)
-        if item_id in first_line:
-            raise DataError(
-                f"{where}: duplicate id {item_id!r} (first on line {first_line[item_id]})"
-            )
-        score = obj.get("score")
-        # The range test rejects nan and inf, and unlike math.isfinite it
-        # cannot overflow on a huge int.
-        if not is_number(score) or not -sys.float_info.max <= score <= sys.float_info.max:
-            raise DataError(f"{where}: 'score' must be a finite number, got {score!r}")
-        scores[item_id] = float(score)
-        first_line[item_id] = line_no
-    if not scores:
-        raise DataError(f"{path}: no score records")
-    return scores
 
 
 def _load_yaml(path: str | Path) -> dict:
@@ -277,9 +257,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     encode_id = json.encoder.encode_basestring_ascii
     with open(args.logits_file, encoding="utf-8") as src, \
             open(out, "w", encoding="utf-8") as dst:
+        write = dst.write
         try:  # one handler around the loop: nothing is added per record
             for item in score_batch(src, binary=binary, strict=args.strict):
-                if isinstance(item, BatchDiagnostic):
+                if type(item) is not tuple:  # a BatchDiagnostic
                     diagnostics += 1
                     print(item, file=sys.stderr)
                     continue
@@ -287,7 +268,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                 if rescale is not None:
                     score = rescale_score(score, rescale)
                 # repr is the bytes json.dumps writes for a finite float.
-                dst.write(f'{{"id": {encode_id(item_id)}, "score": {score!r}}}\n')
+                write(f'{{"id": {encode_id(item_id)}, "score": {score!r}}}\n')
         except UnicodeDecodeError as exc:
             raise DataError(f"{args.logits_file}: not valid UTF-8 ({exc.reason})")
     if diagnostics:
@@ -315,19 +296,15 @@ def _emit_report(doc: dict, text: str, fmt: str) -> None:
 def _join_scores_to_mos(args: argparse.Namespace) -> PairedSample:
     """Scores paired with MOS by id, in score-file order; the id tables are
     freed on return, before the metrics (and the fit's scipy import) run."""
-    scores = _read_scores(args.scores_file)
+    ids, scores = read_scores(args.scores_file)
     mos = ingest_mos(args.mos_file, delimiter=args.delimiter)
-    shared = [key for key in scores if key in mos]
-    missing = (len(scores) - len(shared)) + sum(1 for k in mos if k not in scores)
+    predictions, truth = pair_by_id(ids, scores, mos)
+    missing = (len(ids) - len(truth)) + (len(mos) - len(truth))
     if missing:
         log.warning("%d id(s) present on only one side were dropped", missing)
-    if len(shared) < 2:
-        raise DataError(
-            f"join produced {len(shared)} shared id(s); need at least 2"
-        )
-    return PairedSample.from_arrays(
-        [scores[k] for k in shared], [mos[k] for k in shared]
-    )
+    if len(truth) < 2:
+        raise DataError(f"join produced {len(truth)} shared id(s); need at least 2")
+    return PairedSample.from_arrays(predictions, truth)
 
 
 def cmd_eval_iqa(args: argparse.Namespace) -> int:
@@ -532,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lowest score of the dataset scale")
     p.add_argument("--scale-max", type=float, required=True,
                    help="highest score of the dataset scale")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=_env_default("DELIMITER", str, ","))
     p.add_argument("--lenient", action="store_true",
                    help="skip malformed/out-of-scale rows instead of aborting")
     p.add_argument("--inline-system", action="store_true",
@@ -553,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-iqa", help="SRCC/PLCC of scores against MOS")
     p.add_argument("scores_file")
     p.add_argument("mos_file")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=_env_default("DELIMITER", str, ","))
     p.add_argument("--logistic", action="store_true",
                    help="apply the four-parameter logistic pre-mapping to PLCC")
     p.add_argument("--format", choices=["text", "json"],
@@ -577,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", default=_env_default("DELIMITER", str, ","))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_subsample)
 

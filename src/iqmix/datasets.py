@@ -10,6 +10,7 @@ only loaded, counted, and sampled.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -20,9 +21,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DataError, ScoreOutOfRangeError
+from .errors import ConfigError, DataError, ScoreOutOfRangeError
 from .levels import LevelScale, score_to_level
-from .util import read_jsonl, record_id
+from .util import first_rows, read_jsonl, record_id
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +46,13 @@ def pool_stats(mos: Mapping[str, float]) -> PoolStats:
     return PoolStats(len(mos), float(values.mean()), float(values.std()))
 
 
+def _float_or_none(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def ingest_mos(
     path: str | Path,
     scale: LevelScale | None = None,
@@ -55,59 +63,73 @@ def ingest_mos(
     """Read a delimited MOS file (header with image_id and mos columns) into
     an image_id -> MOS mapping in file row order.
 
-    Unparsable rows, a non-finite MOS (nan, inf), a repeated image_id and,
-    when a scale is given, a MOS outside it raise in strict mode; in lenient
-    mode such a row is skipped with a logged row-numbered warning, so a
-    repeated id keeps its first row.
+    The rows are read in one pass, then checked as arrays. A row with too
+    few columns, a repeat of a kept image_id, an unparsable or non-finite
+    MOS (nan, inf) and, when a scale is given, a MOS outside it (checked in
+    that order) raise in strict mode; in lenient mode such a row is skipped
+    with a logged row-numbered warning, so a repeated id keeps its first
+    kept row. A read error (not UTF-8, an oversized field) comes last.
     """
-    mos_by_id: dict[str, float] = {}
-    first_row: dict[str, int] = {}
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
+    ids, cells, whole, header, failure = [], [], {}, None, None
     with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
         try:  # one handler around the reader: nothing is added per row
-            reader = csv.reader(handle, delimiter=delimiter)
-            try:
-                header = next(reader)
-            except StopIteration:
+            header = next(reader, None)
+            if header is None:
                 raise DataError(f"{path}: empty file, expected a header row")
-            try:
-                id_col = header.index("image_id")
-                mos_col = header.index("mos")
-            except ValueError:
-                raise DataError(
-                    f"{path}: header must contain image_id and mos columns, got {header}"
-                )
-            for row_no, row in enumerate(reader, start=2):
-                if not "".join(row).strip():  # no cells, or only blank ones
-                    continue
-                try:
-                    if len(row) <= max(id_col, mos_col):
-                        raise DataError(f"{path}: row {row_no}: missing columns")
-                    image_id = row[id_col]
-                    if image_id in first_row:
-                        raise DataError(
-                            f"{path}: row {row_no}: duplicate image_id {image_id!r} "
-                            f"(first on row {first_row[image_id]})"
-                        )
-                    mos = float(row[mos_col])
-                    if not math.isfinite(mos):
-                        raise DataError(f"{path}: row {row_no}: non-finite mos {mos!r}")
-                    if scale is not None and not (scale.min_score <= mos <= scale.max_score):
-                        raise ScoreOutOfRangeError(
-                            f"{path}: row {row_no}: mos {mos!r} outside "
-                            f"[{scale.min_score}, {scale.max_score}]"
-                        )
-                except (ValueError, DataError) as exc:
-                    err = exc if isinstance(exc, DataError) else DataError(
-                        f"{path}: row {row_no}: unparsable mos {row[mos_col]!r}"
-                    )
-                    if strict:
-                        raise err
-                    log.warning("skipping row: %s", err)
-                    continue
-                first_row[image_id] = row_no
-                mos_by_id[image_id] = mos
+            if "image_id" not in header or "mos" not in header:
+                raise DataError(f"{path}: header must contain image_id and mos columns, "
+                                f"got {header}")
+            id_col, mos_col = header.index("image_id"), header.index("mos")
+            width = max(id_col, mos_col) + 1
+            for row in reader:
+                if len(row) != 2 or width != 2:  # more than an id and a MOS: kept whole
+                    whole[len(ids)] = row
+                    if len(row) < width:
+                        row = [""] * width  # reported as missing columns
+                ids.append(row[id_col])
+                cells.append(row[mos_col])
         except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not valid UTF-8 ({exc.reason})")
+            failure = DataError(f"{path}: not valid UTF-8 ({exc.reason})")
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            failure = DataError(f"{path}: row {len(ids) + 1 + (header is not None)}: {exc}")
+    if header is None:
+        raise failure
+    n = len(ids)
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        values = list(map(_float_or_none, cells))
+    mos = np.array(values, dtype=np.float64)  # None, where float() refuses, reads as nan
+    usable = np.isfinite(mos)
+    if scale is not None:
+        usable &= (scale.min_score <= mos) & (mos <= scale.max_score)
+    first_kept = first_rows(ids, usable)  # each id keeps its first usable row
+    repeat = first_kept < np.arange(n)
+    kept = usable & ~repeat
+    for k in np.flatnonzero(~kept).tolist():
+        row, where, mos_k = whole.get(k, (ids[k], cells[k])), f"{path}: row {k + 2}", values[k]
+        if not "".join(row).strip():  # no cells, or only blank ones
+            continue
+        if len(row) < width:
+            problem = DataError(f"{where}: missing columns")
+        elif repeat[k]:
+            problem = DataError(f"{where}: duplicate image_id {ids[k]!r} "
+                                f"(first on row {first_kept[k] + 2})")
+        elif mos_k is None or not math.isfinite(mos_k):
+            problem = DataError(f"{where}: unparsable mos {cells[k]!r}" if mos_k is None
+                                else f"{where}: non-finite mos {mos_k!r}")
+        else:
+            problem = ScoreOutOfRangeError(
+                f"{where}: mos {mos_k!r} outside [{scale.min_score}, {scale.max_score}]")
+        if strict:
+            raise problem
+        log.warning("skipping row: %s", problem)
+    if failure is not None:
+        raise failure
+    mos_by_id = dict(zip(itertools.compress(ids, kept), itertools.compress(values, kept)))
     if not mos_by_id:
         raise DataError(f"{path}: no valid MOS records")
     return mos_by_id

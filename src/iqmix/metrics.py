@@ -8,16 +8,19 @@ down by question type and quadrant, and description-rating aggregation.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, DegenerateSampleError, MissingDimensionError
 from .levels import LevelScale, quantize_scores
-from .util import read_jsonl, record_id
+from .util import first_rows, is_number, read_jsonl, record_id
 
 QUESTION_TYPES = ("yes-or-no", "what", "how")
 QUADRANTS = ("distortion", "other", "in-context distortion", "in-context other")
@@ -49,6 +52,60 @@ class PairedSample:
                     ground_truth: Sequence[float] | np.ndarray) -> "PairedSample":
         """A sample from two equal-length sequences of numbers."""
         return cls(predictions, ground_truth)
+
+
+def _first(flags: np.ndarray) -> int:
+    """The index of the first true flag, or the length when none is."""
+    return int(flags.argmax()) if flags.any() else len(flags)
+
+
+def read_scores(path: str | Path) -> tuple[Sequence[str], np.ndarray]:
+    """The ids and scores of a scores file, one {"id", "score"} object a
+    line, read in one pass and then checked as arrays. An error names the
+    line a record-by-record read stops on; within a line, the id (a string,
+    or an integer read as its decimal string), then a repeat of an earlier
+    id, then the score (a finite number). A read error comes last."""
+    records, failure = [], None
+    try:
+        records.extend((line_no, obj.get("id"), obj.get("score"))
+                       for line_no, obj in read_jsonl(path))
+    except DataError as exc:
+        failure = exc
+    line_nos, ids, scores = zip(*records) if records else ((), (), ())
+    n = bad_id = len(ids)
+    if {*map(type, ids)} != {str}:  # a bool, whose type is bool, stays bad
+        ids = [str(v) if type(v) is int else v for v in ids]
+        bad_id = _first(~np.fromiter(map(isinstance, ids, itertools.repeat(str)), bool, n))
+    first_on = first_rows(ids[:bad_id], np.ones(bad_id, bool))  # a repeat before a bad id
+    repeat = _first(first_on < np.arange(bad_id))
+    if {*map(type, scores)} <= {float}:
+        bad_score = _first(~np.isfinite(np.array(scores, dtype=np.float64)))
+    else:  # the range test rejects nan and inf, and cannot overflow on a huge int
+        bad_score = _first(np.fromiter(
+            (not (is_number(v) and -sys.float_info.max <= v <= sys.float_info.max)
+             for v in scores), bool, n))
+    first = min(bad_id, repeat, bad_score)
+    if first < n:
+        where = f"{path}: line {line_nos[first]}"
+        if first == bad_id:
+            raise DataError(f"{where}: missing or non-string 'id'")
+        if first == repeat:
+            raise DataError(f"{where}: duplicate id {ids[first]!r} "
+                            f"(first on line {line_nos[first_on[first]]})")
+        raise DataError(f"{where}: 'score' must be a finite number, got {scores[first]!r}")
+    if failure is not None:
+        raise failure
+    if not n:
+        raise DataError(f"{path}: no score records")
+    return ids, np.fromiter(map(float, scores), np.float64, n)
+
+
+def pair_by_id(ids: Sequence[str], predictions: np.ndarray,
+               truth: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The predictions whose id has a truth value, and those (finite) values."""
+    values = np.fromiter(map(truth.get, ids, itertools.repeat(math.nan)), np.float64, len(ids))
+    shared = ~np.isnan(values)
+    return predictions[shared], values[shared]
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ The two-level variant reduces to a sigmoid of the logit difference.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError, MalformedLogitsError
 from .levels import FIVE_LEVEL_LABELS, LevelScale, _labels_for
-from .util import is_number
+from .util import is_number, json_records
 
 # Records score_batch buffers; their five-level rows are softmaxed as one array.
 CHUNK_ROWS = 4096
@@ -101,7 +101,21 @@ class BatchDiagnostic:
         return f"line {self.line_no}: {self.message}"
 
 
-def _parse_five_level(obj: dict, item_id: str) -> list[float]:
+_five_logits = operator.itemgetter(*FIVE_LEVEL_LABELS)
+
+
+def _parse_five_level(obj: dict, item_id: str) -> Sequence[float]:
+    """A record's five logits, taken and type-tested together; a record that
+    fails (a bad level, or integer logits) is walked label by label."""
+    try:
+        values = bad, poor, fair, good, best = _five_logits(obj["logits"])
+    except (KeyError, TypeError):  # no logits object, or a level missing from it
+        pass
+    else:
+        # A NaN or infinity makes the sum non-finite.
+        if (type(bad) is type(poor) is type(fair) is type(good) is type(best) is float
+                and math.isfinite(sum(values))):
+            return values
     logits = obj.get("logits")
     if not isinstance(logits, dict):
         raise MalformedLogitsError(f"{item_id}: missing 'logits' object")
@@ -116,10 +130,7 @@ def _parse_five_level(obj: dict, item_id: str) -> list[float]:
             values.append(float(v))
     except OverflowError:  # an int too large for a float
         raise MalformedLogitsError(f"{item_id}: logit for {label!r} is too large for a float")
-    # A NaN or infinity makes the sum non-finite; a finite sum proves every
-    # value finite, which spares the per-level check on the common path.
-    if not math.isfinite(sum(values)):
-        _check_finite(values, FIVE_LEVEL_LABELS, item_id)
+    _check_finite(values, FIVE_LEVEL_LABELS, item_id)
     return values
 
 
@@ -137,7 +148,7 @@ def _parse_binary(obj: dict, item_id: str) -> tuple[float, float]:
 
 
 def _score_chunk(
-    pending: list[str | tuple[str, float] | BatchDiagnostic], rows: list[list[float]]
+    pending: list[str | tuple[str, float] | BatchDiagnostic], rows: list[Sequence[float]]
 ) -> Iterator[tuple[str, float] | BatchDiagnostic]:
     """Score the buffered five-level rows with one softmax and yield the
     buffered items in line order, each row id as its (id, score) pair."""
@@ -164,18 +175,11 @@ def score_batch(
     scored as one array.
     """
     pending: list[str | tuple[str, float] | BatchDiagnostic] = []
-    rows: list[list[float]] = []  # the logits of the ids in pending
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    rows: list[Sequence[float]] = []  # the logits of the ids in pending
+    for line_no, obj in json_records(lines):
         try:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLogitsError(f"invalid JSON ({exc})")
-            if not isinstance(obj, dict):
-                raise MalformedLogitsError("record is not an object")
+            if type(obj) is not dict:  # the text of why the line is not one
+                raise MalformedLogitsError(obj)
             item_id = obj.get("id")
             if not isinstance(item_id, str):
                 raise MalformedLogitsError("missing or non-string 'id'")

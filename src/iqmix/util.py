@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
@@ -71,7 +74,29 @@ class _HashingFile(io.FileIO):
         return count
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan = json.JSONDecoder().scan_once  # raw_decode less its Python frame
+
+
+def json_records(lines: Iterable[str]) -> Iterator[tuple[int, dict | str]]:
+    """(1-based line number, object) for every non-blank line of a JSON-lines
+    stream; a line that is not one JSON object yields the text of why not,
+    from json.loads, instead. An integer too long to convert and nesting too
+    deep to decode are invalid JSON like any other."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj, end = _scan(line, 0)
+            if end != len(line):
+                raise ValueError
+        except (StopIteration, ValueError, RecursionError):
+            try:
+                json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                yield line_no, f"invalid JSON ({exc})"
+            continue
+        yield line_no, obj if type(obj) is dict else "record is not an object"
 
 
 def read_jsonl(path: str | Path, digest=None) -> Iterator[tuple[int, dict]]:
@@ -84,24 +109,24 @@ def read_jsonl(path: str | Path, digest=None) -> Iterator[tuple[int, dict]]:
         io.BufferedReader(_HashingFile(path, digest)), encoding="utf-8")
     with handle:
         try:  # one handler around the loop: nothing is added per line
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:  # json.loads's parse less its checks; a line not taken whole goes to it
-                    obj, end = _raw_decode(line)
-                    if end != len(line):
-                        raise ValueError
-                except ValueError:
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise DataError(f"{path}: line {line_no}: invalid JSON ({exc})")
-                if not isinstance(obj, dict):
-                    raise DataError(f"{path}: line {line_no}: record is not an object")
+            for line_no, obj in json_records(handle):
+                if type(obj) is not dict:  # the text of why the line is not one
+                    raise DataError(f"{path}: line {line_no}: {obj}")
                 yield line_no, obj
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not valid UTF-8 ({exc.reason})")
+
+
+def first_rows(keys: Sequence[str], usable: np.ndarray) -> np.ndarray:
+    """For each row, the index of the first usable row with its key, or an
+    index not below its own when there is none: a row repeats the row at
+    that index when the index is below its own."""
+    n = len(keys)
+    if len(set(keys)) == n:
+        return np.arange(n)
+    first = dict(zip(reversed(list(itertools.compress(keys, usable))),
+                     reversed(np.flatnonzero(usable).tolist())))
+    return np.fromiter(map(first.get, keys, itertools.repeat(n)), np.intp, n)
 
 
 def record_id(obj: dict, where: str) -> str:

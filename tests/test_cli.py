@@ -62,6 +62,107 @@ def test_mos_file_that_is_not_utf8_is_data_error(tmp_path, mos_file, capsys, com
     assert f"error: {mos_file}: not valid UTF-8 (invalid start byte)" in capsys.readouterr().err
 
 
+MOS_COMMANDS = [
+    ["convert", "{mos}", "--scale-min", "0", "--scale-max", "100", "--out", "{out}"],
+    ["subsample", "{mos}", "--target", "5", "--out", "{out}"],
+    ["eval-iqa", "{scores}", "{mos}"],
+]
+
+
+def mos_command_argv(tmp_path, command, mos) -> list[str]:
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text('{"id": "img000", "score": 1.0}\n{"id": "img001", "score": 2.0}\n')
+    return [a.format(mos=mos, out=tmp_path / "out", scores=scores) for a in command]
+
+
+@pytest.mark.parametrize("command", MOS_COMMANDS)
+def test_oversized_mos_field_is_data_error(tmp_path, mos_file, capsys, command):
+    mos_file.write_text(mos_file.read_text() + "img999," + "1" * 200_000 + "\n")
+    assert run_cli(*mos_command_argv(tmp_path, command, mos_file)) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {mos_file}: row 62: field larger than field limit (131072)\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", MOS_COMMANDS)
+@pytest.mark.parametrize("flag,env", [("", None), (";;", None), (None, ";;"), (None, "")])
+def test_delimiter_not_one_character_is_config_error(tmp_path, capsys, monkeypatch, command,
+                                                     flag, env):
+    if env is not None:
+        monkeypatch.setenv("IQMIX_DELIMITER", env)
+    absent = tmp_path / "absent.csv"  # never opened: the delimiter is checked first
+    argv = mos_command_argv(tmp_path, command, absent)
+    assert run_cli(*argv, *(["--delimiter", flag] if flag is not None else [])) == 2
+    bad = flag if flag is not None else env
+    assert (f"config error: delimiter must be one character, got {bad!r}\n"
+            == capsys.readouterr().err)
+
+
+def test_delimiter_from_the_environment(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("IQMIX_DELIMITER", "\t")
+    mos = tmp_path / "mos.tsv"
+    mos.write_text("image_id\tmos\na\t10\nb\t90\n", encoding="utf-8")
+    assert run_cli("convert", mos, "--scale-min", 0, "--scale-max", 100,
+                   "--out", tmp_path / "d1.jsonl") == 0
+    assert "converted 2 records" in capsys.readouterr().out
+
+
+HUGE_INT = "1" * 5000  # past Python's 4300-digit int-string limit
+DEEP = "[" * 100_000 + "]" * 100_000  # past the recursion limit
+HUGE_INT_ERROR = "invalid JSON (Exceeds the limit (4300 digits) for integer string conversion"
+DEEP_ERROR = "invalid JSON (maximum recursion depth exceeded"
+
+
+class TestHugeIntegersAndDeepNesting:
+    """A JSON integer too long to convert and nesting too deep to decode are
+    invalid JSON lines like any other: a line-numbered diagnostic, never a
+    traceback."""
+
+    def logits(self, tmp_path):
+        labels = ("bad", "poor", "fair", "good", "excellent")
+        good = [json.dumps({"id": k, "logits": dict.fromkeys(labels, 0.0)}) for k in "ad"]
+        path = tmp_path / "logits.jsonl"
+        path.write_text("\n".join([
+            good[0], '{"id": "b", "logits": {"bad": %s}}' % HUGE_INT,
+            '{"id": "c", "logits": %s}' % DEEP, good[1]]) + "\n", encoding="utf-8")
+        return path
+
+    def test_lenient_score_skips_the_lines_and_scores_the_others(self, tmp_path, capsys):
+        out = tmp_path / "scores.jsonl"
+        assert run_cli("score", self.logits(tmp_path), "--out", out) == 0
+        assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["a", "d"]
+        err = capsys.readouterr().err
+        assert f"line 2: {HUGE_INT_ERROR}" in err and f"line 3: {DEEP_ERROR}" in err
+        assert "2 malformed record(s) skipped" in err
+
+    def test_strict_score_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "scores.jsonl"
+        assert run_cli("score", self.logits(tmp_path), "--strict", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 2: {HUGE_INT_ERROR}") and "Traceback" not in err
+        assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["a"]
+
+    @pytest.mark.parametrize("line,message", [
+        ('{"id": "img001", "score": %s}' % HUGE_INT, HUGE_INT_ERROR),
+        ('{"id": "img001", "score": %s}' % DEEP, DEEP_ERROR),
+    ], ids=["huge-int", "deep"])
+    def test_eval_iqa_names_the_line(self, tmp_path, mos_file, capsys, line, message):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"id": "img000", "score": 1.0}\n' + line + "\n", encoding="utf-8")
+        assert run_cli("eval-iqa", scores, mos_file) == 1
+        assert capsys.readouterr().err.startswith(f"error: {scores}: line 2: {message}")
+
+    @pytest.mark.parametrize("value,message", [(HUGE_INT, HUGE_INT_ERROR), (DEEP, DEEP_ERROR)],
+                             ids=["huge-int", "deep"])
+    def test_sample_names_the_pool_line(self, tmp_path, capsys, value, message):
+        config = write_pools_and_config(tmp_path, n1=10, n2=10, n3=10)
+        d2 = tmp_path / "d2.jsonl"
+        d2.write_text(d2.read_text() + '{"id": "x", "extra": %s}\n' % value, encoding="utf-8")
+        assert run_cli("sample", "--config", config, "--counts", "1:1:1",
+                       "--out", tmp_path / "m.jsonl") == 1
+        assert capsys.readouterr().err.startswith(f"error: {d2}: line 11: {message}")
+
+
 class TestConvert:
     def test_happy_path(self, tmp_path, mos_file, capsys):
         out = tmp_path / "d1.jsonl"

@@ -216,6 +216,22 @@ def test_ingest_mos_header_errors(tmp_path, text, message):
         assert str(exc.value) == f"{path}: {message}"
 
 
+def test_ingest_mos_read_error_comes_after_the_rows_before_it(tmp_path):
+    path = tmp_path / "mos.csv"
+    write_mos(path, ["a,10", "b,x", "c," + "1" * 200_000, "d,20"])
+    field_error = f"{path}: row 4: field larger than field limit (131072)"
+    with pytest.raises(DataError, match="row 3: unparsable mos 'x'"):
+        ingest_mos(path)
+    with captured_warnings() as logged, pytest.raises(DataError) as exc:
+        ingest_mos(path, strict=False)
+    assert (logged, str(exc.value)) == ([f"skipping row: {path}: row 3: unparsable mos 'x'"],
+                                        field_error)
+    write_mos(path, ["c," + "1" * 200_000])
+    with pytest.raises(DataError) as exc:
+        ingest_mos(path)
+    assert str(exc.value) == f"{path}: row 2: field larger than field limit (131072)"
+
+
 def test_ingest_mos_reads_columns_in_any_order(tmp_path):
     path = tmp_path / "mos.csv"
     write_mos(path, ["x,1.25,a", "y, 2 ,b"], header="extra,mos,image_id")
@@ -294,7 +310,7 @@ def reference_scores(path: Path) -> dict[str, float]:
         where = f"{path}: line {line_no}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # a huge integer too, and deep nesting
             raise DataError(f"{where}: invalid JSON ({exc})")
         if not isinstance(obj, dict):
             raise DataError(f"{where}: record is not an object")
@@ -331,6 +347,8 @@ SCORE_DEFECTS = {
     "inf": lambda i, rng: '{"id": "s%d", "score": -Infinity}' % i,
     "big_int": lambda i, rng: _score(f"s{i}", rng.choice([BIG, -BIG])),
     "int_score": lambda i, rng: _score(f"s{i}", rng.randrange(-5, 5)),
+    "huge_digits": lambda i, rng: '{"id": "s%d", "score": %s}' % (i, "9" * 4301),
+    "deep": lambda i, rng: '{"id": "s%d", "score": %s}' % (i, "[" * 5000 + "]" * 5000),
     "blank": lambda i, rng: "",
 }
 
@@ -478,7 +496,7 @@ def reference_batch(lines, strict: bool) -> tuple[list, str | None]:
         try:
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise MalformedLogitsError(f"invalid JSON ({exc})")
             if not isinstance(obj, dict):
                 raise MalformedLogitsError("record is not an object")
@@ -530,6 +548,8 @@ BATCH_DEFECTS = {
         k: _bad_value(rng) if rng.random() < 0.4 else -0.5 * j
         for j, k in enumerate(FIVE_LEVEL_LABELS)}}),
     "ints": lambda i, rng: _logits(f"r{i}", [rng.randrange(-3, 4) for _ in range(5)]),
+    "huge_digits": lambda i, rng: _logits(f"r{i}", ZEROS).replace("0.0", "7" * 4301, 1),
+    "deep": lambda i, rng: _logits(f"r{i}", ZEROS).replace("0.0", "[" * 5000 + "]" * 5000, 1),
     "blank": lambda i, rng: "  ",
 }
 

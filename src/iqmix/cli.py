@@ -257,7 +257,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     encode_id = json.encoder.encode_basestring_ascii
     with open(args.logits_file, encoding="utf-8") as src, \
             open(out, "w", encoding="utf-8") as dst:
-        write = dst.write
         try:  # one handler around the loop: nothing is added per record
             for item in score_batch(src, binary=binary, strict=args.strict):
                 if type(item) is not tuple:  # a BatchDiagnostic
@@ -268,7 +267,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                 if rescale is not None:
                     score = rescale_score(score, rescale)
                 # repr is the bytes json.dumps writes for a finite float.
-                write(f'{{"id": {encode_id(item_id)}, "score": {score!r}}}\n')
+                dst.write(f'{{"id": {encode_id(item_id)}, "score": {score!r}}}\n')
         except UnicodeDecodeError as exc:
             raise DataError(f"{args.logits_file}: not valid UTF-8 ({exc.reason})")
     if diagnostics:

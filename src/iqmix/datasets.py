@@ -95,7 +95,7 @@ def ingest_mos(
             failure = DataError(f"{path}: not valid UTF-8 ({exc.reason})")
         except csv.Error as exc:  # such as a field over the csv module's size limit
             failure = DataError(f"{path}: row {len(ids) + 1 + (header is not None)}: {exc}")
-    if header is None:
+    if header is None:  # the header row itself could not be read
         raise failure
     n = len(ids)
     try:

@@ -107,15 +107,13 @@ _five_logits = operator.itemgetter(*FIVE_LEVEL_LABELS)
 def _parse_five_level(obj: dict, item_id: str) -> Sequence[float]:
     """A record's five logits, taken and type-tested together; a record that
     fails (a bad level, or integer logits) is walked label by label."""
-    try:
+    try:  # a NaN or infinity makes the sum non-finite
         values = bad, poor, fair, good, best = _five_logits(obj["logits"])
-    except (KeyError, TypeError):  # no logits object, or a level missing from it
-        pass
-    else:
-        # A NaN or infinity makes the sum non-finite.
         if (type(bad) is type(poor) is type(fair) is type(good) is type(best) is float
                 and math.isfinite(sum(values))):
             return values
+    except (KeyError, TypeError):  # no logits object, or a level missing from it
+        pass
     logits = obj.get("logits")
     if not isinstance(logits, dict):
         raise MalformedLogitsError(f"{item_id}: missing 'logits' object")

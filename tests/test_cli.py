@@ -48,20 +48,6 @@ def logits_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("command", [
-    ["convert", "{mos}", "--scale-min", "0", "--scale-max", "100", "--out", "{out}"],
-    ["subsample", "{mos}", "--target", "5", "--out", "{out}"],
-    ["eval-iqa", "{scores}", "{mos}"],
-])
-def test_mos_file_that_is_not_utf8_is_data_error(tmp_path, mos_file, capsys, command):
-    mos_file.write_bytes(mos_file.read_bytes().replace(b"img007", b"img\xff07"))
-    scores = tmp_path / "scores.jsonl"
-    scores.write_text('{"id": "img000", "score": 1.0}\n{"id": "img001", "score": 2.0}\n')
-    argv = [a.format(mos=mos_file, out=tmp_path / "out", scores=scores) for a in command]
-    assert run_cli(*argv) == 1
-    assert f"error: {mos_file}: not valid UTF-8 (invalid start byte)" in capsys.readouterr().err
-
-
 MOS_COMMANDS = [
     ["convert", "{mos}", "--scale-min", "0", "--scale-max", "100", "--out", "{out}"],
     ["subsample", "{mos}", "--target", "5", "--out", "{out}"],
@@ -73,6 +59,13 @@ def mos_command_argv(tmp_path, command, mos) -> list[str]:
     scores = tmp_path / "scores.jsonl"
     scores.write_text('{"id": "img000", "score": 1.0}\n{"id": "img001", "score": 2.0}\n')
     return [a.format(mos=mos, out=tmp_path / "out", scores=scores) for a in command]
+
+
+@pytest.mark.parametrize("command", MOS_COMMANDS)
+def test_mos_file_that_is_not_utf8_is_data_error(tmp_path, mos_file, capsys, command):
+    mos_file.write_bytes(mos_file.read_bytes().replace(b"img007", b"img\xff07"))
+    assert run_cli(*mos_command_argv(tmp_path, command, mos_file)) == 1
+    assert f"error: {mos_file}: not valid UTF-8 (invalid start byte)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", MOS_COMMANDS)

@@ -30,6 +30,7 @@ from .controller import check_controls, run_loop
 from .datasets import (
     POOL_TAGS,
     PoolSet,
+    check_delimiter,
     ingest_mos,
     emit_d1_pairs,
     load_pool,
@@ -54,7 +55,7 @@ from .metrics import (
 )
 from .mixopt import MixRatio, coarse_search
 from .oracle import ExternalOracle, Ledger, Oracle, SyntheticOracle
-from .scoring import rescale_score, score_batch
+from .scoring import BatchDiagnostic, rescale_score, score_batch
 from .util import file_digest, is_number, number_setting
 
 log = logging.getLogger(__name__)
@@ -259,7 +260,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             open(out, "w", encoding="utf-8") as dst:
         try:  # one handler around the loop: nothing is added per record
             for item in score_batch(src, binary=binary, strict=args.strict):
-                if type(item) is not tuple:  # a BatchDiagnostic
+                if isinstance(item, BatchDiagnostic):
                     diagnostics += 1
                     print(item, file=sys.stderr)
                     continue
@@ -295,6 +296,7 @@ def _emit_report(doc: dict, text: str, fmt: str) -> None:
 def _join_scores_to_mos(args: argparse.Namespace) -> PairedSample:
     """Scores paired with MOS by id, in score-file order; the id tables are
     freed on return, before the metrics (and the fit's scipy import) run."""
+    check_delimiter(args.delimiter)  # a config error comes before any input is read
     ids, scores = read_scores(args.scores_file)
     mos = ingest_mos(args.mos_file, delimiter=args.delimiter)
     predictions, truth = pair_by_id(ids, scores, mos)
@@ -508,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lowest score of the dataset scale")
     p.add_argument("--scale-max", type=float, required=True,
                    help="highest score of the dataset scale")
-    p.add_argument("--delimiter", default=_env_default("DELIMITER", str, ","))
+    p.add_argument("--delimiter", default=",")
     p.add_argument("--lenient", action="store_true",
                    help="skip malformed/out-of-scale rows instead of aborting")
     p.add_argument("--inline-system", action="store_true",
@@ -529,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-iqa", help="SRCC/PLCC of scores against MOS")
     p.add_argument("scores_file")
     p.add_argument("mos_file")
-    p.add_argument("--delimiter", default=_env_default("DELIMITER", str, ","))
+    p.add_argument("--delimiter", default=",")
     p.add_argument("--logistic", action="store_true",
                    help="apply the four-parameter logistic pre-mapping to PLCC")
     p.add_argument("--format", choices=["text", "json"],
@@ -553,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--delimiter", default=_env_default("DELIMITER", str, ","))
+    p.add_argument("--delimiter", default=",")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_subsample)
 

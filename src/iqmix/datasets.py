@@ -53,6 +53,12 @@ def _float_or_none(cell: str) -> float | None:
         return None
 
 
+def check_delimiter(delimiter: str) -> None:
+    """A csv delimiter is one character; any other value is a config error."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
+
+
 def ingest_mos(
     path: str | Path,
     scale: LevelScale | None = None,
@@ -68,11 +74,11 @@ def ingest_mos(
     MOS (nan, inf) and, when a scale is given, a MOS outside it (checked in
     that order) raise in strict mode; in lenient mode such a row is skipped
     with a logged row-numbered warning, so a repeated id keeps its first
-    kept row. A read error (not UTF-8, an oversized field) comes last.
+    kept row. Blank rows are skipped silently. A read error (not UTF-8, an
+    oversized field) comes last.
     """
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
-    ids, cells, whole, header, failure = [], [], {}, None, None
+    check_delimiter(delimiter)
+    ids, cells, blank, short, header, failure = [], [], set(), set(), None, None
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:  # one handler around the reader: nothing is added per row
@@ -85,10 +91,10 @@ def ingest_mos(
             id_col, mos_col = header.index("image_id"), header.index("mos")
             width = max(id_col, mos_col) + 1
             for row in reader:
-                if len(row) != 2 or width != 2:  # more than an id and a MOS: kept whole
-                    whole[len(ids)] = row
-                    if len(row) < width:
-                        row = [""] * width  # reported as missing columns
+                # A blank row has a blank MOS cell, so most rows skip the join.
+                if len(row) < width or (not row[mos_col].strip() and not "".join(row).strip()):
+                    (short if "".join(row).strip() else blank).add(len(ids))
+                    row = header  # a stand-in whose MOS cell, "mos", never parses
                 ids.append(row[id_col])
                 cells.append(row[mos_col])
         except UnicodeDecodeError as exc:
@@ -110,10 +116,10 @@ def ingest_mos(
     repeat = first_kept < np.arange(n)
     kept = usable & ~repeat
     for k in np.flatnonzero(~kept).tolist():
-        row, where, mos_k = whole.get(k, (ids[k], cells[k])), f"{path}: row {k + 2}", values[k]
-        if not "".join(row).strip():  # no cells, or only blank ones
+        if k in blank:
             continue
-        if len(row) < width:
+        where, mos_k = f"{path}: row {k + 2}", values[k]
+        if k in short:
             problem = DataError(f"{where}: missing columns")
         elif repeat[k]:
             problem = DataError(f"{where}: duplicate image_id {ids[k]!r} "

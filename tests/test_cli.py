@@ -78,26 +78,13 @@ def test_oversized_mos_field_is_data_error(tmp_path, mos_file, capsys, command):
 
 
 @pytest.mark.parametrize("command", MOS_COMMANDS)
-@pytest.mark.parametrize("flag,env", [("", None), (";;", None), (None, ";;"), (None, "")])
-def test_delimiter_not_one_character_is_config_error(tmp_path, capsys, monkeypatch, command,
-                                                     flag, env):
-    if env is not None:
-        monkeypatch.setenv("IQMIX_DELIMITER", env)
-    absent = tmp_path / "absent.csv"  # never opened: the delimiter is checked first
-    argv = mos_command_argv(tmp_path, command, absent)
-    assert run_cli(*argv, *(["--delimiter", flag] if flag is not None else [])) == 2
-    bad = flag if flag is not None else env
-    assert (f"config error: delimiter must be one character, got {bad!r}\n"
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_delimiter_not_one_character_is_config_error(tmp_path, capsys, command, delimiter):
+    argv = mos_command_argv(tmp_path, command, tmp_path / "absent.csv")
+    (tmp_path / "scores.jsonl").unlink()  # no input is opened: the delimiter is checked first
+    assert run_cli(*argv, "--delimiter", delimiter) == 2
+    assert (f"config error: delimiter must be one character, got {delimiter!r}\n"
             == capsys.readouterr().err)
-
-
-def test_delimiter_from_the_environment(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("IQMIX_DELIMITER", "\t")
-    mos = tmp_path / "mos.tsv"
-    mos.write_text("image_id\tmos\na\t10\nb\t90\n", encoding="utf-8")
-    assert run_cli("convert", mos, "--scale-min", 0, "--scale-max", 100,
-                   "--out", tmp_path / "d1.jsonl") == 0
-    assert "converted 2 records" in capsys.readouterr().out
 
 
 HUGE_INT = "1" * 5000  # past Python's 4300-digit int-string limit

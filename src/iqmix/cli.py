@@ -54,54 +54,116 @@ from .metrics import (
     srcc,
 )
 from .mixopt import MixRatio, coarse_search
-from .oracle import ExternalOracle, Ledger, Oracle, SyntheticOracle
+from .oracle import ExternalOracle, Ledger, Oracle, SyntheticOracle, config_keys
 from .scoring import BatchDiagnostic, rescale_score, score_batch
 from .util import file_digest, is_number, number_setting
 
 log = logging.getLogger(__name__)
 
 
-def _env_default(name: str, cast, fallback=None):
-    raw = os.environ.get(f"IQMIX_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"environment variable IQMIX_{name}={raw!r} is not valid")
+# Every key of the config file that `sample`, `mix-search` or `mix-adjust`
+# reads, but the oracle's, whose keys are the fields of its class. A row holds
+# the key's type and default, the rule its value must meet (None: any value
+# of the type) and the words for that rule, the commands that take it as the
+# flag --<last part of the key>, and the IQMIX_ variable standing in for that
+# flag. Rows are plain tuples: a NamedTuple row class held 8 KiB more
+# through every run.
+_PATH = (str, None, "a string", None, (), "")
+_RATIOS = (list, None, "a list of positive numbers",
+           lambda ratios: all(is_number(r) and 0 < r < math.inf for r in ratios), (), "")
+SETTINGS = {
+    "seed": (int, 0, "", None, ("subsample", "sample", "mix-search", "mix-adjust"), "IQMIX_SEED"),
+    "jobs": (int, 1, ">= 1", lambda n: n >= 1, ("mix-search",), "IQMIX_JOBS"),
+    "repeats": (int, 3, ">= 1", lambda n: n >= 1, ("mix-search",), ""),
+    "scoring_weight": (float, 0.5, "in [0, 1]", lambda w: 0 <= w <= 1, (), ""),
+    "out_dir": (str, None, "a string", None, ("mix-search", "mix-adjust"), ""),
+    "axis": (str, "log10", "log10 (the only sweep axis)", lambda a: a == "log10", (), ""),
+    "pools.d1": _PATH,
+    "pools.d2": _PATH,
+    "pools.d3": _PATH,
+    "grid.stage1": _RATIOS,
+    "grid.stage2": _RATIOS,
+    "controller.max_epochs": (int, 3, "", None, ("mix-adjust",), ""),
+    "controller.tolerance": (float, 0.1, "", None, ("mix-adjust",), ""),
+    "controller.factor": (float, 1.1, "", None, ("mix-adjust",), ""),
+}
+_FORMAT = (str, "text", "text or json", lambda f: f in ("text", "json"),
+           ("eval-iqa", "eval-mcq", "eval-desc"), "IQMIX_FORMAT")
+_ORACLES = {"synthetic": SyntheticOracle, "external": ExternalOracle}
 
 
-def _resolve(*values, default=None):
-    for value in values:
-        if value is not None:
-            return value
-    return default
-
-
-def _number(key: str, cast, *values, default):
-    """The first value given, by util.number_setting's rule."""
-    return number_setting(_resolve(*values, default=default), key, cast)
-
-
-def _section(conf: dict, key: str) -> dict:
-    """A mapping of the config; absent or empty reads as {}."""
-    value = conf.get(key) or {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+def _value(key: str, setting: tuple, args: argparse.Namespace, flat: dict):
+    """A setting's value: its flag, then its IQMIX_ variable, then the config
+    file, then its default. A value of the wrong type, or one that breaks the
+    setting's rule, is a config error naming the key or the variable."""
+    kind, default, must, rule, commands, env = setting
+    value = raw = None
+    if args.command in commands:
+        value = getattr(args, key.rpartition(".")[2])
+        raw = os.environ.get(env) if value is None else None
+    name = key if raw is None else f"environment variable {env}={raw!r}"
+    if raw is not None:
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ConfigError(f"{name} is not valid")
+    value = flat.get(key) if value is None else value
+    if value is None:
+        return default
+    if kind in (int, float):
+        value = number_setting(value, key, kind)
+    if not (isinstance(value, kind) and (rule is None or rule(value))):
+        raise ConfigError(f"{name} must be {must}"
+                          + (f", got {value!r}" if raw is None else ""))
     return value
 
 
-def _grid_ratios(grid: dict, key: str) -> tuple[float, ...] | None:
-    """An optional ratio-grid override: a list of finite positive numbers."""
-    values = grid.get(key)
-    if not values:
-        return None
-    if not isinstance(values, list) or not all(
-            is_number(v) and 0 < v < math.inf for v in values):  # nan fails the range test
-        raise ConfigError(f"grid.{key} must be a list of positive numbers, got {values!r}")
-    if len(set(values)) < 5:
-        raise ConfigError(f"grid.{key} needs 5 distinct ratios for a degree-4 fit, got {values!r}")
-    return tuple(values)
+def _known_keys(conf: dict) -> list[str]:
+    """Every key the config may hold: the oracle's from the class its kind names,
+    or from every class if none (a bad kind is reported when the oracle is built)."""
+    section = conf.get("oracle")
+    kind = section.get("kind") if isinstance(section, dict) else None
+    classes = [cls for name, cls in _ORACLES.items() if name == kind] or _ORACLES.values()
+    return [*SETTINGS, "oracle.kind", *(key for cls in classes for key in config_keys(cls))]
+
+
+def _flatten(doc: dict, known: list[str], prefix: str = "") -> dict:
+    """doc's values by dotted key. A section (a key that known keys extend)
+    must be a mapping, and null reads as {}; any other key must be known."""
+    flat = {}
+    for name, value in doc.items():
+        key = f"{prefix}{name}"
+        section = any(k.startswith(f"{key}.") for k in known)
+        if "." in str(name) or not (section or key in known):
+            import difflib  # on this path only: importing it costs resident memory
+            near = difflib.get_close_matches(key, known, n=1)
+            raise ConfigError(f"unknown key {key!r}"
+                              + (f"; did you mean {near[0]!r}?" if near else ""))
+        if not section:
+            flat[key] = value
+        elif value is not None and not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a mapping, got {value!r}")
+        else:
+            flat.update(_flatten(value or {}, known, f"{key}."))
+    return flat
+
+
+def _config(args: argparse.Namespace) -> tuple[dict, dict]:
+    """The config file, and every setting's value by dotted key: the whole
+    file is checked before any other file is opened or touched."""
+    try:
+        with open(args.config, encoding="utf-8") as handle:
+            conf = yaml.safe_load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}")
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # not UTF-8, a huge int, deep
+        raise ConfigError(f"invalid config {args.config}: {exc}")
+    if conf is None:
+        conf = {}
+    if not isinstance(conf, dict):
+        raise ConfigError(f"{args.config}: config root must be a mapping")
+    flat = _flatten(conf, _known_keys(conf))
+    return conf, {key: _value(key, setting, args, flat) for key, setting in SETTINGS.items()}
 
 
 # Run records ------------------------------------------------------------------
@@ -150,43 +212,25 @@ def _now() -> str:
 # Shared input helpers ----------------------------------------------------------
 
 
-def _load_yaml(path: str | Path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = yaml.safe_load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid config {path}: {exc}")
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config root must be a mapping")
-    return doc
-
-
-def _load_pools(conf: dict) -> tuple[PoolSet, list[tuple[str | Path, str]]]:
+def _load_pools(settings: dict) -> tuple[PoolSet, list[tuple[str | Path, str]]]:
     """The three pools of the config, and their paths and file digests in
     d1, d2, d3 order, which both the ledger and the run record use. Each
     digest is of the bytes its pool was parsed from: one read per file."""
-    pools_conf = _section(conf, "pools")
-    missing = [key for key in ("d1", "d2", "d3") if not pools_conf.get(key)]
+    paths = [settings[f"pools.{key}"] for key in ("d1", "d2", "d3")]
+    missing = [key for key, path in zip(("d1", "d2", "d3"), paths) if not path]
     if missing:
         raise ConfigError(f"config pools missing path(s): {', '.join(missing)}")
-    paths = [pools_conf[key] for key in ("d1", "d2", "d3")]
     digests = [hashlib.sha256() for _ in paths]
     pools = PoolSet(*(load_pool(p, tag, digest=d) for p, tag, d in zip(paths, POOL_TAGS, digests)))
     return pools, [(path, digest.hexdigest()) for path, digest in zip(paths, digests)]
 
 
-def _fresh_out_dir(args: argparse.Namespace, conf: dict, default: str, output: str) -> Path:
+def _fresh_out_dir(args: argparse.Namespace, settings: dict, output: str) -> Path:
     """The run's out-dir, made if absent, less the output and run record of
     an earlier run: deleted before any later check or pool load, so a run
     that fails leaves neither behind to be read as its own."""
-    value = _resolve(args.out_dir, conf.get("out_dir"), default=default)
-    if not isinstance(value, str):
-        raise ConfigError(f"out_dir must be a string, got {value!r}")
-    out_dir = Path(value)
+    value = settings["out_dir"]
+    out_dir = Path(f"{args.command}-run" if value is None else value)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in (output, "runrecord.json"):
         (out_dir / name).unlink(missing_ok=True)
@@ -195,19 +239,17 @@ def _fresh_out_dir(args: argparse.Namespace, conf: dict, default: str, output: s
 
 def _build_oracle(conf: dict) -> Oracle:
     """The config's oracle; a bad oracle section is a config error."""
-    oracle_conf = _section(conf, "oracle")
-    kind = oracle_conf.get("kind")
-    if kind == "synthetic":
-        return SyntheticOracle.from_dict(oracle_conf)
-    if kind == "external":
-        return ExternalOracle.from_dict(oracle_conf)
-    raise ConfigError(f"oracle.kind must be synthetic or external, got {kind!r}")
+    section = conf.get("oracle") or {}
+    for kind, cls in _ORACLES.items():
+        if section.get("kind") == kind:
+            return cls.from_dict(section)
+    raise ConfigError(f"oracle.kind must be synthetic or external, got {section.get('kind')!r}")
 
 
 def _ledger(oracle: Oracle, conf: dict, out_dir: Path, pool_inputs: Sequence[tuple]) -> Ledger:
     """The oracle behind out_dir's ledger, keyed by the pool digests and the
     oracle section without `timeout` (which never changes a result)."""
-    identity = {k: v for k, v in _section(conf, "oracle").items() if k != "timeout"}
+    identity = {k: v for k, v in (conf.get("oracle") or {}).items() if k != "timeout"}
     context = [d for _, d in pool_inputs] + [json.dumps(identity, sort_keys=True, default=str)]
     return Ledger(oracle, out_dir / "ledger.jsonl", context)
 
@@ -284,13 +326,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _emit_report(doc: dict, text: str, fmt: str) -> None:
-    # --format takes text or json only, so another value came from the environment.
-    if fmt not in ("text", "json"):
-        raise ConfigError(f"environment variable IQMIX_FORMAT={fmt!r} must be text or json")
-    if fmt == "json":
-        print(json.dumps(doc, indent=2, ensure_ascii=False))
-    else:
-        print(text)
+    print(json.dumps(doc, indent=2, ensure_ascii=False) if fmt == "json" else text)
 
 
 def _join_scores_to_mos(args: argparse.Namespace) -> PairedSample:
@@ -335,7 +371,7 @@ def cmd_eval_desc(args: argparse.Namespace) -> int:
 
 def cmd_subsample(args: argparse.Namespace) -> int:
     started = _now()
-    seed = _resolve(args.seed, _env_default("SEED", int), default=0)
+    seed = _value("seed", SETTINGS["seed"], args, {})
     mos = ingest_mos(args.mos_file, delimiter=args.delimiter)
     subset = subsample_balanced(mos, args.target, bins=args.bins, seed=seed)
     out = Path(args.out)
@@ -365,9 +401,7 @@ def _parse_triplet(text: str, what: str) -> tuple[float, float, float]:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     started = _now()
-    conf = _load_yaml(args.config)
-    seed = _number("seed", int, args.seed, _env_default("SEED", int), conf.get("seed"),
-                   default=0)
+    settings = _config(args)[1]
     if args.counts is not None:
         parts = _parse_triplet(args.counts, "--counts")
         if not all(p >= 0 and p.is_integer() for p in parts):  # nan and inf are not integers
@@ -377,10 +411,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
         ratio = MixRatio(*_parse_triplet(args.ratio, "--ratio"))
     else:
         raise ConfigError("sample requires --counts or --ratio")
-    pools, pool_inputs = _load_pools(conf)
+    pools, pool_inputs = _load_pools(settings)
     if args.counts is None:
         counts = ratio.counts_for_d1_base(len(pools.d1))
-    manifest = sample_mixture(pools, counts, seed,
+    manifest = sample_mixture(pools, counts, settings["seed"],
                               with_replacement=args.with_replacement)
     out = Path(args.out)
     write_manifest(manifest, out)
@@ -390,37 +424,29 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _write_run_record(
         "sample",
         {"counts": counts, "with_replacement": args.with_replacement, "out": str(out)},
-        [*_digests(args.config), *pool_inputs], [out], seed=seed, started=started,
+        [*_digests(args.config), *pool_inputs], [out], seed=settings["seed"], started=started,
     )
     return 0
 
 
 def cmd_mix_search(args: argparse.Namespace) -> int:
     started = _now()
-    conf = _load_yaml(args.config)
-    seed = _number("seed", int, args.seed, _env_default("SEED", int), conf.get("seed"),
-                   default=0)
-    jobs = _number("jobs", int, args.jobs, _env_default("JOBS", int), conf.get("jobs"),
-                   default=1)
-    repeats = _number("repeats", int, args.repeats, conf.get("repeats"), default=3)
-    scoring_weight = _number("scoring_weight", float, conf.get("scoring_weight"), default=0.5)
-    if not 0.0 <= scoring_weight <= 1.0:
-        raise ConfigError(f"scoring_weight must be in [0, 1], got {scoring_weight!r}")
-    for key, value in (("repeats", repeats), ("jobs", jobs)):
-        if value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value}")
-    out_dir = _fresh_out_dir(args, conf, "mix-search-run", "coarse_result.json")
+    conf, settings = _config(args)
+    seed, repeats, jobs = (settings[key] for key in ("seed", "repeats", "jobs"))
+    grids = {stage: settings[f"grid.{stage}"] for stage in ("stage1", "stage2")}
+    for stage, ratios in grids.items():  # a degree-4 fit needs 5 distinct ratios
+        if ratios is not None and len(set(ratios)) < 5:
+            raise ConfigError(f"grid.{stage} needs 5 distinct ratios for a degree-4 fit, "
+                              f"got {ratios!r}")
+    out_dir = _fresh_out_dir(args, settings, "coarse_result.json")
     result_path = out_dir / "coarse_result.json"
 
-    if conf.get("axis", "log10") != "log10":
-        raise ConfigError(f"axis must be log10 (the only sweep axis), got {conf['axis']!r}")
-    grid = _section(conf, "grid")
-    stage_ratios = {f"{key}_ratios": _grid_ratios(grid, key) for key in ("stage1", "stage2")}
     oracle = _build_oracle(conf)
-    pools, pool_inputs = _load_pools(conf)
+    pools, pool_inputs = _load_pools(settings)
     ledger = _ledger(oracle, conf, out_dir, pool_inputs)
     doc = coarse_search(ledger, pools, workdir=out_dir, seed=seed, repeats=repeats, jobs=jobs,
-                        scoring_weight=scoring_weight, **stage_ratios)
+                        scoring_weight=settings["scoring_weight"],
+                        stage1_ratios=grids["stage1"], stage2_ratios=grids["stage2"])
     weights = doc["mix_ratio"]
     print(f"d2:d3 ratio        {doc['stage1']['ratio']:.6g}")
     print(f"(d2+d3):d1 ratio   {doc['stage2']['ratio']:.6g}")
@@ -440,27 +466,20 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
 
 def cmd_mix_adjust(args: argparse.Namespace) -> int:
     started = _now()
-    conf = _load_yaml(args.config)
-    controller_conf = _section(conf, "controller")
-    seed = _number("seed", int, args.seed, _env_default("SEED", int), conf.get("seed"),
-                   default=0)
-    max_epochs = _number("controller.max_epochs", int, args.max_epochs,
-                         controller_conf.get("max_epochs"), default=3)
-    tolerance = _number("controller.tolerance", float, args.tolerance,
-                        controller_conf.get("tolerance"), default=0.1)
-    factor = _number("controller.factor", float, args.factor, controller_conf.get("factor"),
-                     default=1.1)
-    out_dir = _fresh_out_dir(args, conf, "mix-adjust-run", "trajectory.jsonl")
+    conf, settings = _config(args)
+    seed, max_epochs, tolerance, factor = (settings[key] for key in (
+        "seed", "controller.max_epochs", "controller.tolerance", "controller.factor"))
+    out_dir = _fresh_out_dir(args, settings, "trajectory.jsonl")
     trajectory_path = out_dir / "trajectory.jsonl"
 
     try:
         coarse = json.loads(Path(args.coarse_result).read_text(encoding="utf-8"))
         check_controls(coarse, max_epochs, tolerance, factor)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, DataError) as exc:
+    except (OSError, ValueError, RecursionError, DataError) as exc:  # ValueError: not JSON
         raise DataError(f"cannot read coarse result {args.coarse_result}: {exc}")
 
     oracle = _build_oracle(conf)
-    pools, pool_inputs = _load_pools(conf)
+    pools, pool_inputs = _load_pools(settings)
     ledger = _ledger(oracle, conf, out_dir, pool_inputs)
     epochs = run_loop(
         ledger, coarse, pools, max_epochs=max_epochs, tolerance=tolerance, factor=factor,
@@ -534,27 +553,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delimiter", default=",")
     p.add_argument("--logistic", action="store_true",
                    help="apply the four-parameter logistic pre-mapping to PLCC")
-    p.add_argument("--format", choices=["text", "json"],
-                   default=_env_default("FORMAT", str, "text"))
     p.set_defaults(func=cmd_eval_iqa)
 
     p = sub.add_parser("eval-mcq", help="multiple-choice accuracy report")
     p.add_argument("answers_file")
-    p.add_argument("--format", choices=["text", "json"],
-                   default=_env_default("FORMAT", str, "text"))
     p.set_defaults(func=cmd_eval_mcq)
 
     p = sub.add_parser("eval-desc", help="description-rating report")
     p.add_argument("ratings_file")
-    p.add_argument("--format", choices=["text", "json"],
-                   default=_env_default("FORMAT", str, "text"))
     p.set_defaults(func=cmd_eval_desc)
 
     p = sub.add_parser("subsample", help="balance a MOS distribution by subsampling")
     p.add_argument("mos_file")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--delimiter", default=",")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_subsample)
@@ -563,30 +575,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="YAML config with pools paths")
     p.add_argument("--counts", help="explicit d1:d2:d3 counts")
     p.add_argument("--ratio", help="d1:d2:d3 ratio scaled to the full D1 pool")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--with-replacement", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("mix-search", help="coarse-grained optimal mix ratio search")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="max concurrent oracle invocations during sweeps")
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_mix_search)
 
     p = sub.add_parser("mix-adjust", help="fine-grained per-epoch mix adjustment")
     p.add_argument("--config", required=True)
     p.add_argument("--coarse-result", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--factor", type=float, default=None)
-    p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_mix_adjust)
 
+    for key, (kind, _, _, _, commands, _) in [*SETTINGS.items(), ("format", _FORMAT)]:
+        for command in commands:
+            flag = "--" + key.rpartition(".")[2].replace("_", "-")
+            sub.choices[command].add_argument(flag, type=kind)
     return parser
 
 
@@ -597,6 +602,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         stream=sys.stderr,
     )
     try:
+        if "format" in args:  # before any input is read
+            args.format = _value("format", _FORMAT, args, {})
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import os
 import shlex
 import subprocess
 import threading
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -95,16 +95,47 @@ def realized_axes(counts: Mapping[str, int]) -> tuple[float, float]:
     return math.log10(d2 / d3), math.log10(mixed / d1)
 
 
+# Config sections --------------------------------------------------------------
+
+
+def from_config(cls, obj: Mapping, where: str = "oracle"):
+    """The dataclass cls read from its config section obj, one key per field:
+    a dataclass field from the section under its name, a float field from a
+    number, any other field as given, for cls to check; null reads as absent.
+    A missing field without a default, a value that is not a number where one
+    is due, or one that cls rejects is a config error naming its dotted key.
+    A field's type is read from its annotation's text, not evaluated (that
+    keeps typing objects alive), and a dataclass type is a class of this module."""
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"{where} must be a mapping, got {obj!r}")
+    values = {}
+    for f in fields(cls):
+        key, value, nested = f"{where}.{f.name}", obj.get(f.name), globals().get(f.type)
+        if value is None:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where} is missing {f.name!r}")
+        elif is_dataclass(nested):
+            values[f.name] = from_config(nested, value, key)
+        elif "float" in f.type:  # float, or float | None
+            values[f.name] = number_setting(value, key)
+        else:
+            values[f.name] = value
+    try:
+        return cls(**values)
+    except ConfigError as exc:  # a surface names its own terms, an oracle the full key
+        if str(exc).startswith(f"{where}."):
+            raise
+        raise ConfigError(f"{where}.{exc}") from None
+
+
+def config_keys(cls, where: str = "oracle") -> list[str]:
+    """The dotted key of each field that from_config reads for cls."""
+    return [key for f in fields(cls) for key in (
+        config_keys(globals()[f.type], f"{where}.{f.name}") if is_dataclass(globals().get(f.type))
+        else [f"{where}.{f.name}"])]
+
+
 # Synthetic oracle -------------------------------------------------------------
-
-
-def _setting(obj: Mapping, key: str, where: str, default: float | None = None) -> float:
-    """obj[key] as a float, or default where the key is absent and a default
-    is given; a missing key or a value that is not a number is a config
-    error naming where.key."""
-    if key not in obj and default is None:
-        raise ConfigError(f"{where} is missing {key!r}")
-    return number_setting(obj.get(key, default), f"{where}.{key}")
 
 
 @dataclass(frozen=True)
@@ -138,16 +169,7 @@ class ResponseSurface:
         d = axis - self.peak_axis
         return self.peak_value - self.curvature * d * d - self.quartic * d ** 4
 
-    @classmethod
-    def from_dict(cls, obj: Mapping, where: str = "surface") -> "ResponseSurface":
-        if not isinstance(obj, Mapping):
-            raise ConfigError(f"{where} must be a mapping, got {obj!r}")
-        terms = [_setting(obj, key, where) for key in ("peak_ratio", "peak_value", "curvature")]
-        terms.append(_setting(obj, "quartic", where, 0.0))
-        try:
-            return cls(*terms)
-        except ConfigError as exc:  # each message opens with the term's name
-            raise ConfigError(f"{where}.{exc}") from None
+    from_dict = classmethod(from_config)
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:
@@ -180,12 +202,7 @@ class SyntheticOracle:
                 raise ConfigError(
                     f"oracle.{key} must be finite and > 0, got {getattr(self, key)!r}")
 
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "SyntheticOracle":
-        surfaces = [ResponseSurface.from_dict(obj.get(key), f"oracle.{key}")
-                    for key in ("scoring_surface", "interpreting_surface")]
-        return cls(*surfaces, **{f.name: _setting(obj, f.name, "oracle", f.default)
-                                 for f in fields(cls)[2:]})  # the settings after the surfaces
+    from_dict = classmethod(from_config)
 
     def evaluate(self, request: OracleRequest) -> OracleResponse:
         header = read_manifest_header(request.manifest_path)
@@ -228,22 +245,14 @@ class ExternalOracle:
 
     def __post_init__(self) -> None:
         if not isinstance(self.command, str) or "{out}" not in self.command:
-            raise ConfigError("external oracle command must reference {out}")
+            raise ConfigError(f"oracle.command must reference {{out}}, got {self.command!r}")
         if self.timeout is not None and not 0.0 < self.timeout < math.inf:
             raise ConfigError(f"oracle.timeout must be finite and > 0, got {self.timeout!r}")
         if not isinstance(self.env, Mapping) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in self.env.items()):
             raise ConfigError(f"oracle.env must map names to strings, got {self.env!r}")
 
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "ExternalOracle":
-        if "command" not in obj:
-            raise ConfigError("external oracle config requires a command template")
-        if "max_parallel" in obj:
-            raise ConfigError("oracle.max_parallel is no longer supported: the top-level "
-                              "jobs setting is the only limit on concurrent oracle calls")
-        timeout = None if obj.get("timeout") is None else _setting(obj, "timeout", "oracle")
-        return cls(obj["command"], timeout, obj.get("env") or {})
+    from_dict = classmethod(from_config)
 
     def evaluate(self, request: OracleRequest) -> OracleResponse:
         out_path = Path(f"{request.manifest_path}.result.json")
@@ -278,7 +287,7 @@ class ExternalOracle:
             raise OracleResultError(f"oracle result file missing: {out_path}")
         try:
             obj = json.loads(out_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        except (OSError, ValueError, RecursionError) as exc:  # not JSON or UTF-8, or too deep
             raise OracleResultError(f"unreadable oracle result {out_path}: {exc}")
         try:
             return _response_from(obj)

@@ -132,6 +132,38 @@ class TestHugeIntegersAndDeepNesting:
         assert run_cli("eval-iqa", scores, mos_file) == 1
         assert capsys.readouterr().err.startswith(f"error: {scores}: line 2: {message}")
 
+    @pytest.mark.parametrize("value", [HUGE_INT, "[" * 20_000 + "]" * 20_000],
+                             ids=["huge-int", "deep"])
+    def test_config_is_config_error(self, tmp_path, capsys, value):
+        config = tmp_path / "config.yaml"
+        config.write_text(f"seed: {value}\n", encoding="utf-8")
+        assert run_cli("sample", "--config", config, "--counts", "1:1:1",
+                       "--out", tmp_path / "m.jsonl") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid config {config}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [HUGE_INT, DEEP], ids=["huge-int", "deep"])
+    def test_coarse_result_is_data_error(self, tmp_path, capsys, oracle_calls, value):
+        config = write_pools_and_config(tmp_path, n1=10, n2=10, n3=10)
+        coarse = tmp_path / "coarse.json"
+        coarse.write_text('{"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04}, '
+                          '"lambda_loss": %s}' % value, encoding="utf-8")
+        assert run_cli("mix-adjust", "--config", config, "--coarse-result", coarse,
+                       "--out-dir", tmp_path / "run") == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read coarse result {coarse}: ")
+        assert oracle_calls == []
+
+    def test_external_oracle_result_is_oracle_error(self, tmp_path, capsys):
+        stub = tmp_path / "stub.py"
+        stub.write_text("import sys\nopen(sys.argv[1], 'w').write('[' * 100000 + ']' * 100000)\n",
+                        encoding="utf-8")
+        config = write_pools_and_config(tmp_path, n1=10, n2=10, n3=10, oracle={
+            "kind": "external", "command": f"{sys.executable} {stub} {{out}}"})
+        assert run_cli("mix-search", "--config", config, "--out-dir", tmp_path / "run") == 3
+        err = capsys.readouterr().err
+        assert "oracle error: unreadable oracle result" in err and "maximum recursion depth" in err
+
     @pytest.mark.parametrize("value,message", [(HUGE_INT, HUGE_INT_ERROR), (DEEP, DEEP_ERROR)],
                              ids=["huge-int", "deep"])
     def test_sample_names_the_pool_line(self, tmp_path, capsys, value, message):
@@ -467,9 +499,11 @@ class TestEvalMcqDesc:
         path.write_text(json.dumps({"id": "r", "dimension": "precision", "rating": 1}) + "\n")
         assert run_cli("eval-desc", path) == 1
 
-    @pytest.mark.parametrize("command", ["eval-iqa", "eval-mcq", "eval-desc"])
+    @pytest.mark.parametrize("command,missing", [
+        pytest.param(command, missing, id=command + ("-missing-inputs" if missing else ""))
+        for missing in (False, True) for command in ("eval-iqa", "eval-mcq", "eval-desc")])
     def test_unknown_format_from_the_environment_is_config_error(
-            self, tmp_path, mos_file, capsys, monkeypatch, command):
+            self, tmp_path, mos_file, capsys, monkeypatch, command, missing):
         monkeypatch.setenv("IQMIX_FORMAT", "xml")
         scores = tmp_path / "scores.jsonl"
         write_records([{"id": "img000", "score": 1.0}, {"id": "img001", "score": 2.0}], scores)
@@ -479,6 +513,8 @@ class TestEvalMcqDesc:
         write_records(RATINGS, ratings)
         inputs = {"eval-iqa": [scores, mos_file], "eval-mcq": [answers],
                   "eval-desc": [ratings]}[command]
+        if missing:  # the variable is checked before any input is opened
+            inputs = [tmp_path / "absent" / path.name for path in inputs]
         assert run_cli(command, *inputs) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -732,14 +768,6 @@ class TestMixSearch:
         assert run_cli("mix-search", "--config", config,
                        "--out-dir", tmp_path / "run") == 3
         assert not stale.exists()
-
-    def test_max_parallel_config_exit_code(self, tmp_path, capsys):
-        oracle = {"kind": "external", "max_parallel": 2,
-                  "command": f"{sys.executable} -c pass {{out}}"}
-        config = write_pools_and_config(tmp_path, oracle=oracle)
-        assert run_cli("mix-search", "--config", config,
-                       "--out-dir", tmp_path / "run") == 2
-        assert "jobs" in capsys.readouterr().err
 
     def test_axis_other_than_log10_is_config_error(self, tmp_path, capsys):
         config = write_pools_and_config(tmp_path, extra={"axis": "fraction"})
@@ -1095,6 +1123,59 @@ def test_out_dir_that_is_not_a_string_is_config_error(tmp_path, capsys, command,
     flags = ["--coarse-result", coarse] if command == "mix-adjust" else []
     assert run_cli(command, "--config", config, *flags) == 2
     assert f"config error: out_dir must be a string, got {out_dir!r}" in capsys.readouterr().err
+
+
+# One config serves sample, mix-search and mix-adjust, so each command checks
+# every key of it: (dotted key, value put there, message).
+SCHEMA_DEFECTS = [
+    ("repeat", 1, "unknown key 'repeat'; did you mean 'repeats'?"),
+    ("sead", 5, "unknown key 'sead'; did you mean 'seed'?"),
+    ("oracle.noise_sigm", 0.5,
+     "unknown key 'oracle.noise_sigm'; did you mean 'oracle.noise_sigma'?"),
+    ("oracle.interpreting_surface.curvatur", 9,
+     "unknown key 'oracle.interpreting_surface.curvatur'; "
+     "did you mean 'oracle.interpreting_surface.curvature'?"),
+    ("controller.tolerence", 0.5,
+     "unknown key 'controller.tolerence'; did you mean 'controller.tolerance'?"),
+    ("pools.d1", 5, "pools.d1 must be a string, got 5"),
+    ("controller", 0, "controller must be a mapping, got 0"),
+    ("grid.stage1", 0, "grid.stage1 must be a list of positive numbers, got 0"),
+    ("oracle", {**EXTERNAL, "max_parallel": 2}, "unknown key 'oracle.max_parallel'"),
+]
+
+
+@pytest.mark.parametrize("command", ["sample", "mix-search", "mix-adjust"])
+@pytest.mark.parametrize("key,value,message", SCHEMA_DEFECTS,
+                         ids=[key for key, _, _ in SCHEMA_DEFECTS])
+def test_config_schema_error_exits_2_before_any_pool_or_output_is_touched(
+        tmp_path, capsys, opened_paths, command, key, value, message):
+    config = write_pools_and_config(tmp_path)
+    conf = yaml.safe_load(config.read_text(encoding="utf-8"))
+    *sections, name = key.split(".")
+    section = conf
+    for part in sections:
+        section = section.setdefault(part, {})
+    section[name] = value
+    config.write_text(yaml.safe_dump(conf), encoding="utf-8")
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(json.dumps({"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04},
+                                  "lambda_loss": 0.25}))
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    earlier = {file: f"an earlier run's {file}\n" for file in (
+        "coarse_result.json", "trajectory.jsonl", "runrecord.json", "ledger.jsonl",
+        "m.jsonl", "m.jsonl.run.json")}
+    for file, text in earlier.items():
+        (out_dir / file).write_text(text)
+    flags = {"sample": ["--counts", "1:1:1", "--out", out_dir / "m.jsonl"],
+             "mix-search": ["--out-dir", out_dir],
+             "mix-adjust": ["--coarse-result", coarse, "--out-dir", out_dir]}[command]
+    opened_paths.clear()  # the files written above
+    assert run_cli(command, "--config", config, *flags) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert {path.name: path.read_text() for path in out_dir.iterdir()} == earlier
+    pools = {str(tmp_path / f"{tag}.jsonl") for tag in ("d1", "d2", "d3")}
+    assert pools.isdisjoint(opened_paths)
 
 
 @pytest.fixture

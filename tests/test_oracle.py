@@ -300,12 +300,6 @@ class TestExternalOracle:
         with pytest.raises(ConfigError):
             ExternalOracle.from_dict({})
 
-    def test_max_parallel_is_rejected_and_names_jobs(self):
-        with pytest.raises(ConfigError, match="jobs"):
-            ExternalOracle.from_dict(
-                {"command": "run {manifest} {seed} {out}", "max_parallel": 2}
-            )
-
     def test_oracle_object_reusable(self, tmp_path, stub_command):
         oracle = ExternalOracle(stub_command)
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})

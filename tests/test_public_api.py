@@ -1,6 +1,6 @@
-"""The package exports and the README's library examples match the code, no
-module imports a name it never uses, and no private module-level name is
-left that no module reads."""
+"""The package exports, the README's library examples and its config table
+match the code, no module imports a name it never uses, and no private
+module-level name is left that no module reads."""
 
 import ast
 import importlib
@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import iqmix
+from iqmix import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -37,6 +38,14 @@ def test_every_readme_python_block_imports_names_that_exist():
     missing = [f"from {module} import {name}" for module, name in imported
                if not hasattr(importlib.import_module(module), name)]
     assert missing == [], "README imports names the package lacks:\n" + "\n".join(missing)
+
+
+def test_readme_config_table_lists_every_config_key():
+    section = re.search(r"^### Config file\n(.*?)^### ", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    assert section is not None, "README has no 'Config file' section"
+    keys = re.findall(r"^\| `([^`]+)` \|", section.group(1), re.M)
+    assert sorted(keys) == sorted(cli._known_keys({}))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:

@@ -10,14 +10,16 @@ only loaded, counted, and sampled.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import json
 import logging
 import math
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -262,26 +264,30 @@ def _pair_problem(obj: dict, pair_id: str, d1: bool) -> str | None:
     return None
 
 
-def load_pool(path: str | Path, pool_tag: str, *, digest=None) -> list[str]:
+def load_pool(path: str | Path, pool_tag: str, *, digest=None) -> np.ndarray:
     """Check every record of a pool file as a training pair (id, image,
     optional system, alternating human/gpt turns; D1 carries the scoring
     system prefix), then keep only its manifest row. Sampling needs nothing
-    else of a pair, so a manifest is a shuffled selection of these rows.
+    else of a pair, so a manifest is a shuffled selection of these rows,
+    returned as an object array that sampling indexes in place.
     A hashlib hash given as digest takes the bytes of the file as it is read."""
     if pool_tag not in POOL_TAGS:
         raise DataError(f"unknown pool tag {pool_tag!r}")
-    rows = []
-    for line_no, obj in read_jsonl(path, digest):
-        pair_id = obj.get("id")
-        if not isinstance(pair_id, str):  # an integer id, or the error naming the line
-            pair_id = record_id(obj, f"{path}: line {line_no}")
-        problem = _pair_problem(obj, pair_id, pool_tag == "D1")
-        if problem is not None:
-            raise DataError(f"{path}: line {line_no}: {problem}")
-        rows.append(manifest_row(pool_tag, line_no, pair_id))
-    if not rows:
+
+    def rows():
+        for line_no, obj in read_jsonl(path, digest):
+            pair_id = obj.get("id")
+            if not isinstance(pair_id, str):  # an integer id, or the error naming the line
+                pair_id = record_id(obj, f"{path}: line {line_no}")
+            problem = _pair_problem(obj, pair_id, pool_tag == "D1")
+            if problem is not None:
+                raise DataError(f"{path}: line {line_no}: {problem}")
+            yield manifest_row(pool_tag, line_no, pair_id)
+
+    pool = np.fromiter(rows(), dtype=object)  # grown in place: no list to copy
+    if not len(pool):
         log.warning("%s: empty pool file for %s", path, pool_tag)
-    return rows
+    return pool
 
 
 # Mixture sampling ------------------------------------------------------------
@@ -289,14 +295,14 @@ def load_pool(path: str | Path, pool_tag: str, *, digest=None) -> list[str]:
 
 @dataclass
 class PoolSet:
-    d1: list[str] = field(default_factory=list)  # manifest rows, see load_pool
-    d2: list[str] = field(default_factory=list)
-    d3: list[str] = field(default_factory=list)
+    d1: Sequence[str] = ()  # manifest rows, see load_pool
+    d2: Sequence[str] = ()
+    d3: Sequence[str] = ()
 
     def sizes(self) -> dict[str, int]:
         return {"d1": len(self.d1), "d2": len(self.d2), "d3": len(self.d3)}
 
-    def by_tag(self, tag: str) -> list[str]:
+    def by_tag(self, tag: str) -> Sequence[str]:
         return {"D1": self.d1, "D2": self.d2, "D3": self.d3}[tag]
 
 
@@ -315,6 +321,33 @@ def _ratio_of(counts: Mapping[str, int]) -> dict[str, float]:
     return {k: counts.get(k, 0) / base for k in ("d1", "d2", "d3")}
 
 
+def _draw_keys(seed: int, stream: str, n: int) -> np.ndarray:
+    """n little-endian uint64 keys read from the SHAKE-256 output of the text
+    repr((seed, stream)): a function of these arguments alone, fixed by
+    FIPS 202, so no Python or numpy version moves a draw."""
+    text = repr((operator.index(seed), stream)).encode()
+    return np.frombuffer(hashlib.shake_256(text).digest(8 * n), dtype="<u8")
+
+
+def _draw_rows(seed: int, tag: str, n: int, want: int) -> np.ndarray:
+    """want row indexes of a pool of n rows, from the key stream (seed, tag).
+
+    want <= n: the rows of the want smallest of n keys, in (key, row) order.
+    Only the rows whose key lies under a bound that about want plus 8
+    standard deviations of n uniform keys fall under are sorted; should
+    fewer than want fall under it, every row is. want > n: key % n for each
+    of want keys, so rows repeat.
+    """
+    if want > n:
+        return _draw_keys(seed, tag, want) % np.uint64(n)
+    keys = _draw_keys(seed, tag, n)
+    bound = ((want + 8 * math.isqrt(want) + 8) << 64) // n
+    rows = np.flatnonzero(keys < np.uint64(bound)) if bound < 1 << 64 else ()
+    if len(rows) < want:
+        rows = np.arange(n)
+    return rows[np.argsort(keys[rows], kind="stable")[:want]]
+
+
 def sample_mixture(
     pools: PoolSet,
     counts: Mapping[str, int],
@@ -326,11 +359,13 @@ def sample_mixture(
 
     Sampling is without replacement; a count above the pool size is only
     legal with the replacement flag, in which case that pool alone switches
-    to replacement (logged). Everything is driven by one seeded generator,
-    whose draws depend only on the pool sizes and counts.
+    to replacement (logged). Each pool draws its rows from its own key
+    stream (see _draw_rows), and the combined rows are put in the order of
+    the stable argsort of the key stream (seed, "order"). So the draws
+    depend only on the seed, the pool sizes and the counts, and no row is
+    drawn by a Python-level step.
     """
-    rng = random.Random(seed)
-    entries: list[str] = []
+    picks = []
     normalized = {k: int(counts.get(k, 0)) for k in ("d1", "d2", "d3")}
     for tag in POOL_TAGS:
         want = normalized[tag.lower()]
@@ -339,27 +374,32 @@ def sample_mixture(
             raise DataError(f"{tag}: negative count {want}")
         if want == 0:
             continue
-        if not pool:
+        if not len(pool):
             raise DataError(f"{tag}: cannot sample {want} pairs from an empty pool")
-        if want <= len(pool):
-            entries.extend(rng.sample(pool, want))
-        elif with_replacement:
-            log.info("%s: oversampling %d from %d with replacement", tag, want, len(pool))
-            entries.extend(rng.choices(pool, k=want))
-        else:
+        if want > len(pool) and not with_replacement:
             raise DataError(
                 f"{tag}: count {want} exceeds pool size {len(pool)} "
                 f"(pass with_replacement to oversample)"
             )
-    rng.shuffle(entries)
-    return Manifest(seed=seed, counts=normalized, ratio=_ratio_of(normalized), entries=entries)
+        if want > len(pool):
+            log.info("%s: oversampling %d from %d with replacement", tag, want, len(pool))
+        picks.append(np.asarray(pool, dtype=object)[_draw_rows(seed, tag, len(pool), want)])
+    drawn = np.concatenate(picks) if picks else np.empty(0, dtype=object)
+    del picks
+    drawn = drawn[np.argsort(_draw_keys(seed, "order", len(drawn)), kind="stable")]
+    return Manifest(seed=seed, counts=normalized, ratio=_ratio_of(normalized),
+                    entries=drawn.tolist())
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
+    """The header line, then the entries, joined 4096 at a time: one string
+    of a whole manifest would be the largest allocation of a run."""
     header = {"seed": manifest.seed, "counts": manifest.counts, "ratio": manifest.ratio}
+    entries = manifest.entries
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(header, ensure_ascii=False) + "\n")
-        handle.write("".join(manifest.entries))
+        for start in range(0, len(entries), 4096):
+            handle.write("".join(entries[start:start + 4096]))
 
 
 def read_manifest_header(path: str | Path) -> dict:

@@ -236,8 +236,8 @@ def test_criterion_09_d1_emission_and_round_trip(tmp_path):
 
     assert records == [d1_record(image_id, label) for image_id, label in pairs]
     assert [record["id"] for record in records] == list(mos)
-    assert load_pool(path, "D1") == [manifest_row("D1", line, image_id)
-                                     for line, image_id in enumerate(mos, start=1)]
+    assert load_pool(path, "D1").tolist() == [manifest_row("D1", line, image_id)
+                                              for line, image_id in enumerate(mos, start=1)]
 
 
 def test_criterion_10_subsampler_balances_skew():

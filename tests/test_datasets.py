@@ -1,7 +1,6 @@
 import hashlib
 import json
 import logging
-import random
 import re
 from collections import Counter
 
@@ -9,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
+from iqmix import datasets
 from iqmix.datasets import (
     D1_QUESTION,
     POOL_TAGS,
@@ -255,8 +256,8 @@ class TestPoolRoundTrip:
         assert path.read_text(encoding="utf-8") == "".join(
             json.dumps(record, ensure_ascii=False) + "\n" for record in expected)
         assert read_records(path) == expected
-        assert load_pool(path, "D1") == [manifest_row("D1", line, image_id)
-                                         for line, (image_id, _) in enumerate(pairs, start=1)]
+        assert load_pool(path, "D1").tolist() == [
+            manifest_row("D1", line, image_id) for line, (image_id, _) in enumerate(pairs, start=1)]
 
     def test_multi_turn_round_trip(self, tmp_path):
         record = {"id": "c1", "image": "img.jpg", "conversations": [
@@ -266,7 +267,7 @@ class TestPoolRoundTrip:
         path = tmp_path / "pool.jsonl"
         write_records([record], path)
         assert read_records(path) == [record]
-        assert load_pool(path, "D2") == [manifest_row("D2", 1, "c1")]
+        assert load_pool(path, "D2").tolist() == [manifest_row("D2", 1, "c1")]
 
     def test_inline_system_flag(self, tmp_path):
         path = tmp_path / "d1.jsonl"
@@ -288,7 +289,7 @@ class TestPoolRoundTrip:
         path = tmp_path / "pool.jsonl"
         path.write_text("")
         with caplog.at_level(logging.WARNING):
-            assert load_pool(path, "D2") == []
+            assert load_pool(path, "D2").tolist() == []
         assert any("empty pool" in m for m in caplog.messages)
 
     def test_duplicate_ids_preserved(self, tmp_path):
@@ -303,7 +304,7 @@ class TestPoolRoundTrip:
                   "conversations": [{"from": "human", "value": "q"},
                                     {"from": "gpt", "value": "a"}]}
         path.write_text("\n" + json.dumps(record) + "\n")
-        assert load_pool(path, "D3") == ['{"pool": "D3", "source_line": 2, "id": "7"}\n']
+        assert load_pool(path, "D3").tolist() == ['{"pool": "D3", "source_line": 2, "id": "7"}\n']
         for flag in (True, False):  # bool is an int subclass, but not an id
             path.write_text("\n" + json.dumps(dict(record, id=flag)) + "\n")
             with pytest.raises(DataError, match="line 2: missing or non-string 'id'"):
@@ -483,6 +484,13 @@ class TestManifestRow:
         assert manifest_row(tag, line, pair_id) == expected
 
 
+def shake_keys(seed, stream, n):
+    """The draw rule's keys: 8 little-endian bytes each of the SHAKE-256
+    output of repr((seed, stream))."""
+    data = hashlib.shake_256(repr((seed, stream)).encode()).digest(8 * n)
+    return [int.from_bytes(data[i:i + 8], "little") for i in range(0, 8 * n, 8)]
+
+
 def entry_fields(manifest):
     return [json.loads(row) for row in manifest.entries]
 
@@ -538,18 +546,80 @@ class TestSampleMixture:
 
     @pytest.mark.parametrize("d1_count", [12, 30])
     def test_draws_match_index_sampling(self, d1_count):
-        # reference: draw pool indices, as the sampler did before it held rows
+        # reference: the draw rule in plain Python, with hashlib keys, sorted and %
         pools = make_pools(20, 40, 40)
         counts = {"d1": d1_count, "d2": 25, "d3": 7}
-        rng = random.Random(13)
         expected = []
         for tag in POOL_TAGS:
-            n, want = len(pools.by_tag(tag)), counts[tag.lower()]
-            picks = rng.sample(range(n), want) if want <= n else rng.choices(range(n), k=want)
-            expected.extend(pools.by_tag(tag)[i] for i in picks)
-        rng.shuffle(expected)
+            pool, want = pools.by_tag(tag), counts[tag.lower()]
+            n = len(pool)
+            if want <= n:
+                keys = shake_keys(13, tag, n)
+                picks = sorted(range(n), key=lambda i: (keys[i], i))[:want]
+            else:
+                picks = [key % n for key in shake_keys(13, tag, want)]
+            expected.extend(pool[i] for i in picks)
+        order = shake_keys(13, "order", len(expected))
+        expected = [expected[i] for i in sorted(range(len(expected)), key=lambda i: (order[i], i))]
         manifest = sample_mixture(pools, counts, seed=13, with_replacement=True)
         assert manifest.entries == expected
+
+    def test_tied_keys_keep_row_order(self, monkeypatch):
+        # Equal keys put no row under the candidate bound, so every row is
+        # sorted; ties keep the lower row first, in each pool and in the order.
+        monkeypatch.setattr(datasets, "_draw_keys",
+                            lambda seed, stream, n: np.full(n, 2**64 - 1, dtype=np.uint64))
+        pools = make_pools(1000, 10, 10)
+        manifest = sample_mixture(pools, {"d1": 3, "d2": 10, "d3": 1}, seed=0)
+        assert manifest.entries == [*pools.d1[:3], *pools.d2, *pools.d3[:1]]
+
+    def test_array_and_list_pools_draw_the_same_rows(self):
+        pools = make_pools(30, 60, 60)
+        arrays = PoolSet(*(np.array(rows, dtype=object) for rows in (pools.d1, pools.d2, pools.d3)))
+        counts = {"d1": 45, "d2": 60, "d3": 11}
+        assert sample_mixture(arrays, counts, 4, with_replacement=True).entries == \
+            sample_mixture(pools, counts, 4, with_replacement=True).entries
+
+    @settings(deadline=None, max_examples=150)
+    @given(sizes=st.tuples(*[st.integers(0, 40)] * 3), wants=st.tuples(*[st.integers(0, 60)] * 3),
+           seed=st.integers(0, 2**63 - 1), with_replacement=st.booleans())
+    def test_draw_properties(self, sizes, wants, seed, with_replacement):
+        pools = make_pools(*sizes)
+        counts = dict(zip(("d1", "d2", "d3"), wants))
+        if any(want > n and (n == 0 or not with_replacement) for n, want in zip(sizes, wants)):
+            with pytest.raises(DataError):
+                sample_mixture(pools, counts, seed, with_replacement=with_replacement)
+            return
+        manifest = sample_mixture(pools, counts, seed, with_replacement=with_replacement)
+        rows_by_tag = {tag: [] for tag in POOL_TAGS}
+        for row, entry in zip(manifest.entries, entry_fields(manifest)):
+            pool = pools.by_tag(entry["pool"])
+            assert pool[entry["source_line"] - 1] == row  # the pool's row at its line
+            rows_by_tag[entry["pool"]].append(row)
+        for tag, n, want in zip(POOL_TAGS, sizes, wants):
+            assert len(rows_by_tag[tag]) == want  # exact counts
+            # rows repeat only where the count exceeds the pool
+            assert (len(set(rows_by_tag[tag])) == want) == (want <= n)
+
+    @pytest.mark.parametrize("want", [3, 25])
+    def test_inclusion_is_uniform_over_seeds(self, want):
+        # a 10-row pool, 2,000 seeds: each row's draws against a uniform
+        # expectation, without (3 of 10) and with (25 of 10) replacement
+        pools = make_pools(10, 0, 0)
+        drawn = Counter(row for seed in range(2000) for row in sample_mixture(
+            pools, {"d1": want}, seed, with_replacement=True).entries)
+        observed = np.array([drawn[row] for row in pools.d1], dtype=np.float64)
+        expected = 2000 * want / 10
+        statistic = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2.sf(statistic, df=9) > 0.001
+
+    def test_first_position_is_uniform_over_seeds(self):
+        # the order stream: which of 10 drawn rows comes first
+        pools = make_pools(10, 0, 0)
+        first = Counter(sample_mixture(pools, {"d1": 10}, seed).entries[0] for seed in range(2000))
+        observed = np.array([first[row] for row in pools.d1], dtype=np.float64)
+        statistic = float(((observed - 200) ** 2 / 200).sum())
+        assert chi2.sf(statistic, df=9) > 0.001
 
     def test_round_trip_file(self, tmp_path):
         pools = make_pools(20, 20, 20)

@@ -1,7 +1,10 @@
 """Golden bytes: a fixed-seed mix-search and mix-adjust on small synthetic
 pools must reproduce every manifest, coarse_result.json and trajectory.jsonl
-byte for byte. The hashes were recorded when the manifest writer still ran
-json.dumps once per entry; a faster data path must not move a single byte.
+byte for byte. The coarse_result.json and trajectory.jsonl hashes were
+recorded when the manifest writer still ran json.dumps once per entry. The
+manifest hashes were recorded when the sampler began to draw rows by the
+SHAKE-256 key streams of the seed (README "Manifest"), which changed every
+manifest once and no result. A faster data path must not move a single byte.
 Both runs use one job, so their ledger.jsonl files are pinned too: each
 line's key covers the pool-file digests, the oracle config, the manifest
 digest and the seed.
@@ -36,95 +39,95 @@ SIZES = {"d1": 120, "d2": 250, "d3": 400}
 
 GOLDEN = {
     "adjust/ledger.jsonl":
-        "106333d1c0bd1c065cd742952db91830d8d10a73439289c1138c7f3c675231cf",
+        "3b48ad66a8e7650fc8340c666279a5ea1ac5438e4109ccb27638b6429ceda2bd",
     "adjust/manifests/epoch01.jsonl":
-        "74e709d4aa56fa36897c319cd01252464cd37b46eb2f2685c218d756a82a0ac9",
+        "444f7007635bed7d71de11b571d17a7680adb33b26e97c030a953d988b375927",
     "adjust/manifests/epoch02.jsonl":
-        "c2862c9b481da13095ab102f61a2f0bf7711050aa81f1554cb002adc7a6a0f36",
+        "f8651a7731223d58002389b9bfea28b8b8d9e17e33b4fd03c148df3961270709",
     "adjust/trajectory.jsonl":
         "0ca7caa6cf4195bb24e5acb99c3ef2965c13b0539304dcedf445a5ce2aa4f6a1",
     "search/coarse_result.json":
         "2ec9a773c27a41af2d48e0de8a267dddc424601359d5d01a06369755c8eee71b",
     "search/ledger.jsonl":
-        "7552bdf0d199a9aac433acebb0db6456a4c8f7a3f1d8fe373de912986adfd4c0",
+        "b8c5dc86e9827657381c027b3dceb6f4264c974951389f75b1127876e6bf41e2",
     "search/manifests/confirm.jsonl":
-        "513052b37ed12e7e35bb5b2a3302ca4cb166d28ce1e379dd6fbbc7d3563f2dfe",
+        "f8f4cb95edf24f5ec9816eaba821cb70af933cbc446069efb1addd15527f8132",
     "search/manifests/d2_vs_d3/point00_rep0.jsonl":
-        "1fa5333edf55171fce58ba73d73257e292bb75d658c07e6fddb3ef90afd05e2e",
+        "051404d96909ead52ab58b68c67fe66eee648113b5c8dae6595f66802cf61162",
     "search/manifests/d2_vs_d3/point01_rep0.jsonl":
-        "eb1cbffb08c93a9fac84549d77900d594edcf3d6f0cda0f021b91b0b276ae80a",
+        "36787f5b7d4ec7b3ff3f252c247ca825ccc289778e623c77433121f5ae8fe47a",
     "search/manifests/d2_vs_d3/point02_rep0.jsonl":
-        "786d94f28ade7941d1a64f840090fc2f44d9a26b5b199f6558defafd81ae996e",
+        "57ad0037bc118da0bcbb42a5b329161b973c2d0db140307c56e3abbf7032192e",
     "search/manifests/d2_vs_d3/point03_rep0.jsonl":
-        "96d826ac96c9037700ea59140df51b12196c31786154171efc88104c8734731c",
+        "9c71c2d4b64a71d605f8635f49698a6397a2be6bac79e65d1edb5c9469b721c5",
     "search/manifests/d2_vs_d3/point04_rep0.jsonl":
-        "db1e4d1a4210112653080b22359742ddce5a6416fba143db18cd1c8cfe4a419d",
+        "13d3ed298defa08852e813e26433cd7f9caa4fbaf100a67e01d0a29c3e67c5ef",
     "search/manifests/d2_vs_d3/point05_rep0.jsonl":
-        "f6fb6d853c38defdb111582231f9aa787bd08a5acac165acbbb9274636b5c240",
+        "c78e0ce2c6e81ea4dc5560d498d442f3e61de1003b8061808d818aada2934071",
     "search/manifests/d2_vs_d3/point06_rep0.jsonl":
-        "2ec07fd5d108579be7c1afb2103a21d7076821c653f7bfe1c0b5a3d1e2512ae1",
+        "f471a093bb7038601eade11659e384089f5e5cff9f422ba80497a4edb19b717c",
     "search/manifests/d2_vs_d3/point07_rep0.jsonl":
-        "b5f0013eea56efd72dba40928bf50732acfd28934bc8558248b864cd740f35f9",
+        "0fdc1ed54f1693cf657cdecdec518f3275cecc0a71c4bca45d5efeaf6bc3138e",
     "search/manifests/d2_vs_d3/point08_rep0.jsonl":
-        "0ab2ce8811eec81c95a6fc045180d58f1f7cfd8152f6f1188a31c1327e39ea6a",
+        "c4b68a47690468cd91b120e2793cc0364d9f25e976f6cda65e7963c78a5e213a",
     "search/manifests/d2_vs_d3/point09_rep0.jsonl":
-        "4778eca84be4f04078d337d9bef3674d451dde6307c7f0de1270643ceee3d901",
+        "ccb7117fa65592f85081e2cc36b4ba28fa9a5e997ace5f6b3385b27806597315",
     "search/manifests/d2_vs_d3/point10_rep0.jsonl":
-        "539c4db9267203211bd64e3c25ee5860079773c8f5cf4548800df742ea75a410",
+        "ab90f99df4bca4983d81dd7bfee75a33560cfd702b802204e28917b2efd2a0ee",
     "search/manifests/d2_vs_d3/point11_rep0.jsonl":
-        "53e605a7ef265d4133236344710229dac99c43c881a99061c9caebade336f13e",
+        "5c28585662791c30f4841194e5aeca348f8b1eeb20c8e2ade977556a39a61885",
     "search/manifests/d2_vs_d3/point12_rep0.jsonl":
-        "a60f3c9783f8dfa2a4e129ad547e4b0cf723b2deb1a615951888fbb766ef44b5",
+        "75fa47ff951e19746d462595cfc07067823f549efb20e88594ed8937ec5c76b6",
     "search/manifests/d2_vs_d3/point13_rep0.jsonl":
-        "031f65142bab9c6d7ab9c4b0c94af21686ecff4487ad31c61583409329826e47",
+        "53371a2e34c9bac0174f5e41529a5888bc266eeb7fd0292e8303606df47edd2b",
     "search/manifests/d2_vs_d3/point14_rep0.jsonl":
-        "d086616843ffdab9e753e5cc6eb5aa34aef23d81e7d5889e7b67e7e9920f3235",
+        "adce030d71ef1295af906ebb83014b2056806dfcdd790b750272c140b7d87ace",
     "search/manifests/d2_vs_d3/point15_rep0.jsonl":
-        "0a0d7d626f9db9e20e67b0b28e9f34ceace6fa93955ad45257a4a3c40990b52d",
+        "f33f2d6b02cb765aaf29274c041cac4e9d4e4e0163a6abef6171e661a9661432",
     "search/manifests/d2_vs_d3/point16_rep0.jsonl":
-        "fc089154f51b21de9bd6070367ccc9adfb6acdd87d2781aff13b9fe472d04e56",
+        "c0884e72425c8eb0b94ebe587e8a174870d0774df696df2105e69cbf41c14f3f",
     "search/manifests/d2_vs_d3/point17_rep0.jsonl":
-        "a58a0700fb30b9811faa1f90b69d8cf0f8267d7398570c5553d572aab2ee72a1",
+        "d45b17f0f6d5969ee9f9f5eea1e00bccc92f954d30589920a7d2d55e8a1d06ed",
     "search/manifests/d2_vs_d3/point18_rep0.jsonl":
-        "84f3e3c636e0d61ad5fdb62cc9517ddf7e058631ee70af488bc761cb5354f7e2",
+        "219a6fe71d026a6570d9f07cb22f2f8e21c722af1d5fcc2c33e525b90526b884",
     "search/manifests/mixed_vs_d1/point00_rep0.jsonl":
-        "1c0ca81c63dd4e21ff8c248ee5309afc1d142dec1d2ae7abf0d12d5506a865a8",
+        "414c162b5c7c03b4cc748344b110985a15a4453f872c1c25ffe9abdb3cce0ae9",
     "search/manifests/mixed_vs_d1/point01_rep0.jsonl":
-        "adcd558b1ddde5371d5e0cff02295104d970c359232fb9198f31dab4021d7bd9",
+        "c3b11c259c31f6174ac943eb824b212597a89b3be322b0031f18ea99c862b6d8",
     "search/manifests/mixed_vs_d1/point02_rep0.jsonl":
-        "b101743bb7ee9b8c5b6d80ef1d7936200d2212fe6d03f7f7d8cfb34c72281f55",
+        "cf7c8e1acf348df7ad7f99449eda98597c690f5b4e973d39cef59bc88c4ae4f1",
     "search/manifests/mixed_vs_d1/point03_rep0.jsonl":
-        "59c6841eb868a305b41b0bc16d80d9ec1ce7f98abb681f9bb9a3980eebe3520d",
+        "0e8e1db1df06c45eab0006ba56066d6c9edb3c640e6fb256697fa956989feb52",
     "search/manifests/mixed_vs_d1/point04_rep0.jsonl":
-        "18bc71e7219bfd9df82a29d0a9d56235263367a4588e228195cddc05ec4b32ed",
+        "f7628210997e7fafb44b2b33a0d1b97e31b7c96f1d7b23cd7e930bd57ce25b7b",
     "search/manifests/mixed_vs_d1/point05_rep0.jsonl":
-        "69682d49b6e22d1b25e6e23d6c1ae5e1f8067ea6b56b39f587ea76031dbe8ae9",
+        "5fb83fa8f8d85b1547dacf8508fc5a16da1d9e87754ecf172aee572346422e56",
     "search/manifests/mixed_vs_d1/point06_rep0.jsonl":
-        "7b764d9992229789afe8ea17b09c26168f5c5d5b7d3f9285be5b39ef33389dc2",
+        "7c5ada1e254f32e461cf23e4e7faa274b01fdbe63a42e2505f2c9f8b4511cc62",
     "search/manifests/mixed_vs_d1/point07_rep0.jsonl":
-        "fe77fc2b3cf6b5e6c2924b731836bec38d6e65ca2f2be65b118c8bebc12e58e5",
+        "364ff7e164fa0e1bbdc38ac6b779bd4ec08478d0d0e11ad4cee4216ff53b8487",
     "search/manifests/mixed_vs_d1/point08_rep0.jsonl":
-        "04571ca8c78d8d94eb657de291b17b3a7a2be119f736792f460c68479f77bdeb",
+        "38b47b3fdd37b615d22900dbefb0eed910da65b6f066a61629fa4f990634d10a",
     "search/manifests/mixed_vs_d1/point09_rep0.jsonl":
-        "26c3eb301a6b0204badca8030e0029e398fa6ee2ccdba603dd89766ae190da2c",
+        "ff99eb7bf7ae804dfee13a2b5b312154a4d8dd8837cff17ee27e17b9f49e7552",
     "search/manifests/mixed_vs_d1/point10_rep0.jsonl":
-        "6886f629af6c39e26231943ccf6353503a65778e8b80bd3c530ea6b9f7eee2b3",
+        "3d34037e619a6e0c5cd9ec386eef60116b7cc5d9985c86db33bba8c5315aba52",
     "search/manifests/mixed_vs_d1/point11_rep0.jsonl":
-        "566ab96acc21a7a1768f956bce7aeed41e9faaab1025cfc29d8589d5d3cb6309",
+        "d15e041427ccee78fb6110d5d5eecc2caa40006d1fabfd9be507ee4555ded48c",
     "search/manifests/mixed_vs_d1/point12_rep0.jsonl":
-        "009e8bb147fbc1ec6c20919e211d10b938a0935b4bd499163ec7f6d29c247687",
+        "39b980545d56dc6557014702bdc8b10909fc5a65bcfdd22917b7665f259f6d48",
     "search/manifests/mixed_vs_d1/point13_rep0.jsonl":
-        "95e621e6015b1e1287c3dd5c5c110cbd8dd82cc339500af53d8a5056b370736e",
+        "852607479a5af9b619d568a64132bf3db758794153bbd32e8c58cd81b0cb54af",
     "search/manifests/mixed_vs_d1/point14_rep0.jsonl":
-        "6949a05301cbfeca51436c8891e54dba102de5c70c8bbcf81c1de90e66d1a4b8",
+        "f841bc458c65894042ea557247270a2a42849db7033a5010a77c2e2b4ac4236b",
     "search/manifests/mixed_vs_d1/point15_rep0.jsonl":
-        "7b808d9e463760572b0bea39f810ddd6373e6715a298fd92a7b4b710186e1bad",
+        "ce3610ebd241d1b065baffe1eb0102b036c6e28ff1e793461c11b55eb9a75343",
     "search/manifests/mixed_vs_d1/point16_rep0.jsonl":
-        "9e68d7d40961192de127c3062070df038b9457037149d6d20a1164dbb60a0c96",
+        "326ff728771e6bb4bd789a8cd209af77ac58b8c384818faa7a0721a5cf83b89f",
     "search/manifests/mixed_vs_d1/point17_rep0.jsonl":
-        "9d26841cef9925d62f9e07013841ca95983ce304ee1542a55101ee250674a062",
+        "e710f97ab4a6f84d29aa8eae503f9dbe5db80cfa3e022c4f43c8044c736094c6",
     "search/manifests/mixed_vs_d1/point18_rep0.jsonl":
-        "0a5b373af36fa4c9447180d7aba3714e69567168e40da73fb79759816f9d0d55",
+        "6d1e9d99ee735757efa98b63d513d72c5b5be8f1fd0f58e77ca82c71b4b27df4",
 }
 
 
@@ -402,11 +405,11 @@ def test_eval_outputs_are_byte_identical(tmp_path, monkeypatch, capsys, caplog):
 
 GOLDEN_GROW = {
     "grow/manifests/epoch01.jsonl":
-        "74e709d4aa56fa36897c319cd01252464cd37b46eb2f2685c218d756a82a0ac9",
+        "444f7007635bed7d71de11b571d17a7680adb33b26e97c030a953d988b375927",
     "grow/manifests/epoch02.jsonl":
-        "d0fa8c57b1d6a116dae811d28b1965ce7a7733232af342ea1f60ce6086d64733",
+        "61eb969aa864635674f77a833df4c671fd2e1eeefe55ea027483d2137b48a56e",
     "grow/manifests/epoch03.jsonl":
-        "c2103975fcec0b7349aa9eab477b2625533e4cd67a71fee0b5dc4666652540bc",
+        "22650ad25ff462ce0dfa5c5d5e1249ea3dcd4c7536766269890a231bdad4c555",
     "grow/trajectory.jsonl":
         "1410ed9ef5ebb5917f7914f49bb11e56e9051d5a9316a190dfd0311aaaac6046",
 }

@@ -83,9 +83,10 @@ SETTINGS = {
     "pools.d3": _PATH,
     "grid.stage1": _RATIOS,
     "grid.stage2": _RATIOS,
-    "controller.max_epochs": (int, 3, "", None, ("mix-adjust",), ""),
-    "controller.tolerance": (float, 0.1, "", None, ("mix-adjust",), ""),
-    "controller.factor": (float, 1.1, "", None, ("mix-adjust",), ""),
+    "controller.max_epochs": (int, 3, ">= 1", lambda n: n >= 1, ("mix-adjust",), ""),
+    "controller.tolerance": (float, 0.1, "in [0, 1)", lambda t: 0 <= t < 1, ("mix-adjust",), ""),
+    "controller.factor": (float, 1.1, "finite and > 1", lambda f: 1 < f < math.inf,
+                          ("mix-adjust",), ""),
 }
 _FORMAT = (str, "text", "text or json", lambda f: f in ("text", "json"),
            ("eval-iqa", "eval-mcq", "eval-desc"), "IQMIX_FORMAT")
@@ -148,9 +149,10 @@ def _flatten(doc: dict, known: list[str], prefix: str = "") -> dict:
     return flat
 
 
-def _config(args: argparse.Namespace) -> tuple[dict, dict]:
-    """The config file, and every setting's value by dotted key: the whole
-    file is checked before any other file is opened or touched."""
+def _config(args: argparse.Namespace) -> tuple[dict, dict, Oracle | None]:
+    """The config file, every setting's value by dotted key, and the oracle
+    (None for a `sample` config without one): the whole file is checked
+    before any other file is opened or touched."""
     try:
         with open(args.config, encoding="utf-8") as handle:
             conf = yaml.safe_load(handle)
@@ -163,7 +165,11 @@ def _config(args: argparse.Namespace) -> tuple[dict, dict]:
     if not isinstance(conf, dict):
         raise ConfigError(f"{args.config}: config root must be a mapping")
     flat = _flatten(conf, _known_keys(conf))
-    return conf, {key: _value(key, setting, args, flat) for key, setting in SETTINGS.items()}
+    settings = {key: _value(key, setting, args, flat) for key, setting in SETTINGS.items()}
+    section = conf.get("oracle")
+    if section is None and args.command == "sample":
+        return conf, settings, None
+    return conf, settings, _build_oracle(section or {})
 
 
 # Run records ------------------------------------------------------------------
@@ -237,9 +243,8 @@ def _fresh_out_dir(args: argparse.Namespace, settings: dict, output: str) -> Pat
     return out_dir
 
 
-def _build_oracle(conf: dict) -> Oracle:
-    """The config's oracle; a bad oracle section is a config error."""
-    section = conf.get("oracle") or {}
+def _build_oracle(section: dict) -> Oracle:
+    """The oracle of a config's oracle section; a bad one is a config error."""
     for kind, cls in _ORACLES.items():
         if section.get("kind") == kind:
             return cls.from_dict(section)
@@ -431,7 +436,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_mix_search(args: argparse.Namespace) -> int:
     started = _now()
-    conf, settings = _config(args)
+    conf, settings, oracle = _config(args)
     seed, repeats, jobs = (settings[key] for key in ("seed", "repeats", "jobs"))
     grids = {stage: settings[f"grid.{stage}"] for stage in ("stage1", "stage2")}
     for stage, ratios in grids.items():  # a degree-4 fit needs 5 distinct ratios
@@ -441,7 +446,6 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
     out_dir = _fresh_out_dir(args, settings, "coarse_result.json")
     result_path = out_dir / "coarse_result.json"
 
-    oracle = _build_oracle(conf)
     pools, pool_inputs = _load_pools(settings)
     ledger = _ledger(oracle, conf, out_dir, pool_inputs)
     doc = coarse_search(ledger, pools, workdir=out_dir, seed=seed, repeats=repeats, jobs=jobs,
@@ -466,7 +470,7 @@ def cmd_mix_search(args: argparse.Namespace) -> int:
 
 def cmd_mix_adjust(args: argparse.Namespace) -> int:
     started = _now()
-    conf, settings = _config(args)
+    conf, settings, oracle = _config(args)
     seed, max_epochs, tolerance, factor = (settings[key] for key in (
         "seed", "controller.max_epochs", "controller.tolerance", "controller.factor"))
     out_dir = _fresh_out_dir(args, settings, "trajectory.jsonl")
@@ -478,7 +482,6 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
     except (OSError, ValueError, RecursionError, DataError) as exc:  # ValueError: not JSON
         raise DataError(f"cannot read coarse result {args.coarse_result}: {exc}")
 
-    oracle = _build_oracle(conf)
     pools, pool_inputs = _load_pools(settings)
     ledger = _ledger(oracle, conf, out_dir, pool_inputs)
     epochs = run_loop(

@@ -105,9 +105,15 @@ def from_config(cls, obj: Mapping, where: str = "oracle"):
     A missing field without a default, a value that is not a number where one
     is due, or one that cls rejects is a config error naming its dotted key.
     A field's type is read from its annotation's text, not evaluated (that
-    keeps typing objects alive), and a dataclass type is a class of this module."""
+    keeps typing objects alive), and a dataclass type is a class of this module.
+    A key that is no field is a config error too, but for the oracle's `kind`
+    in a top-level section."""
     if not isinstance(obj, Mapping):
         raise ConfigError(f"{where} must be a mapping, got {obj!r}")
+    names = {f.name for f in fields(cls)} | ({"kind"} if "." not in where else set())
+    unknown = [key for key in obj if key not in names]
+    if unknown:
+        raise ConfigError(f"unknown key {f'{where}.{unknown[0]}'!r}")
     values = {}
     for f in fields(cls):
         key, value, nested = f"{where}.{f.name}", obj.get(f.name), globals().get(f.type)

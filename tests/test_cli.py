@@ -844,18 +844,15 @@ class TestMixSearch:
         assert "non-numeric result field" in capsys.readouterr().err
         assert (tmp_path / "run" / "ledger.jsonl").read_text() == ""
 
-    @pytest.mark.parametrize("break_run", ["missing pools.d2", "bad oracle.kind",
-                                           "malformed ledger"])
+    @pytest.mark.parametrize("break_run", ["missing pools.d2", "malformed ledger"])
     def test_a_run_that_fails_early_leaves_no_earlier_coarse_result(
             self, tmp_path, capsys, oracle_calls, break_run):
-        oracle = extra = None
+        extra = None
         if break_run == "missing pools.d2":
             extra = {"pools": {"d1": str(tmp_path / "d1.jsonl"),
                                "d2": str(tmp_path / "missing.jsonl"),
                                "d3": str(tmp_path / "d3.jsonl")}}
-        elif break_run == "bad oracle.kind":
-            oracle = {"kind": "oracular"}
-        config = write_pools_and_config(tmp_path, oracle=oracle, extra=extra)
+        config = write_pools_and_config(tmp_path, extra=extra)
         out_dir = tmp_path / "run"
         out_dir.mkdir()
         result = out_dir / "coarse_result.json"
@@ -1000,7 +997,7 @@ class TestMixAdjust:
         assert not (out_dir / "trajectory.jsonl").exists()
 
     @pytest.mark.parametrize("extra,flags,message", [
-        ({}, ["--factor", "1.0"], "factor must be finite and > 1"),
+        ({}, ["--factor", "1.0"], "controller.factor must be finite and > 1, got 1.0"),
         ({"seed": "abc"}, [], "seed must be an integer, got 'abc'"),
         ({"controller": {"max_epochs": "three"}}, [],
          "controller.max_epochs must be an integer, got 'three'"),
@@ -1141,6 +1138,10 @@ SCHEMA_DEFECTS = [
     ("controller", 0, "controller must be a mapping, got 0"),
     ("grid.stage1", 0, "grid.stage1 must be a list of positive numbers, got 0"),
     ("oracle", {**EXTERNAL, "max_parallel": 2}, "unknown key 'oracle.max_parallel'"),
+    # values out of range, and a bad oracle kind: config errors all the same
+    ("oracle.kind", "oracular", "oracle.kind must be synthetic or external, got 'oracular'"),
+    ("oracle.noise_sigma", -1, "oracle.noise_sigma must be finite and >= 0, got -1.0"),
+    ("controller.factor", 1.0, "controller.factor must be finite and > 1, got 1.0"),
 ]
 
 

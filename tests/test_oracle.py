@@ -308,6 +308,27 @@ class TestExternalOracle:
         assert first == second
 
 
+SURFACE = {"peak_ratio": 2.42, "peak_value": 0.75, "curvature": 0.25}
+
+
+@pytest.mark.parametrize("cls,section,key", [
+    (ExternalOracle, {"command": "run {out}", "max_parallel": 2}, "oracle.max_parallel"),
+    (SyntheticOracle, {"scoring_surface": {**SURFACE, "kind": "synthetic"},
+                       "interpreting_surface": SURFACE}, "oracle.scoring_surface.kind"),
+    (SyntheticOracle, {"scoring_surface": SURFACE, "interpreting_surface": SURFACE,
+                       "noise_sigm": 0.5}, "oracle.noise_sigm"),
+    (ResponseSurface, {**SURFACE, "curvatur": 9}, "oracle.curvatur"),
+])
+def test_a_key_that_is_no_field_is_a_config_error_naming_it(cls, section, key):
+    with pytest.raises(ConfigError, match=f"^unknown key {re.escape(repr(key))}$"):
+        cls.from_dict(section)
+
+
+def test_kind_is_read_at_the_top_level_of_a_section():
+    oracle = ExternalOracle.from_dict({"kind": "external", "command": "run {out}"})
+    assert oracle == ExternalOracle("run {out}")
+
+
 class RecordingOracle:
     """Returns a fixed response and records the positional arguments of
     each call (a tracer wrapping evaluate reads the request as args[1])."""

@@ -1,14 +1,22 @@
 """The package exports, the README's library examples and its config table
-match the code, no module imports a name it never uses, and no private
-module-level name is left that no module reads."""
+match the code, no module imports a name it never uses, no private
+module-level name is left that no module reads, and sampling keeps out the
+modules whose import costs memory and draws the same under any hash seed."""
 
 import ast
+import hashlib
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import iqmix
 from iqmix import cli
+
+from conftest import make_pairs, write_records
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -46,6 +54,43 @@ def test_readme_config_table_lists_every_config_key():
     assert section is not None, "README has no 'Config file' section"
     keys = re.findall(r"^\| `([^`]+)` \|", section.group(1), re.M)
     assert sorted(keys) == sorted(cli._known_keys({}))
+
+
+# Run in a fresh interpreter: iqmix commands, then the names of the modules
+# they left loaded whose import costs resident memory.
+FRESH_RUN = """
+import json, sys
+from iqmix.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+heavy = sorted(m for m in sys.modules if m == "scipy" or m.startswith(("scipy.", "numpy.random")))
+print(json.dumps({"codes": codes, "heavy": heavy}))
+"""
+
+
+def test_sampling_loads_no_numpy_random_or_scipy_and_ignores_the_hash_seed(tmp_path):
+    pools = {}
+    for tag, n in (("d1", 30), ("d2", 40), ("d3", 40)):
+        pools[tag] = str(tmp_path / f"{tag}.jsonl")
+        write_records(make_pairs(tag.upper(), n), pools[tag])
+    surface = {"peak_ratio": 2.42, "peak_value": 0.75, "curvature": 0.25}
+    (tmp_path / "config.yaml").write_text(json.dumps({
+        "pools": pools, "seed": 7, "repeats": 1, "oracle": {
+            "kind": "synthetic", "scoring_surface": surface, "interpreting_surface": surface}}))
+    digests = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"run{hash_seed}"
+        argv = [["sample", "--config", "config.yaml", "--counts", "20:45:9",
+                 "--with-replacement", "--out", f"{out}.jsonl"],
+                ["mix-search", "--config", "config.yaml", "--out-dir", str(out)]]
+        env = {**{k: v for k, v in os.environ.items() if not k.startswith("IQMIX_")},
+               "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(argv)], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0, 0], "heavy": []}
+        manifests = [Path(f"{out}.jsonl"), *sorted((out / "manifests").rglob("*.jsonl"))]
+        assert len(manifests) == 40  # sample's, then 39 of the search
+        digests.append([hashlib.sha256(path.read_bytes()).hexdigest() for path in manifests])
+    assert digests[0] == digests[1]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:

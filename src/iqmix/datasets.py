@@ -295,7 +295,7 @@ def load_pool(path: str | Path, pool_tag: str, *, digest=None) -> np.ndarray:
 
 @dataclass
 class PoolSet:
-    d1: Sequence[str] = ()  # manifest rows, see load_pool
+    d1: Sequence[str] = ()  # manifest rows: the object array of load_pool, or a list
     d2: Sequence[str] = ()
     d3: Sequence[str] = ()
 
@@ -333,10 +333,11 @@ def _draw_rows(seed: int, tag: str, n: int, want: int) -> np.ndarray:
     """want row indexes of a pool of n rows, from the key stream (seed, tag).
 
     want <= n: the rows of the want smallest of n keys, in (key, row) order.
-    Only the rows whose key lies under a bound that about want plus 8
-    standard deviations of n uniform keys fall under are sorted; should
-    fewer than want fall under it, every row is. want > n: key % n for each
-    of want keys, so rows repeat.
+    Only the rows whose key lies below a bound are sorted, a bound that
+    want + 8 * sqrt(want) + 8 of n uniform keys are expected to fall below;
+    should fewer than want fall below it, every row is sorted, so the bound
+    never changes the result. want > n: key % n for each of want keys, so
+    rows repeat.
     """
     if want > n:
         return _draw_keys(seed, tag, want) % np.uint64(n)

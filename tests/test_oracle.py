@@ -324,11 +324,6 @@ def test_a_key_that_is_no_field_is_a_config_error_naming_it(cls, section, key):
         cls.from_dict(section)
 
 
-def test_kind_is_read_at_the_top_level_of_a_section():
-    oracle = ExternalOracle.from_dict({"kind": "external", "command": "run {out}"})
-    assert oracle == ExternalOracle("run {out}")
-
-
 class RecordingOracle:
     """Returns a fixed response and records the positional arguments of
     each call (a tracer wrapping evaluate reads the request as args[1])."""

@@ -233,8 +233,8 @@ def _load_pools(settings: dict) -> tuple[PoolSet, list[tuple[str | Path, str]]]:
 
 def _fresh_out_dir(args: argparse.Namespace, settings: dict, output: str) -> Path:
     """The run's out-dir, made if absent, less the output and run record of
-    an earlier run: deleted before any later check or pool load, so a run
-    that fails leaves neither behind to be read as its own."""
+    an earlier run: deleted after the checks that need no pool and before
+    any pool load, so a run that fails leaves neither behind as its own."""
     value = settings["out_dir"]
     out_dir = Path(f"{args.command}-run" if value is None else value)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -473,14 +473,13 @@ def cmd_mix_adjust(args: argparse.Namespace) -> int:
     conf, settings, oracle = _config(args)
     seed, max_epochs, tolerance, factor = (settings[key] for key in (
         "seed", "controller.max_epochs", "controller.tolerance", "controller.factor"))
-    out_dir = _fresh_out_dir(args, settings, "trajectory.jsonl")
-    trajectory_path = out_dir / "trajectory.jsonl"
-
     try:
         coarse = json.loads(Path(args.coarse_result).read_text(encoding="utf-8"))
         check_controls(coarse, max_epochs, tolerance, factor)
     except (OSError, ValueError, RecursionError, DataError) as exc:  # ValueError: not JSON
         raise DataError(f"cannot read coarse result {args.coarse_result}: {exc}")
+    out_dir = _fresh_out_dir(args, settings, "trajectory.jsonl")
+    trajectory_path = out_dir / "trajectory.jsonl"
 
     pools, pool_inputs = _load_pools(settings)
     ledger = _ledger(oracle, conf, out_dir, pool_inputs)

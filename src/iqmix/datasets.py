@@ -10,13 +10,10 @@ only loaded, counted, and sampled.
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
 import json
 import logging
 import math
-import operator
-import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -25,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ScoreOutOfRangeError
 from .levels import LevelScale, score_to_level
-from .util import first_rows, read_jsonl, record_id
+from .util import draw_rows, first_rows, read_jsonl, record_id
 
 log = logging.getLogger(__name__)
 
@@ -153,9 +150,10 @@ def subsample_balanced(
 
     The observed MOS range is split into equal-width bins; each non-empty bin
     gets an equal share of the target (capped at ceil(target/bins occupied)),
-    capped bins are sampled uniformly without replacement, and any unmet
-    quota is redistributed round-robin to bins that still have records.
-    The result is a subsequence of the input.
+    and any unmet quota is redistributed round-robin to bins that still have
+    records. Bin b keeps the rows of the smallest keys of the stream
+    (seed, "bin{b}"), the rule that sample_mixture applies to a pool (see
+    util.draw_rows). The result is a subsequence of the input.
     """
     if target_size < 0:
         raise DataError(f"target_size must be >= 0, got {target_size}")
@@ -168,38 +166,27 @@ def subsample_balanced(
     if target_size == len(mos):
         return dict(mos)
 
-    items = list(mos.items())
     values = np.fromiter(mos.values(), dtype=np.float64, count=len(mos))
     lo, hi = float(values.min()), float(values.max())
     width = (hi - lo) / bins
     edges = np.asarray([lo + width * k for k in range(1, bins)], dtype=np.float64)
     bin_of = np.searchsorted(edges, values, side="left")
-
-    members: dict[int, list[int]] = {}
-    for idx, b in enumerate(bin_of):
-        members.setdefault(int(b), []).append(idx)
-    occupied = sorted(members)
+    occupied, sizes = (a.tolist() for a in np.unique(bin_of, return_counts=True))
 
     base, rem = divmod(target_size, len(occupied))
-    take = {
-        b: min(base + (1 if i < rem else 0), len(members[b]))
-        for i, b in enumerate(occupied)
-    }
-    deficit = target_size - sum(take.values())
+    take = [min(base + (i < rem), size) for i, size in enumerate(sizes)]
+    deficit = target_size - sum(take)
     while deficit > 0:
-        for b in occupied:
-            if deficit == 0:
-                break
-            if take[b] < len(members[b]):
-                take[b] += 1
+        for i, size in enumerate(sizes):
+            if deficit and take[i] < size:
+                take[i] += 1
                 deficit -= 1
 
-    rng = random.Random(seed)
-    selected: list[int] = []
-    for b in occupied:
-        selected.extend(rng.sample(members[b], take[b]))
-    selected.sort()
-    return dict(items[i] for i in selected)
+    members = np.split(np.argsort(bin_of, kind="stable"), np.cumsum(sizes[:-1]))
+    keep = np.zeros(len(mos), dtype=bool)
+    for b, rows, want in zip(occupied, members, take):  # each bin's rows, in row order
+        keep[rows[draw_rows(seed, f"bin{b}", len(rows), want)]] = True
+    return dict(itertools.compress(mos.items(), keep))
 
 
 def emit_d1_pairs(mos: Mapping[str, float], scale: LevelScale) -> list[tuple[str, str]]:
@@ -321,34 +308,6 @@ def _ratio_of(counts: Mapping[str, int]) -> dict[str, float]:
     return {k: counts.get(k, 0) / base for k in ("d1", "d2", "d3")}
 
 
-def _draw_keys(seed: int, stream: str, n: int) -> np.ndarray:
-    """n little-endian uint64 keys read from the SHAKE-256 output of the text
-    repr((seed, stream)): a function of these arguments alone, fixed by
-    FIPS 202, so no Python or numpy version moves a draw."""
-    text = repr((operator.index(seed), stream)).encode()
-    return np.frombuffer(hashlib.shake_256(text).digest(8 * n), dtype="<u8")
-
-
-def _draw_rows(seed: int, tag: str, n: int, want: int) -> np.ndarray:
-    """want row indexes of a pool of n rows, from the key stream (seed, tag).
-
-    want <= n: the rows of the want smallest of n keys, in (key, row) order.
-    Only the rows whose key lies below a bound are sorted, a bound that
-    want + 8 * sqrt(want) + 8 of n uniform keys are expected to fall below;
-    should fewer than want fall below it, every row is sorted, so the bound
-    never changes the result. want > n: key % n for each of want keys, so
-    rows repeat.
-    """
-    if want > n:
-        return _draw_keys(seed, tag, want) % np.uint64(n)
-    keys = _draw_keys(seed, tag, n)
-    bound = ((want + 8 * math.isqrt(want) + 8) << 64) // n
-    rows = np.flatnonzero(keys < np.uint64(bound)) if bound < 1 << 64 else ()
-    if len(rows) < want:
-        rows = np.arange(n)
-    return rows[np.argsort(keys[rows], kind="stable")[:want]]
-
-
 def sample_mixture(
     pools: PoolSet,
     counts: Mapping[str, int],
@@ -361,8 +320,8 @@ def sample_mixture(
     Sampling is without replacement; a count above the pool size is only
     legal with the replacement flag, in which case that pool alone switches
     to replacement (logged). Each pool draws its rows from its own key
-    stream (see _draw_rows), and the combined rows are put in the order of
-    the stable argsort of the key stream (seed, "order"). So the draws
+    stream (see util.draw_rows), and the combined rows are put in the order
+    of the stable argsort of the key stream (seed, "order"). So the draws
     depend only on the seed, the pool sizes and the counts, and no row is
     drawn by a Python-level step.
     """
@@ -384,10 +343,10 @@ def sample_mixture(
             )
         if want > len(pool):
             log.info("%s: oversampling %d from %d with replacement", tag, want, len(pool))
-        picks.append(np.asarray(pool, dtype=object)[_draw_rows(seed, tag, len(pool), want)])
+        picks.append(np.asarray(pool, dtype=object)[draw_rows(seed, tag, len(pool), want)])
     drawn = np.concatenate(picks) if picks else np.empty(0, dtype=object)
     del picks
-    drawn = drawn[np.argsort(_draw_keys(seed, "order", len(drawn)), kind="stable")]
+    drawn = drawn[draw_rows(seed, "order", len(drawn), len(drawn))]
     return Manifest(seed=seed, counts=normalized, ratio=_ratio_of(normalized),
                     entries=drawn.tolist())
 

@@ -20,8 +20,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-import numpy as np
-
 from .datasets import read_manifest_header
 from .errors import (
     ConfigError,
@@ -30,7 +28,7 @@ from .errors import (
     OracleResultError,
     OracleTimeoutError,
 )
-from .util import file_digest, is_number, number_setting, read_jsonl
+from .util import draw_keys, file_digest, is_number, number_setting, read_jsonl
 
 RESPONSE_FIELDS = ("perf_scoring", "perf_interpreting", "loss_scoring", "loss_interpreting")
 
@@ -189,7 +187,9 @@ class SyntheticOracle:
     Planted response surfaces give the performances. Losses follow
     loss = scale * max(count, 1)^(-alpha), with the scoring loss driven by
     the D1 count and the interpreting loss by the D2+D3 count, which gives
-    the feedback controller a solvable fixed point.
+    the feedback controller a solvable fixed point. A noise_sigma above 0
+    adds normal noise of that std to both performances, drawn from the key
+    stream (request.seed, "noise") (see util.draw_keys).
     """
 
     scoring_surface: ResponseSurface
@@ -217,10 +217,12 @@ class SyntheticOracle:
 
         perf_scoring = self.scoring_surface.value(t_mix)
         perf_interpreting = self.interpreting_surface.value(t_d2d3)
-        if self.noise_sigma > 0:
-            rng = np.random.default_rng(request.seed)
-            perf_scoring += float(rng.normal(0.0, self.noise_sigma))
-            perf_interpreting += float(rng.normal(0.0, self.noise_sigma))
+        if self.noise_sigma > 0:  # Box-Muller: two normals from two keys
+            k1, k2 = draw_keys(request.seed, "noise", 2).tolist()
+            radius = self.noise_sigma * math.sqrt(-2.0 * math.log((k1 + 1) / 2**64))
+            angle = 2.0 * math.pi * k2 / 2**64
+            perf_scoring += radius * math.cos(angle)
+            perf_interpreting += radius * math.sin(angle)
 
         d1 = max(counts.get("d1", 0), 1)
         d23 = max(counts.get("d2", 0) + counts.get("d3", 0), 1)

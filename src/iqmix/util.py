@@ -1,5 +1,6 @@
-"""Shared plumbing: deterministic seed derivation, the number test and the
-number-setting rule, rounding, file digests and reading JSON-lines records."""
+"""Shared plumbing: deterministic seed derivation, the one seeded-draw rule,
+the number test and the number-setting rule, rounding, file digests and
+reading JSON-lines records."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -26,6 +28,36 @@ def derive_seed(base: int, *parts: object) -> int:
     payload = repr((base, *parts)).encode("utf-8")
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
+
+
+def draw_keys(seed: int, stream: str, n: int) -> np.ndarray:
+    """n little-endian uint64 keys read from the SHAKE-256 output of the text
+    repr((seed, stream)): a function of these arguments alone, fixed by
+    FIPS 202, so no Python or numpy version moves a draw. Every seeded draw
+    of iqmix reads its keys here."""
+    text = repr((operator.index(seed), stream)).encode()
+    return np.frombuffer(hashlib.shake_256(text).digest(8 * n), dtype="<u8")
+
+
+def draw_rows(seed: int, stream: str, n: int, want: int) -> np.ndarray:
+    """want row indexes of n rows, from the key stream (seed, stream).
+
+    want <= n: the rows of the want smallest of n keys, in (key, row) order.
+    Only the rows whose key lies below a bound are sorted, a bound that
+    want + 8 * sqrt(want) + 8 of n uniform keys are expected to fall below;
+    should fewer than want fall below it, every row is sorted, so the bound
+    never changes the result. want > n: key % n for each of want keys, so
+    rows repeat.
+    """
+    if want > n:
+        return draw_keys(seed, stream, want) % np.uint64(n)
+    keys = draw_keys(seed, stream, n)
+    bound = ((want + 8 * math.isqrt(want) + 8) << 64) // max(n, 1)
+    if bound < 1 << 64:
+        rows = np.flatnonzero(keys < np.uint64(bound))
+        if len(rows) >= want:
+            return rows[np.argsort(keys[rows], kind="stable")[:want]]
+    return np.argsort(keys, kind="stable")[:want]
 
 
 def is_number(value: object) -> bool:

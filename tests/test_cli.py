@@ -553,6 +553,14 @@ class TestSubsample:
         assert len(lines) == 21
         assert (tmp_path / "subset.csv.run.json").is_file()
 
+    def test_output_is_pinned(self, tmp_path, mos_file):
+        # each bin keeps the rows of its smallest keys of the stream (5, "bin{b}"):
+        # a change of the draw rule moves this digest
+        out = tmp_path / "subset.csv"
+        assert run_cli("subsample", mos_file, "--target", 20, "--seed", 5, "--out", out) == 0
+        assert file_digest(out) == \
+            "4bd5ed7f3b7f5132833b3c95c612b90860ed45d4cd4a9bddeaf491aa928c835d"
+
     def test_deterministic(self, tmp_path, mos_file):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -1044,6 +1052,28 @@ class TestMixAdjust:
         # the ledger and the manifests are kept for a rerun to replay
         assert (out_dir / "ledger.jsonl").read_bytes() == ledger
         assert sorted((out_dir / "manifests").glob("*.jsonl")) == manifests
+
+    @pytest.mark.parametrize("coarse_text,code", [
+        (json.dumps({"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04}, "lambda_loss": -1}), 2),
+        ("not json", 1),
+    ], ids=["lambda_loss -1", "not JSON"])
+    def test_a_bad_coarse_result_leaves_the_earlier_run_as_it_was(
+            self, tmp_path, coarse_text, code):
+        config = write_pools_and_config(tmp_path)
+        coarse = tmp_path / "coarse.json"
+        coarse.write_text(json.dumps({"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04},
+                                      "lambda_loss": 0.25}))
+        out_dir = tmp_path / "run"
+        argv = ["mix-adjust", "--config", config, "--coarse-result", coarse,
+                "--out-dir", out_dir]
+        assert run_cli(*argv) == 0
+        earlier = {path.relative_to(out_dir): path.read_bytes()
+                   for path in out_dir.rglob("*") if path.is_file()}
+        assert {"trajectory.jsonl", "runrecord.json"} <= {str(path) for path in earlier}
+        coarse.write_text(coarse_text)
+        assert run_cli(*argv) == code
+        assert {path.relative_to(out_dir): path.read_bytes()
+                for path in out_dir.rglob("*") if path.is_file()} == earlier
 
     def test_counted_calls_on_a_good_coarse_result(self, tmp_path, oracle_calls):
         config = write_pools_and_config(tmp_path)

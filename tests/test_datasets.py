@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import json
 import logging
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from iqmix import datasets
+from iqmix import util
 from iqmix.datasets import (
     D1_QUESTION,
     POOL_TAGS,
@@ -183,6 +184,24 @@ class TestSubsampleBalanced:
         assert positions == sorted(positions)  # a subsequence of the input
         assert len(set(positions)) == len(positions)  # no fabricated records
         assert all(subset[i] == records[i] for i in subset)
+
+    def test_each_bin_keeps_the_rows_of_its_smallest_keys(self):
+        # reference: the bins and the draw rule in plain Python; the quota
+        # each bin meets is read from the result
+        records = skewed_records(5, 400)
+        values = list(records.values())
+        lo, hi = min(values), max(values)
+        edges = [lo + (hi - lo) / 10 * k for k in range(1, 10)]
+        members = {}
+        for row, value in enumerate(values):
+            members.setdefault(bisect.bisect_left(edges, value), []).append(row)
+        subset = subsample_balanced(records, 60, bins=10, seed=11)
+        kept = {row for row, image_id in enumerate(records) if image_id in subset}
+        for b, rows in members.items():
+            keys = shake_keys(11, f"bin{b}", len(rows))
+            by_key = sorted(range(len(rows)), key=lambda i: (keys[i], i))
+            mine = sorted(kept.intersection(rows))
+            assert mine == sorted(rows[i] for i in by_key[:len(mine)])
 
     def test_deterministic(self):
         records = skewed_records(4, 2000)
@@ -567,7 +586,7 @@ class TestSampleMixture:
     def test_tied_keys_keep_row_order(self, monkeypatch):
         # Equal keys put no row under the candidate bound, so every row is
         # sorted; ties keep the lower row first, in each pool and in the order.
-        monkeypatch.setattr(datasets, "_draw_keys",
+        monkeypatch.setattr(util, "draw_keys",
                             lambda seed, stream, n: np.full(n, 2**64 - 1, dtype=np.uint64))
         pools = make_pools(1000, 10, 10)
         manifest = sample_mixture(pools, {"d1": 3, "d2": 10, "d3": 1}, seed=0)

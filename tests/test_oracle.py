@@ -116,6 +116,29 @@ class TestSyntheticOracle:
         second = planted_oracle(noise_sigma=0.02).evaluate(OracleRequest(path, 1234))
         assert first == second
 
+    def test_noisy_response_is_pinned(self, tmp_path):
+        # Box-Muller over two keys of the stream (1234, "noise"): a change of
+        # the draw rule moves these floats
+        path = write_test_manifest(tmp_path, {"d1": 50, "d2": 100, "d3": 50})
+        response = planted_oracle(noise_sigma=0.02).evaluate(OracleRequest(path, 1234))
+        assert (response.perf_scoring, response.perf_interpreting) == (
+            0.8536013914793608, 0.7608268158844959)
+        assert response.loss_scoring == planted_oracle().evaluate(
+            OracleRequest(path, 1234)).loss_scoring
+
+    def test_noise_is_unbiased_with_its_sigma_and_uncorrelated(self, tmp_path):
+        sigma, n = 0.01, 2000
+        path = write_test_manifest(tmp_path, {"d1": 100, "d2": 242, "d3": 100})
+        base = planted_oracle().evaluate(OracleRequest(path, 0))
+        noisy = planted_oracle(noise_sigma=sigma)
+        draws = np.array([
+            [response.perf_scoring - base.perf_scoring,
+             response.perf_interpreting - base.perf_interpreting]
+            for response in (noisy.evaluate(OracleRequest(path, seed)) for seed in range(n))])
+        assert np.all(np.abs(draws.mean(axis=0)) <= 4 * sigma / math.sqrt(n))
+        assert np.all(np.abs(draws.std(axis=0) / sigma - 1) <= 0.1)
+        assert abs(np.corrcoef(draws.T)[0, 1]) <= 4 / math.sqrt(n)
+
     def test_noise_mean_within_standard_error(self, tmp_path):
         sigma = 0.01
         oracle = planted_oracle(noise_sigma=sigma)

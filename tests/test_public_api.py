@@ -1,7 +1,8 @@
 """The package exports, the README's library examples and its config table
-match the code, no module imports a name it never uses, no private
-module-level name is left that no module reads, and sampling keeps out the
-modules whose import costs memory and draws the same under any hash seed."""
+match the code, no module imports a name it never uses or draws at random
+but by the key streams, no private module-level name is left that no module
+reads, and sampling keeps out the modules whose import costs memory and
+draws the same under any hash seed."""
 
 import ast
 import hashlib
@@ -73,23 +74,32 @@ def test_sampling_loads_no_numpy_random_or_scipy_and_ignores_the_hash_seed(tmp_p
         pools[tag] = str(tmp_path / f"{tag}.jsonl")
         write_records(make_pairs(tag.upper(), n), pools[tag])
     surface = {"peak_ratio": 2.42, "peak_value": 0.75, "curvature": 0.25}
-    (tmp_path / "config.yaml").write_text(json.dumps({
-        "pools": pools, "seed": 7, "repeats": 1, "oracle": {
-            "kind": "synthetic", "scoring_surface": surface, "interpreting_surface": surface}}))
+    oracle = {"kind": "synthetic", "scoring_surface": surface, "interpreting_surface": surface}
+    for name, noise in (("config", 0.0), ("noisy", 0.01)):
+        (tmp_path / f"{name}.yaml").write_text(json.dumps({
+            "pools": pools, "seed": 7, "repeats": 1,
+            "oracle": {**oracle, "noise_sigma": noise}}))
+    (tmp_path / "mos.csv").write_text("image_id,mos\n" + "".join(
+        f"img{i},{(i * 37) % 101}\n" for i in range(60)))
     digests = []
     for hash_seed in ("1", "2"):
         out = tmp_path / f"run{hash_seed}"
         argv = [["sample", "--config", "config.yaml", "--counts", "20:45:9",
                  "--with-replacement", "--out", f"{out}.jsonl"],
-                ["mix-search", "--config", "config.yaml", "--out-dir", str(out)]]
+                ["mix-search", "--config", "config.yaml", "--out-dir", str(out)],
+                ["mix-search", "--config", "noisy.yaml", "--out-dir", f"{out}-noisy"],
+                ["subsample", "mos.csv", "--target", "20", "--seed", "3", "--out", f"{out}.csv"]]
         env = {**{k: v for k, v in os.environ.items() if not k.startswith("IQMIX_")},
                "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed}
         done = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(argv)], cwd=tmp_path,
                               env=env, capture_output=True, text=True, check=True)
-        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0, 0], "heavy": []}
+        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0] * 4, "heavy": []}
         manifests = [Path(f"{out}.jsonl"), *sorted((out / "manifests").rglob("*.jsonl"))]
         assert len(manifests) == 40  # sample's, then 39 of the search
-        digests.append([hashlib.sha256(path.read_bytes()).hexdigest() for path in manifests])
+        noisy = Path(f"{out}-noisy")  # its ledger holds every noisy response
+        outputs = [*manifests, noisy / "coarse_result.json", noisy / "ledger.jsonl",
+                   Path(f"{out}.csv")]
+        digests.append([hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs])
     assert digests[0] == digests[1]
 
 
@@ -126,6 +136,45 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in sorted((ROOT / "src" / "iqmix").glob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == [], "imported but never used:\n" + "\n".join(found)
+
+
+def random_draws(source: str) -> list[tuple[int, str]]:
+    """(line, what) of each import of random or numpy.random, and each use of
+    np.random or numpy.random: draws that no version promises to repeat."""
+    def drawn(module: str) -> bool:
+        return any(module == name or module.startswith(f"{name}.")
+                   for name in ("random", "numpy.random"))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}")
+                      for alias in node.names if drawn(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and any(
+                drawn(f"{node.module}.{alias.name}") for alias in node.names):
+            found.append((node.lineno, f"from {node.module} import"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, f"{node.value.id}.random"))
+    return sorted(found)
+
+
+def test_random_draw_finder():
+    source = ("import random\nimport numpy as np\nfrom numpy import pi, random as r\n"
+              "from numpy.random import default_rng\nimport numpy.random\n"
+              "from .util import draw_keys\nrng = np.random.default_rng(0)\n"
+              "x = numpy.random\ny = np.arange(3)\n")
+    assert random_draws(source) == [(1, "import random"), (3, "from numpy import"),
+                                    (4, "from numpy.random import"),
+                                    (5, "import numpy.random"), (7, "np.random"),
+                                    (8, "numpy.random")]
+
+
+def test_no_module_draws_but_by_the_key_streams():
+    found = [f"src/iqmix/{path.name}:{line}: {what}"
+             for path in sorted((ROOT / "src" / "iqmix").glob("*.py"))
+             for line, what in random_draws(path.read_text(encoding="utf-8"))]
+    assert found == [], "a draw outside util.draw_keys:\n" + "\n".join(found)
 
 
 def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:

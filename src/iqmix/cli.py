@@ -16,13 +16,16 @@ import json
 import logging
 import math
 import os
+import pickle
 import re
+import signal
 import sys
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -218,17 +221,78 @@ def _now() -> str:
 # Shared input helpers ----------------------------------------------------------
 
 
+# A pool file of this many bytes or more, but the largest, loads in a forked
+# child while this process loads the rest: below it, forking costs more.
+FORK_MIN_BYTES = 4 << 20
+
+
+def _load(path: str, tag: str) -> tuple[np.ndarray, str] | tuple[tuple, Exception]:
+    """A pool's rows and file digest, or no rows and the error its load raised."""
+    digest = hashlib.sha256()
+    try:
+        return load_pool(path, tag, digest=digest), digest.hexdigest()
+    except (IqmixError, OSError) as exc:
+        return (), exc
+
+
+def _fork_load(path: str, tag: str):
+    """(pid, pipe) of a forked child that pickles to the pipe the row count
+    and the digest or error of _load, then the rows, 16384 at a time."""
+    read_end, write_end = os.pipe()
+    if pid := os.fork():
+        os.close(write_end)
+        return pid, open(read_end, "rb")
+    try:  # the child: nothing of the CLI runs after this, not even atexit
+        with open(write_end, "wb") as pipe:
+            pool, digest = _load(path, tag)
+            pickle.dump((len(pool), digest), pipe)
+            for start in range(0, len(pool), 16384):
+                pickle.dump(pool[start:start + 16384].tolist(), pipe)
+    finally:
+        os._exit(0)
+
+
+def _read_forked(path: str, pipe) -> tuple[np.ndarray, str] | tuple[tuple, Exception]:
+    """What _load returned in a _fork_load child, read from its pipe."""
+    try:
+        count, digest = pickle.load(pipe)
+        rows = (row for _ in range(0, count, 16384) for row in pickle.load(pipe))
+        return np.fromiter(rows, dtype=object, count=count), digest
+    except (EOFError, pickle.UnpicklingError):  # the child died
+        return (), IqmixError(f"{path}: the process loading this pool ended before the pool did")
+
+
 def _load_pools(settings: dict) -> tuple[PoolSet, list[tuple[str | Path, str]]]:
     """The three pools of the config, and their paths and file digests in
     d1, d2, d3 order, which both the ledger and the run record use. Each
-    digest is of the bytes its pool was parsed from: one read per file."""
+    digest is of the bytes its pool was parsed from: one read per file.
+    Pools of FORK_MIN_BYTES or more but the largest load in forked children;
+    the first error in d1, d2, d3 order is raised, and no child outlives the call."""
     paths = [settings[f"pools.{key}"] for key in ("d1", "d2", "d3")]
     missing = [key for key, path in zip(("d1", "d2", "d3"), paths) if not path]
     if missing:
         raise ConfigError(f"config pools missing path(s): {', '.join(missing)}")
-    digests = [hashlib.sha256() for _ in paths]
-    pools = PoolSet(*(load_pool(p, tag, digest=d) for p, tag, d in zip(paths, POOL_TAGS, digests)))
-    return pools, [(path, digest.hexdigest()) for path, digest in zip(paths, digests)]
+    sizes = [os.path.isfile(path) and os.path.getsize(path) for path in paths]
+    largest, children, results = sizes.index(max(sizes)), {}, {}
+    try:
+        for i in (i for i in range(3) if i != largest and sizes[i] >= FORK_MIN_BYTES):
+            children[i] = _fork_load(paths[i], POOL_TAGS[i])
+        for i in (i for i in range(3) if i not in children):
+            results[i] = _load(paths[i], POOL_TAGS[i])
+            if isinstance(results[i][1], Exception):
+                break  # no pool after it has an error to raise first
+        for i in range(3):
+            if i in children:
+                results[i] = _read_forked(paths[i], children[i][1])
+            if isinstance(results[i][1], Exception):
+                raise results[i][1]
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    pools, digests = zip(*(results[i] for i in range(3)))
+    return PoolSet(*pools), list(zip(paths, digests))
 
 
 def _fresh_out_dir(args: argparse.Namespace, settings: dict, output: str) -> Path:

@@ -254,6 +254,12 @@ class ExternalOracle:
     def __post_init__(self) -> None:
         if not isinstance(self.command, str) or "{out}" not in self.command:
             raise ConfigError(f"oracle.command must reference {{out}}, got {self.command!r}")
+        try:
+            self.argv("manifest", 0, "out")
+        except (ValueError, LookupError, AttributeError) as exc:  # a bad quote, brace or field
+            raise ConfigError(
+                f"oracle.command {self.command!r} has a bad placeholder or quote ({exc!r}); "
+                "its placeholders are {manifest}, {seed} and {out}")
         if self.timeout is not None and not 0.0 < self.timeout < math.inf:
             raise ConfigError(f"oracle.timeout must be finite and > 0, got {self.timeout!r}")
         if not isinstance(self.env, Mapping) or not all(
@@ -262,17 +268,15 @@ class ExternalOracle:
 
     from_dict = classmethod(from_config)
 
+    def argv(self, manifest: str | Path, seed: int, out: str | Path) -> list[str]:
+        """The command's words, with the placeholders filled in."""
+        return [token.format(manifest=str(manifest), seed=seed, out=str(out))
+                for token in shlex.split(self.command)]
+
     def evaluate(self, request: OracleRequest) -> OracleResponse:
         out_path = Path(f"{request.manifest_path}.result.json")
         out_path.unlink(missing_ok=True)  # a result left by an earlier run is never read
-        tokens = [
-            token.format(
-                manifest=str(request.manifest_path),
-                seed=request.seed,
-                out=str(out_path),
-            )
-            for token in shlex.split(self.command)
-        ]
+        tokens = self.argv(request.manifest_path, request.seed, out_path)
         env = {**os.environ, **self.env} if self.env else None
         try:
             proc = subprocess.run(

@@ -75,6 +75,19 @@ def pools_small() -> PoolSet:
     return make_pools(200, 400, 400)
 
 
+@pytest.fixture
+def forked_loads(monkeypatch) -> list[tuple[str, str]]:
+    """The CLI loads every pool but the largest in a forked child; the list
+    gets the (path, tag) of each pool sent to a child."""
+    from iqmix import cli
+
+    forked, fork_load = [], cli._fork_load
+    monkeypatch.setattr(cli, "FORK_MIN_BYTES", 0)
+    monkeypatch.setattr(cli, "_fork_load",
+                        lambda path, tag: forked.append((path, tag)) or fork_load(path, tag))
+    return forked
+
+
 # Acceptance summary -----------------------------------------------------------
 
 _acceptance_outcomes: dict[str, str] = {}

@@ -3,9 +3,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import pickle
+import random
 import re
+import signal
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +20,7 @@ from hypothesis import strategies as st
 
 from iqmix import cli
 from iqmix.cli import _config_hash, main
-from iqmix.datasets import ingest_mos, load_pool
+from iqmix.datasets import POOL_TAGS, ingest_mos, load_pool
 from iqmix.errors import OracleExecutionError
 from iqmix.metrics import DESCRIPTION_DIMENSIONS, QUADRANTS, QUESTION_TYPES
 from iqmix.oracle import SyntheticOracle
@@ -618,6 +623,28 @@ def oracle_calls(monkeypatch):
 
 
 _opened: list[str] | None = None  # the path of every file opened while a test records
+_open_log: int | None = None  # a file descriptor that a forked process appends paths to
+
+
+def _log_open(event: str, args: tuple) -> None:
+    if event == "open" and _open_log is not None:  # os.write raises no audit event
+        os.write(_open_log, f"{args[0]}\n".encode())
+
+
+@pytest.fixture
+def opened_anywhere(tmp_path):
+    """A function that returns the path of every file opened so far while
+    the test runs, in this process or in one forked from it: the audit hook
+    appends each path to a file, so a child's opens outlive the child."""
+    global _open_log
+    if not getattr(_log_open, "added", False):
+        sys.addaudithook(_log_open)
+        _log_open.added = True
+    log = tmp_path.parent / f"{tmp_path.name}.opened"
+    _open_log = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    yield lambda: log.read_text().splitlines()
+    os.close(_open_log)
+    _open_log = None
 
 
 def _record_open(event: str, args: tuple) -> None:
@@ -1209,6 +1236,23 @@ def test_config_schema_error_exits_2_before_any_pool_or_output_is_touched(
     assert pools.isdisjoint(opened_paths)
 
 
+@pytest.mark.parametrize("command", ["sample", "mix-search", "mix-adjust"])
+@pytest.mark.parametrize("template,error", [
+    ("true {manifest_path} {out}", "KeyError('manifest_path')"),
+    ("true {out} {0}", "IndexError('Replacement index 0 out of range for positional args tuple')"),
+    ("true {out} }", "ValueError(\"Single '}' encountered in format string\")"),
+    ("true {out} 'unclosed", "ValueError('No closing quotation')"),
+    ("true {out} {out.name}", "AttributeError(\"'str' object has no attribute 'name'\")"),
+], ids=["unknown-name", "positional", "stray-brace", "unclosed-quote", "attribute"])
+def test_command_template_that_cannot_be_filled_in_is_a_config_error(
+        tmp_path, capsys, opened_paths, command, template, error):
+    """Checked when the oracle is built: no pool is read, no output touched."""
+    test_config_schema_error_exits_2_before_any_pool_or_output_is_touched(
+        tmp_path, capsys, opened_paths, command, "oracle", {**EXTERNAL, "command": template},
+        f"oracle.command {template!r} has a bad placeholder or quote ({error}); "
+        "its placeholders are {manifest}, {seed} and {out}")
+
+
 @pytest.fixture
 def scripted(monkeypatch):
     """The manifest of every synthetic oracle call, in call order; the call
@@ -1351,6 +1395,124 @@ class TestLedger:
             (tmp_path / "ref" / "trajectory.jsonl").read_bytes()
 
 
+@pytest.fixture
+def no_loader_left():
+    """A pool load that hangs fails the test after 60 s, and so does a
+    loader child left behind, even one that has ended but is not reaped."""
+    def hang(signum, frame):
+        raise TimeoutError("the pool load hangs")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):  # this process has no child at all
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _random_pool(path, tag: str, rng: random.Random, n: int) -> None:
+    """A pool of n records with blank lines between some, and integer,
+    non-ASCII and escaped ids among the string ones."""
+    lines = []
+    for i, record in enumerate(make_pairs(tag, n)):
+        record["id"] = rng.choice(
+            [i, f"{tag}-bildgüte-画質-{i}", f'{tag}-"{i}"\\', record["id"]])
+        lines.append(json.dumps(record, ensure_ascii=rng.random() < 0.5))
+        lines.extend([""] * (rng.random() < 0.1) + ["  \t"] * (rng.random() < 0.05))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.usefixtures("no_loader_left")
+class TestForkedPoolLoads:
+    """FORK_MIN_BYTES at 0 sends every pool but the largest to a forked child."""
+
+    def pools(self, tmp_path, sizes, seed=0) -> list[str]:
+        rng = random.Random(seed)
+        paths = [str(tmp_path / f"{tag}.jsonl") for tag in ("d1", "d2", "d3")]
+        for path, tag, n in zip(paths, POOL_TAGS, sizes):
+            _random_pool(path, tag, rng, n)
+        return paths
+
+    @pytest.mark.parametrize("seed,sizes", [  # an empty pool; pools of one and two batches
+        (1, (30, 200, 90)), (2, (500, 40, 7)), (3, (0, 60, 300)),
+        (4, (16384 + 5, 90, 16384 * 2))])
+    def test_same_rows_and_digests_as_in_process(self, tmp_path, forked_loads, seed, sizes):
+        paths = self.pools(tmp_path, sizes, seed)
+        settings = {f"pools.{key}": path for key, path in zip(("d1", "d2", "d3"), paths)}
+        pools, inputs = cli._load_pools(settings)
+        assert len(forked_loads) == 2
+        assert inputs == [(path, file_digest(path)) for path in paths]
+        assert [len(pool) for pool in (pools.d1, pools.d2, pools.d3)] == list(sizes)
+        for path, tag in zip(paths, POOL_TAGS):
+            assert pools.by_tag(tag).tolist() == load_pool(path, tag).tolist()
+
+    def run(self, capsys, *argv) -> tuple[int, str]:
+        rc = run_cli("sample", "--counts", "1:1:1", "--out", "manifest.jsonl", *argv)
+        return rc, capsys.readouterr().err
+
+    def config(self, tmp_path, paths) -> Path:
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({"pools": dict(zip(("d1", "d2", "d3"), paths))}))
+        return config
+
+    @pytest.mark.parametrize("sizes", [(40, 60, 300), (300, 60, 40)])
+    def test_first_error_in_pool_order_is_the_one_raised(
+            self, tmp_path, monkeypatch, capsys, sizes):
+        monkeypatch.chdir(tmp_path)
+        paths = self.pools(tmp_path, sizes)
+        for path, line in ((paths[0], "{not json"), (paths[2], '{"id": "x"}')):
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(line + "\n")
+        config = self.config(tmp_path, paths)
+        rc, err = self.run(capsys, "--config", config)
+        assert rc == 1 and err.startswith(f"error: {paths[0]}: line ") and "invalid JSON" in err
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "FORK_MIN_BYTES", 0)
+            assert self.run(capsys, "--config", config) == (rc, err)
+        assert not (tmp_path / "manifest.jsonl").exists()
+
+    def test_missing_pool_gives_the_in_process_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        paths = self.pools(tmp_path, (40, 60, 300))
+        Path(paths[1]).unlink()
+        config = self.config(tmp_path, paths)
+        expected = f"error: [Errno 2] No such file or directory: {paths[1]!r}\n"
+        assert self.run(capsys, "--config", config) == (1, expected)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "FORK_MIN_BYTES", 0)
+            assert self.run(capsys, "--config", config) == (1, expected)
+
+    @pytest.mark.parametrize("dies", ["while it parses", "after a part of the rows"])
+    def test_loader_killed_by_a_signal_is_an_error_naming_its_pool(
+            self, tmp_path, monkeypatch, capsys, forked_loads, dies):
+        monkeypatch.chdir(tmp_path)
+        paths = self.pools(tmp_path, (16384 + 100, 60, 16384 * 2))
+        parent, load_pool, sent = os.getpid(), cli.load_pool, []
+
+        def killed_load(path, tag, **kwargs):
+            if os.getpid() != parent and tag == "D1":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load_pool(path, tag, **kwargs)
+
+        def killed_dump(obj, file):  # the count and digest, one batch of rows, then death
+            pickle.dump(obj, file)
+            sent.append(obj)
+            if len(sent) == 2 and isinstance(obj, list) and len(obj) == 16384:
+                file.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        if dies == "while it parses":
+            monkeypatch.setattr(cli, "load_pool", killed_load)
+        else:
+            monkeypatch.setattr(cli, "pickle", SimpleNamespace(
+                dump=killed_dump, load=pickle.load, UnpicklingError=pickle.UnpicklingError))
+        rc, err = self.run(capsys, "--config", self.config(tmp_path, paths))
+        assert (rc, err) == (
+            1, f"error: {paths[0]}: the process loading this pool ended before the pool did\n")
+        assert not (tmp_path / "manifest.jsonl").exists()
+
+
 class TestProvenanceRecords:
     def test_config_hash_tracks_input_bytes(self, tmp_path, mos_file):
         out1 = tmp_path / "a.jsonl"
@@ -1400,6 +1562,27 @@ class TestProvenanceRecords:
         assert run_cli(*command, "--config", config) == 0
         assert [opened_paths.count(path) for path in pools] == [1, 1, 1]
         # the digests the load pass took are those of a separate read
+        assert recorded[-3:] == [(path, file_digest(path)) for path in pools]
+
+    @pytest.mark.parametrize("command", [
+        ["sample", "--counts", "5:5:5", "--out", "manifest.jsonl"],
+        ["mix-search", "--out-dir", "run"],
+        ["mix-adjust", "--coarse-result", "coarse.json", "--out-dir", "run"],
+    ])
+    def test_each_pool_is_read_once_also_in_forked_loaders(
+            self, tmp_path, monkeypatch, opened_anywhere, forked_loads, command):
+        monkeypatch.chdir(tmp_path)
+        config = write_pools_and_config(tmp_path, n1=120, n2=300, n3=400)
+        (tmp_path / "coarse.json").write_text(json.dumps(
+            {"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04}, "lambda_loss": 0.25}))
+        pools = [str(tmp_path / f"{tag}.jsonl") for tag in ("d1", "d2", "d3")]
+        recorded = []
+        monkeypatch.setattr(cli, "_config_hash", lambda flags, inputs: recorded.extend(inputs))
+        written = len(opened_anywhere())  # the pools were opened to be written
+        assert run_cli(*command, "--config", config) == 0
+        assert [path for path, _ in forked_loads] == pools[:2]
+        opened = opened_anywhere()[written:]
+        assert [opened.count(path) for path in pools] == [1, 1, 1]
         assert recorded[-3:] == [(path, file_digest(path)) for path in pools]
 
     def test_hash_deterministic_for_same_inputs(self, tmp_path, mos_file):

@@ -195,6 +195,16 @@ def test_mix_outputs_are_byte_identical(tmp_path, monkeypatch):
     assert digests == GOLDEN
 
 
+def test_forked_pool_loads_give_the_same_bytes(tmp_path, monkeypatch, forked_loads):
+    """With every pool but the largest loaded in a forked child, the search,
+    adjust and growth runs write the same bytes: manifests, results, ledgers."""
+    for name, test in (("run", test_mix_outputs_are_byte_identical),
+                       ("grow", test_mix_adjust_growth_is_byte_identical)):
+        (tmp_path / name).mkdir()
+        test(tmp_path / name, monkeypatch)
+    assert [tag for _, tag in forked_loads] == ["D1", "D2"] * 5  # 2 runs, then 3
+
+
 # Evaluation path ---------------------------------------------------------------
 
 EVAL_ROWS = 10_500  # more than two 4096-row scoring chunks

@@ -226,9 +226,9 @@ def _now() -> str:
 FORK_MIN_BYTES = 4 << 20
 
 
-def _load(path: str, tag: str) -> tuple[np.ndarray, str] | tuple[tuple, Exception]:
-    """A pool's rows and file digest, or no rows and the error its load raised."""
-    digest = hashlib.sha256()
+def _load(path: str, tag: str, digest) -> tuple[np.ndarray, str] | tuple[tuple, Exception]:
+    """A pool's rows and the hex digest of its file, taken by the hashlib hash
+    digest as the file is read, or no rows and the error its load raised."""
     try:
         return load_pool(path, tag, digest=digest), digest.hexdigest()
     except (IqmixError, OSError) as exc:
@@ -244,7 +244,7 @@ def _fork_load(path: str, tag: str):
         return pid, open(read_end, "rb")
     try:  # the child: nothing of the CLI runs after this, not even atexit
         with open(write_end, "wb") as pipe:
-            pool, digest = _load(path, tag)
+            pool, digest = _load(path, tag, hashlib.sha256())
             pickle.dump((len(pool), digest), pipe)
             for start in range(0, len(pool), 16384):
                 pickle.dump(pool[start:start + 16384].tolist(), pipe)
@@ -274,11 +274,14 @@ def _load_pools(settings: dict) -> tuple[PoolSet, list[tuple[str | Path, str]]]:
         raise ConfigError(f"config pools missing path(s): {', '.join(missing)}")
     sizes = [os.path.isfile(path) and os.path.getsize(path) for path in paths]
     largest, children, results = sizes.index(max(sizes)), {}, {}
+    # Made before any pool is read: made between the loads, the hashes left
+    # the peak RSS of an in-process mix-search about 0.1 MiB higher.
+    digests = [hashlib.sha256() for _ in paths]
     try:
         for i in (i for i in range(3) if i != largest and sizes[i] >= FORK_MIN_BYTES):
             children[i] = _fork_load(paths[i], POOL_TAGS[i])
         for i in (i for i in range(3) if i not in children):
-            results[i] = _load(paths[i], POOL_TAGS[i])
+            results[i] = _load(paths[i], POOL_TAGS[i], digests[i])
             if isinstance(results[i][1], Exception):
                 break  # no pool after it has an error to raise first
         for i in range(3):

@@ -125,8 +125,8 @@ def run_loop(
             epoch_seed = derive_seed(seed, "epoch", epoch)
             manifest = sample_mixture(pools, counts, epoch_seed, with_replacement=True)
             path = manifest_dir / f"epoch{epoch:02d}.jsonl"
-            write_manifest(manifest, path)
-            response = oracle.evaluate(OracleRequest(path, epoch_seed))
+            response = oracle.evaluate(
+                OracleRequest(path, epoch_seed, write_manifest(manifest, path)))
             rho = response.loss_scoring / response.loss_interpreting
             action, next_counts = decide(rho, lambda_loss, tolerance, factor, counts, split)
             epochs.append({"epoch": epoch, "counts": dict(counts),

@@ -10,6 +10,8 @@ only loaded, counted, and sampled.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import itertools
 import json
 import logging
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ScoreOutOfRangeError
 from .levels import LevelScale, score_to_level
-from .util import draw_rows, first_rows, read_jsonl, record_id
+from .util import _HashingFile, draw_rows, first_rows, read_jsonl, record_id
 
 log = logging.getLogger(__name__)
 
@@ -351,15 +353,18 @@ def sample_mixture(
                     entries=drawn.tolist())
 
 
-def write_manifest(manifest: Manifest, path: str | Path) -> None:
+def write_manifest(manifest: Manifest, path: str | Path) -> str:
     """The header line, then the entries, joined 4096 at a time: one string
-    of a whole manifest would be the largest allocation of a run."""
+    of a whole manifest would be the largest allocation of a run. Returns
+    the hex sha256 of the bytes, taken as they are written."""
     header = {"seed": manifest.seed, "counts": manifest.counts, "ratio": manifest.ratio}
-    entries = manifest.entries
-    with open(path, "w", encoding="utf-8") as handle:
+    entries, digest = manifest.entries, hashlib.sha256()
+    raw = _HashingFile(path, digest, "w")
+    with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8") as handle:
         handle.write(json.dumps(header, ensure_ascii=False) + "\n")
         for start in range(0, len(entries), 4096):
             handle.write("".join(entries[start:start + 4096]))
+    return digest.hexdigest()
 
 
 def read_manifest_header(path: str | Path) -> dict:

@@ -121,9 +121,10 @@ def split_d2_d3(total: int, d2_d3_ratio: float) -> dict[str, int]:
     return {"d2": d2, "d3": total - d2}
 
 
-def _point_axis(stage: Stage, counts: dict[str, int]) -> float:
-    t_d2d3, t_mix = realized_axes(counts)
-    return t_d2d3 if stage == "d2_vs_d3" else t_mix
+def _request(pools: PoolSet, counts: dict[str, int], seed: int, path: Path) -> OracleRequest:
+    """Sample the counts under seed, write the manifest to path, return its request."""
+    manifest = sample_mixture(pools, counts, seed, with_replacement=True)
+    return OracleRequest(path, seed, write_manifest(manifest, path))
 
 
 def _point_performance(stage: Stage, response: OracleResponse, scoring_weight: float) -> float:
@@ -186,28 +187,23 @@ def sweep(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     grid = tuple(sorted(ratios)) if ratios else grid_ratios(stage)
     sizes = pools.sizes()
-    point_counts = [compose_counts(stage, ratio, sizes, d2_d3_ratio) for ratio in grid]
-    # Close ratios can round to the same counts: fail before the first call.
-    _check_distinct_axes([_point_axis(stage, counts) for counts in point_counts])
+    # Each point's counts and the axis they realize, for its calls and its result.
+    plan = [(counts, realized_axes(counts)[0 if stage == "d2_vs_d3" else 1])
+            for counts in (compose_counts(stage, r, sizes, d2_d3_ratio) for r in grid)]
+    _check_distinct_axes([axis for _, axis in plan])  # close ratios can round alike
     manifest_dir = Path(workdir) / "manifests" / stage
     manifest_dir.mkdir(parents=True, exist_ok=True)
-
-    requests: list[OracleRequest] = []
-    for point_idx, counts in enumerate(point_counts):
-        for rep in range(repeats):
-            rep_seed = derive_seed(seed, stage, point_idx, rep)
-            manifest = sample_mixture(pools, counts, rep_seed, with_replacement=True)
-            path = manifest_dir / f"point{point_idx:02d}_rep{rep}.jsonl"
-            write_manifest(manifest, path)
-            requests.append(OracleRequest(path, rep_seed))
+    requests = [_request(pools, counts, derive_seed(seed, stage, point, rep),
+                         manifest_dir / f"point{point:02d}_rep{rep}.jsonl")
+                for point, (counts, _) in enumerate(plan) for rep in range(repeats)]
 
     responses = _evaluate_in_order(oracle, requests, jobs)
     points: list[dict] = []
-    for point_idx, counts in enumerate(point_counts):
-        chunk = responses[point_idx * repeats : (point_idx + 1) * repeats]
+    for point, (_, axis) in enumerate(plan):
+        chunk = responses[point * repeats : (point + 1) * repeats]
         perfs = [_point_performance(stage, r, scoring_weight) for r in chunk]
         points.append({
-            "axis": _point_axis(stage, counts),
+            "axis": axis,
             "performance": float(np.mean(perfs)),
             "repeats": repeats,
             "loss_scoring": float(np.mean([r.loss_scoring for r in chunk])),
@@ -321,11 +317,8 @@ def coarse_search(
 
     ratio = MixRatio.from_stage_ratios(stages["stage1"]["ratio"], stages["stage2"]["ratio"])
     counts = ratio.counts_for_d1_base(len(pools.d1))
-    confirm_seed = derive_seed(seed, "confirm")
-    manifest = sample_mixture(pools, counts, confirm_seed, with_replacement=True)
-    confirm_path = workdir / "manifests" / "confirm.jsonl"
-    write_manifest(manifest, confirm_path)
-    response = oracle.evaluate(OracleRequest(confirm_path, confirm_seed))
+    response = oracle.evaluate(_request(pools, counts, derive_seed(seed, "confirm"),
+                                        workdir / "manifests" / "confirm.jsonl"))
     doc = {
         "tool_version": __version__, "seed": seed, "repeats": repeats,
         "mix_ratio": {"d1": ratio.d1, "d2": ratio.d2, "d3": ratio.d3},

@@ -28,7 +28,7 @@ from .errors import (
     OracleResultError,
     OracleTimeoutError,
 )
-from .util import draw_keys, file_digest, is_number, number_setting, read_jsonl
+from .util import draw_keys, is_number, number_setting, read_jsonl
 
 RESPONSE_FIELDS = ("perf_scoring", "perf_interpreting", "loss_scoring", "loss_interpreting")
 
@@ -37,6 +37,7 @@ RESPONSE_FIELDS = ("perf_scoring", "perf_interpreting", "loss_scoring", "loss_in
 class OracleRequest:
     manifest_path: Path
     seed: int
+    digest: str  # hex sha256 of the manifest's bytes, as write_manifest returned it
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,8 @@ def realized_axes(counts: Mapping[str, int]) -> tuple[float, float]:
     Returns (log10(d2/d3), log10((d2+d3)/d1)); zero counts are floored at 1
     so stage-1 manifests (no D1) stay evaluable.
     """
-    d1 = max(int(counts.get("d1", 0)), 1)
-    d2 = max(int(counts.get("d2", 0)), 1)
-    d3 = max(int(counts.get("d3", 0)), 1)
-    mixed = max(int(counts.get("d2", 0)) + int(counts.get("d3", 0)), 1)
-    return math.log10(d2 / d3), math.log10(mixed / d1)
+    d1, d2, d3 = (int(counts.get(k, 0)) for k in ("d1", "d2", "d3"))
+    return math.log10(max(d2, 1) / max(d3, 1)), math.log10(max(d2 + d3, 1) / max(d1, 1))
 
 
 # Config sections --------------------------------------------------------------
@@ -312,9 +310,9 @@ class ExternalOracle:
 
 class Ledger:
     """An oracle behind an append-only file of its finished calls. A call's
-    key is the sha256 of the JSON array [*context, manifest digest, seed];
-    a key already in the file returns the recorded response and runs
-    nothing. Any other call runs the oracle, then appends one line
+    key is the sha256 of the JSON array [*context, request.digest, seed], so
+    no manifest is read for it; a key already in the file returns the
+    recorded response and runs nothing. Any other call runs the oracle, then appends one line
     {"key", "manifest", "seed", "response"}."""
 
     def __init__(self, oracle: Oracle, path: str | Path, context: Sequence[str]):
@@ -337,8 +335,7 @@ class Ledger:
 
     def evaluate(self, request: OracleRequest) -> OracleResponse:
         key = hashlib.sha256(json.dumps(
-            [*self.context, file_digest(request.manifest_path), request.seed]
-        ).encode("utf-8")).hexdigest()
+            [*self.context, request.digest, request.seed]).encode("utf-8")).hexdigest()
         if key in self._responses:
             return self._responses[key]
         response = self.oracle.evaluate(request)

@@ -94,15 +94,20 @@ def file_digest(path: str | Path) -> str:
 
 
 class _HashingFile(io.FileIO):
-    """A binary file that feeds every byte read from it to a hash."""
+    """A binary file that feeds every byte read from it or written to it to a hash."""
 
-    def __init__(self, path: str | Path, digest):
-        super().__init__(path)
+    def __init__(self, path: str | Path, digest, mode: str = "r"):
+        super().__init__(path, mode)
         self.digest = digest
 
     def readinto(self, buffer) -> int:
         count = super().readinto(buffer)
         self.digest.update(buffer[:count])
+        return count
+
+    def write(self, buffer) -> int:
+        count = super().write(buffer)
+        self.digest.update(memoryview(buffer)[:count])
         return count
 
 

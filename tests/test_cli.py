@@ -1394,6 +1394,26 @@ class TestLedger:
         assert (out_dir / "trajectory.jsonl").read_bytes() == \
             (tmp_path / "ref" / "trajectory.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("command", [
+        ["mix-search"], ["mix-adjust", "--coarse-result", "coarse.json"]])
+    def test_a_manifest_is_opened_only_to_be_written_and_by_the_oracle(
+            self, tmp_path, monkeypatch, opened_paths, command):
+        """The ledger keys each call on the digest write_manifest returns, so
+        iqmix opens a manifest to write it, and the synthetic oracle opens it
+        once more for its header; a rerun whose every call is a ledger hit
+        only writes it."""
+        monkeypatch.chdir(tmp_path)
+        config = write_pools_and_config(tmp_path)
+        (tmp_path / "coarse.json").write_text(json.dumps(
+            {"mix_ratio": {"d1": 1.0, "d2": 2.5, "d3": 1.04}, "lambda_loss": 0.25}))
+        for opens in (2, 1):
+            opened_paths.clear()
+            assert run_cli(*command, "--config", config, "--out-dir", "run") == 0
+            manifests = sorted(str(path) for path in Path("run/manifests").rglob("*.jsonl"))
+            assert len(manifests) == (39 if command == ["mix-search"] else 3)
+            assert {path: opened_paths.count(path) for path in manifests} == \
+                dict.fromkeys(manifests, opens)
+
 
 @pytest.fixture
 def no_loader_left():

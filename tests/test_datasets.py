@@ -531,6 +531,13 @@ class TestSampleMixture:
         write_manifest(sample_mixture(pools, counts, seed=9), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_write_returns_the_digest_of_the_bytes_it_wrote(self, tmp_path):
+        # three 4096-row chunks of ids that take several UTF-8 bytes
+        pools = PoolSet([manifest_row("D1", k, f"画質-{k}") for k in range(1, 5001)])
+        manifest = sample_mixture(pools, {"d1": 9000}, 4, with_replacement=True)
+        path = tmp_path / "m.jsonl"
+        assert write_manifest(manifest, path) == file_digest(path)
+
     def test_seed_changes_selection_not_counts(self):
         pools = make_pools(80, 200, 200)
         counts = {"d1": 40, "d2": 100, "d3": 42}

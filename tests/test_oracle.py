@@ -25,6 +25,7 @@ from iqmix.oracle import (
     SyntheticOracle,
     realized_axes,
 )
+from iqmix.util import file_digest
 
 from conftest import make_pools, planted_oracle
 
@@ -107,34 +108,37 @@ class TestResponseSurface:
 class TestSyntheticOracle:
     def test_peak_evaluation(self, tmp_path):
         path = write_test_manifest(tmp_path, {"d1": 0, "d2": 242, "d3": 100})
-        response = planted_oracle().evaluate(OracleRequest(path, 0))
+        response = planted_oracle().evaluate(OracleRequest(path, 0, file_digest(path)))
         assert response.perf_interpreting == 0.75
 
     def test_deterministic(self, tmp_path):
         path = write_test_manifest(tmp_path, {"d1": 50, "d2": 100, "d3": 50})
-        first = planted_oracle(noise_sigma=0.02).evaluate(OracleRequest(path, 1234))
-        second = planted_oracle(noise_sigma=0.02).evaluate(OracleRequest(path, 1234))
+        request = OracleRequest(path, 1234, file_digest(path))
+        first = planted_oracle(noise_sigma=0.02).evaluate(request)
+        second = planted_oracle(noise_sigma=0.02).evaluate(request)
         assert first == second
 
     def test_noisy_response_is_pinned(self, tmp_path):
         # Box-Muller over two keys of the stream (1234, "noise"): a change of
         # the draw rule moves these floats
         path = write_test_manifest(tmp_path, {"d1": 50, "d2": 100, "d3": 50})
-        response = planted_oracle(noise_sigma=0.02).evaluate(OracleRequest(path, 1234))
+        response = planted_oracle(noise_sigma=0.02).evaluate(
+            OracleRequest(path, 1234, file_digest(path)))
         assert (response.perf_scoring, response.perf_interpreting) == (
             0.8536013914793608, 0.7608268158844959)
         assert response.loss_scoring == planted_oracle().evaluate(
-            OracleRequest(path, 1234)).loss_scoring
+            OracleRequest(path, 1234, file_digest(path))).loss_scoring
 
     def test_noise_is_unbiased_with_its_sigma_and_uncorrelated(self, tmp_path):
         sigma, n = 0.01, 2000
         path = write_test_manifest(tmp_path, {"d1": 100, "d2": 242, "d3": 100})
-        base = planted_oracle().evaluate(OracleRequest(path, 0))
+        base = planted_oracle().evaluate(OracleRequest(path, 0, file_digest(path)))
         noisy = planted_oracle(noise_sigma=sigma)
         draws = np.array([
             [response.perf_scoring - base.perf_scoring,
              response.perf_interpreting - base.perf_interpreting]
-            for response in (noisy.evaluate(OracleRequest(path, seed)) for seed in range(n))])
+            for response in (noisy.evaluate(OracleRequest(path, seed, file_digest(path)))
+                             for seed in range(n))])
         assert np.all(np.abs(draws.mean(axis=0)) <= 4 * sigma / math.sqrt(n))
         assert np.all(np.abs(draws.std(axis=0) / sigma - 1) <= 0.1)
         assert abs(np.corrcoef(draws.T)[0, 1]) <= 4 / math.sqrt(n)
@@ -144,7 +148,7 @@ class TestSyntheticOracle:
         oracle = planted_oracle(noise_sigma=sigma)
         path = write_test_manifest(tmp_path, {"d1": 0, "d2": 242, "d3": 100})
         values = [
-            oracle.evaluate(OracleRequest(path, seed)).perf_interpreting
+            oracle.evaluate(OracleRequest(path, seed, file_digest(path))).perf_interpreting
             for seed in (101, 202, 303)
         ]
         assert abs(float(np.mean(values)) - 0.75) <= 3 * sigma / math.sqrt(3)
@@ -153,13 +157,13 @@ class TestSyntheticOracle:
         oracle = planted_oracle(loss_scale_scoring=30.0, loss_scale_interpreting=12.0,
                                 loss_alpha=0.5)
         path = write_test_manifest(tmp_path, {"d1": 400, "d2": 100, "d3": 44})
-        response = oracle.evaluate(OracleRequest(path, 0))
+        response = oracle.evaluate(OracleRequest(path, 0, file_digest(path)))
         assert response.loss_scoring == 30.0 * 400 ** -0.5
         assert response.loss_interpreting == 12.0 * 144 ** -0.5
 
     def test_no_d1_floors_loss(self, tmp_path):
         path = write_test_manifest(tmp_path, {"d1": 0, "d2": 100, "d3": 100})
-        response = planted_oracle().evaluate(OracleRequest(path, 0))
+        response = planted_oracle().evaluate(OracleRequest(path, 0, file_digest(path)))
         assert response.loss_scoring == 30.0
 
     def test_performance_clamped_to_range(self, tmp_path):
@@ -167,7 +171,7 @@ class TestSyntheticOracle:
             interpreting_surface=ResponseSurface(100.0, 0.5, 5.0)  # peak far away
         )
         path = write_test_manifest(tmp_path, {"d1": 0, "d2": 10, "d3": 100})
-        response = oracle.evaluate(OracleRequest(path, 0))
+        response = oracle.evaluate(OracleRequest(path, 0, file_digest(path)))
         assert response.perf_interpreting == 0.0
 
     def test_config_from_dict(self):
@@ -215,7 +219,7 @@ def stub_command(tmp_path):
 class TestExternalOracle:
     def test_round_trip(self, tmp_path, stub_command):
         path = write_test_manifest(tmp_path, {"d1": 5, "d2": 5, "d3": 5})
-        response = ExternalOracle(stub_command).evaluate(OracleRequest(path, 7))
+        response = ExternalOracle(stub_command).evaluate(OracleRequest(path, 7, file_digest(path)))
         assert response.perf_scoring == 0.5
         assert response.loss_scoring == 8.0  # seed placeholder reached the command
         assert response.loss_interpreting == 4.66
@@ -223,7 +227,7 @@ class TestExternalOracle:
     def test_env_passthrough(self, tmp_path, stub_command):
         path = write_test_manifest(tmp_path, {"d1": 5, "d2": 5, "d3": 5})
         oracle = ExternalOracle(stub_command, env={"STUB_PERF": "0.25"})
-        assert oracle.evaluate(OracleRequest(path, 0)).perf_scoring == 0.25
+        assert oracle.evaluate(OracleRequest(path, 0, file_digest(path))).perf_scoring == 0.25
 
     def test_nonzero_exit_captures_output(self, tmp_path):
         script = tmp_path / "fail.py"
@@ -233,7 +237,7 @@ class TestExternalOracle:
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleExecutionError) as exc:
-            oracle.evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0, file_digest(path)))
         assert "exited 3" in str(exc.value) and "boom" in str(exc.value)
 
     def test_timeout(self, tmp_path):
@@ -245,7 +249,7 @@ class TestExternalOracle:
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleTimeoutError):
-            oracle.evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0, file_digest(path)))
 
     def test_missing_result_file(self, tmp_path):
         script = tmp_path / "noop.py"
@@ -255,7 +259,7 @@ class TestExternalOracle:
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleResultError) as exc:
-            oracle.evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0, file_digest(path)))
         assert "missing" in str(exc.value)
 
     def test_stale_result_is_never_read(self, tmp_path):
@@ -265,7 +269,7 @@ class TestExternalOracle:
                                      "loss_scoring": 1.0, "loss_interpreting": 1.0}))
         oracle = ExternalOracle(command=f"{sys.executable} -c pass {{out}}")
         with pytest.raises(OracleResultError, match="missing"):
-            oracle.evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0, file_digest(path)))
         assert not stale.exists()
 
     @pytest.mark.parametrize(
@@ -288,7 +292,7 @@ class TestExternalOracle:
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleResultError) as exc:
-            oracle.evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0, file_digest(path)))
         assert needle in str(exc.value)
 
     def test_unparsable_result_file(self, tmp_path):
@@ -299,7 +303,7 @@ class TestExternalOracle:
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleResultError):
-            oracle.evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0, file_digest(path)))
 
     def test_result_file_that_is_not_utf8(self, tmp_path):
         script = tmp_path / "garbage.py"
@@ -309,7 +313,7 @@ class TestExternalOracle:
         )
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         with pytest.raises(OracleResultError, match="unreadable oracle result .*utf-8"):
-            oracle.evaluate(OracleRequest(path, 0))
+            oracle.evaluate(OracleRequest(path, 0, file_digest(path)))
 
     def test_command_must_reference_out(self):
         with pytest.raises(ConfigError):
@@ -326,8 +330,8 @@ class TestExternalOracle:
     def test_oracle_object_reusable(self, tmp_path, stub_command):
         oracle = ExternalOracle(stub_command)
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
-        first = oracle.evaluate(OracleRequest(path, 1))
-        second = oracle.evaluate(OracleRequest(path, 1))
+        first = oracle.evaluate(OracleRequest(path, 1, file_digest(path)))
+        second = oracle.evaluate(OracleRequest(path, 1, file_digest(path)))
         assert first == second
 
 
@@ -364,7 +368,7 @@ class TestLedger:
     def test_key_is_the_documented_digest(self, tmp_path):
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         Ledger(RecordingOracle(), tmp_path / "ledger.jsonl", ["a", "b"]).evaluate(
-            OracleRequest(path, 7))
+            OracleRequest(path, 7, file_digest(path)))
         record = json.loads((tmp_path / "ledger.jsonl").read_text())
         manifest = hashlib.sha256(path.read_bytes()).hexdigest()
         key = hashlib.sha256(json.dumps(["a", "b", manifest, 7]).encode()).hexdigest()
@@ -376,16 +380,16 @@ class TestLedger:
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         inner = RecordingOracle()
         first = Ledger(inner, tmp_path / "ledger.jsonl", ["ctx"])
-        request = OracleRequest(path, 1)
+        request = OracleRequest(path, 1, file_digest(path))
         assert first.evaluate(request) == inner.response
         assert inner.calls == [(request,)]
         again = RecordingOracle(OracleResponse(0.1, 0.1, 9.0, 9.0))
         replayed = Ledger(again, tmp_path / "ledger.jsonl", ["ctx"])
         assert replayed.evaluate(request) == inner.response
-        assert replayed.evaluate(OracleRequest(path, 1)) == inner.response
+        assert replayed.evaluate(OracleRequest(path, 1, file_digest(path))) == inner.response
         assert again.calls == []
         # another seed, or another context, is another call
-        assert replayed.evaluate(OracleRequest(path, 2)) == again.response
+        assert replayed.evaluate(OracleRequest(path, 2, file_digest(path))) == again.response
         other = Ledger(again, tmp_path / "ledger.jsonl", ["other"])
         assert other.evaluate(request) == again.response
         assert len(again.calls) == 2
@@ -393,12 +397,13 @@ class TestLedger:
     def test_first_record_of_a_key_wins(self, tmp_path):
         path = write_test_manifest(tmp_path, {"d1": 2, "d2": 2, "d3": 2})
         ledger = tmp_path / "ledger.jsonl"
-        Ledger(RecordingOracle(), ledger, ["ctx"]).evaluate(OracleRequest(path, 1))
+        request = OracleRequest(path, 1, file_digest(path))
+        Ledger(RecordingOracle(), ledger, ["ctx"]).evaluate(request)
         record = json.loads(ledger.read_text())
         record["response"]["perf_scoring"] = -0.5
         with open(ledger, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(record) + "\n")
-        response = Ledger(RecordingOracle(), ledger, ["ctx"]).evaluate(OracleRequest(path, 1))
+        response = Ledger(RecordingOracle(), ledger, ["ctx"]).evaluate(request)
         assert response.perf_scoring == 0.5
 
     def test_failed_call_records_nothing(self, tmp_path):
@@ -409,7 +414,8 @@ class TestLedger:
                 raise OracleExecutionError("trainer died")
 
         with pytest.raises(OracleExecutionError):
-            Ledger(Failing(), tmp_path / "ledger.jsonl", ["ctx"]).evaluate(OracleRequest(path, 1))
+            Ledger(Failing(), tmp_path / "ledger.jsonl", ["ctx"]).evaluate(
+                OracleRequest(path, 1, file_digest(path)))
         assert (tmp_path / "ledger.jsonl").read_text() == ""
 
     @pytest.mark.parametrize("response,message", [

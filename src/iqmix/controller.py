@@ -10,6 +10,7 @@ rule.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -106,7 +107,10 @@ def run_loop(
     resamples the manifest (with replacement once a grown count exceeds its
     pool). Grown D2+D3 totals are split at the D2:D3 ratio of the coarse
     weights. Ends at max_epochs or after two consecutive holds. Every
-    control is checked before the first oracle call. workdir/trajectory.jsonl
+    control is checked before the first oracle call. The request of epoch
+    k >= 2 carries a history: the hex sha256 of the JSON array [history of
+    epoch k-1 or null, its manifest digest, its seed], so a ledger never
+    replays an epoch reached by another path. workdir/trajectory.jsonl
     gets a header line and then one line per epoch as it finishes, so a
     mid-run oracle failure leaves the completed epochs behind.
     """
@@ -120,13 +124,15 @@ def run_loop(
                                  "factor": factor, "seed": seed,
                                  "coarse_result": coarse_ref}, ensure_ascii=False) + "\n")
         counts = weights.counts_for_d1_base(len(pools.d1))
-        consecutive_holds = 0
+        consecutive_holds, history = 0, None
         for epoch in range(1, max_epochs + 1):
             epoch_seed = derive_seed(seed, "epoch", epoch)
             manifest = sample_mixture(pools, counts, epoch_seed, with_replacement=True)
             path = manifest_dir / f"epoch{epoch:02d}.jsonl"
-            response = oracle.evaluate(
-                OracleRequest(path, epoch_seed, write_manifest(manifest, path)))
+            request = OracleRequest(path, epoch_seed, write_manifest(manifest, path), history)
+            response = oracle.evaluate(request)
+            history = hashlib.sha256(json.dumps(
+                [history, request.digest, request.seed]).encode("utf-8")).hexdigest()
             rho = response.loss_scoring / response.loss_interpreting
             action, next_counts = decide(rho, lambda_loss, tolerance, factor, counts, split)
             epochs.append({"epoch": epoch, "counts": dict(counts),

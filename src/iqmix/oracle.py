@@ -38,6 +38,7 @@ class OracleRequest:
     manifest_path: Path
     seed: int
     digest: str  # hex sha256 of the manifest's bytes, as write_manifest returned it
+    history: str | None = None  # a mix-adjust epoch's chain of the epochs before it
 
 
 @dataclass(frozen=True)
@@ -310,9 +311,10 @@ class ExternalOracle:
 
 class Ledger:
     """An oracle behind an append-only file of its finished calls. A call's
-    key is the sha256 of the JSON array [*context, request.digest, seed], so
-    no manifest is read for it; a key already in the file returns the
-    recorded response and runs nothing. Any other call runs the oracle, then appends one line
+    key is the sha256 of the JSON array [*context, request.digest, seed],
+    with request.history appended when it is set, so no manifest is read
+    for it; a key already in the file returns the recorded response and
+    runs nothing. Any other call runs the oracle, then appends one line
     {"key", "manifest", "seed", "response"}."""
 
     def __init__(self, oracle: Oracle, path: str | Path, context: Sequence[str]):
@@ -334,8 +336,10 @@ class Ledger:
             self._responses.setdefault(record["key"], response)  # the first record wins
 
     def evaluate(self, request: OracleRequest) -> OracleResponse:
-        key = hashlib.sha256(json.dumps(
-            [*self.context, request.digest, request.seed]).encode("utf-8")).hexdigest()
+        parts = [*self.context, request.digest, request.seed]
+        if request.history is not None:
+            parts.append(request.history)
+        key = hashlib.sha256(json.dumps(parts).encode("utf-8")).hexdigest()
         if key in self._responses:
             return self._responses[key]
         response = self.oracle.evaluate(request)

@@ -6,7 +6,7 @@ import pytest
 from iqmix.controller import check_controls, decide, run_loop
 from iqmix.errors import ConfigError, DataError, OracleExecutionError
 from iqmix.mixopt import MixRatio, coarse_search
-from iqmix.oracle import OracleResponse, SyntheticOracle, ResponseSurface
+from iqmix.oracle import Ledger, OracleResponse, SyntheticOracle, ResponseSurface
 
 from conftest import make_pools, planted_oracle
 
@@ -271,6 +271,41 @@ class TestRunLoop:
                      max_epochs=3, seed=11, workdir=workdir)
             paths.append(workdir / "trajectory.jsonl")
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_an_epoch_reached_by_another_path_is_not_replayed(self, tmp_path):
+        """Growing D1 and growing D2+D3 commute, so two runs into one ledger
+        reach the same counts at epoch 3 by different paths; the trainer
+        carries its state from epoch to epoch, so the second run's epoch 3
+        must be trained, not answered with the first run's response."""
+
+        class Trainer:  # the loss ratio scripted per epoch
+            def __init__(self, ratios):
+                self.ratios, self.calls = ratios, []
+
+            def evaluate(self, request):
+                self.calls.append(request.manifest_path.name)
+                ratio = self.ratios[int(request.manifest_path.stem[-2:]) - 1]
+                return OracleResponse(0.5, 0.5, ratio, 1.0)
+
+        def run(lambda_loss, trainer):
+            ledger = Ledger(trainer, tmp_path / "ledger.jsonl", ["ctx"])
+            return run_loop(ledger, coarse_stub(lambda_loss, (1.0, 1.0, 1.0)),
+                            make_pools(100, 100, 100), max_epochs=3, tolerance=0.1,
+                            factor=1.1, workdir=tmp_path)
+
+        a = Trainer([1.0, 0.3, 0.5])
+        first = run(0.5, a)
+        assert [e["action"] for e in first[:2]] == ["increase_scoring", "increase_interpreting"]
+        assert first[2]["counts"] == {"d1": 110, "d2": 110, "d3": 110}
+        b = Trainer([None, 3.0, 0.7])  # epoch 1 is replayed from run A
+        epochs = run(2.0, b)
+        assert [e["action"] for e in epochs[:2]] == ["increase_interpreting", "increase_scoring"]
+        assert epochs[2]["counts"] == {"d1": 110, "d2": 110, "d3": 110}
+        assert b.calls == ["epoch02.jsonl", "epoch03.jsonl"]
+        assert epochs[2]["ratio"] == 0.7
+        again = Trainer([9.0, 9.0, 9.0])  # a plain rerun of A replays every epoch
+        assert run(0.5, again) == first
+        assert again.calls == []
 
     def test_failure_persists_completed_epochs(self, tmp_path):
         pools = make_pools(100, 300, 130)

@@ -7,7 +7,8 @@ SHAKE-256 key streams of the seed (README "Manifest"), which changed every
 manifest once and no result. A faster data path must not move a single byte.
 Both runs use one job, so their ledger.jsonl files are pinned too: each
 line's key covers the pool-file digests, the oracle config, the manifest
-digest and the seed.
+digest and the seed, and for a mix-adjust epoch after the first the chain of
+the epochs before it, which moved the adjust ledger's epoch-2 key once.
 
 The evaluation path is pinned the same way: `convert` and `score` on seeded
 inputs, their output files and what they print. Those hashes were recorded
@@ -39,7 +40,7 @@ SIZES = {"d1": 120, "d2": 250, "d3": 400}
 
 GOLDEN = {
     "adjust/ledger.jsonl":
-        "3b48ad66a8e7650fc8340c666279a5ea1ac5438e4109ccb27638b6429ceda2bd",
+        "c96543abbc0f748af41dcc64e8e92863c38d0c7834a42eeb314fcc8375427b87",
     "adjust/manifests/epoch01.jsonl":
         "444f7007635bed7d71de11b571d17a7680adb33b26e97c030a953d988b375927",
     "adjust/manifests/epoch02.jsonl":

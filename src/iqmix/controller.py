@@ -80,10 +80,18 @@ def decide(
     d1, d2, d3 = (int(counts.get(k, 0)) for k in ("d1", "d2", "d3"))
     if rho < lambda_loss * (1.0 - tolerance):
         return "increase_interpreting", {
-            "d1": d1, **split_d2_d3(round_half_up(factor * (d2 + d3)), d2_d3_ratio)}
+            "d1": d1, **split_d2_d3(_grow("D2+D3", d2 + d3, factor), d2_d3_ratio)}
     if rho > lambda_loss * (1.0 + tolerance):
-        return "increase_scoring", {"d1": round_half_up(factor * d1), "d2": d2, "d3": d3}
+        return "increase_scoring", {"d1": _grow("D1", d1, factor), "d2": d2, "d3": d3}
     return "hold", {"d1": d1, "d2": d2, "d3": d3}
+
+
+def _grow(pool: str, count: int, factor: float) -> int:
+    """count times factor, rounded half-up; past the float range, a data error."""
+    try:
+        return round_half_up(factor * count)
+    except OverflowError:
+        raise DataError(f"{pool}: count {count} times factor {factor!r} is past the float range")
 
 
 def run_loop(

@@ -758,6 +758,18 @@ class TestSample:
             in capsys.readouterr().err
         assert not out.exists()
 
+    # Neither count allocates: its keys fail at once. One near 1e8 would take gigabytes.
+    @pytest.mark.parametrize("count", ["1e30", "1e15"])
+    def test_a_count_too_large_to_draw_is_a_data_error(self, tmp_path, capsys, count):
+        config = write_pools_and_config(tmp_path, 30, 40, 40)
+        out = tmp_path / "m.jsonl"
+        assert run_cli("sample", "--config", config, "--counts", f"{count}:0:0",
+                       "--with-replacement", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == \
+            f"error: D1: count {int(float(count))} is too large to draw"
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestMixSearch:
     def test_end_to_end(self, tmp_path, capsys):
@@ -933,6 +945,20 @@ class TestMixSearch:
         doc = json.loads((out_dir / "coarse_result.json").read_text())
         assert len(doc["stage1"]["points"]) == len(grid)
         assert len(doc["stage2"]["points"]) == 19
+
+    def test_a_stage2_count_too_large_to_draw_is_a_data_error(self, tmp_path, capsys, scripted):
+        def search(stage2):
+            config = write_pools_and_config(tmp_path, 30, 40, 40,
+                                            extra={"grid": {"stage2": stage2}})
+            return run_cli("mix-search", "--config", config, "--out-dir", tmp_path / "run")
+
+        assert search([1.0e300, 1, 2, 3, 4]) == 1
+        assert re.fullmatch(r"error: D2: count \d{300,} is too large to draw",
+                            capsys.readouterr().err.splitlines()[-1])
+        assert len(scripted.calls) == 19  # stage 1, kept in the ledger
+        scripted.calls.clear()
+        assert search([0.5, 1, 2, 3, 4]) == 0
+        assert len(scripted.calls) == 5 + 1  # stage 2 and the confirmation
 
 
 class TestMixAdjust:
@@ -1393,6 +1419,29 @@ class TestLedger:
         assert scripted.calls == first[1:] + [str(out_dir / "manifests" / "epoch03.jsonl")]
         assert (out_dir / "trajectory.jsonl").read_bytes() == \
             (tmp_path / "ref" / "trajectory.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("factor,error,epochs", [
+        ("1e300", r"D2: count \d{300,} is too large to draw", 1),  # at epoch 2's draw
+        ("1e308", r"D2\+D3: count 60 times factor 1e\+308 is past the float range", 0),
+    ], ids=["1e300", "1e308"])
+    def test_a_grown_count_too_large_is_a_data_error_and_a_rerun_replays(
+            self, tmp_path, capsys, scripted, factor, error, epochs):
+        config = write_pools_and_config(tmp_path, 30, 40, 40)
+        coarse = tmp_path / "coarse.json"  # every epoch grows D2+D3
+        coarse.write_text(json.dumps({"mix_ratio": {"d1": 1.0, "d2": 1.0, "d3": 1.0},
+                                      "lambda_loss": 100.0}))
+        out_dir = tmp_path / "run"
+        argv = ["mix-adjust", "--config", config, "--coarse-result", coarse,
+                "--out-dir", out_dir, "--factor"]
+        assert run_cli(*argv, factor) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {error}", err.splitlines()[-1]) and "Traceback" not in err
+        epoch1 = str(out_dir / "manifests" / "epoch01.jsonl")
+        assert scripted.calls == [epoch1]
+        assert len((out_dir / "trajectory.jsonl").read_text().splitlines()) == 1 + epochs
+        scripted.calls.clear()
+        assert run_cli(*argv, 1.5) == 0
+        assert epoch1 not in scripted.calls and len(scripted.calls) == 2
 
     @pytest.mark.parametrize("command", [
         ["mix-search"], ["mix-adjust", "--coarse-result", "coarse.json"]])

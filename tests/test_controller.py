@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -94,6 +95,14 @@ class TestDecide:
         counts = {"d1": 5, "d2": 0, "d3": 0}
         _, new_counts = decide(10.0 / 1.0, 0.5, 0.1, 1.1, counts, 1.0)
         assert new_counts["d1"] == 6  # 5.5 rounds up
+
+    @pytest.mark.parametrize("rho,message", [
+        (0.1, "D2+D3: count 5 times factor 1e+308 is past the float range"),
+        (9.0, "D1: count 4 times factor 1e+308 is past the float range")],
+        ids=["interpreting", "scoring"])
+    def test_a_grown_count_past_the_float_range_is_a_data_error(self, rho, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            decide(rho, 1.0, 0.1, 1e308, {"d1": 4, "d2": 2, "d3": 3}, 1.0)
 
     def test_invalid_parameters(self):
         rho = 1.0

@@ -556,6 +556,13 @@ class TestSampleMixture:
         with pytest.raises(DataError):
             sample_mixture(pools, {"d1": 11, "d2": 0, "d3": 0}, seed=0)
 
+    # Neither count allocates: its keys fail at once. One near 1e8 would take gigabytes.
+    @pytest.mark.parametrize("count", [10**30, 10**15])
+    def test_a_count_too_large_to_draw_is_a_data_error(self, count):
+        with pytest.raises(DataError, match=f"^D3: count {count} is too large to draw$"):
+            sample_mixture(make_pools(5, 5, 5), {"d1": 1, "d3": count}, seed=0,
+                           with_replacement=True)
+
     def test_replacement_oversamples(self):
         pools = make_pools(10, 10, 10)
         manifest = sample_mixture(pools, {"d1": 25, "d2": 0, "d3": 0}, seed=0,

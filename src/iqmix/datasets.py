@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ScoreOutOfRangeError
+from .errors import ConfigError, DataError
 from .levels import LevelScale, score_to_level
 from .util import _HashingFile, draw_rows, first_rows, read_jsonl, record_id
 
@@ -129,7 +129,7 @@ def ingest_mos(
             problem = DataError(f"{where}: unparsable mos {cells[k]!r}" if mos_k is None
                                 else f"{where}: non-finite mos {mos_k!r}")
         else:
-            problem = ScoreOutOfRangeError(
+            problem = DataError(
                 f"{where}: mos {mos_k!r} outside [{scale.min_score}, {scale.max_score}]")
         if strict:
             raise problem

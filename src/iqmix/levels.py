@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, ScoreOutOfRangeError
+from .errors import ConfigError, DataError
 
 FIVE_LEVEL_LABELS = ("bad", "poor", "fair", "good", "excellent")
 TWO_LEVEL_LABELS = ("poor", "good")
@@ -97,7 +97,7 @@ def score_to_level(score: float, scale: LevelScale) -> RatingLevel:
     to the lower interval; score == min maps to the first level.
     """
     if not (scale.min_score <= score <= scale.max_score) or not math.isfinite(score):
-        raise ScoreOutOfRangeError(
+        raise DataError(
             f"score {score!r} outside scale [{scale.min_score}, {scale.max_score}]"
         )
     edges, levels = _edges_and_levels(scale)
@@ -113,7 +113,7 @@ def quantize_scores(scores: Iterable[float], scale: LevelScale) -> np.ndarray:
     # min() and max() are nan if any score is, and nan fails every comparison
     if arr.size and not (scale.min_score <= arr.min() and arr.max() <= scale.max_score):
         bad = float(arr[~((arr >= scale.min_score) & (arr <= scale.max_score))][0])
-        raise ScoreOutOfRangeError(
+        raise DataError(
             f"score {bad!r} outside scale [{scale.min_score}, {scale.max_score}]"
         )
     edges = np.asarray(scale.interior_edges(), dtype=np.float64)

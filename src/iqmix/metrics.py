@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, DegenerateSampleError, MissingDimensionError
+from .errors import DataError
 from .levels import LevelScale, quantize_scores
 from .util import first_rows, is_number, read_jsonl, record_id
 
@@ -38,14 +38,14 @@ class PairedSample:
         for name in ("predictions", "ground_truth"):  # a private copy of each
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
         if len(self.predictions) != len(self.ground_truth):
-            raise DegenerateSampleError(
+            raise DataError(
                 f"length mismatch: {len(self.predictions)} predictions vs "
                 f"{len(self.ground_truth)} ground-truth values"
             )
         if len(self.predictions) < 2:
-            raise DegenerateSampleError("need at least 2 paired values")
+            raise DataError("need at least 2 paired values")
         if not (np.isfinite(self.predictions).all() and np.isfinite(self.ground_truth).all()):
-            raise DegenerateSampleError("paired sample contains non-finite values")
+            raise DataError("paired sample contains non-finite values")
 
     @classmethod
     def from_arrays(cls, predictions: Sequence[float] | np.ndarray,
@@ -127,7 +127,7 @@ def _pearson(x: np.ndarray, y: np.ndarray, what: str) -> float:
     yc = y - y.mean()
     denom = float(np.sqrt(np.sum(xc * xc) * np.sum(yc * yc)))
     if denom == 0.0 or not np.isfinite(denom):
-        raise DegenerateSampleError(f"zero variance in {what}; correlation undefined")
+        raise DataError(f"zero variance in {what}; correlation undefined")
     return float(np.sum(xc * yc) / denom)
 
 
@@ -153,7 +153,7 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             warnings.simplefilter("ignore", OptimizeWarning)
             popt, _ = curve_fit(logistic, x, y, p0=p0, maxfev=20000)
     except RuntimeError as exc:
-        raise DegenerateSampleError(f"logistic pre-mapping failed to converge: {exc}")
+        raise DataError(f"logistic pre-mapping failed to converge: {exc}")
     return logistic(x, *popt)
 
 
@@ -162,7 +162,7 @@ def plcc(sample: PairedSample, *, logistic: bool = False) -> float:
     x, y = sample.predictions, sample.ground_truth
     if logistic:
         if float(np.var(x)) == 0.0 or float(np.var(y)) == 0.0:
-            raise DegenerateSampleError("zero variance; correlation undefined")
+            raise DataError("zero variance; correlation undefined")
         x = _fit_logistic(x, y)
     return _pearson(x, y, "a sequence")
 
@@ -276,7 +276,7 @@ def description_report(path: str | Path) -> dict:
         buckets[dimension].append(rating)
     missing = [d for d, vals in buckets.items() if not vals]
     if missing:
-        raise MissingDimensionError(
+        raise DataError(
             f"{path}: no ratings for dimension(s): {', '.join(missing)}"
         )
     dimensions = {}

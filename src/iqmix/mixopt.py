@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .datasets import PoolSet, sample_mixture, write_manifest
-from .errors import ConfigError, RankDeficientFitError
+from .errors import ConfigError, DataError
 from .oracle import Oracle, OracleRequest, OracleResponse, realized_axes
 from .util import derive_seed, round_half_up
 
@@ -215,7 +215,7 @@ def sweep(
 def _check_distinct_axes(axes: Sequence[float]) -> None:
     distinct = len(set(axes))
     if distinct < 5:
-        raise RankDeficientFitError(
+        raise DataError(
             f"degree-4 fit needs >= 5 distinct axis values, got {distinct}"
         )
 

@@ -21,13 +21,7 @@ from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 from .datasets import read_manifest_header
-from .errors import (
-    ConfigError,
-    DataError,
-    OracleExecutionError,
-    OracleResultError,
-    OracleTimeoutError,
-)
+from .errors import ConfigError, DataError, OracleError
 from .util import draw_keys, is_number, number_setting, read_jsonl
 
 RESPONSE_FIELDS = ("perf_scoring", "perf_interpreting", "loss_scoring", "loss_interpreting")
@@ -286,24 +280,24 @@ class ExternalOracle:
                 env=env,
             )
         except subprocess.TimeoutExpired:
-            raise OracleTimeoutError(f"oracle command timed out after {self.timeout}s: {tokens}")
+            raise OracleError(f"oracle command timed out after {self.timeout}s: {tokens}")
         except OSError as exc:
-            raise OracleExecutionError(f"cannot run oracle command {tokens}: {exc}")
+            raise OracleError(f"cannot run oracle command {tokens}: {exc}")
         if proc.returncode != 0:
-            raise OracleExecutionError(
+            raise OracleError(
                 f"oracle command exited {proc.returncode}: {tokens}\n"
                 f"stderr: {proc.stderr.strip()[-2000:]}"
             )
         if not out_path.is_file():
-            raise OracleResultError(f"oracle result file missing: {out_path}")
+            raise OracleError(f"oracle result file missing: {out_path}")
         try:
             obj = json.loads(out_path.read_text(encoding="utf-8"))
         except (OSError, ValueError, RecursionError) as exc:  # not JSON or UTF-8, or too deep
-            raise OracleResultError(f"unreadable oracle result {out_path}: {exc}")
+            raise OracleError(f"unreadable oracle result {out_path}: {exc}")
         try:
             return _response_from(obj)
         except DataError as exc:
-            raise OracleResultError(f"{out_path}: {exc}")
+            raise OracleError(f"{out_path}: {exc}")
 
 
 # Ledger -----------------------------------------------------------------------

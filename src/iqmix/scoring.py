@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, MalformedLogitsError
+from .errors import DataError
 from .levels import FIVE_LEVEL_LABELS, LevelScale, _labels_for
 from .util import is_number, json_records
 
@@ -26,7 +26,7 @@ CHUNK_ROWS = 4096
 def _check_finite(values: Sequence[float], labels: Sequence[str], item: str) -> None:
     for label, v in zip(labels, values):
         if not math.isfinite(v):
-            raise MalformedLogitsError(f"{item}: non-finite logit for level {label!r}")
+            raise DataError(f"{item}: non-finite logit for level {label!r}")
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -53,7 +53,7 @@ def softmax_vector(values: Sequence[float]) -> tuple[float, ...]:
     """Closed-set, max-shifted softmax over one ordered logit vector of at
     least two levels; a non-finite logit raises, naming its level."""
     if len(values) < 2:
-        raise MalformedLogitsError(f"need at least two level logits, got {len(values)}")
+        raise DataError(f"need at least two level logits, got {len(values)}")
     _check_finite(values, _labels_for(len(values)), "<vector>")
     return tuple(_softmax_rows(_one_row(values))[0].tolist())
 
@@ -73,7 +73,7 @@ def score_from_logit_vector(values: Sequence[float]) -> float:
 def binary_score(x_good: float, x_poor: float) -> float:
     """Two-level softmax score: sigmoid(x_good - x_poor), in (0, 1)."""
     if not math.isfinite(x_good) or not math.isfinite(x_poor):
-        raise MalformedLogitsError(
+        raise DataError(
             f"non-finite binary logits good={x_good!r} poor={x_poor!r}"
         )
     d = x_good - x_poor
@@ -116,18 +116,18 @@ def _parse_five_level(obj: dict, item_id: str) -> Sequence[float]:
         pass
     logits = obj.get("logits")
     if not isinstance(logits, dict):
-        raise MalformedLogitsError(f"{item_id}: missing 'logits' object")
+        raise DataError(f"{item_id}: missing 'logits' object")
     values = []
     try:
         for label in FIVE_LEVEL_LABELS:
             if label not in logits:
-                raise MalformedLogitsError(f"{item_id}: missing logit for level {label!r}")
+                raise DataError(f"{item_id}: missing logit for level {label!r}")
             v = logits[label]
             if not is_number(v):
-                raise MalformedLogitsError(f"{item_id}: non-numeric logit for {label!r}")
+                raise DataError(f"{item_id}: non-numeric logit for {label!r}")
             values.append(float(v))
     except OverflowError:  # an int too large for a float
-        raise MalformedLogitsError(f"{item_id}: logit for {label!r} is too large for a float")
+        raise DataError(f"{item_id}: logit for {label!r} is too large for a float")
     _check_finite(values, FIVE_LEVEL_LABELS, item_id)
     return values
 
@@ -138,10 +138,10 @@ def _parse_binary(obj: dict, item_id: str) -> tuple[float, float]:
         for key in ("good", "poor"):
             v = obj.get(key)
             if not is_number(v):
-                raise MalformedLogitsError(f"{item_id}: missing or non-numeric {key!r} logit")
+                raise DataError(f"{item_id}: missing or non-numeric {key!r} logit")
             pair.append(float(v))
     except OverflowError:  # an int too large for a float
-        raise MalformedLogitsError(f"{item_id}: logit for {key!r} is too large for a float")
+        raise DataError(f"{item_id}: logit for {key!r} is too large for a float")
     return pair[0], pair[1]
 
 
@@ -177,10 +177,10 @@ def score_batch(
     for line_no, obj in json_records(lines):
         try:
             if type(obj) is not dict:  # the text of why the line is not one
-                raise MalformedLogitsError(obj)
+                raise DataError(obj)
             item_id = obj.get("id")
             if not isinstance(item_id, str):
-                raise MalformedLogitsError("missing or non-string 'id'")
+                raise DataError("missing or non-string 'id'")
             if binary:
                 pending.append((item_id, binary_score(*_parse_binary(obj, item_id))))
             else:
@@ -190,7 +190,7 @@ def score_batch(
             diagnostic = BatchDiagnostic(line_no, str(exc))
             if strict:
                 yield from _score_chunk(pending, rows)
-                raise MalformedLogitsError(str(diagnostic)) from exc
+                raise DataError(str(diagnostic)) from exc
             pending.append(diagnostic)
         if len(pending) == CHUNK_ROWS:
             yield from _score_chunk(pending, rows)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from iqmix import cli
 from iqmix.cli import _config_hash, main
 from iqmix.datasets import POOL_TAGS, ingest_mos, load_pool
-from iqmix.errors import OracleExecutionError
+from iqmix.errors import OracleError
 from iqmix.metrics import DESCRIPTION_DIMENSIONS, QUADRANTS, QUESTION_TYPES
 from iqmix.oracle import SyntheticOracle
 from iqmix.util import file_digest
@@ -1289,7 +1289,7 @@ def scripted(monkeypatch):
     def scripted_evaluate(self, request):
         script.calls.append(str(request.manifest_path))
         if len(script.calls) == script.fail_on:
-            raise OracleExecutionError("scripted trainer failure")
+            raise OracleError("scripted trainer failure")
         return evaluate(self, request)
 
     monkeypatch.setattr(SyntheticOracle, "evaluate", scripted_evaluate)

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from iqmix.controller import check_controls, decide, run_loop
-from iqmix.errors import ConfigError, DataError, OracleExecutionError
+from iqmix.errors import ConfigError, DataError, OracleError
 from iqmix.mixopt import MixRatio, coarse_search
 from iqmix.oracle import Ledger, OracleResponse, SyntheticOracle, ResponseSurface
 
@@ -41,7 +41,7 @@ class FailingAfter:
     def evaluate(self, request):
         self.calls += 1
         if self.calls > self.good_calls:
-            raise OracleExecutionError("trainer crashed")
+            raise OracleError("trainer crashed")
         return self.inner.evaluate(request)
 
 
@@ -319,7 +319,7 @@ class TestRunLoop:
     def test_failure_persists_completed_epochs(self, tmp_path):
         pools = make_pools(100, 300, 130)
         oracle = FailingAfter(ScriptedOracle([(5.0, 1.0)] * 5), good_calls=2)
-        with pytest.raises(OracleExecutionError):
+        with pytest.raises(OracleError, match="^trainer crashed$"):
             run_loop(oracle, coarse_stub(), pools, max_epochs=5, seed=2, workdir=tmp_path)
         lines = (tmp_path / "trajectory.jsonl").read_text().splitlines()
         assert len(lines) == 3  # header + two completed epochs

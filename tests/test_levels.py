@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqmix.errors import ConfigError, ScoreOutOfRangeError
+from iqmix.errors import ConfigError, DataError
 from iqmix.levels import (
     FIVE_LEVEL_LABELS,
     LevelScale,
@@ -43,9 +43,9 @@ class TestScoreToLevel:
     @pytest.mark.parametrize("bad", [0.5, 5.5, float("nan"), float("inf"), float("-inf")])
     def test_out_of_range(self, scale15, bad):
         message = f"score {bad!r} outside scale [1.0, 5.0]"
-        with pytest.raises(ScoreOutOfRangeError) as scalar:
+        with pytest.raises(DataError) as scalar:
             score_to_level(bad, scale15)
-        with pytest.raises(ScoreOutOfRangeError) as vector:
+        with pytest.raises(DataError) as vector:
             quantize_scores([3.0, bad, 2.0], scale15)
         assert str(scalar.value) == str(vector.value) == message
 
@@ -66,7 +66,7 @@ class TestScoreToLevel:
         )
 
     def test_vectorized_out_of_range(self):
-        with pytest.raises(ScoreOutOfRangeError):
+        with pytest.raises(DataError, match=r"^score 120\.0 outside scale \[0\.0, 100\.0\]$"):
             quantize_scores([0.0, 120.0], LevelScale(0.0, 100.0))
 
     def test_two_level_scale(self):

@@ -1,8 +1,8 @@
 """The package exports, the README's library examples and its config table
 match the code, no module imports a name it never uses or draws at random
 but by the key streams, no private module-level name is left that no module
-reads, and sampling keeps out the modules whose import costs memory and
-draws the same under any hash seed."""
+reads, the errors are one class per exit code, and sampling keeps out the
+modules whose import costs memory and draws the same under any hash seed."""
 
 import ast
 import hashlib
@@ -47,6 +47,16 @@ def test_every_readme_python_block_imports_names_that_exist():
     missing = [f"from {module} import {name}" for module, name in imported
                if not hasattr(importlib.import_module(module), name)]
     assert missing == [], "README imports names the package lacks:\n" + "\n".join(missing)
+
+
+def test_errors_define_one_class_per_exit_code():
+    """cli.main maps the three families to exit codes 1, 2 and 3 and no module
+    catches a narrower class, so a subclass would be API only tests use."""
+    from iqmix import errors
+
+    defined = sorted(name for name, value in vars(errors).items()
+                     if isinstance(value, type) and value.__module__ == errors.__name__)
+    assert defined == ["ConfigError", "DataError", "IqmixError", "OracleError"]
 
 
 def test_readme_config_table_lists_every_config_key():

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from iqmix.cli import main
 from iqmix.datasets import ingest_mos
-from iqmix.errors import DataError, MalformedLogitsError, ScoreOutOfRangeError
+from iqmix.errors import DataError
 from iqmix.levels import FIVE_LEVEL_LABELS, LevelScale
 from iqmix.metrics import PairedSample, plcc, srcc
 from iqmix.scoring import BatchDiagnostic, score_batch, score_from_logit_vector
@@ -193,7 +193,6 @@ def test_ingest_mos_names_the_first_bad_row(tmp_path, rows, scale, strict_error,
     with pytest.raises(DataError) as exc:
         ingest_mos(path, scale)
     assert str(exc.value) == f"{path}: {strict_error}"
-    assert isinstance(exc.value, ScoreOutOfRangeError) == ("outside" in strict_error)
     with captured_warnings() as logged:
         if kept is None:
             with pytest.raises(DataError, match="no valid MOS records"):
@@ -277,7 +276,7 @@ def test_score_batch_names_the_bad_record(line, message):
     out = list(score_batch(lines))
     assert out == [("a", 3.0), BatchDiagnostic(3, message), ("b", 3.0)]
     got = []
-    with pytest.raises(MalformedLogitsError) as exc:
+    with pytest.raises(DataError) as exc:
         got.extend(score_batch(lines, strict=True))
     assert str(exc.value) == f"line 3: {message}"
     assert got == [("a", 3.0)]
@@ -436,7 +435,7 @@ def reference_mos(path: Path, scale, strict: bool) -> tuple[dict, list[str]]:
                 elif not math.isfinite(mos):
                     problem = DataError(f"{where}: non-finite mos {mos!r}")
                 elif scale is not None and not scale.min_score <= mos <= scale.max_score:
-                    problem = ScoreOutOfRangeError(
+                    problem = DataError(
                         f"{where}: mos {mos!r} outside [{scale.min_score}, {scale.max_score}]")
             if problem is not None:
                 if strict:
@@ -497,30 +496,30 @@ def reference_batch(lines, strict: bool) -> tuple[list, str | None]:
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:
-                raise MalformedLogitsError(f"invalid JSON ({exc})")
+                raise DataError(f"invalid JSON ({exc})")
             if not isinstance(obj, dict):
-                raise MalformedLogitsError("record is not an object")
+                raise DataError("record is not an object")
             item_id = obj.get("id")
             if not isinstance(item_id, str):
-                raise MalformedLogitsError("missing or non-string 'id'")
+                raise DataError("missing or non-string 'id'")
             logits = obj.get("logits")
             if not isinstance(logits, dict):
-                raise MalformedLogitsError(f"{item_id}: missing 'logits' object")
+                raise DataError(f"{item_id}: missing 'logits' object")
             values = []
             for label in FIVE_LEVEL_LABELS:
                 if label not in logits:
-                    raise MalformedLogitsError(f"{item_id}: missing logit for level {label!r}")
+                    raise DataError(f"{item_id}: missing logit for level {label!r}")
                 v = logits[label]
                 if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise MalformedLogitsError(f"{item_id}: non-numeric logit for {label!r}")
+                    raise DataError(f"{item_id}: non-numeric logit for {label!r}")
                 try:
                     values.append(float(v))
                 except OverflowError:
-                    raise MalformedLogitsError(
+                    raise DataError(
                         f"{item_id}: logit for {label!r} is too large for a float")
             for label, v in zip(FIVE_LEVEL_LABELS, values):
                 if not math.isfinite(v):
-                    raise MalformedLogitsError(
+                    raise DataError(
                         f"{item_id}: non-finite logit for level {label!r}")
             out.append((item_id, score_from_logit_vector(values)))
         except DataError as exc:
@@ -566,7 +565,7 @@ def test_score_batch_matches_the_per_record_loop(n, seed, strict, defects):
     got = []
     try:
         got.extend(score_batch(lines, strict=strict))
-    except MalformedLogitsError as exc:
+    except DataError as exc:
         assert str(exc) == error
     else:
         assert error is None

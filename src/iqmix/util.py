@@ -107,7 +107,7 @@ class _HashingFile(io.FileIO):
 
     def write(self, buffer) -> int:
         count = super().write(buffer)
-        self.digest.update(memoryview(buffer)[:count])
+        self.digest.update(buffer[:count])
         return count
 
 

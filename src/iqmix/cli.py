@@ -404,7 +404,7 @@ def _emit_report(doc: dict, text: str, fmt: str) -> None:
 
 def _join_scores_to_mos(args: argparse.Namespace) -> PairedSample:
     """Scores paired with MOS by id, in score-file order; the id tables are
-    freed on return, before the metrics (and the fit's scipy import) run."""
+    freed on return, before the metrics (and the logistic fit) run."""
     check_delimiter(args.delimiter)  # a config error comes before any input is read
     ids, scores = read_scores(args.scores_file)
     mos = ingest_mos(args.mos_file, delimiter=args.delimiter)

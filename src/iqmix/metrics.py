@@ -109,10 +109,8 @@ def pair_by_id(ids: Sequence[str], predictions: np.ndarray,
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing their average rank, bit-identical to
-    scipy.stats.rankdata(method="average"), whose import would add about a
-    second to every SRCC command. A tie group at sorted positions [lo, hi)
-    has average rank (lo + hi - 1) / 2 + 1."""
+    """1-based ranks, ties sharing their average rank: a tie group at sorted
+    positions [lo, hi) has average rank (lo + hi - 1) / 2 + 1."""
     order = np.argsort(values, kind="mergesort")
     ordered = values[order]
     lo = np.searchsorted(ordered, ordered, side="left")
@@ -137,30 +135,57 @@ def srcc(sample: PairedSample) -> float:
                     _average_ranks(sample.ground_truth), "ranks")
 
 
+_FIT_EVALS = 4000  # model evaluations the logistic fit may spend
+
+
 def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Four-parameter logistic pre-mapping used in IQA evaluation."""
-    import warnings
+    """The fitted values of IQA evaluation's four-parameter logistic
+    (b1 - b2) / (1 + exp(-(x - b3) / |b4|)) + b2: Levenberg-Marquardt least
+    squares from (max y, min y, mean x, std x) on the analytic Jacobian, its
+    columns scaled by their largest norms yet, until a step cuts the sum of
+    squared residuals by at most 1e-10 of it or is at most 1.49e-8 of the
+    point. A singular or overflowing step, or _FIT_EVALS evaluations, fails."""
+    def model(b):
+        s = 1.0 / (1.0 + np.exp(-(x - b[2]) / abs(b[3])))  # exp's overflow saturates s at 0
+        fit = (b[0] - b[1]) * s + b[1]
+        return fit, s, float(np.sum((fit - y) ** 2))
 
-    from scipy.optimize import OptimizeWarning, curve_fit
-
-    def logistic(v, b1, b2, b3, b4):
-        return (b1 - b2) / (1.0 + np.exp(-(v - b3) / abs(b4))) + b2
-
-    p0 = [float(y.max()), float(y.min()), float(x.mean()), float(x.std() or 1.0)]
-    try:
-        with warnings.catch_warnings():
-            # only the fitted values are used, not the parameter covariance
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(logistic, x, y, p0=p0, maxfev=20000)
-    except RuntimeError as exc:
-        raise DataError(f"logistic pre-mapping failed to converge: {exc}")
-    return logistic(x, *popt)
+    with np.errstate(all="ignore"):  # an overflow is caught below, as a singular step
+        b = np.array([y.max(), y.min(), x.mean(), x.std() or 1.0])
+        (fit, s, cost), par, grow, d = model(b), 1e-3, 2.0, np.zeros(4)
+        for evals in range(1, _FIT_EVALS + 1):
+            if s is not None:  # a new point: its scaled normal equations, in their eigenbasis
+                ds = (b[0] - b[1]) * s * (1.0 - s) / abs(b[3])
+                jac = np.stack([s, 1.0 - s, -ds, -ds * (x - b[2]) / b[3]], axis=1)
+                gram, s = jac.T @ jac, None
+                d = np.maximum(d, np.sqrt(np.diag(gram)))
+                scaled, grad = gram / np.outer(d, d), jac.T @ (y - fit) / d
+                if not np.isfinite(np.append(scaled, [*grad, cost])).all():  # a column of 0s too
+                    raise DataError(f"logistic pre-mapping failed: step {evals} is singular or overflows")
+                lam, vecs = np.linalg.eigh(scaled)
+                grad = vecs.T @ grad
+            step = vecs @ (w := grad / (lam + par)) / d
+            new_fit, new_s, new_cost = model(b + step)
+            predicted = float(w @ grad + par * (w @ w))
+            gain = (cost - new_cost) / predicted if predicted > 0 else 0.0
+            done = np.linalg.norm(w) <= 1.49e-8 * np.linalg.norm(d * b)
+            if gain > 0:  # accept, and relax the damping by how well the step was predicted
+                done |= cost - new_cost <= 1e-10 * cost
+                b, fit, s, cost = b + step, new_fit, new_s, new_cost
+                par, grow = par * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
+            else:
+                par, grow = par * grow, 2.0 * grow
+            if done:
+                return fit
+    raise DataError(f"logistic pre-mapping failed to converge in {_FIT_EVALS} evaluations")
 
 
 def plcc(sample: PairedSample, *, logistic: bool = False) -> float:
     """Pearson linear correlation; logistic pre-mapping is off by default."""
     x, y = sample.predictions, sample.ground_truth
     if logistic:
+        if len(x) < 4:
+            raise DataError(f"logistic pre-mapping needs at least 4 paired values, got {len(x)}")
         if float(np.var(x)) == 0.0 or float(np.var(y)) == 0.0:
             raise DataError("zero variance; correlation undefined")
         x = _fit_logistic(x, y)

@@ -3,14 +3,17 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.optimize import curve_fit
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iqmix.cli import main
+from iqmix.datasets import ingest_mos
 from iqmix.errors import DataError
 from iqmix.levels import LevelScale
 from iqmix.metrics import (
@@ -21,12 +24,16 @@ from iqmix.metrics import (
     match_choice,
     mcq_report,
     mcq_text,
+    pair_by_id,
+    read_scores,
     _average_ranks,
+    _fit_logistic,
     plcc,
     srcc,
 )
 
 from conftest import write_records
+from test_golden import _write_eval_inputs
 
 
 def sample(x, y) -> PairedSample:
@@ -200,6 +207,105 @@ class TestPlcc:
         assert raw < 0.99
         assert mapped > raw
         assert mapped == pytest.approx(1.0, abs=1e-6)
+
+
+def logistic(v, b1, b2, b3, b4):
+    return (b1 - b2) / (1.0 + np.exp(-(v - b3) / abs(b4))) + b2
+
+
+def curve_fit_values(x, y, **tolerances):
+    """The values scipy's curve_fit fits from the same starting point: with
+    its default tolerances, the fit that eval-iqa --logistic used to run, and
+    with tolerances of 1e-15, a fit converged as far as MINPACK goes."""
+    p0 = [y.max(), y.min(), x.mean(), x.std() or 1.0]
+    with warnings.catch_warnings():  # no covariance; exp overflows to a saturated curve
+        warnings.simplefilter("ignore")
+        popt, _ = curve_fit(logistic, x, y, p0=p0, maxfev=20000, **tolerances)
+        return logistic(x, *popt)
+
+
+def ssr(fit, y) -> float:
+    return float(np.sum((fit - y) ** 2))
+
+
+def s_curve(n: int, seed: int, noise: float):
+    """n points of a logistic S-curve over [0, 1], with normal noise added."""
+    rng = np.random.default_rng([seed, n])
+    x = rng.uniform(0.0, 1.0, n)
+    return x, 1.0 + 4.0 / (1.0 + np.exp(-(x - 0.5) / 0.1)) + rng.normal(0.0, noise, n)
+
+
+class TestLogisticFit:
+    """The numpy Levenberg-Marquardt fit against scipy's curve_fit, which it
+    replaced: the PLCC of a converged fit on S-curves, and a residual sum of
+    squares (SSR) no higher than the old default fit's.
+
+    The SSR order is tested where the fit has one optimum in reach. On a
+    small or nearly pure-noise sample the least-squares logistic is often a
+    step (|b4| far below the spacing of x), with a local minimum for each gap
+    the step can sit in; there the two methods can end in different minima,
+    either one lower, so no order between them holds."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [100, 1000, 10_000, 100_000])
+    def test_s_curves_match_a_converged_curve_fit(self, n, seed):
+        x, y = s_curve(n, seed, 0.2)
+        converged = curve_fit_values(x, y, ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        assert abs(plcc(sample(x, y), logistic=True) - plcc(sample(converged, y))) <= 1e-9
+        assert ssr(_fit_logistic(x, y), y) <= ssr(curve_fit_values(x, y), y) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("noise,n", [(2.0, 1000), (2.0, 10_000), (20.0, 10_000)],
+                             ids=["noisy-1k", "noisy-10k", "nearly-uncorrelated-10k"])
+    def test_ssr_is_no_higher_than_default_curve_fit(self, noise, n, seed):
+        """Noise of sd 2 on the S-curve's range of 4 leaves a correlation of
+        about 0.6, and of sd 20 about 0.07."""
+        x, y = s_curve(n, seed, noise)
+        assert ssr(_fit_logistic(x, y), y) <= ssr(curve_fit_values(x, y), y) * (1 + 1e-9)
+
+    def test_golden_inputs_fit_lower_than_default_curve_fit(self, tmp_path, monkeypatch):
+        """The golden eval-iqa inputs are nearly uncorrelated (SRCC 0.027),
+        and their least-squares optimum lies at infinity: MINPACK's default
+        tolerances stop it on the way, and the numpy fit goes further."""
+        monkeypatch.chdir(tmp_path)
+        _write_eval_inputs(tmp_path)
+        assert main(["score", "logits.jsonl", "--out", "scores.jsonl"]) == 0
+        ids, scores = read_scores("scores.jsonl")
+        x, y = pair_by_id(ids, scores, ingest_mos("mos.csv"))
+        default = ssr(curve_fit_values(x, y), y)
+        assert ssr(_fit_logistic(x, y), y) <= default * (1 - 1e-7)
+
+    def test_a_fit_that_keeps_falling_stops_at_the_evaluation_cap(self):
+        """A step function's best logistic has |b4| -> 0: each step lowers
+        the SSR by about the same share, so no stopping rule is met. The
+        default curve_fit gives up on it too."""
+        x, y = np.arange(4.0), np.array([0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(RuntimeError, match="maxfev"):
+            curve_fit_values(x, y)
+        with pytest.raises(DataError, match="^logistic pre-mapping failed to converge "
+                                            "in 4000 evaluations$"):
+            plcc(sample(x, y), logistic=True)
+
+    def test_normal_equations_that_overflow_are_a_singular_step(self):
+        """A spread of 3e-60 in the predictions against one of 3e100 in the
+        truth: the Jacobian's squared column norms pass the float range."""
+        x, y = np.arange(4.0) * 1e-60, np.array([0.0, 1e100, 3e100, 1.0])
+        with pytest.raises(DataError, match="^logistic pre-mapping failed: "
+                                            "step 1 is singular or overflows$"):
+            plcc(sample(x, y), logistic=True)
+
+    def test_fewer_points_than_parameters_is_a_data_error(self, tmp_path, capsys):
+        with pytest.raises(DataError, match="^logistic pre-mapping needs at least "
+                                            "4 paired values, got 3$"):
+            plcc(sample([0.0, 1.0, 2.0], [0.0, 0.0, 1.0]), logistic=True)
+        scores, mos = tmp_path / "scores.jsonl", tmp_path / "mos.csv"
+        scores.write_text("".join(json.dumps({"id": f"i{k}", "score": float(k)}) + "\n"
+                                  for k in range(3)))
+        mos.write_text("image_id,mos\ni0,1\ni1,5\ni2,2\n")
+        assert main(["eval-iqa", str(scores), str(mos), "--logistic"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == \
+            "error: logistic pre-mapping needs at least 4 paired values, got 3"
 
 
 class TestAvgMetric:

@@ -1,9 +1,11 @@
 """The package exports, the README's library examples and its config table
 match the code, no module imports a name it never uses or draws at random
 but by the key streams, no private module-level name is left that no module
-reads, the errors are one class per exit code, and sampling keeps out the
-modules whose import costs memory and draws the same under any hash seed."""
+reads, the errors are one class per exit code, no command loads the modules
+whose import costs memory (scipy is a test-only dependency), and sampling
+draws the same under any hash seed."""
 
+import argparse
 import ast
 import hashlib
 import importlib
@@ -13,6 +15,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import iqmix
 from iqmix import cli
@@ -111,6 +115,60 @@ def test_sampling_loads_no_numpy_random_or_scipy_and_ignores_the_hash_seed(tmp_p
                    Path(f"{out}.csv")]
         digests.append([hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs])
     assert digests[0] == digests[1]
+
+
+def test_no_command_loads_scipy_or_numpy_random(tmp_path):
+    """Every subcommand, eval-iqa --logistic included, in one fresh
+    interpreter; the list must name every subcommand the parser has."""
+    for tag, n in (("d1", 30), ("d2", 40), ("d3", 40)):
+        write_records(make_pairs(tag.upper(), n), tmp_path / f"{tag}.jsonl")
+    surface = {"peak_ratio": 2.42, "peak_value": 0.75, "curvature": 0.25}
+    (tmp_path / "config.yaml").write_text(json.dumps({
+        "pools": {tag: f"{tag}.jsonl" for tag in ("d1", "d2", "d3")}, "seed": 7, "repeats": 1,
+        "oracle": {"kind": "synthetic", "scoring_surface": surface,
+                   "interpreting_surface": surface, "noise_sigma": 0.01}}))
+    (tmp_path / "mos.csv").write_text("image_id,mos\n" + "".join(
+        f"img{i},{(i * 37) % 101}\n" for i in range(60)))
+    levels = ("bad", "poor", "fair", "good", "excellent")
+    (tmp_path / "logits.jsonl").write_text("".join(json.dumps(
+        {"id": f"img{i}", "logits": {level: ((i * 7 + k * 3) % 11) / 2.0
+                                     for k, level in enumerate(levels)}}) + "\n"
+        for i in range(60)))
+    (tmp_path / "mcq.jsonl").write_text(json.dumps(
+        {"id": "q1", "type": "what", "quadrant": "other", "choices": ["yes", "no"],
+         "gold": "yes", "predicted": "no"}) + "\n")
+    (tmp_path / "ratings.jsonl").write_text("".join(
+        json.dumps({"dimension": d, "rating": 2}) + "\n"
+        for d in ("completeness", "precision", "relevance")))
+    argv = [["convert", "mos.csv", "--scale-min", "0", "--scale-max", "100", "--out", "c.jsonl"],
+            ["score", "logits.jsonl", "--out", "scores.jsonl"],
+            ["eval-iqa", "scores.jsonl", "mos.csv"],
+            ["eval-iqa", "scores.jsonl", "mos.csv", "--logistic"],
+            ["eval-mcq", "mcq.jsonl"],
+            ["eval-desc", "ratings.jsonl"],
+            ["subsample", "mos.csv", "--target", "20", "--out", "sub.csv"],
+            ["sample", "--config", "config.yaml", "--ratio", "1:1:1", "--out", "m.jsonl"],
+            ["mix-search", "--config", "config.yaml", "--out-dir", "search"],
+            ["mix-adjust", "--config", "config.yaml", "--out-dir", "adjust",
+             "--coarse-result", "search/coarse_result.json", "--max-epochs", "2"]]
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert sorted({args[0] for args in argv}) == sorted(commands)
+    env = {**{k: v for k, v in os.environ.items() if not k.startswith("IQMIX_")},
+           "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(argv)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0] * len(argv), "heavy": []}
+
+
+def test_scipy_is_named_only_by_the_tests():
+    tomllib = pytest.importorskip("tomllib")
+    found = [path.name for path in sorted((ROOT / "src" / "iqmix").glob("*.py"))
+             if "scipy" in path.read_text(encoding="utf-8").lower()]
+    assert found == [], "src/iqmix names scipy"
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert not [dep for dep in project["dependencies"] if dep.startswith("scipy")]
+    assert [dep for dep in project["optional-dependencies"]["test"] if dep.startswith("scipy")]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:

@@ -15,9 +15,11 @@ inputs, their output files and what they print. Those hashes were recorded
 when `convert` ran json.dumps once per pair and `score` ran one numpy softmax
 per record. The `eval-mcq` and `eval-desc` reports, text and json, were
 recorded when each report was still built as a dataclass and then turned into
-its dict and its text. The `eval-iqa` reports, text and json, with and without
-`--logistic`, and the warning each logs about the ids it drops, were recorded
-when its score reader and the join still checked one record at a time.
+its dict and its text. The `eval-iqa` reports, text and json, and the warning
+each logs about the ids it drops, were recorded when its score reader and the
+join still checked one record at a time; the two `--logistic` reports were
+recorded again when the logistic fit moved from scipy's curve_fit to numpy,
+which fits the same inputs further (PLCC 0.032947 -> 0.032949).
 
 The pools are written here with plain json.dumps so the fixture does not
 depend on the package's own writers. Ids include quotes, backslashes,
@@ -338,13 +340,13 @@ GOLDEN_EVAL = {
     "eval-iqa-json.log":
         "8a6dc298fe75e30c66dc06cf06c6f034b5e6e875b35c6007a7318606279b2c45",
     "eval-iqa-logistic.stdout":
-        "d10587c10b087f92ac4819205c12088d7ab5472e0267306fed5e96e82da7ab27",
+        "2bc0dafd7f5566f1debf6ea13d229e08e579bdd56b6574d46018f32476f0266a",
     "eval-iqa-logistic.stderr":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "eval-iqa-logistic.log":
         "8a6dc298fe75e30c66dc06cf06c6f034b5e6e875b35c6007a7318606279b2c45",
     "eval-iqa-logistic-json.stdout":
-        "470d53d79f2361213c01eb0a3eb55796b7b07d226ee558e7ecaf5cac8e5e6f8b",
+        "d895cdd3eabdde85159ab0ae603970d984dec7818abeb0b1140cedec4a92ccb8",
     "eval-iqa-logistic-json.stderr":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "eval-iqa-logistic-json.log":

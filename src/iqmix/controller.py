@@ -87,11 +87,8 @@ def decide(
 
 
 def _grow(pool: str, count: int, factor: float) -> int:
-    """count times factor, rounded half-up; past the float range, a data error."""
-    try:
-        return round_half_up(factor * count)
-    except OverflowError:
-        raise DataError(f"{pool}: count {count} times factor {factor!r} is past the float range")
+    """count times factor, rounded half-up."""
+    return round_half_up(factor * count, f"{pool}: count {count} times factor {factor!r}")
 
 
 def run_loop(

@@ -61,10 +61,11 @@ class MixRatio:
         if self.d1 <= 0:
             raise ConfigError("counts_for_d1_base requires a positive d1 weight")
         scale = d1_count / self.d1
+        weights = f"count at weights {self.d1!r}:{self.d2!r}:{self.d3!r} with D1 at {d1_count}"
         return {
             "d1": d1_count,
-            "d2": round_half_up(self.d2 * scale),
-            "d3": round_half_up(self.d3 * scale),
+            "d2": round_half_up(self.d2 * scale, f"D2: {weights}"),
+            "d3": round_half_up(self.d3 * scale, f"D3: {weights}"),
         }
 
 
@@ -111,7 +112,8 @@ def compose_counts(
         if d2_d3_ratio is None or d2_d3_ratio <= 0:
             raise ConfigError("stage mixed_vs_d1 requires a positive d2_d3_ratio")
         d1 = pool_sizes["d1"]
-        return {"d1": d1, **split_d2_d3(max(1, round_half_up(d1 * ratio)), d2_d3_ratio)}
+        total = round_half_up(d1 * ratio, f"D2+D3: count {d1} times ratio {ratio!r}")
+        return {"d1": d1, **split_d2_d3(max(1, total), d2_d3_ratio)}
     raise ConfigError(f"unknown sweep stage {stage!r}")
 
 

@@ -79,8 +79,11 @@ def number_setting(value: object, key: str, cast: type = float) -> float:
     raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
-def round_half_up(x: float) -> int:
-    """Round to nearest integer with .5 going up (not banker's rounding)."""
+def round_half_up(x: float, count: str = "count") -> int:
+    """Round to nearest integer with .5 going up (not banker's rounding); past
+    the float range (NaN too), a data error naming the count."""
+    if not math.isfinite(x):
+        raise DataError(f"{count} is past the float range")
     return math.floor(x + 0.5)
 
 

@@ -770,6 +770,19 @@ class TestSample:
             f"error: D1: count {int(float(count))} is too large to draw"
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("ratio,message", [
+        ("1:1e308:1", "D2: count at weights 1.0:1e+308:1.0 with D1 at 30"),
+        ("1e-320:0:1", "D2: count at weights 1e-320:0.0:1.0 with D1 at 30"),
+    ], ids=["overflow", "nan"])
+    def test_a_ratio_count_past_the_float_range_is_a_data_error(
+            self, tmp_path, capsys, ratio, message):
+        config = write_pools_and_config(tmp_path, 30, 40, 40)
+        out = tmp_path / "m.jsonl"
+        assert run_cli("sample", "--config", config, "--ratio", ratio, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"error: {message} is past the float range"
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestMixSearch:
     def test_end_to_end(self, tmp_path, capsys):
@@ -956,6 +969,23 @@ class TestMixSearch:
         assert re.fullmatch(r"error: D2: count \d{300,} is too large to draw",
                             capsys.readouterr().err.splitlines()[-1])
         assert len(scripted.calls) == 19  # stage 1, kept in the ledger
+        scripted.calls.clear()
+        assert search([0.5, 1, 2, 3, 4]) == 0
+        assert len(scripted.calls) == 5 + 1  # stage 2 and the confirmation
+
+    def test_a_stage2_count_past_the_float_range_is_a_data_error(self, tmp_path, capsys, scripted):
+        def search(stage2):
+            config = write_pools_and_config(tmp_path, 30, 40, 40,
+                                            extra={"grid": {"stage2": stage2}})
+            return run_cli("mix-search", "--config", config, "--out-dir", tmp_path / "run")
+
+        assert search([1.0e308, 1, 2, 3, 4]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == \
+            "error: D2+D3: count 30 times ratio 1e+308 is past the float range"
+        assert "Traceback" not in err
+        assert len(scripted.calls) == 19  # stage 1, kept in the ledger
+        assert len((tmp_path / "run" / "ledger.jsonl").read_text().splitlines()) == 19
         scripted.calls.clear()
         assert search([0.5, 1, 2, 3, 4]) == 0
         assert len(scripted.calls) == 5 + 1  # stage 2 and the confirmation

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 import sys
 import threading
 import time
@@ -168,6 +169,11 @@ class TestComposeCounts:
     def test_bad_ratio(self):
         with pytest.raises(ConfigError):
             compose_counts("d2_vs_d3", 0.0, {"d1": 1, "d2": 1, "d3": 1})
+
+    def test_a_stage2_total_past_the_float_range_is_a_data_error(self):
+        with pytest.raises(DataError, match=r"^D2\+D3: count 30 times ratio 1e\+308 "
+                                            r"is past the float range$"):
+            compose_counts("mixed_vs_d1", 1e308, {"d1": 30, "d2": 1, "d3": 1}, d2_d3_ratio=1.0)
 
 
 def log10_grid(stage):
@@ -366,6 +372,17 @@ class TestMixRatio:
             MixRatio(-1.0, 1.0, 1.0)
         with pytest.raises(ConfigError):
             MixRatio(0.0, 1.0, 1.0).counts_for_d1_base(100)
+
+    @pytest.mark.parametrize("weights,pool", [
+        ((1.0, 1e308, 1.0), "D2"),
+        ((1.0, 1.0, 1e308), "D3"),
+        ((1e-320, 0.0, 1.0), "D2"),  # 0 times the infinite scale is NaN
+    ])
+    def test_a_count_past_the_float_range_is_a_data_error(self, weights, pool):
+        message = (f"{pool}: count at weights {':'.join(map(repr, weights))} "
+                   f"with D1 at 30 is past the float range")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            MixRatio(*weights).counts_for_d1_base(30)
 
 
 class TestCoarseSearch:

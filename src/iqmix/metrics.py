@@ -161,7 +161,7 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                 d = np.maximum(d, np.sqrt(np.diag(gram)))
                 scaled, grad = gram / np.outer(d, d), jac.T @ (y - fit) / d
                 if not np.isfinite(np.append(scaled, [*grad, cost])).all():  # a column of 0s too
-                    raise DataError(f"logistic pre-mapping failed: step {evals} is singular or overflows")
+                    raise DataError(f"logistic pre-mapping: step {evals} is singular or overflows")
                 lam, vecs = np.linalg.eigh(scaled)
                 grad = vecs.T @ grad
             step = vecs @ (w := grad / (lam + par)) / d

@@ -37,7 +37,6 @@ from .datasets import (
     ingest_mos,
     emit_d1_pairs,
     load_pool,
-    pool_stats,
     sample_mixture,
     subsample_balanced,
     write_manifest,
@@ -227,9 +226,9 @@ def _now() -> str:
 FORK_MIN_BYTES = 4 << 20
 
 
-def _load(path: str, tag: str, digest) -> tuple[np.ndarray, str] | tuple[tuple, Exception]:
-    """A pool's rows and the hex digest of its file, taken by the hashlib hash
-    digest as the file is read, or no rows and the error its load raised."""
+def _load(path: str, tag: str) -> tuple[np.ndarray, str] | tuple[tuple, Exception]:
+    """A pool's rows and the hex sha256 of its file, or no rows and the error its load raised."""
+    digest = hashlib.sha256()
     try:
         return load_pool(path, tag, digest=digest), digest.hexdigest()
     except (IqmixError, OSError) as exc:
@@ -245,7 +244,7 @@ def _fork_load(path: str, tag: str):
         return pid, open(read_end, "rb")
     try:  # the child: nothing of the CLI runs after this, not even atexit
         with open(write_end, "wb") as pipe:
-            pool, digest = _load(path, tag, hashlib.sha256())
+            pool, digest = _load(path, tag)
             pickle.dump((len(pool), digest), pipe)
             for start in range(0, len(pool), 16384):
                 pickle.dump(pool[start:start + 16384].tolist(), pipe)
@@ -275,14 +274,11 @@ def _load_pools(settings: dict) -> tuple[PoolSet, list[tuple[str | Path, str]]]:
         raise ConfigError(f"config pools missing path(s): {', '.join(missing)}")
     sizes = [os.path.isfile(path) and os.path.getsize(path) for path in paths]
     largest, children, results = sizes.index(max(sizes)), {}, {}
-    # Made before any pool is read: made between the loads, the hashes left
-    # the peak RSS of an in-process mix-search about 0.1 MiB higher.
-    digests = [hashlib.sha256() for _ in paths]
     try:
         for i in (i for i in range(3) if i != largest and sizes[i] >= FORK_MIN_BYTES):
             children[i] = _fork_load(paths[i], POOL_TAGS[i])
         for i in (i for i in range(3) if i not in children):
-            results[i] = _load(paths[i], POOL_TAGS[i], digests[i])
+            results[i] = _load(paths[i], POOL_TAGS[i])
             if isinstance(results[i][1], Exception):
                 break  # no pool after it has an error to raise first
         for i in range(3):
@@ -338,10 +334,10 @@ def cmd_convert(args: argparse.Namespace) -> int:
     out = Path(args.out)
     write_pairs(pairs, out, inline_system=args.inline_system)
 
-    stats = pool_stats(mos)
+    values = np.fromiter(mos.values(), dtype=np.float64, count=len(mos))
     histogram = Counter(label for _, label in pairs)
     print(f"converted {len(pairs)} records "
-          f"(mos mean {stats.mean_mos:.3f}, std {stats.std_mos:.3f})")
+          f"(mos mean {values.mean():.3f}, std {values.std():.3f})")
     for label in scale.labels:
         print(f"  {label:<10} {histogram[label]}")
 

@@ -35,18 +35,6 @@ D1_QUESTION = "<img> How would you rate the quality of the image."
 D1_ANSWER_TEMPLATE = "The quality of the image is {label}."
 
 
-@dataclass(frozen=True)
-class PoolStats:
-    size: int
-    mean_mos: float
-    std_mos: float
-
-
-def pool_stats(mos: Mapping[str, float]) -> PoolStats:
-    values = np.fromiter(mos.values(), dtype=np.float64, count=len(mos))
-    return PoolStats(len(mos), float(values.mean()), float(values.std()))
-
-
 def _float_or_none(cell: str) -> float | None:
     try:
         return float(cell)
@@ -291,15 +279,11 @@ class PoolSet:
     def sizes(self) -> dict[str, int]:
         return {"d1": len(self.d1), "d2": len(self.d2), "d3": len(self.d3)}
 
-    def by_tag(self, tag: str) -> Sequence[str]:
-        return {"D1": self.d1, "D2": self.d2, "D3": self.d3}[tag]
-
 
 @dataclass
 class Manifest:
     seed: int
     counts: dict[str, int]
-    ratio: dict[str, float]
     entries: list[str]  # manifest rows, as rendered by manifest_row
 
 
@@ -331,7 +315,7 @@ def sample_mixture(
     normalized = {k: int(counts.get(k, 0)) for k in ("d1", "d2", "d3")}
     for tag in POOL_TAGS:
         want = normalized[tag.lower()]
-        pool = pools.by_tag(tag)
+        pool = getattr(pools, tag.lower())
         if want < 0:
             raise DataError(f"{tag}: negative count {want}")
         if want == 0:
@@ -352,15 +336,15 @@ def sample_mixture(
     drawn = np.concatenate(picks) if picks else np.empty(0, dtype=object)
     del picks
     drawn = drawn[draw_rows(seed, "order", len(drawn), len(drawn))]
-    return Manifest(seed=seed, counts=normalized, ratio=_ratio_of(normalized),
-                    entries=drawn.tolist())
+    return Manifest(seed=seed, counts=normalized, entries=drawn.tolist())
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> str:
     """The header line, then the entries, joined 4096 at a time: one string
     of a whole manifest would be the largest allocation of a run. Returns
     the hex sha256 of the bytes, taken as they are written."""
-    header = {"seed": manifest.seed, "counts": manifest.counts, "ratio": manifest.ratio}
+    header = {"seed": manifest.seed, "counts": manifest.counts,
+              "ratio": _ratio_of(manifest.counts)}
     entries, digest = manifest.entries, hashlib.sha256()
     raw = _HashingFile(path, digest, "w")
     with io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8") as handle:

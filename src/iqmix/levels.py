@@ -75,14 +75,10 @@ class LevelScale:
             RatingLevel(i + 1, label) for i, label in enumerate(self.labels)
         )
 
-    def bin_edges(self) -> tuple[float, ...]:
-        """All n+1 edges m + (k/n)(M-m), k = 0..n, strictly increasing; the
-        ends are m and M exactly, since (n/n)(M-m) can round M up."""
-        m, big_m, n = self.min_score, self.max_score, self.level_count
-        return (m, *(m + (k / n) * (big_m - m) for k in range(1, n)), big_m)
-
     def interior_edges(self) -> tuple[float, ...]:
-        return self.bin_edges()[1:-1]
+        """The edges m + (k/n)(M-m), k = 1..n-1, between the n levels."""
+        m, big_m, n = self.min_score, self.max_score, self.level_count
+        return tuple(m + (k / n) * (big_m - m) for k in range(1, n))
 
 
 @functools.lru_cache(maxsize=64)
@@ -96,7 +92,7 @@ def score_to_level(score: float, scale: LevelScale) -> RatingLevel:
     Interval i is (edge_{i-1}, edge_i], so scores on an interior edge belong
     to the lower interval; score == min maps to the first level.
     """
-    if not (scale.min_score <= score <= scale.max_score) or not math.isfinite(score):
+    if not scale.min_score <= score <= scale.max_score:  # nan and inf fail it too
         raise DataError(
             f"score {score!r} outside scale [{scale.min_score}, {scale.max_score}]"
         )

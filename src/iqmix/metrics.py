@@ -121,12 +121,17 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray, what: str) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = float(np.sqrt(np.sum(xc * xc) * np.sum(yc * yc)))
-    if denom == 0.0 or not np.isfinite(denom):
-        raise DataError(f"zero variance in {what}; correlation undefined")
-    return float(np.sum(xc * yc) / denom)
+    """Pearson's r, scale-free: when the product of the sums of squares leaves
+    the normal float range, r is taken again with each side over its largest magnitude."""
+    with np.errstate(all="ignore"):  # a product out of range is caught below
+        for _ in range(2):
+            xc = x - x.mean()
+            yc = y - y.mean()
+            product = float(np.sum(xc * xc) * np.sum(yc * yc))
+            if sys.float_info.min <= product < math.inf:  # a subnormal one loses digits
+                return float(np.sum(xc * yc) / np.sqrt(product))
+            x, y = x / np.abs(x).max(), y / np.abs(y).max()
+    raise DataError(f"zero variance in {what}; correlation undefined")
 
 
 def srcc(sample: PairedSample) -> float:
@@ -186,7 +191,7 @@ def plcc(sample: PairedSample, *, logistic: bool = False) -> float:
     if logistic:
         if len(x) < 4:
             raise DataError(f"logistic pre-mapping needs at least 4 paired values, got {len(x)}")
-        if float(np.var(x)) == 0.0 or float(np.var(y)) == 0.0:
+        if x.min() == x.max() or y.min() == y.max():  # no arithmetic to over- or underflow
             raise DataError("zero variance; correlation undefined")
         x = _fit_logistic(x, y)
     return _pearson(x, y, "a sequence")

@@ -158,15 +158,9 @@ class ResponseSurface:
         if self.curvature < 0 or self.quartic < 0:
             raise ConfigError("curvature and quartic terms must be nonnegative")
 
-    @property
-    def peak_axis(self) -> float:
-        return math.log10(self.peak_ratio)
-
     def value(self, axis: float) -> float:
-        d = axis - self.peak_axis
+        d = axis - math.log10(self.peak_ratio)
         return self.peak_value - self.curvature * d * d - self.quartic * d ** 4
-
-    from_dict = classmethod(from_config)
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:

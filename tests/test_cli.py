@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from iqmix import cli
 from iqmix.cli import _config_hash, main
 from iqmix.datasets import POOL_TAGS, ingest_mos, load_pool
-from iqmix.errors import OracleError
+from iqmix.errors import DataError, OracleError
 from iqmix.metrics import DESCRIPTION_DIMENSIONS, QUADRANTS, QUESTION_TYPES
 from iqmix.oracle import SyntheticOracle
 from iqmix.util import file_digest
@@ -1544,7 +1544,31 @@ class TestForkedPoolLoads:
         assert inputs == [(path, file_digest(path)) for path in paths]
         assert [len(pool) for pool in (pools.d1, pools.d2, pools.d3)] == list(sizes)
         for path, tag in zip(paths, POOL_TAGS):
-            assert pools.by_tag(tag).tolist() == load_pool(path, tag).tolist()
+            assert getattr(pools, tag.lower()).tolist() == load_pool(path, tag).tolist()
+
+    @pytest.mark.parametrize("sizes", [(40, 300, 600), (300, 40, 600)])
+    def test_only_a_pool_at_or_above_the_floor_forks(
+            self, tmp_path, monkeypatch, forked_loads, sizes):
+        paths = self.pools(tmp_path, sizes)
+        settings = {f"pools.{key}": path for key, path in zip(("d1", "d2", "d3"), paths)}
+        middle = sorted(paths, key=os.path.getsize)[1]
+        monkeypatch.setattr(cli, "FORK_MIN_BYTES", os.path.getsize(middle))
+        pools, inputs = cli._load_pools(settings)
+        assert forked_loads == [(middle, POOL_TAGS[paths.index(middle)])]
+        assert inputs == [(path, file_digest(path)) for path in paths]
+        for path, tag in zip(paths, POOL_TAGS):
+            assert getattr(pools, tag.lower()).tolist() == load_pool(path, tag).tolist()
+        for path in (middle, *paths):  # an error in the forked pool, then in every pool
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write("{not json\n")
+            with pytest.raises(DataError) as forked:
+                cli._load_pools(settings)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "FORK_MIN_BYTES", math.inf)
+                with pytest.raises(DataError) as in_process:
+                    cli._load_pools(settings)
+            assert str(forked.value) == str(in_process.value)
+        assert forked_loads == [(middle, POOL_TAGS[paths.index(middle)])] * 5
 
     def run(self, capsys, *argv) -> tuple[int, str]:
         rc = run_cli("sample", "--counts", "1:1:1", "--out", "manifest.jsonl", *argv)

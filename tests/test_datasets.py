@@ -21,7 +21,6 @@ from iqmix.datasets import (
     ingest_mos,
     load_pool,
     manifest_row,
-    pool_stats,
     read_manifest_header,
     sample_mixture,
     subsample_balanced,
@@ -49,15 +48,14 @@ class TestIngestMos:
         write_mos_csv(path, ["a,10", "b,50", "c,90"])
         mos = ingest_mos(path, LevelScale(0, 100))
         assert list(mos) == ["a", "b", "c"]
-        stats = pool_stats(mos)
-        assert stats.size == 3
-        assert stats.mean_mos == pytest.approx(50.0)
-        assert stats.std_mos == pytest.approx(np.std([10, 50, 90]))
+        assert len(mos) == 3
+        assert np.mean(list(mos.values())) == pytest.approx(50.0)
+        assert np.std(list(mos.values())) == pytest.approx(np.std([10, 50, 90]))
 
     def test_single_row_zero_std(self, tmp_path):
         path = tmp_path / "mos.csv"
         write_mos_csv(path, ["a,42"])
-        assert pool_stats(ingest_mos(path, LevelScale(0, 100))).std_mos == 0.0
+        assert np.std(list(ingest_mos(path, LevelScale(0, 100)).values())) == 0.0
 
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "mos.csv"
@@ -77,7 +75,7 @@ class TestIngestMos:
         with caplog.at_level(logging.WARNING):
             mos = ingest_mos(path, LevelScale(0, 100), strict=False)
         assert list(mos) == ["a", "d"]
-        assert pool_stats(mos).size == 2
+        assert len(mos) == 2
         assert sum("skipping row" in m for m in caplog.messages) == 2
 
     def test_empty_is_error(self, tmp_path):
@@ -110,7 +108,7 @@ class TestIngestMos:
         with caplog.at_level(logging.WARNING):
             mos = ingest_mos(path, strict=False)
         assert list(mos) == ["a", "c"]
-        assert pool_stats(mos).mean_mos == 20.0
+        assert np.mean(list(mos.values())) == 20.0
         assert [m for m in caplog.messages if "non-finite mos" in m] == [
             f"skipping row: {path}: row 3: non-finite mos nan",
             f"skipping row: {path}: row 5: non-finite mos inf",
@@ -161,10 +159,10 @@ class TestSubsampleBalanced:
 
     def test_skewed_source_balances(self):
         records = skewed_records(7)
-        src = pool_stats(records)
-        sub = pool_stats(subsample_balanced(records, 300, bins=10, seed=7))
-        assert sub.std_mos > src.std_mos
-        assert abs(sub.mean_mos - 50.0) < abs(src.mean_mos - 50.0)
+        src = np.array(list(records.values()))
+        sub = np.array(list(subsample_balanced(records, 300, bins=10, seed=7).values()))
+        assert sub.std() > src.std()
+        assert abs(sub.mean() - 50.0) < abs(src.mean() - 50.0)
 
     def test_identity_when_target_is_all(self):
         records = skewed_records(1, 50)
@@ -514,13 +512,15 @@ def entry_fields(manifest):
 
 
 class TestSampleMixture:
-    def test_exact_counts(self):
+    def test_exact_counts(self, tmp_path):
         pools = make_pools(100, 300, 300)
         manifest = sample_mixture(pools, {"d1": 50, "d2": 125, "d3": 52}, seed=1)
         tags = Counter(e["pool"] for e in entry_fields(manifest))
         assert tags == {"D1": 50, "D2": 125, "D3": 52}
         assert manifest.counts == {"d1": 50, "d2": 125, "d3": 52}
-        assert manifest.ratio == {"d1": 1.0, "d2": 2.5, "d3": 1.04}
+        write_manifest(manifest, tmp_path / "m.jsonl")
+        assert read_manifest_header(tmp_path / "m.jsonl")["ratio"] == {
+            "d1": 1.0, "d2": 2.5, "d3": 1.04}
 
     def test_deterministic_bytes(self, tmp_path):
         pools = make_pools(80, 200, 200)
@@ -572,7 +572,7 @@ class TestSampleMixture:
         pools = make_pools(30, 60, 60)
         manifest = sample_mixture(pools, {"d1": 30, "d2": 20, "d3": 20}, seed=5)
         for row, entry in zip(manifest.entries, entry_fields(manifest)):
-            pool = pools.by_tag(entry["pool"])
+            pool = getattr(pools, entry["pool"].lower())
             assert 1 <= entry["source_line"] <= len(pool)
             assert pool[entry["source_line"] - 1] == row
 
@@ -583,7 +583,7 @@ class TestSampleMixture:
         counts = {"d1": d1_count, "d2": 25, "d3": 7}
         expected = []
         for tag in POOL_TAGS:
-            pool, want = pools.by_tag(tag), counts[tag.lower()]
+            pool, want = getattr(pools, tag.lower()), counts[tag.lower()]
             n = len(pool)
             if want <= n:
                 keys = shake_keys(13, tag, n)
@@ -623,15 +623,15 @@ class TestSampleMixture:
                 sample_mixture(pools, counts, seed, with_replacement=with_replacement)
             return
         manifest = sample_mixture(pools, counts, seed, with_replacement=with_replacement)
-        rows_by_tag = {tag: [] for tag in POOL_TAGS}
+        rows_of = {tag: [] for tag in POOL_TAGS}
         for row, entry in zip(manifest.entries, entry_fields(manifest)):
-            pool = pools.by_tag(entry["pool"])
+            pool = getattr(pools, entry["pool"].lower())
             assert pool[entry["source_line"] - 1] == row  # the pool's row at its line
-            rows_by_tag[entry["pool"]].append(row)
+            rows_of[entry["pool"]].append(row)
         for tag, n, want in zip(POOL_TAGS, sizes, wants):
-            assert len(rows_by_tag[tag]) == want  # exact counts
+            assert len(rows_of[tag]) == want  # exact counts
             # rows repeat only where the count exceeds the pool
-            assert (len(set(rows_by_tag[tag])) == want) == (want <= n)
+            assert (len(set(rows_of[tag])) == want) == (want <= n)
 
     @pytest.mark.parametrize("want", [3, 25])
     def test_inclusion_is_uniform_over_seeds(self, want):
@@ -660,7 +660,7 @@ class TestSampleMixture:
         write_manifest(manifest, path)
         header = read_manifest_header(path)
         assert header == {"seed": 3, "counts": {"d1": 10, "d2": 10, "d3": 10},
-                          "ratio": manifest.ratio}
+                          "ratio": {"d1": 1.0, "d2": 1.0, "d3": 1.0}}
         rows = [manifest_row(obj["pool"], obj["source_line"], obj["id"])
                 for _, obj in list(read_jsonl(path))[1:]]  # line 1 is the header
         assert rows == manifest.entries
@@ -670,7 +670,6 @@ class TestPoolSet:
     def test_sizes(self):
         pools = make_pools(3, 4, 5)
         assert pools.sizes() == {"d1": 3, "d2": 4, "d3": 5}
-        assert pools.by_tag("D2") is pools.d2
 
     def test_make_pairs_tags(self):
         records = make_pairs("D2", 5)

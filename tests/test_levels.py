@@ -91,18 +91,16 @@ class TestLevelScale:
         with pytest.raises(ConfigError):
             LevelScale(0.0, 1.0, level_count=1)
 
-    def test_bin_edges_strictly_increasing(self):
+    def test_edges_strictly_increasing(self):
         for lo, hi in [(1.0, 5.0), (0.0, 100.0), (-3.0, 7.5)]:
-            edges = LevelScale(lo, hi).bin_edges()
+            edges = (lo, *LevelScale(lo, hi).interior_edges(), hi)
             assert len(edges) == 6
             assert all(a < b for a, b in zip(edges, edges[1:]))
-            assert edges[0] == lo and edges[-1] == hi
 
-    def test_top_edge_is_max_score_exactly(self):
+    def test_max_score_is_in_the_top_level(self):
         # m + (n/n)(M-m) rounds to 12.900000000000002 here
         scale = LevelScale(-3.7, 12.9, 7)
-        assert scale.bin_edges()[-1] == 12.9
-        assert score_to_level(scale.bin_edges()[-1], scale).index == 7
+        assert score_to_level(12.9, scale).index == 7
 
     def test_five_labels(self):
         assert LevelScale(1, 5).labels == FIVE_LEVEL_LABELS
@@ -123,7 +121,7 @@ class TestLevelToScore:
         assert steps == sorted(steps)
         assert set(steps) == {1, 2, 3, 4, 5}
         # plateaus have equal width: interval i covers (edge_{i-1}, edge_i]
-        edges = scale15.bin_edges()
+        edges = (1.0, *scale15.interior_edges(), 5.0)
         widths = {round(edges[i + 1] - edges[i], 12) for i in range(5)}
         assert widths == {0.8}
 
@@ -165,8 +163,7 @@ SCALES = [LevelScale(1.0, 5.0), LevelScale(0.0, 100.0), LevelScale(0.0, 1.0),
 class TestQuantizeMatchesScoreToLevel:
     @pytest.mark.parametrize("scale", SCALES, ids=str)
     def test_every_bin_edge(self, scale):
-        edges = scale.bin_edges()
-        assert (edges[0], edges[-1]) == (scale.min_score, scale.max_score)
+        edges = (scale.min_score, *scale.interior_edges(), scale.max_score)
         expected = [score_to_level(e, scale).index for e in edges]
         assert quantize_scores(edges, scale).tolist() == expected
 

@@ -199,6 +199,45 @@ class TestPlcc:
         with pytest.raises(DataError, match="^zero variance in a sequence; correlation undefined$"):
             plcc(sample([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
+    def test_sums_of_squares_past_the_float_range(self, tmp_path, capsys, scale):
+        """MOS at 1e200 overflow the product of the sums of squares, MOS at
+        1e-160 make it subnormal and MOS at 1e-200 underflow it to 0; r is
+        scale-free, so all read as at scale 1, with no warning, and only a
+        constant side is zero variance."""
+        x, y = [1.0, 2.0, 3.0, 5.0], [1.0, 3.0, 2.0, 5.0]
+        scores, mos = tmp_path / "scores.jsonl", tmp_path / "mos.csv"
+        scores.write_text("".join(json.dumps({"id": i, "score": v}) + "\n"
+                                  for i, v in zip("abcd", x)))
+        mos.write_text("image_id,mos\n" + "".join(f"{i},{v * scale!r}\n"
+                                                  for i, v in zip("abcd", y)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval-iqa", str(scores), str(mos)]) == 0
+            assert capsys.readouterr().out.splitlines()[1:3] == [
+                "srcc   0.800000", "plcc   0.885714"]
+            scaled = [v * scale for v in y]
+            for pair in ((x, scaled), (scaled, x)):
+                assert plcc(sample(*pair)) == pytest.approx(plcc(sample(x, y)), abs=1e-15)
+            with pytest.raises(DataError, match="^zero variance in a sequence; correlation"):
+                plcc(sample(x, [scale] * 4))
+
+    @pytest.mark.parametrize("y", [np.array([1.0, 3.0, 2.0, 5.0]) * 1e200,
+                                   np.array([1.0, 3.0, 2.0, 5.0]) * 1e-200,
+                                   np.array([-1e308, 0.0, 1e308, 5e307])])
+    def test_logistic_checks_for_a_constant_side_without_variance(self, y):
+        """The variance of MOS at 1e200 overflows, that of MOS at 1e-200
+        underflows to 0, and the span of the last MOS overflows: none is a
+        constant side, so the fit runs and stops with its own error; a
+        constant side is still zero variance."""
+        x = np.array([1.0, 2.0, 3.0, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^logistic pre-mapping: step 1 is singular"):
+                plcc(sample(x, y), logistic=True)
+            with pytest.raises(DataError, match="^zero variance; correlation undefined$"):
+                plcc(sample(x, np.full(4, y[0])), logistic=True)
+
     def test_logistic_pre_mapping_flag(self):
         x = np.linspace(-1, 1, 60)
         y = 1.0 / (1.0 + np.exp(-6.0 * x))  # saturating, monotone, nonlinear
@@ -342,7 +381,7 @@ class TestAvgMetric:
 class TestConversionPrecision:
     def test_bin_midpoints_perfect(self):
         scale = LevelScale(1.0, 5.0)
-        edges = scale.bin_edges()
+        edges = (1.0, *scale.interior_edges(), 5.0)
         midpoints = [(edges[i] + edges[i + 1]) / 2 for i in range(5)]
         s, p = conversion_precision(midpoints, scale)
         assert s == pytest.approx(1.0, abs=1e-12)

@@ -17,6 +17,7 @@ from iqmix.oracle import (
     OracleResponse,
     ResponseSurface,
     SyntheticOracle,
+    from_config,
     realized_axes,
 )
 from iqmix.util import file_digest
@@ -88,15 +89,15 @@ class TestResponseSurface:
         with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value!r}$"):
             ResponseSurface(**{**terms, key: value})
         with pytest.raises(ConfigError, match=f"^oracle.s.{key} must be finite"):
-            ResponseSurface.from_dict({**terms, key: value}, "oracle.s")
+            from_config(ResponseSurface, {**terms, key: value}, "oracle.s")
 
-    def test_from_dict(self):
-        surface = ResponseSurface.from_dict(
-            {"peak_ratio": 3.54, "peak_value": 0.85, "curvature": 0.25}
+    def test_from_config(self):
+        surface = from_config(
+            ResponseSurface, {"peak_ratio": 3.54, "peak_value": 0.85, "curvature": 0.25}
         )
         assert surface.quartic == 0.0
         with pytest.raises(ConfigError):
-            ResponseSurface.from_dict({"peak_ratio": 1.0})
+            from_config(ResponseSurface, {"peak_ratio": 1.0})
 
 
 class TestSyntheticOracle:
@@ -335,7 +336,9 @@ SURFACE = {"peak_ratio": 2.42, "peak_value": 0.75, "curvature": 0.25}
                        "interpreting_surface": SURFACE}, "oracle.scoring_surface.kind"),
     (SyntheticOracle, {"scoring_surface": SURFACE, "interpreting_surface": SURFACE,
                        "noise_sigm": 0.5}, "oracle.noise_sigm"),
-    (ResponseSurface, {**SURFACE, "curvatur": 9}, "oracle.curvatur"),
+    (SyntheticOracle, {"scoring_surface": SURFACE,
+                       "interpreting_surface": {**SURFACE, "curvatur": 9}},
+     "oracle.interpreting_surface.curvatur"),
 ])
 def test_a_key_that_is_no_field_is_a_config_error_naming_it(cls, section, key):
     with pytest.raises(ConfigError, match=f"^unknown key {re.escape(repr(key))}$"):

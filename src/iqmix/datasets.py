@@ -306,10 +306,10 @@ def sample_mixture(
     Sampling is without replacement; a count above the pool size is only
     legal with the replacement flag, in which case that pool alone switches
     to replacement (logged). Each pool draws its rows from its own key
-    stream (see util.draw_rows), and the combined rows are put in the order
-    of the stable argsort of the key stream (seed, "order"). So the draws
-    depend only on the seed, the pool sizes and the counts, and no row is
-    drawn by a Python-level step.
+    stream (see util.draw_rows), and the combined rows are put in (key, row)
+    order of the key stream (seed, "order"), a tie going to the lower row.
+    So the draws depend only on the seed, the pool sizes and the counts, and
+    no row is drawn by a Python-level step.
     """
     picks = []
     normalized = {k: int(counts.get(k, 0)) for k in ("d1", "d2", "d3")}

@@ -111,7 +111,7 @@ def pair_by_id(ids: Sequence[str], predictions: np.ndarray,
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing their average rank: a tie group at sorted
     positions [lo, hi) has average rank (lo + hi - 1) / 2 + 1."""
-    order = np.argsort(values, kind="mergesort")
+    order = np.argsort(values)  # a tie group ranks the same in any order
     ordered = values[order]
     lo = np.searchsorted(ordered, ordered, side="left")
     hi = np.searchsorted(ordered, ordered, side="right")
@@ -143,13 +143,15 @@ def srcc(sample: PairedSample) -> float:
 _FIT_EVALS = 4000  # model evaluations the logistic fit may spend
 
 
-def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _fit_logistic(x: np.ndarray, y: np.ndarray, rescaled: bool = False) -> np.ndarray:
     """The fitted values of IQA evaluation's four-parameter logistic
     (b1 - b2) / (1 + exp(-(x - b3) / |b4|)) + b2: Levenberg-Marquardt least
     squares from (max y, min y, mean x, std x) on the analytic Jacobian, its
     columns scaled by their largest norms yet, until a step cuts the sum of
     squared residuals by at most 1e-10 of it or is at most 1.49e-8 of the
-    point. A singular or overflowing step, or _FIT_EVALS evaluations, fails."""
+    point. A singular or overflowing step fits again with each side over its
+    largest magnitude, as _pearson does; that fit's fitted values are in units
+    of the largest y. A second such step, or _FIT_EVALS evaluations, fails."""
     def model(b):
         s = 1.0 / (1.0 + np.exp(-(x - b[2]) / abs(b[3])))  # exp's overflow saturates s at 0
         fit = (b[0] - b[1]) * s + b[1]
@@ -166,6 +168,8 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                 d = np.maximum(d, np.sqrt(np.diag(gram)))
                 scaled, grad = gram / np.outer(d, d), jac.T @ (y - fit) / d
                 if not np.isfinite(np.append(scaled, [*grad, cost])).all():  # a column of 0s too
+                    if not rescaled:
+                        return _fit_logistic(x / np.abs(x).max(), y / np.abs(y).max(), True)
                     raise DataError(f"logistic pre-mapping: step {evals} is singular or overflows")
                 lam, vecs = np.linalg.eigh(scaled)
                 grad = vecs.T @ grad

@@ -39,15 +39,23 @@ def draw_keys(seed: int, stream: str, n: int) -> np.ndarray:
     return np.frombuffer(hashlib.shake_256(text).digest(8 * n), dtype="<u8")
 
 
+def _key_order(keys: np.ndarray) -> np.ndarray:
+    """The indexes that put keys in (key, index) order. numpy's default sort
+    is not stable, so a stable sort runs too when two sorted keys are equal."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    return np.argsort(keys, kind="stable") if (ordered[1:] == ordered[:-1]).any() else order
+
+
 def draw_rows(seed: int, stream: str, n: int, want: int) -> np.ndarray:
     """want row indexes of n rows, from the key stream (seed, stream).
 
-    want <= n: the rows of the want smallest of n keys, in (key, row) order.
-    Only the rows whose key lies below a bound are sorted, a bound that
-    want + 8 * sqrt(want) + 8 of n uniform keys are expected to fall below;
-    should fewer than want fall below it, every row is sorted, so the bound
-    never changes the result. want > n: key % n for each of want keys, so
-    rows repeat.
+    want <= n: the rows of the want smallest of n keys, in (key, row) order,
+    a tie going to the lower row. Only the rows whose key lies below a bound
+    are ordered, a bound that want + 8 * sqrt(want) + 8 of n uniform keys are
+    expected to fall below; should fewer than want fall below it, every row
+    is ordered, so the bound never changes the result. want > n: key % n for
+    each of want keys, so rows repeat.
     """
     if want > n:
         return draw_keys(seed, stream, want) % np.uint64(n)
@@ -56,8 +64,8 @@ def draw_rows(seed: int, stream: str, n: int, want: int) -> np.ndarray:
     if bound < 1 << 64:
         rows = np.flatnonzero(keys < np.uint64(bound))
         if len(rows) >= want:
-            return rows[np.argsort(keys[rows], kind="stable")[:want]]
-    return np.argsort(keys, kind="stable")[:want]
+            return rows[_key_order(keys[rows])[:want]]
+    return _key_order(keys)[:want]
 
 
 def is_number(value: object) -> bool:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import re
+import unittest.mock
 from collections import Counter
 
 import numpy as np
@@ -604,6 +605,37 @@ class TestSampleMixture:
         pools = make_pools(1000, 10, 10)
         manifest = sample_mixture(pools, {"d1": 3, "d2": 10, "d3": 1}, seed=0)
         assert manifest.entries == [*pools.d1[:3], *pools.d2, *pools.d3[:1]]
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(2000, 20000), share=st.floats(0.0, 1.0), want_share=st.floats(0.0, 1.0),
+           span=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+    def test_tied_keys_at_workload_sizes_go_in_key_then_row_order(
+            self, n, share, want_share, span, seed):
+        """Keys from two narrow bands, one at each end of the key range: many
+        ties, not all. A share of low keys at least the count is ordered
+        under the candidate bound, a smaller one or a count near n in full."""
+        rng = np.random.default_rng(seed)
+        low = rng.random(n) < share
+        offsets = rng.integers(0, span, n, dtype=np.uint64)
+        keys = np.where(low, offsets, np.uint64(2**64 - span) + offsets)
+        want = round(want_share * n)
+        with unittest.mock.patch.object(util, "draw_keys", lambda seed, stream, k: keys[:k]):
+            rows = util.draw_rows(0, "D1", n, want)
+        values = keys.tolist()
+        assert rows.tolist() == sorted(range(n), key=lambda r: (values[r], r))[:want]
+
+    @pytest.mark.parametrize("pair", [(7, 8000), (100, 19999), (19998, 19999)])
+    @pytest.mark.parametrize("want", [500, 20000])
+    def test_one_equal_pair_among_distinct_keys_goes_lower_row_first(self, pair, want):
+        """The pair holds a key below all others, so a count of 500 orders it
+        under the candidate bound and a count of n with every row."""
+        keys = util.draw_keys(7, "D1", 20000).copy()
+        keys[list(pair)] = keys.min() - np.uint64(1)
+        with unittest.mock.patch.object(util, "draw_keys", lambda seed, stream, k: keys[:k]):
+            rows = util.draw_rows(0, "D1", len(keys), want)
+        values = keys.tolist()
+        assert rows.tolist() == sorted(range(len(keys)), key=lambda r: (values[r], r))[:want]
+        assert rows[:2].tolist() == list(pair)
 
     def test_array_and_list_pools_draw_the_same_rows(self):
         pools = make_pools(30, 60, 60)

@@ -120,6 +120,17 @@ class TestRanks:
             expected = scipy.stats.rankdata(values, method="average")
             assert np.array_equal(_average_ranks(values), expected)  # bit for bit
 
+    def test_matches_scipy_on_100k_tie_heavy_values_with_signed_zeros(self):
+        """Ranks come from an unstable sort: a tie group, -0.0 and 0.0 among
+        them, must rank the same in whatever order the sort leaves it."""
+        rng = np.random.default_rng(5)
+        values = rng.integers(-40, 40, 100_000) * 0.25
+        values[(values == 0.0) & (rng.random(values.size) < 0.5)] = -0.0
+        signs = np.signbit(values[values == 0.0])
+        assert signs.any() and not signs.all()
+        expected = scipy.stats.rankdata(values, method="average")
+        assert _average_ranks(values).tobytes() == expected.tobytes()
+
 
 class TestSrcc:
     def test_identical_order(self):
@@ -228,13 +239,14 @@ class TestPlcc:
     def test_logistic_checks_for_a_constant_side_without_variance(self, y):
         """The variance of MOS at 1e200 overflows, that of MOS at 1e-200
         underflows to 0, and the span of the last MOS overflows: none is a
-        constant side, so the fit runs and stops with its own error; a
-        constant side is still zero variance."""
+        constant side, so the fit runs, and after its singular first step it
+        fits each side over its largest magnitude; a constant side is still
+        zero variance."""
         x = np.array([1.0, 2.0, 3.0, 5.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataError, match="^logistic pre-mapping: step 1 is singular"):
-                plcc(sample(x, y), logistic=True)
+            assert plcc(sample(x, y), logistic=True) == pytest.approx(
+                plcc(sample(x / 5.0, y / np.abs(y).max()), logistic=True), abs=1e-15)
             with pytest.raises(DataError, match="^zero variance; correlation undefined$"):
                 plcc(sample(x, np.full(4, y[0])), logistic=True)
 
@@ -327,11 +339,29 @@ class TestLogisticFit:
 
     def test_normal_equations_that_overflow_are_a_singular_step(self):
         """A spread of 3e-60 in the predictions against one of 3e100 in the
-        truth: the Jacobian's squared column norms pass the float range."""
+        truth: the Jacobian's squared column norms pass the float range, so
+        the fit starts again on each side over its largest magnitude. A fit
+        that is singular once it is rescaled fails."""
         x, y = np.arange(4.0) * 1e-60, np.array([0.0, 1e100, 3e100, 1.0])
+        assert plcc(sample(x, y), logistic=True) == \
+            plcc(sample(x / 3e-60, y / 3e100), logistic=True)
         with pytest.raises(DataError,
                            match="^logistic pre-mapping: step 1 is singular or overflows$"):
-            plcc(sample(x, y), logistic=True)
+            _fit_logistic(x, y, rescaled=True)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_logistic_is_scale_free_through_the_cli(self, tmp_path, capsys, scale):
+        """MOS at 1e200 overflow the fit's first step and MOS at 1e-200
+        underflow it; the fit over the largest magnitudes reads as at scale 1."""
+        scores, mos = tmp_path / "scores.jsonl", tmp_path / "mos.csv"
+        scores.write_text("".join(json.dumps({"id": i, "score": v}) + "\n"
+                                  for i, v in zip("abcd", [1.0, 2.0, 3.0, 5.0])))
+        mos.write_text("image_id,mos\n" + "".join(f"{i},{v * scale!r}\n"
+                                                  for i, v in zip("abcd", [1.0, 3.0, 2.0, 5.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval-iqa", str(scores), str(mos), "--logistic"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:3] == ["srcc   0.800000", "plcc   0.896264"]
 
     def test_fewer_points_than_parameters_is_a_data_error(self, tmp_path, capsys):
         with pytest.raises(DataError, match="^logistic pre-mapping needs at least "

@@ -1,9 +1,10 @@
 """The package exports, the README's library examples and its config table
 match the code, no module imports a name it never uses or draws at random
-but by the key streams, no private module-level name is left that no module
-reads, the errors are one class per exit code, no command loads the modules
-whose import costs memory (scipy is a test-only dependency), and sampling
-draws the same under any hash seed."""
+but by the key streams, only two sorts run stably (the tie fallback of the
+key-stream order and subsample's bin grouping), no private module-level
+name is left that no module reads, the errors are one class per exit code,
+no command loads the modules whose import costs memory (scipy is a
+test-only dependency), and sampling draws the same under any hash seed."""
 
 import argparse
 import ast
@@ -243,6 +244,42 @@ def test_no_module_draws_but_by_the_key_streams():
              for path in sorted((ROOT / "src" / "iqmix").glob("*.py"))
              for line, what in random_draws(path.read_text(encoding="utf-8"))]
     assert found == [], "a draw outside util.draw_keys:\n" + "\n".join(found)
+
+
+def stable_sorts(source: str) -> list[tuple[str, str]]:
+    """(innermost enclosing function or <module>, called name) of each call
+    passing kind="stable" or kind="mergesort": the sorts that numpy runs as
+    timsort or mergesort, not as its SIMD sort."""
+    tree = ast.parse(source)
+    owner = {}  # ast.walk is breadth-first, so an inner function overwrites its outer one
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func))
+    return sorted((owner.get(node, "<module>"), ast.unparse(node.func))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and any(
+                      kw.arg == "kind" and isinstance(kw.value, ast.Constant)
+                      and kw.value.value in ("stable", "mergesort") for kw in node.keywords))
+
+
+def test_stable_sort_finder():
+    source = ("import numpy as np\nORDER = np.argsort([2, 1], kind='stable')\n"
+              "def f(a):\n    np.argsort(a, kind='stable')\n"
+              "    def g(b):\n        return b.sort(kind='mergesort')\n"
+              "    return np.sort(a), np.argsort(a, kind='quicksort'), sorted(a)\n")
+    assert stable_sorts(source) == [("<module>", "np.argsort"), ("f", "np.argsort"),
+                                    ("g", "b.sort")]
+
+
+def test_only_the_tie_fallback_and_the_bin_grouping_sort_stably():
+    """Ties in a key stream are rare and are sorted again stably; subsample's
+    bins tie by design and group in row order. Every other sort takes numpy's
+    default kind."""
+    found = [f"{path.name}: {func}: {call}"
+             for path in sorted((ROOT / "src" / "iqmix").glob("*.py"))
+             for func, call in stable_sorts(path.read_text(encoding="utf-8"))]
+    assert found == ["datasets.py: subsample_balanced: np.argsort",
+                     "util.py: _key_order: np.argsort"]
 
 
 def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
